@@ -50,7 +50,7 @@ from .grf import (
     write_butterfly_svg,
     write_diagnostics_csv,
 )
-from .ingest import IngestConfig, fill_gaps, parse_force_file, parse_marker_file
+from .ingest import IngestConfig, _write_csv, fill_gaps, parse_force_file, parse_marker_file
 from .kinematics import (
     bundled_definitions_path,
     com_trajectory,
@@ -342,19 +342,21 @@ def run_events(config: PipelineConfig) -> list[Path]:
 
 def _write_stance_intervals(config: PipelineConfig, traj, path: Path) -> None:
     """Cross-check view: stance intervals from the heel-height threshold."""
-    rate = traj.sample_rate_hz
-    lines = ["foot,start_frame,end_frame,start_time_s,end_time_s"]
+    feet, intervals = [], []
     for foot, name in (
         ("left", config.left_heel_marker),
         ("right", config.right_heel_marker),
     ):
         series = _marker_series(traj, name, axis=2)
-        for start, end in detect_stance_threshold(series, config.stance_threshold_m):
-            lines.append(
-                f"{foot},{start},{end},{repr(float(start / rate))},{repr(float(end / rate))}"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for interval in detect_stance_threshold(series, config.stance_threshold_m):
+            feet.append(foot)
+            intervals.append(interval)
+    frames = np.array(intervals, dtype=int).reshape(-1, 2).T
+    _write_csv(
+        path,
+        ["foot,start_frame,end_frame,start_time_s,end_time_s"],
+        [feet, *frames, *(frames / traj.sample_rate_hz)],
+    )
 
 
 def _compute_bilateral(config: PipelineConfig):

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.signal
 
 from .errors import InputError, InternalInvariantError, NoGaitDataError
+from .ingest import _runs, _write_csv
 from .signal import UniformSeries
 
 __all__ = [
@@ -219,19 +220,8 @@ def detect_stance_threshold(
         raise InputError("foot_z must be single-channel")
     if not threshold_m > 0:
         raise InputError(f"stance threshold must be positive, got {threshold_m}")
-    below = foot_z.values[0] < threshold_m
-    intervals: list[tuple[int, int]] = []
-    k = 0
-    n = below.size
-    while k < n:
-        if not below[k]:
-            k += 1
-            continue
-        start = k
-        while k < n and below[k]:
-            k += 1
-        intervals.append((start, k - 1))
-    return intervals
+    starts, ends = _runs(foot_z.values[0] < threshold_m)
+    return list(zip(starts.tolist(), (ends - 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -375,9 +365,8 @@ def write_events_csv(path, timeline: GaitTimeline) -> None:
         rows += [(frame, ev.foot, "heel_strike") for frame in ev.heel_strikes]
         rows += [(frame, ev.foot, "toe_off") for frame in ev.toe_offs]
     rows.sort()
-    lines = ["foot,event_type,frame,time_s"]
-    for frame, foot, kind in rows:
-        t = frame / timeline.sample_rate_hz
-        lines.append(f"{foot},{kind},{frame},{repr(float(t))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    frames = np.array([frame for frame, _, _ in rows], dtype=int)
+    columns = [[foot for _, foot, _ in rows], [kind for _, _, kind in rows], frames]
+    _write_csv(
+        path, ["foot,event_type,frame,time_s"], columns + [frames / timeline.sample_rate_hz]
+    )

@@ -28,6 +28,7 @@ import scipy.linalg
 from .anthro import SegmentId, SubjectProfile
 from .errors import InputError, InternalInvariantError
 from .events import DOUBLE_STANCE, NO_STANCE, SS_LEFT, SS_RIGHT, GaitTimeline
+from .ingest import _runs, _write_csv
 from .kinematics import ComTrajectory
 from .signal import UniformSeries, differentiate
 
@@ -410,48 +411,33 @@ def butterfly(bilateral: BilateralGrf, com: ComTrajectory) -> ButterflyDiagram:
     if com.n_frames != bilateral.n_frames:
         raise InputError("CoM trajectory and force series frame counts differ")
     feet: list[str] = []
-    frames: list[int] = []
-    bases: list[np.ndarray] = []
-    forces: list[np.ndarray] = []
+    frames, bases, forces = [], [], []
     for foot in ("left", "right"):
         idx = com.segment_index(SegmentId("foot", foot))
-        foot_com = com.segment_coms[:, idx, :]
-        stance = bilateral.timeline.stance_mask(foot) & bilateral.analyzed
-        limb = bilateral.limb(foot).force
-        for k in np.nonzero(stance)[0]:
-            feet.append(foot)
-            frames.append(int(k))
-            bases.append(np.array([foot_com[0, k], foot_com[1, k], 0.0]))
-            forces.append(limb[:, k].copy())
-    k = len(feet)
+        stance = np.flatnonzero(bilateral.timeline.stance_mask(foot) & bilateral.analyzed)
+        feet += [foot] * stance.size
+        frames.append(stance)
+        ground = com.segment_coms[:2, idx, stance].T
+        bases.append(np.column_stack([ground, np.zeros(stance.size)]))
+        forces.append(bilateral.limb(foot).force[:, stance].T)
     return ButterflyDiagram(
         sample_rate_hz=bilateral.total.sample_rate_hz,
         feet=tuple(feet),
-        frames=np.array(frames, dtype=int) if k else np.zeros(0, dtype=int),
-        bases=np.array(bases) if k else np.zeros((0, 3)),
-        forces=np.array(forces) if k else np.zeros((0, 3)),
+        frames=np.concatenate(frames),
+        bases=np.concatenate(bases),
+        forces=np.concatenate(forces),
     )
 
 
 def write_bilateral_csv(path, bilateral: BilateralGrf) -> None:
     """Write total and per-limb forces with the phase label per frame."""
-    lines = [
-        "time_s,Fx_total,Fy_total,Fz_total,Fx_L,Fy_L,Fz_L,Fx_R,Fy_R,Fz_R,phase_label"
-    ]
+    header = ["time_s,Fx_total,Fy_total,Fz_total,Fx_L,Fy_L,Fz_L,Fx_R,Fy_R,Fz_R,phase_label"]
     labels = np.empty(bilateral.n_frames, dtype=object)
     for phase in bilateral.timeline.phases:
         labels[phase.start : phase.end + 1] = phase.label
-    times = bilateral.total.times()
-    t, l, r = bilateral.total.force, bilateral.left.force, bilateral.right.force
-    for k in range(bilateral.n_frames):
-        fields = [repr(float(times[k]))]
-        fields += [repr(float(v)) for v in t[:, k]]
-        fields += [repr(float(v)) for v in l[:, k]]
-        fields += [repr(float(v)) for v in r[:, k]]
-        fields.append(str(labels[k]))
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [bilateral.total.times(), *bilateral.total.force]
+    columns += [*bilateral.left.force, *bilateral.right.force, labels]
+    _write_csv(path, header, columns)
 
 
 def write_diagnostics_csv(path, bilateral: BilateralGrf) -> None:
@@ -463,17 +449,9 @@ def write_diagnostics_csv(path, bilateral: BilateralGrf) -> None:
         ("left", bilateral.diagnostics.negative_vertical_left),
         ("right", bilateral.diagnostics.negative_vertical_right),
     ):
-        k = 0
-        n = mask.size
-        while k < n:
-            if not mask[k]:
-                k += 1
-                continue
-            start = k
-            while k < n and mask[k]:
-                k += 1
+        for start, end in zip(*_runs(mask)):
             lines.append(
-                f"negative_vertical,{start},{k - 1},{foot} limb below "
+                f"negative_vertical,{start},{end - 1},{foot} limb below "
                 f"-{NEGATIVE_VERTICAL_FRACTION:g} body weight"
             )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -484,15 +462,12 @@ def write_butterfly_csv(path, diagram: ButterflyDiagram, scale_m_per_n: float = 
     """Write anchors and scaled vector tips: base_x,base_y,tip_x,tip_y,tip_z,foot."""
     if not scale_m_per_n > 0:
         raise InputError(f"display scale must be positive, got {scale_m_per_n}")
-    lines = ["base_x,base_y,tip_x,tip_y,tip_z,foot"]
     tips = diagram.bases + scale_m_per_n * diagram.forces
-    for i in range(diagram.n_entries):
-        fields = [repr(float(diagram.bases[i, 0])), repr(float(diagram.bases[i, 1]))]
-        fields += [repr(float(v)) for v in tips[i]]
-        fields.append(diagram.feet[i])
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        ["base_x,base_y,tip_x,tip_y,tip_z,foot"],
+        [diagram.bases[:, 0], diagram.bases[:, 1], *tips.T, diagram.feet],
+    )
 
 
 _SVG_COLORS = {"left": "#1f77b4", "right": "#d62728"}

@@ -5,14 +5,18 @@ Marker files
     line 2: ``UNITS<TAB>mm`` or ``UNITS<TAB>m``
     line 3: ``MARKERS<TAB>name1<TAB>name2...``
     data  : one row per frame, ``time<TAB>x<TAB>y<TAB>z`` triplets per marker.
-    An occluded sample is either a blank triplet (three empty fields) or an
-    exact ``0<TAB>0<TAB>0`` triplet.  Positions are stored internally in
-    metres; mm inputs are divided by 1000.
+    An occluded sample is either a blank triplet (three empty or
+    spaces-only fields) or an exact ``0<TAB>0<TAB>0`` triplet.  Positions are
+    stored internally in metres; mm inputs are divided by 1000.
 
 Force-plate files
     line 1: ``RATE<TAB><hz>``
     line 2: ``PLATES<TAB><n>``
     data  : ``time`` then ``Fx Fy Fz COPx COPy`` per plate (newtons, metres).
+
+In both, the first time stamp is free and each later one must follow the
+previous by 1/RATE within a quarter of a sample period, so a dropped or
+repeated row is rejected; blank lines may only end the file.
 
 Both writers emit shortest round-trip float text (``repr``), so a
 write/parse cycle reproduces the numeric payload bit for bit.
@@ -35,7 +39,14 @@ __all__ = [
     "fill_gaps",
 ]
 
-_UNIT_SCALES = {"m": 1.0, "mm": 1e-3}
+_UNITS = ("m", "mm")
+
+# A time stamp may miss 1/RATE after the previous one by this many sample
+# periods; a dropped or repeated row misses it by a whole period.
+_TIME_STEP_TOLERANCE = 0.25
+
+# _write_csv formats this many values at a time
+_VALUES_PER_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -55,9 +66,9 @@ class IngestConfig:
     max_gap_frames: int = 10
 
     def __post_init__(self):
-        if self.expected_unit is not None and self.expected_unit not in _UNIT_SCALES:
+        if self.expected_unit is not None and self.expected_unit not in _UNITS:
             raise InputError(
-                f"expected_unit must be one of {sorted(_UNIT_SCALES)}, "
+                f"expected_unit must be one of {sorted(_UNITS)}, "
                 f"got {self.expected_unit!r}"
             )
         if self.noise_floor_n < 0:
@@ -173,8 +184,9 @@ def _read_lines(path) -> list[str]:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    lines = text.split("\n")
     # tolerate a trailing newline; reject CRLF quietly by stripping \r
-    return [ln.rstrip("\r") for ln in text.split("\n")]
+    return [ln.rstrip("\r") for ln in lines] if "\r" in text else lines
 
 
 def _header_value(lines: list[str], row: int, tag: str, path) -> str:
@@ -199,6 +211,94 @@ def _parse_rate(lines: list[str], path) -> float:
     return rate
 
 
+def _data_rows(path, lines: list[str], first: int, n_cols: int) -> list[str]:
+    """The data lines from index ``first`` on, each checked to hold ``n_cols`` fields.
+
+    Blank lines may only end the file: one between data rows would shift
+    every later frame, so it is rejected.
+    """
+    end = len(lines)
+    while end > first and lines[end - 1] == "":
+        end -= 1
+    rows = lines[first:end]
+    if not rows:
+        raise InputError(f"{path}: zero data frames")
+    if "" in rows:
+        line = first + rows.index("") + 1
+        raise InputError(f"{path}: line {line} is blank; blank lines may only end the file")
+    tabs = np.array([row.count("\t") for row in rows])
+    bad = np.flatnonzero(tabs != n_cols - 1)
+    if bad.size:
+        r = int(bad[0])
+        raise InputError(
+            f"{path}: data row {r + 1} has {tabs[r] + 1} columns, expected {n_cols}"
+        )
+    return rows
+
+
+def _loadtxt(rows: list[str]) -> np.ndarray:
+    return np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
+
+
+def _is_number(text: str) -> bool:
+    """True when ``_loadtxt`` reads ``text`` as a row of one or more numbers."""
+    if not text.strip():
+        return False
+    try:
+        _loadtxt([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_rows(path, rows: list[str], fields: list[str], rate: float) -> np.ndarray:
+    """Parse checked data rows into an (n_rows, n_fields) float array.
+
+    ``fields`` names each column for error messages.  Column 0 is the time
+    stamp: the first is free, and each later one must follow the one before
+    by 1/rate within ``_TIME_STEP_TOLERANCE`` sample periods, which a dropped
+    or repeated row breaks.
+    """
+    try:
+        data = _loadtxt(rows)
+    except ValueError:
+        r = next(r for r, row in enumerate(rows) if not _is_number(row))
+        c = next(c for c, f in enumerate(rows[r].split("\t")) if not _is_number(f))
+        raise InputError(f"{path}: data row {r + 1}, {fields[c]}: non-numeric value") from None
+    times = data[:, 0]
+    bad = np.flatnonzero(~(np.abs(np.diff(times) * rate - 1.0) <= _TIME_STEP_TOLERANCE))
+    if bad.size:
+        r = int(bad[0]) + 1
+        raise InputError(
+            f"{path}: data row {r + 1}: time {float(times[r])!r} s follows "
+            f"{float(times[r - 1])!r} s, but rows must step by 1/RATE = {1.0 / rate!r} s "
+            "(dropped or repeated row?)"
+        )
+    return data
+
+
+def _zero_blank_triplets(path, rows: list[str], names: list[str]) -> None:
+    """Rewrite blank coordinate triplets in place as ``0``, the other occlusion mark.
+
+    A field is blank when it is empty or holds only spaces; only rows that
+    can hold one are split, one at a time.  A triplet with one or two blank
+    fields is rejected.
+    """
+    for r, row in enumerate(rows):
+        if not ("\t\t" in row or row[-1] == "\t" or " " in row):
+            continue
+        fields = row.split("\t")
+        # a blank time is left blank, so that it fails to parse
+        blank = [False] + [not f.strip(" ") for f in fields[1:]]
+        partial = np.flatnonzero(np.reshape(blank[1:], (-1, 3)).sum(axis=1) % 3)
+        if partial.size:
+            raise InputError(
+                f"{path}: data row {r + 1}, marker {names[partial[0]]!r}: "
+                "partially blank coordinate triplet"
+            )
+        rows[r] = "\t".join(["0" if b else f for f, b in zip(fields, blank)])
+
+
 def parse_marker_file(path, config: IngestConfig | None = None) -> MarkerTrajectorySet:
     """Parse a marker TSV file into a MarkerTrajectorySet (metres)."""
     config = config or IngestConfig()
@@ -206,13 +306,12 @@ def parse_marker_file(path, config: IngestConfig | None = None) -> MarkerTraject
     rate = _parse_rate(lines, path)
 
     unit = _header_value(lines, 1, "UNITS", path)
-    if unit not in _UNIT_SCALES:
+    if unit not in _UNITS:
         raise InputError(f"{path}: unknown unit tag {unit!r} (expected 'mm' or 'm')")
     if config.expected_unit is not None and unit != config.expected_unit:
         raise InputError(
             f"{path}: unit tag {unit!r} does not match expected {config.expected_unit!r}"
         )
-    scale = _UNIT_SCALES[unit]
 
     if len(lines) < 3:
         raise InputError(f"{path}: missing header line 3 (MARKERS)")
@@ -223,48 +322,50 @@ def parse_marker_file(path, config: IngestConfig | None = None) -> MarkerTraject
     if len(set(names)) != len(names):
         raise InputError(f"{path}: duplicate marker names in header")
 
-    n_cols = 1 + 3 * len(names)
-    rows = [ln for ln in lines[3:] if ln != ""]
-    if not rows:
-        raise InputError(f"{path}: zero data frames")
+    rows = _data_rows(path, lines, 3, 1 + 3 * len(names))
+    del lines
+    _zero_blank_triplets(path, rows, names)
+    fields = ["time"] + [f"marker {name!r}" for name in names for _ in range(3)]
+    data = _parse_rows(path, rows, fields, rate)
+    del rows  # release the text before the per-marker arrays are built
 
-    n = len(rows)
-    pos = {name: np.empty((n, 3), dtype=float) for name in names}
-    miss = {name: np.zeros(n, dtype=bool) for name in names}
-    for r, ln in enumerate(rows):
-        fields = ln.split("\t")
-        if len(fields) != n_cols:
-            raise InputError(
-                f"{path}: data row {r + 1} has {len(fields)} columns, expected {n_cols}"
-            )
-        for m, name in enumerate(names):
-            triplet = fields[1 + 3 * m : 4 + 3 * m]
-            n_blank = sum(1 for f in triplet if f.strip() == "")
-            if n_blank == 3:
-                pos[name][r] = np.nan
-                miss[name][r] = True
-                continue
-            if n_blank:
-                raise InputError(
-                    f"{path}: data row {r + 1}, marker {name!r}: "
-                    "partially blank coordinate triplet"
-                )
-            try:
-                x, y, z = (float(f) for f in triplet)
-            except ValueError as exc:
-                raise InputError(
-                    f"{path}: data row {r + 1}, marker {name!r}: non-numeric value"
-                ) from exc
-            if x == 0.0 and y == 0.0 and z == 0.0:
-                # all-zero triplet is the other occlusion convention
-                pos[name][r] = np.nan
-                miss[name][r] = True
-            elif scale == 1.0:
-                pos[name][r] = (x, y, z)
-            else:
-                # mm -> m, correctly-rounded division by 1000
-                pos[name][r] = (x / 1000.0, y / 1000.0, z / 1000.0)
-    return MarkerTrajectorySet(sample_rate_hz=rate, markers=pos, missing=miss)
+    xyz = data[:, 1:].reshape(len(data), len(names), 3)
+    # an all-zero triplet (a blank one was zeroed above) marks an occlusion
+    missing = np.ascontiguousarray((xyz == 0.0).all(axis=2).T)
+    pos = np.ascontiguousarray(xyz.transpose(1, 0, 2))
+    if unit == "mm":
+        pos /= 1000.0  # correctly rounded, value by value
+    pos[missing] = np.nan
+    return MarkerTrajectorySet(
+        sample_rate_hz=rate, markers=dict(zip(names, pos)), missing=dict(zip(names, missing))
+    )
+
+
+def _text(values):
+    """Shortest round-trip text of a numeric array, NaN as an empty field;
+    any other column is already text."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        return values
+    text = list(map(repr, values.tolist()))
+    if values.dtype.kind == "f" and np.isnan(values).any():
+        return np.where(np.isnan(values), "", np.array(text, dtype=object))
+    return text
+
+
+def _write_csv(path, header: list[str], columns, sep: str = ",") -> None:
+    """Write the ``header`` lines, then one ``sep``-joined row per sample of ``columns``.
+
+    A numeric array column is written as ``repr`` text, so parsing the file
+    restores it bit for bit; a column of strings is written as is.  Rows are
+    formatted a block at a time, which bounds the text held in memory.
+    """
+    n = len(columns[0])
+    step = max(1, _VALUES_PER_BLOCK // len(columns))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in header))
+        for a in range(0, n, step):
+            text = [_text(column[a : a + step]) for column in columns]
+            fh.write("\n".join(map(sep.join, zip(*text))) + "\n")
 
 
 def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
@@ -274,18 +375,12 @@ def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
     positions and the missing mask exactly.
     """
     names = traj.marker_names
-    out = [f"RATE\t{traj.sample_rate_hz!r}", "UNITS\tm", "MARKERS\t" + "\t".join(names)]
-    times = traj.times()
-    for k in range(traj.n_frames):
-        fields = [repr(float(times[k]))]
-        for name in names:
-            if traj.missing[name][k]:
-                fields += ["", "", ""]
-            else:
-                fields += [repr(float(v)) for v in traj.markers[name][k]]
-        out.append("\t".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    columns = [traj.times()]
+    for name in names:
+        pos = np.where(traj.missing[name][:, None], np.nan, traj.markers[name])
+        columns += list(pos.T)
+    header = [f"RATE\t{traj.sample_rate_hz!r}", "UNITS\tm", "MARKERS\t" + "\t".join(names)]
+    _write_csv(path, header, columns, sep="\t")
 
 
 def parse_force_file(path, config: IngestConfig | None = None) -> ForcePlateSeries:
@@ -301,48 +396,34 @@ def parse_force_file(path, config: IngestConfig | None = None) -> ForcePlateSeri
     if n_plates < 1:
         raise InputError(f"{path}: PLATES must be >= 1, got {n_plates}")
 
-    n_cols = 1 + 5 * n_plates
-    rows = [ln for ln in lines[2:] if ln != ""]
-    if not rows:
-        raise InputError(f"{path}: zero data frames")
+    rows = _data_rows(path, lines, 2, 1 + 5 * n_plates)
+    del lines
+    fields = ["time"] + [f"plate {p + 1}" for p in range(n_plates) for _ in range(5)]
+    data = _parse_rows(path, rows, fields, rate)
+    del rows  # release the text before the per-plate arrays are built
 
-    n = len(rows)
-    forces = np.empty((n_plates, n, 3), dtype=float)
-    cop = np.empty((n_plates, n, 2), dtype=float)
-    for r, ln in enumerate(rows):
-        fields = ln.split("\t")
-        if len(fields) != n_cols:
-            raise InputError(
-                f"{path}: data row {r + 1} has {len(fields)} columns, expected {n_cols}"
-            )
-        try:
-            vals = [float(f) for f in fields[1:]]
-        except ValueError as exc:
-            raise InputError(f"{path}: data row {r + 1}: non-numeric value") from exc
-        for p in range(n_plates):
-            base = 5 * p
-            forces[p, r] = vals[base : base + 3]
-            cop[p, r] = vals[base + 3 : base + 5]
+    plates = data[:, 1:].reshape(len(data), n_plates, 5).transpose(1, 0, 2)
     return ForcePlateSeries(
         sample_rate_hz=rate,
-        forces=forces,
-        cop=cop,
+        forces=np.ascontiguousarray(plates[:, :, :3]),
+        cop=np.ascontiguousarray(plates[:, :, 3:]),
         noise_floor_n=config.noise_floor_n,
     )
 
 
 def write_force_file(path, series: ForcePlateSeries) -> None:
     """Write a ForcePlateSeries as a TSV file (bit-exact round trip)."""
-    out = [f"RATE\t{series.sample_rate_hz!r}", f"PLATES\t{series.n_plates}"]
-    times = series.times()
-    for k in range(series.n_frames):
-        fields = [repr(float(times[k]))]
-        for p in range(series.n_plates):
-            fields += [repr(float(v)) for v in series.forces[p, k]]
-            fields += [repr(float(v)) for v in series.cop[p, k]]
-        out.append("\t".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    columns = [series.times()]
+    for p in range(series.n_plates):
+        columns += [*series.forces[p].T, *series.cop[p].T]
+    header = [f"RATE\t{series.sample_rate_hz!r}", f"PLATES\t{series.n_plates}"]
+    _write_csv(path, header, columns, sep="\t")
+
+
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and one past the last index of each run of True in a 1-D mask."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
 def fill_gaps(traj: MarkerTrajectorySet, max_gap_frames: int | None = None) -> MarkerTrajectorySet:
@@ -364,24 +445,14 @@ def fill_gaps(traj: MarkerTrajectorySet, max_gap_frames: int | None = None) -> M
     for name in traj.marker_names:
         pos = traj.markers[name].copy()
         mask = traj.missing[name].copy()
-        k = 0
-        while k < n:
-            if not mask[k]:
-                k += 1
-                continue
-            start = k
-            while k < n and mask[k]:
-                k += 1
-            end = k - 1  # inclusive run of missing frames
-            length = end - start + 1
-            if start == 0 or end == n - 1 or length > max_gap_frames:
-                continue
-            lo, hi = start - 1, end + 1
-            span = hi - lo
-            for j in range(start, end + 1):
-                t = (j - lo) / span
-                pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
-            mask[start : end + 1] = False
+        starts, ends = _runs(mask)
+        run = np.repeat(np.arange(starts.size), ends - starts)  # of each missing frame
+        fill = ((starts > 0) & (ends < n) & (ends - starts <= max_gap_frames))[run]
+        j, run = np.flatnonzero(mask)[fill], run[fill]
+        lo, hi = starts[run] - 1, ends[run]
+        t = ((j - lo) / (hi - lo))[:, None]
+        pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
+        mask[j] = False
         new_pos[name] = pos
         new_miss[name] = mask
     return MarkerTrajectorySet(

@@ -28,7 +28,7 @@ from .anthro import (
     segment_mass,
 )
 from .errors import InputError, InternalInvariantError
-from .ingest import MarkerTrajectorySet
+from .ingest import MarkerTrajectorySet, _write_csv
 from .signal import UniformSeries, lowpass, smoothed_acceleration
 
 __all__ = [
@@ -551,14 +551,8 @@ def write_com_csv(path, com: ComTrajectory, include_segments: bool = False) -> N
     if include_segments:
         for sid in com.segment_ids:
             header += [f"{sid}_x", f"{sid}_y", f"{sid}_z"]
-    lines = [",".join(header)]
-    times = com.times()
-    for k in range(com.n_frames):
-        fields = [repr(float(times[k]))]
-        fields += [repr(float(v)) for v in com.whole_body[:, k]]
-        if include_segments:
-            for i in range(len(com.segment_ids)):
-                fields += [repr(float(v)) for v in com.segment_coms[:, i, k]]
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [com.times(), *com.whole_body]
+    if include_segments:
+        for i in range(len(com.segment_ids)):
+            columns += [*com.segment_coms[:, i]]
+    _write_csv(path, [",".join(header)], columns)

@@ -19,6 +19,7 @@ from scipy.signal import find_peaks
 
 from .errors import InputError
 from .grf import GrfSeries
+from .ingest import _write_csv
 from .signal import UniformSeries
 
 __all__ = [
@@ -170,20 +171,11 @@ def stance_vgrf_shape(vgrf, body_weight_n: float) -> StanceShape:
 
 
 def write_comparison_csv(path, report: ComparisonReport) -> None:
-    lines = ["axis,rmse,mean_bias,bias_compensated_rmse"]
-    for entry in report.axes:
-        lines.append(
-            ",".join(
-                [
-                    entry.axis,
-                    repr(float(entry.rmse)),
-                    repr(float(entry.mean_bias)),
-                    repr(float(entry.bias_compensated_rmse)),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    axes = report.axes
+    columns = [[entry.axis for entry in axes]]
+    for name in ("rmse", "mean_bias", "bias_compensated_rmse"):
+        columns.append(np.array([getattr(entry, name) for entry in axes], dtype=float))
+    _write_csv(path, ["axis,rmse,mean_bias,bias_compensated_rmse"], columns)
 
 
 def write_comparison_text(path, report: ComparisonReport) -> None:

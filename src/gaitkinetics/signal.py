@@ -60,9 +60,30 @@ class UniformSeries:
         return np.arange(self.n_samples) / self.sample_rate_hz
 
 
-def _check_order(order: int) -> None:
+def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[np.ndarray, int]:
+    """Second-order sections of the low-pass and the mirror-pad length.
+
+    Rejects an order that is not positive and even, a cutoff outside
+    (0, Nyquist), and a series no longer than the pad.
+    """
     if not (isinstance(order, (int, np.integer)) and order > 0 and order % 2 == 0):
         raise InputError(f"filter order must be a positive even integer, got {order}")
+    nyquist = series.sample_rate_hz / 2.0
+    if not 0.0 < cutoff_hz < nyquist:
+        raise InputError(
+            f"cutoff must lie in (0, {nyquist}) Hz for rate "
+            f"{series.sample_rate_hz} Hz, got {cutoff_hz}"
+        )
+    padlen = 3 * order
+    if series.n_samples <= padlen:
+        raise InputError(
+            f"series of {series.n_samples} samples is too short to mirror-pad "
+            f"with {padlen} samples; need more than {padlen}"
+        )
+    sos = scipy.signal.butter(
+        order, cutoff_hz, btype="low", fs=series.sample_rate_hz, output="sos"
+    )
+    return sos, padlen
 
 
 def lowpass(series: UniformSeries, cutoff_hz: float, order: int = 4) -> UniformSeries:
@@ -74,22 +95,7 @@ def lowpass(series: UniformSeries, cutoff_hz: float, order: int = 4) -> UniformS
     Each channel is mean-centred before filtering and restored after, so a
     constant channel passes through bit-exactly.
     """
-    _check_order(order)
-    nyquist = series.sample_rate_hz / 2.0
-    if not 0.0 < cutoff_hz < nyquist:
-        raise InputError(
-            f"cutoff must lie in (0, {nyquist}) Hz for rate "
-            f"{series.sample_rate_hz} Hz, got {cutoff_hz}"
-        )
-    sos = scipy.signal.butter(
-        order, cutoff_hz, btype="low", fs=series.sample_rate_hz, output="sos"
-    )
-    padlen = 3 * order
-    if series.n_samples <= padlen:
-        raise InputError(
-            f"series of {series.n_samples} samples is too short to mirror-pad "
-            f"with {padlen} samples; need more than {padlen}"
-        )
+    sos, padlen = _butterworth(series, cutoff_hz, order)
     out = np.empty_like(series.values)
     for i in range(series.n_channels):
         x = series.values[i]
@@ -177,19 +183,13 @@ def _run_cascade(
     states: list[tuple[np.longdouble, np.longdouble]],
     x0: np.ndarray,
 ) -> np.ndarray:
-    """One pass of the biquad cascade over (channels, N) extended data."""
-    y = x
-    for (b0, b1, b2, _a0, a1, a2), (z1u, z2u) in zip(sos, states):
-        out = np.empty_like(y)
-        z1 = z1u * x0
-        z2 = z2u * x0
-        for k in range(y.shape[1]):
-            xn = y[:, k]
-            yn = b0 * xn + z1
-            z1 = b1 * xn - a1 * yn + z2
-            z2 = b2 * xn - a2 * yn
-            out[:, k] = yn
-        y = out
+    """One pass of the biquad cascade over (channels, N) extended data.
+
+    Each section starts from its steady state for a constant input equal
+    to the channel's first sample, ``x0``.
+    """
+    zi = np.asarray(states)[:, np.newaxis, :] * x0[:, np.newaxis]
+    y, _ = scipy.signal.sosfilt(sos, x, axis=-1, zi=zi)
     return y
 
 
@@ -228,22 +228,7 @@ def smoothed_acceleration(
     fraction: metre-scale constant offsets added to the input change the
     result by well under 1e-11 m/s^2, kilometre-scale ones by ~1e-10.
     """
-    _check_order(order)
-    nyquist = series.sample_rate_hz / 2.0
-    if not 0.0 < cutoff_hz < nyquist:
-        raise InputError(
-            f"cutoff must lie in (0, {nyquist}) Hz for rate "
-            f"{series.sample_rate_hz} Hz, got {cutoff_hz}"
-        )
-    sos = scipy.signal.butter(
-        order, cutoff_hz, btype="low", fs=series.sample_rate_hz, output="sos"
-    )
-    padlen = 3 * order
-    if series.n_samples <= padlen:
-        raise InputError(
-            f"series of {series.n_samples} samples is too short to mirror-pad "
-            f"with {padlen} samples; need more than {padlen}"
-        )
+    sos, padlen = _butterworth(series, cutoff_hz, order)
     x = np.asarray(series.values, dtype=np.longdouble)
     center = x.mean(axis=1, keepdims=True)
     filtered = _zero_phase_extended(sos, x - center, padlen)

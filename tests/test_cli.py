@@ -149,6 +149,23 @@ def test_unreadable_files_exit_2(cli_files, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["markers", "forces"])
+def test_dropped_data_row_exits_2_naming_the_row(cli_files, tmp_path, capsys, kind):
+    lines = cli_files[kind].read_text(encoding="utf-8").split("\n")
+    header = 3 if kind == "markers" else 2
+    del lines[header + 40]  # data row 41
+    broken = tmp_path / f"dropped_{kind}.tsv"
+    broken.write_text("\n".join(lines), encoding="utf-8")
+    files = {"markers": cli_files["markers"], "forces": cli_files["forces"], kind: broken}
+    code, captured = _run(
+        ["grf", "--marker-file", str(files["markers"]), "--force-file", str(files["forces"]),
+         "--output-dir", str(tmp_path)] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert f"{broken}: data row 41: time" in captured.err
+
+
 def test_invalid_filter_order_exits_2(cli_files, tmp_path, capsys):
     code, captured = _run(
         ["com", "--marker-file", str(cli_files["two_frame"]),

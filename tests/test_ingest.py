@@ -250,3 +250,188 @@ def test_force_below_noise_flags_implausible_vertical():
     forces[0, :, 2] = [0.0, -4.0, -6.0, 10.0]
     series = ForcePlateSeries(1000.0, forces, np.zeros((1, 4, 2)), noise_floor_n=5.0)
     assert np.array_equal(series.below_noise[0], [False, False, True, False])
+
+
+# ------------------------------------------------------- parser edge cases
+
+
+def test_marker_blank_triplet_in_the_last_marker(tmp_path):
+    text = _marker_text(
+        ["0.0\t1.0\t2.0\t3.0\t4.0\t5.0\t6.0", "0.005\t1.0\t2.0\t3.0\t\t\t"],
+        names=("M1", "M2"),
+    )
+    traj = parse_marker_file(_write(tmp_path, text))
+    assert np.array_equal(traj.missing["M1"], [False, False])
+    assert np.array_equal(traj.missing["M2"], [False, True])
+    assert np.all(np.isnan(traj.markers["M2"][1]))
+    assert np.array_equal(traj.markers["M1"][1], [1.0, 2.0, 3.0])
+
+
+def test_marker_spaces_only_fields_read_as_blank(tmp_path):
+    text = _marker_text(["0.0\t1.0\t2.0\t3.0", "0.005\t \t  \t ", "0.01\t 1.5 \t2.0\t3.0"])
+    traj = parse_marker_file(_write(tmp_path, text))
+    assert np.array_equal(traj.missing["M1"], [False, True, False])
+    assert np.array_equal(traj.markers["M1"][2], [1.5, 2.0, 3.0])
+
+
+def test_marker_all_zero_triplet_in_millimetres_is_missing(tmp_path):
+    text = _marker_text(
+        ["0.0\t0\t0.0\t-0.0\t100.0\t200.0\t300.0", "0.005\t1.0\t0.0\t0.0\t0.0\t0.0\t0.0"],
+        names=("M1", "M2"),
+        units="mm",
+    )
+    traj = parse_marker_file(_write(tmp_path, text))
+    assert np.array_equal(traj.missing["M1"], [True, False])
+    assert np.array_equal(traj.missing["M2"], [False, True])
+    assert np.all(np.isnan(traj.markers["M1"][0]))
+    assert np.array_equal(traj.markers["M1"][1], [0.001, 0.0, 0.0])
+    assert np.array_equal(traj.markers["M2"][0], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0.0\t1\t2\t3\t4\t5\t6", "0.005\t1\t2\t3\t4\t5\t6", "0.01\t1\t2\t3\t4\tx\t6"],
+         "data row 3, marker 'M2': non-numeric value"),
+        (["0.0\t1\t2\t3\t4\t5\t6", "0.005\t1\t2\t3\t4\t5"],
+         "data row 2 has 6 columns, expected 7"),
+        (["0.0\t1\t2\t3\t4\t5\t6", "0.005\t1\t2\t3\t4\t\t6"],
+         "data row 2, marker 'M2': partially blank"),
+        (["0.0\t1\t2\t3\t4\t5\t6", "\t1\t2\t3\t4\t5\t6"],
+         "data row 2, time: non-numeric value"),
+    ],
+)
+def test_marker_row_errors_name_the_data_row(tmp_path, rows, message):
+    text = _marker_text(rows, names=("M1", "M2"))
+    with pytest.raises(InputError, match=message):
+        parse_marker_file(_write(tmp_path, text))
+
+
+def test_force_row_errors_name_the_data_row(tmp_path):
+    rows = ["0.0\t1\t2\t3\t4\t5", "0.001\t1\t2\tthree\t4\t5"]
+    with pytest.raises(InputError, match="data row 2, plate 1: non-numeric value"):
+        parse_force_file(_write(tmp_path, _force_text(rows), "force.tsv"))
+
+
+def _timed_rows(times, width):
+    return [repr(float(t)) + "\t1.0" * width for t in times]
+
+
+@pytest.mark.parametrize(
+    "times, bad_row",
+    [
+        ([0.0, 0.005, 0.015, 0.02], 3),  # dropped row
+        ([0.0, 0.005, 0.005, 0.01], 3),  # repeated row
+        ([0.0, 0.005, 0.01, 0.0], 4),  # running backwards
+    ],
+)
+def test_dropped_or_repeated_rows_are_rejected(tmp_path, times, bad_row):
+    marker = _write(tmp_path, _marker_text(_timed_rows(times, 3)))
+    with pytest.raises(InputError, match=f"data row {bad_row}: time"):
+        parse_marker_file(marker)
+    force_times = [t / 5.0 for t in times]  # 1 kHz
+    force = _write(tmp_path, _force_text(_timed_rows(force_times, 5)), "force.tsv")
+    with pytest.raises(InputError, match=f"data row {bad_row}: time"):
+        parse_force_file(force)
+
+
+def test_time_column_start_is_free_and_jitter_is_tolerated(tmp_path):
+    times = 12.5 + np.arange(6) / 200.0
+    times[3] += 0.2 / 200.0
+    traj = parse_marker_file(_write(tmp_path, _marker_text(_timed_rows(times, 3))))
+    assert traj.n_frames == 6
+    force = _force_text(_timed_rows(0.0005 + np.arange(4) / 1000.0, 5))
+    assert parse_force_file(_write(tmp_path, force, "force.tsv")).n_frames == 4
+
+
+def test_blank_interior_lines_are_rejected_and_trailing_ones_allowed(tmp_path):
+    rows = _timed_rows([0.0, 0.005, 0.01], 3)
+    gapped = _marker_text(rows[:2] + [""] + rows[2:])
+    with pytest.raises(InputError, match="line 6 is blank"):
+        parse_marker_file(_write(tmp_path, gapped))
+    trailing = _marker_text(rows) + "\n\n"
+    assert parse_marker_file(_write(tmp_path, trailing)).n_frames == 3
+
+    force_rows = _timed_rows([0.0, 0.001], 5)
+    gapped = _force_text([force_rows[0], "", force_rows[1]])
+    with pytest.raises(InputError, match="line 4 is blank"):
+        parse_force_file(_write(tmp_path, gapped, "force.tsv"))
+
+
+def test_crlf_line_endings_parse_like_lf(tmp_path):
+    text = _marker_text(_timed_rows([0.0, 0.005, 0.01], 3) + ["0.015\t\t\t"])
+    lf = parse_marker_file(_write(tmp_path, text))
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    crlf = parse_marker_file(path)
+    assert np.array_equal(crlf.missing["M1"], lf.missing["M1"])
+    assert crlf.markers["M1"].tobytes() == lf.markers["M1"].tobytes()
+
+
+def test_synth_walker_with_gaps_round_trips_bit_for_bit(tmp_path):
+    from gaitkinetics.synth import generate_walker
+
+    traj = generate_walker().markers
+    assert traj.n_frames == 2000
+    rng = np.random.default_rng(19)
+    names = traj.marker_names
+    for _ in range(80):
+        name = names[int(rng.integers(len(names)))]
+        start = int(rng.integers(0, traj.n_frames - 12))
+        stop = start + int(rng.integers(1, 12))
+        traj.missing[name][start:stop] = True
+        traj.markers[name][start:stop] = np.nan
+
+    path = tmp_path / "walker.tsv"
+    write_marker_file(path, traj)
+    back = parse_marker_file(path)
+    assert back.marker_names == names
+    for name in names:
+        assert np.array_equal(back.missing[name], traj.missing[name])
+        assert back.markers[name].tobytes() == traj.markers[name].tobytes()
+    again = tmp_path / "again.tsv"
+    write_marker_file(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def reference_fill_gaps(pos, mask, max_gap_frames):
+    """Frame-by-frame linear fill of interior runs of <= max_gap_frames."""
+    pos, mask = pos.copy(), mask.copy()
+    n = len(mask)
+    k = 0
+    while k < n:
+        if not mask[k]:
+            k += 1
+            continue
+        start = k
+        while k < n and mask[k]:
+            k += 1
+        end = k - 1
+        if start == 0 or end == n - 1 or end - start + 1 > max_gap_frames:
+            continue
+        lo, hi = start - 1, end + 1
+        for j in range(start, end + 1):
+            t = (j - lo) / (hi - lo)
+            pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
+        mask[start : end + 1] = False
+    return pos, mask
+
+
+@pytest.mark.parametrize("max_gap_frames", [0, 1, 4, 10])
+def test_fill_gaps_is_bitwise_the_frame_by_frame_formula(max_gap_frames):
+    rng = np.random.default_rng(max_gap_frames)
+    n = 400
+    markers, missing = {}, {}
+    for name in ("A", "B", "C"):
+        mask = rng.random(n) < 0.25
+        mask[:3] = name == "A"  # a run touching the first frame
+        mask[-2:] = name == "B"  # and one touching the last
+        pos = np.cumsum(rng.normal(size=(n, 3)), axis=0) * 0.37 + 1e3
+        pos[mask] = np.nan
+        markers[name], missing[name] = pos, mask
+    traj = MarkerTrajectorySet(200.0, markers, missing)
+    filled = fill_gaps(traj, max_gap_frames=max_gap_frames)
+    for name in markers:
+        pos, mask = reference_fill_gaps(markers[name], missing[name], max_gap_frames)
+        assert np.array_equal(filled.missing[name], mask)
+        assert filled.markers[name].tobytes() == pos.tobytes()

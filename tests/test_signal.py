@@ -8,7 +8,9 @@ no code.
 
 import numpy as np
 import pytest
+import scipy.signal
 
+from gaitkinetics import signal as gk_signal
 from gaitkinetics.errors import InputError
 from gaitkinetics.signal import (
     UniformSeries,
@@ -216,6 +218,47 @@ def test_smoothed_acceleration_matches_filter_then_differentiate():
     fused = smoothed_acceleration(UniformSeries(RATE, z), 5.0).values
     stepwise = differentiate(lowpass(UniformSeries(RATE, z), 5.0), 2).values
     assert np.max(np.abs(fused - stepwise)) <= 1e-8
+
+
+def reference_cascade(sos, x, states, x0):
+    """The biquad cascade run one sample at a time (direct form II transposed)."""
+    y = x
+    for (b0, b1, b2, _a0, a1, a2), (z1u, z2u) in zip(sos, states):
+        out = np.empty_like(y)
+        z1 = z1u * x0
+        z2 = z2u * x0
+        for k in range(y.shape[1]):
+            xn = y[:, k]
+            yn = b0 * xn + z1
+            z1 = b1 * xn - a1 * yn + z2
+            z2 = b2 * xn - a2 * yn
+            out[:, k] = yn
+        y = out
+    return y
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_extended_cascade_equals_the_per_sample_loop_bitwise(order):
+    rng = np.random.default_rng(order)
+    x = np.cumsum(rng.normal(size=(5, 700)), axis=1) + rng.normal(size=(5, 1)) * 1e3
+    x = x.astype(np.longdouble)
+    sos = np.asarray(
+        scipy.signal.butter(order, 6.0, fs=RATE, output="sos"), dtype=np.longdouble
+    )
+    states = gk_signal._cascade_steady_states(sos)
+
+    fast = gk_signal._run_cascade(sos, x, states, x[:, 0])
+    slow = reference_cascade(sos, x, states, x[:, 0])
+    assert fast.dtype == np.longdouble
+    assert np.array_equal(fast, slow)
+
+    # the forward-backward path built on it keeps the Gustafsson initial states
+    padlen = 3 * order
+    ext = gk_signal._mirror_extend(x, padlen)
+    fwd = reference_cascade(sos, ext, states, ext[:, 0])
+    rev = reference_cascade(sos, fwd[:, ::-1], states, fwd[:, -1])
+    expect = rev[:, ::-1][:, padlen:-padlen]
+    assert np.array_equal(gk_signal._zero_phase_extended(sos, x, padlen), expect)
 
 
 def test_smoothed_acceleration_rejects_bad_parameters():
