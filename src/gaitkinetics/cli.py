@@ -373,7 +373,7 @@ def _compute_bilateral(config: PipelineConfig):
         config.gravity_mps2,
         flagged_frames=flagged,
     )
-    return traj, com, timeline, bilateral
+    return com, timeline, bilateral
 
 
 def _compare_against_plates(config: PipelineConfig, marker_force) -> tuple[Path, Path]:
@@ -413,7 +413,7 @@ def _compare_against_plates(config: PipelineConfig, marker_force) -> tuple[Path,
 
 
 def run_grf(config: PipelineConfig) -> list[Path]:
-    traj, com, timeline, bilateral = _compute_bilateral(config)
+    com, timeline, bilateral = _compute_bilateral(config)
     out = _out_dir(config)
     written = []
     write_bilateral_csv(out / "grf.csv", bilateral)
@@ -427,6 +427,7 @@ def run_grf(config: PipelineConfig) -> list[Path]:
     written.append(out / "butterfly.csv")
     write_butterfly_svg(out / "butterfly.svg", diagram, config.butterfly_scale_m_per_n)
     written.append(out / "butterfly.svg")
+    del com, diagram  # not held across the plate parse
     if config.force_file is not None:
         written.extend(_compare_against_plates(config, bilateral.total))
     return written
@@ -434,15 +435,16 @@ def run_grf(config: PipelineConfig) -> list[Path]:
 
 def run_validate(config: PipelineConfig) -> list[Path]:
     _require(config, "force_file")
-    traj, flagged = _load_markers(config)
+    traj, _ = _load_markers(config)
     table, definitions, subject = _load_model(config)
     com = _compute_filtered_com(config, traj, table, definitions, subject)
     total = total_grf(com, subject, config.gravity_mps2)
+    del traj, com  # not held across the plate parse
     return list(_compare_against_plates(config, total))
 
 
 def run_butterfly(config: PipelineConfig) -> list[Path]:
-    traj, com, timeline, bilateral = _compute_bilateral(config)
+    com, timeline, bilateral = _compute_bilateral(config)
     out = _out_dir(config)
     diagram = butterfly(bilateral, com)
     write_butterfly_csv(out / "butterfly.csv", diagram, config.butterfly_scale_m_per_n)

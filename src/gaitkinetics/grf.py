@@ -493,26 +493,32 @@ def write_butterfly_svg(path, diagram: ButterflyDiagram, scale_m_per_n: float = 
     sx = (width - 40.0) / (x_max - x_min + 2 * pad) if x_max > x_min else 1.0
     sy = (height - 40.0) / (y_max + 2 * pad)
 
-    def px(x: float) -> str:
-        return f"{20.0 + (x - x_min + pad) * sx:.3f}"
+    def px(x):
+        return 20.0 + (x - x_min + pad) * sx
 
-    def py(y: float) -> str:
-        return f"{height - 20.0 - (y + pad) * sy:.3f}"
+    def py(y):
+        return height - 20.0 - (y + pad) * sy
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
         f'viewBox="0 0 {width:g} {height:g}">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<line x1="{px(x_min)}" y1="{py(0.0)}" x2="{px(x_max)}" y2="{py(0.0)}" '
+        f'<line x1="{px(x_min):.3f}" y1="{py(0.0):.3f}" x2="{px(x_max):.3f}" y2="{py(0.0):.3f}" '
         'stroke="#444444" stroke-width="1"/>',
     ]
-    for i in range(diagram.n_entries):
-        color = _SVG_COLORS[diagram.feet[i]]
-        parts.append(
-            f'<line x1="{px(float(diagram.bases[i, 0]))}" y1="{py(0.0)}" '
-            f'x2="{px(float(tips[i, 0]))}" y2="{py(float(tips[i, 2]))}" '
-            f'stroke="{color}" stroke-width="0.6"/>'
-        )
+    # one template over whole coordinate columns; numpy evaluates px and py
+    # with the same float operations, in the same order, as on single values
+    entry = (
+        f'<line x1="{{:.3f}}" y1="{py(0.0):.3f}" x2="{{:.3f}}" y2="{{:.3f}}" '
+        'stroke="{}" stroke-width="0.6"/>'
+    )
+    parts += map(
+        entry.format,
+        px(diagram.bases[:, 0]).tolist(),
+        px(tips[:, 0]).tolist(),
+        py(tips[:, 2]).tolist(),
+        [_SVG_COLORS[foot] for foot in diagram.feet],
+    )
     parts.append(
         '<text x="20" y="16" font-family="sans-serif" font-size="12" fill="#222222">'
         "per-limb ground reaction force, sagittal view "

@@ -16,7 +16,10 @@ Force-plate files
 
 In both, the first time stamp is free and each later one must follow the
 previous by 1/RATE within a quarter of a sample period, so a dropped or
-repeated row is rejected; blank lines may only end the file.
+repeated row is rejected; blank lines may only end the file.  Files must
+be UTF-8 text.  The parsers read and parse the data in blocks of
+``_CHARS_PER_BLOCK`` characters, so a parse holds about the parsed arrays
+plus one block of text, never the whole file's.
 
 Both writers emit shortest round-trip float text (``repr``), so a
 write/parse cycle reproduces the numeric payload bit for bit.
@@ -47,6 +50,9 @@ _TIME_STEP_TOLERANCE = 0.25
 
 # _write_csv formats this many values at a time
 _VALUES_PER_BLOCK = 1 << 12
+
+# the parsers read this many characters of data lines at a time
+_CHARS_PER_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -178,15 +184,34 @@ class ForcePlateSeries:
         return np.arange(self.n_frames) / self.sample_rate_hz
 
 
-def _read_lines(path) -> list[str]:
+def _text_blocks(path, n_header: int):
+    """Yield the first ``n_header`` lines of ``path`` as one list (fewer if
+    the file ends first), then its remaining lines in lists of about
+    ``_CHARS_PER_BLOCK`` characters.
+
+    Lines are split at ``\\n`` only and lose any trailing ``\\r``.  As with
+    ``str.split``, the text after the last ``\\n`` is a line too, so a file
+    that ends in ``\\n`` ends in one blank line.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            header = [fh.readline()]
+            while len(header) < n_header and header[-1].endswith("\n"):
+                header.append(fh.readline())
+            yield [line.rstrip("\n").rstrip("\r") for line in header]
+            if not header[-1].endswith("\n"):
+                return
+            tail = ""
+            while chunk := fh.read(_CHARS_PER_BLOCK):
+                text = tail + chunk
+                lines = text.split("\n")
+                tail = lines.pop()
+                yield [line.rstrip("\r") for line in lines] if "\r" in text else lines
+            yield [tail.rstrip("\r")]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    lines = text.split("\n")
-    # tolerate a trailing newline; reject CRLF quietly by stripping \r
-    return [ln.rstrip("\r") for ln in lines] if "\r" in text else lines
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _header_value(lines: list[str], row: int, tag: str, path) -> str:
@@ -211,29 +236,40 @@ def _parse_rate(lines: list[str], path) -> float:
     return rate
 
 
-def _data_rows(path, lines: list[str], first: int, n_cols: int) -> list[str]:
-    """The data lines from index ``first`` on, each checked to hold ``n_cols`` fields.
+def _row_blocks(path, blocks, first: int, n_cols: int):
+    """Yield ``(start, rows)`` for each list of data lines in ``blocks``, the
+    first of which is line ``first + 1`` of the file; ``start`` counts the
+    data rows before ``rows``.  Each row is checked to hold ``n_cols`` fields.
 
     Blank lines may only end the file: one between data rows would shift
-    every later frame, so it is rejected.
+    every later frame, so it is rejected, also when the row after it comes
+    in a later block.
     """
-    end = len(lines)
-    while end > first and lines[end - 1] == "":
-        end -= 1
-    rows = lines[first:end]
-    if not rows:
+    start = 0
+    blank = None  # line number of the first of the blank lines that end the text so far
+    for rows in blocks:
+        n_lines = len(rows)
+        while rows and rows[-1] == "":
+            rows.pop()
+        if rows and blank is None and "" in rows:
+            blank = first + start + rows.index("") + 1
+        if rows and blank is not None:
+            raise InputError(f"{path}: line {blank} is blank; blank lines may only end the file")
+        if blank is None and len(rows) < n_lines:
+            blank = first + start + len(rows) + 1
+        if rows:
+            tabs = np.array([row.count("\t") for row in rows])
+            bad = np.flatnonzero(tabs != n_cols - 1)
+            if bad.size:
+                r = int(bad[0])
+                raise InputError(
+                    f"{path}: data row {start + r + 1} has {tabs[r] + 1} columns, "
+                    f"expected {n_cols}"
+                )
+            yield start, rows
+        start += n_lines
+    if start == 0 or blank == first + 1:  # no line, or blank lines only
         raise InputError(f"{path}: zero data frames")
-    if "" in rows:
-        line = first + rows.index("") + 1
-        raise InputError(f"{path}: line {line} is blank; blank lines may only end the file")
-    tabs = np.array([row.count("\t") for row in rows])
-    bad = np.flatnonzero(tabs != n_cols - 1)
-    if bad.size:
-        r = int(bad[0])
-        raise InputError(
-            f"{path}: data row {r + 1} has {tabs[r] + 1} columns, expected {n_cols}"
-        )
-    return rows
 
 
 def _loadtxt(rows: list[str]) -> np.ndarray:
@@ -251,21 +287,28 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _parse_rows(path, rows: list[str], fields: list[str], rate: float) -> np.ndarray:
-    """Parse checked data rows into an (n_rows, n_fields) float array.
-
-    ``fields`` names each column for error messages.  Column 0 is the time
-    stamp: the first is free, and each later one must follow the one before
-    by 1/rate within ``_TIME_STEP_TOLERANCE`` sample periods, which a dropped
-    or repeated row breaks.
-    """
+def _parse_rows(path, rows: list[str], start: int, fields: list[str]) -> np.ndarray:
+    """Parse checked data rows, the first of which is data row ``start + 1``,
+    into an (n_rows, n_fields) float array; ``fields`` names each column for
+    error messages."""
     try:
-        data = _loadtxt(rows)
+        return _loadtxt(rows)
     except ValueError:
         r = next(r for r, row in enumerate(rows) if not _is_number(row))
         c = next(c for c, f in enumerate(rows[r].split("\t")) if not _is_number(f))
-        raise InputError(f"{path}: data row {r + 1}, {fields[c]}: non-numeric value") from None
-    times = data[:, 0]
+        raise InputError(
+            f"{path}: data row {start + r + 1}, {fields[c]}: non-numeric value"
+        ) from None
+
+
+def _check_times(path, blocks: list[np.ndarray], rate: float) -> None:
+    """Check the time stamps in column 0 of the parsed blocks.
+
+    The first is free, and each later one must follow the one before by
+    1/rate within ``_TIME_STEP_TOLERANCE`` sample periods, which a dropped or
+    repeated row breaks.
+    """
+    times = np.concatenate([block[:, 0] for block in blocks])
     bad = np.flatnonzero(~(np.abs(np.diff(times) * rate - 1.0) <= _TIME_STEP_TOLERANCE))
     if bad.size:
         r = int(bad[0]) + 1
@@ -274,15 +317,37 @@ def _parse_rows(path, rows: list[str], fields: list[str], rate: float) -> np.nda
             f"{float(times[r - 1])!r} s, but rows must step by 1/RATE = {1.0 / rate!r} s "
             "(dropped or repeated row?)"
         )
-    return data
 
 
-def _zero_blank_triplets(path, rows: list[str], names: list[str]) -> None:
+def _gather(blocks: list[np.ndarray], n_groups: int, widths: list[int]) -> list[np.ndarray]:
+    """Gather the columns after the time into (n_groups, n_rows, width) arrays.
+
+    After the time, each row holds ``n_groups`` groups of ``sum(widths)``
+    values; output ``k`` takes the ``widths[k]`` values after those of the
+    outputs before it.  ``blocks`` is emptied as it is copied, so the parsed
+    data is held only about once.
+    """
+    n = sum(len(block) for block in blocks)
+    outs = [np.empty((n_groups, n, w)) for w in widths]
+    edges = np.cumsum([0, *widths]).tolist()
+    blocks.reverse()
+    a = 0
+    while blocks:
+        block = blocks.pop()
+        k = len(block)
+        groups = block[:, 1:].reshape(k, n_groups, edges[-1]).transpose(1, 0, 2)
+        for out, lo, hi in zip(outs, edges, edges[1:]):
+            out[:, a : a + k] = groups[:, :, lo:hi]
+        a += k
+    return outs
+
+
+def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) -> None:
     """Rewrite blank coordinate triplets in place as ``0``, the other occlusion mark.
 
-    A field is blank when it is empty or holds only spaces; only rows that
-    can hold one are split, one at a time.  A triplet with one or two blank
-    fields is rejected.
+    ``rows`` begin at data row ``start + 1``.  A field is blank when it is
+    empty or holds only spaces; only rows that can hold one are split, one at
+    a time.  A triplet with one or two blank fields is rejected.
     """
     for r, row in enumerate(rows):
         if not ("\t\t" in row or row[-1] == "\t" or " " in row):
@@ -293,7 +358,7 @@ def _zero_blank_triplets(path, rows: list[str], names: list[str]) -> None:
         partial = np.flatnonzero(np.reshape(blank[1:], (-1, 3)).sum(axis=1) % 3)
         if partial.size:
             raise InputError(
-                f"{path}: data row {r + 1}, marker {names[partial[0]]!r}: "
+                f"{path}: data row {start + r + 1}, marker {names[partial[0]]!r}: "
                 "partially blank coordinate triplet"
             )
         rows[r] = "\t".join(["0" if b else f for f, b in zip(fields, blank)])
@@ -302,7 +367,8 @@ def _zero_blank_triplets(path, rows: list[str], names: list[str]) -> None:
 def parse_marker_file(path, config: IngestConfig | None = None) -> MarkerTrajectorySet:
     """Parse a marker TSV file into a MarkerTrajectorySet (metres)."""
     config = config or IngestConfig()
-    lines = _read_lines(path)
+    blocks = _text_blocks(path, 3)
+    lines = next(blocks)
     rate = _parse_rate(lines, path)
 
     unit = _header_value(lines, 1, "UNITS", path)
@@ -322,17 +388,15 @@ def parse_marker_file(path, config: IngestConfig | None = None) -> MarkerTraject
     if len(set(names)) != len(names):
         raise InputError(f"{path}: duplicate marker names in header")
 
-    rows = _data_rows(path, lines, 3, 1 + 3 * len(names))
-    del lines
-    _zero_blank_triplets(path, rows, names)
     fields = ["time"] + [f"marker {name!r}" for name in names for _ in range(3)]
-    data = _parse_rows(path, rows, fields, rate)
-    del rows  # release the text before the per-marker arrays are built
-
-    xyz = data[:, 1:].reshape(len(data), len(names), 3)
+    data = []
+    for start, rows in _row_blocks(path, blocks, 3, len(fields)):
+        _zero_blank_triplets(path, rows, start, names)
+        data.append(_parse_rows(path, rows, start, fields))
+    _check_times(path, data, rate)
+    (pos,) = _gather(data, len(names), [3])
     # an all-zero triplet (a blank one was zeroed above) marks an occlusion
-    missing = np.ascontiguousarray((xyz == 0.0).all(axis=2).T)
-    pos = np.ascontiguousarray(xyz.transpose(1, 0, 2))
+    missing = (pos == 0.0).all(axis=2)
     if unit == "mm":
         pos /= 1000.0  # correctly rounded, value by value
     pos[missing] = np.nan
@@ -386,7 +450,8 @@ def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
 def parse_force_file(path, config: IngestConfig | None = None) -> ForcePlateSeries:
     """Parse a force-plate TSV file (newtons / metres)."""
     config = config or IngestConfig()
-    lines = _read_lines(path)
+    blocks = _text_blocks(path, 2)
+    lines = next(blocks)
     rate = _parse_rate(lines, path)
     raw_plates = _header_value(lines, 1, "PLATES", path)
     try:
@@ -396,18 +461,15 @@ def parse_force_file(path, config: IngestConfig | None = None) -> ForcePlateSeri
     if n_plates < 1:
         raise InputError(f"{path}: PLATES must be >= 1, got {n_plates}")
 
-    rows = _data_rows(path, lines, 2, 1 + 5 * n_plates)
-    del lines
     fields = ["time"] + [f"plate {p + 1}" for p in range(n_plates) for _ in range(5)]
-    data = _parse_rows(path, rows, fields, rate)
-    del rows  # release the text before the per-plate arrays are built
-
-    plates = data[:, 1:].reshape(len(data), n_plates, 5).transpose(1, 0, 2)
+    data = [
+        _parse_rows(path, rows, start, fields)
+        for start, rows in _row_blocks(path, blocks, 2, len(fields))
+    ]
+    _check_times(path, data, rate)
+    forces, cop = _gather(data, n_plates, [3, 2])
     return ForcePlateSeries(
-        sample_rate_hz=rate,
-        forces=np.ascontiguousarray(plates[:, :, :3]),
-        cop=np.ascontiguousarray(plates[:, :, 3:]),
-        noise_floor_n=config.noise_floor_n,
+        sample_rate_hz=rate, forces=forces, cop=cop, noise_floor_n=config.noise_floor_n
     )
 
 

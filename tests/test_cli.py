@@ -166,6 +166,22 @@ def test_dropped_data_row_exits_2_naming_the_row(cli_files, tmp_path, capsys, ki
     assert f"{broken}: data row 41: time" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["markers", "forces"])
+def test_non_utf8_input_exits_2_naming_the_file(cli_files, tmp_path, capsys, kind):
+    data = cli_files[kind].read_bytes()
+    broken = tmp_path / f"latin1_{kind}.tsv"
+    broken.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 + 1 :])
+    files = {"markers": cli_files["markers"], "forces": cli_files["forces"], kind: broken}
+    code, captured = _run(
+        ["grf", "--marker-file", str(files["markers"]), "--force-file", str(files["forces"]),
+         "--output-dir", str(tmp_path)] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert f"error: cannot read {broken}: not UTF-8 text" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_invalid_filter_order_exits_2(cli_files, tmp_path, capsys):
     code, captured = _run(
         ["com", "--marker-file", str(cli_files["two_frame"]),

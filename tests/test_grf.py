@@ -8,6 +8,7 @@ from gaitkinetics.errors import InputError, InternalInvariantError
 from gaitkinetics.events import FootEvents, build_timeline
 from gaitkinetics.grf import (
     BilateralGrf,
+    ButterflyDiagram,
     DsBoundary,
     GrfSeries,
     butterfly,
@@ -503,6 +504,67 @@ def test_butterfly_csv_scales_the_vector_tips(tmp_path, walker_bilateral, walker
     assert fields[5] in ("left", "right")
     with pytest.raises(InputError, match="scale"):
         write_butterfly_csv(path, diagram, scale_m_per_n=0.0)
+
+
+def reference_butterfly_svg(path, diagram, scale_m_per_n):
+    """Entry-by-entry SVG rendering: the reference ``write_butterfly_svg`` matches."""
+    tips = diagram.bases + scale_m_per_n * diagram.forces
+    if diagram.n_entries:
+        x_min = float(min(diagram.bases[:, 0].min(), tips[:, 0].min()))
+        x_max = float(max(diagram.bases[:, 0].max(), tips[:, 0].max()))
+        y_max = float(max(tips[:, 2].max(), 0.1))
+    else:
+        x_min, x_max, y_max = 0.0, 1.0, 1.0
+    pad = 0.05 * max(x_max - x_min, y_max, 1e-6)
+    width, height = 900.0, 300.0
+    sx = (width - 40.0) / (x_max - x_min + 2 * pad) if x_max > x_min else 1.0
+    sy = (height - 40.0) / (y_max + 2 * pad)
+
+    def px(x: float) -> str:
+        return f"{20.0 + (x - x_min + pad) * sx:.3f}"
+
+    def py(y: float) -> str:
+        return f"{height - 20.0 - (y + pad) * sy:.3f}"
+
+    colors = {"left": "#1f77b4", "right": "#d62728"}
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
+        f'viewBox="0 0 {width:g} {height:g}">',
+        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
+        f'<line x1="{px(x_min)}" y1="{py(0.0)}" x2="{px(x_max)}" y2="{py(0.0)}" '
+        'stroke="#444444" stroke-width="1"/>',
+    ]
+    for i in range(diagram.n_entries):
+        parts.append(
+            f'<line x1="{px(float(diagram.bases[i, 0]))}" y1="{py(0.0)}" '
+            f'x2="{px(float(tips[i, 0]))}" y2="{py(float(tips[i, 2]))}" '
+            f'stroke="{colors[diagram.feet[i]]}" stroke-width="0.6"/>'
+        )
+    parts.append(
+        '<text x="20" y="16" font-family="sans-serif" font-size="12" fill="#222222">'
+        "per-limb ground reaction force, sagittal view "
+        f"(display scale {scale_m_per_n:g} m/N; left {colors['left']}, "
+        f"right {colors['right']})</text>"
+    )
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+@pytest.mark.parametrize("scale", [0.001, 0.0037])
+def test_butterfly_svg_matches_the_entry_by_entry_reference(
+    tmp_path, walker_bilateral, walker_com, scale
+):
+    diagram = butterfly(walker_bilateral, walker_com)
+    assert diagram.n_entries > 1000
+    write_butterfly_svg(tmp_path / "fast.svg", diagram, scale)
+    reference_butterfly_svg(tmp_path / "reference.svg", diagram, scale)
+    assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+    empty = ButterflyDiagram(200.0, (), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3)))
+    write_butterfly_svg(tmp_path / "fast.svg", empty, scale)
+    reference_butterfly_svg(tmp_path / "reference.svg", empty, scale)
+    assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
 
 
 def test_butterfly_svg_draws_both_feet(tmp_path, walker_bilateral, walker_com):

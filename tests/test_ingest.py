@@ -1,8 +1,11 @@
 """Marker/force file parsing, writing, and gap filling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gaitkinetics import ingest
 from gaitkinetics.errors import InputError
 from gaitkinetics.ingest import (
     ForcePlateSeries,
@@ -14,6 +17,7 @@ from gaitkinetics.ingest import (
     write_force_file,
     write_marker_file,
 )
+from gaitkinetics.synth import WalkerParams, generate_walker
 
 
 def _marker_text(rows, names=("M1",), rate="200.0", units="m"):
@@ -369,8 +373,6 @@ def test_crlf_line_endings_parse_like_lf(tmp_path):
 
 
 def test_synth_walker_with_gaps_round_trips_bit_for_bit(tmp_path):
-    from gaitkinetics.synth import generate_walker
-
     traj = generate_walker().markers
     assert traj.n_frames == 2000
     rng = np.random.default_rng(19)
@@ -435,3 +437,131 @@ def test_fill_gaps_is_bitwise_the_frame_by_frame_formula(max_gap_frames):
         pos, mask = reference_fill_gaps(markers[name], missing[name], max_gap_frames)
         assert np.array_equal(filled.missing[name], mask)
         assert filled.markers[name].tobytes() == pos.tobytes()
+
+
+# ------------------------------------------------- block-by-block reading
+
+
+def _gapped_walker(duration_s, seed):
+    traj = generate_walker(WalkerParams(duration_s=duration_s)).markers
+    rng = np.random.default_rng(seed)
+    names = traj.marker_names
+    for _ in range(40):
+        name = names[int(rng.integers(len(names)))]
+        start = int(rng.integers(0, traj.n_frames - 12))
+        stop = start + int(rng.integers(1, 12))
+        traj.missing[name][start:stop] = True
+        traj.markers[name][start:stop] = np.nan
+    return traj
+
+
+@pytest.mark.parametrize("chars_per_block", [300, 5000])
+def test_many_block_parse_is_bit_identical_to_one_block(tmp_path, monkeypatch, chars_per_block):
+    path = tmp_path / "walker.tsv"
+    write_marker_file(path, _gapped_walker(2.0, seed=23))
+    whole = parse_marker_file(path)
+    monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", chars_per_block)
+    blocks = parse_marker_file(path)
+    assert blocks.marker_names == whole.marker_names
+    for name in whole.marker_names:
+        assert np.array_equal(blocks.missing[name], whole.missing[name])
+        assert blocks.markers[name].tobytes() == whole.markers[name].tobytes()
+
+    rng = np.random.default_rng(29)
+    series = ForcePlateSeries(1000.0, rng.normal(size=(2, 300, 3)), rng.normal(size=(2, 300, 2)))
+    plates = tmp_path / "plates.tsv"
+    write_force_file(plates, series)
+    back = parse_force_file(plates)
+    assert back.forces.tobytes() == series.forces.tobytes()
+    assert back.cop.tobytes() == series.cop.tobytes()
+
+
+def _two_marker_rows(n):
+    return [f"{k / 200.0!r}\t1.5\t2.5\t3.5\t4.5\t5.5\t6.5" for k in range(n)]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda row: row + "\t7.5", "data row 150 has 8 columns, expected 7"),
+        (lambda row: row.replace("5.5", "x"), "data row 150, marker 'M2': non-numeric value"),
+        (lambda row: row.replace("\t5.5", "\t"), "data row 150, marker 'M2': partially blank"),
+        (lambda row: "\n" + row, "line 153 is blank"),
+    ],
+)
+def test_errors_in_a_later_block_name_the_same_row(tmp_path, monkeypatch, fault, message):
+    rows = _two_marker_rows(200)
+    rows[149] = fault(rows[149])
+    path = _write(tmp_path, _marker_text(rows, names=("M1", "M2")))
+    with pytest.raises(InputError, match=message):
+        parse_marker_file(path)
+    # every block size from one that splits a row to one that holds a few
+    for chars_per_block in range(20, 120, 7):
+        monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", chars_per_block)
+        with pytest.raises(InputError, match=message):
+            parse_marker_file(path)
+
+
+@pytest.mark.parametrize("chars_per_block", range(1, 80, 3))
+def test_blank_lines_across_block_boundaries(tmp_path, monkeypatch, chars_per_block):
+    monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", chars_per_block)
+    rows = _two_marker_rows(6)
+    trailing = _marker_text(rows, names=("M1", "M2")) + "\n" * 40
+    assert parse_marker_file(_write(tmp_path, trailing)).n_frames == 6
+
+    # blank lines that run on into a later block and then a data row
+    gapped = _marker_text(rows[:3] + [""] * 30 + rows[3:], names=("M1", "M2"))
+    with pytest.raises(InputError, match="line 7 is blank"):
+        parse_marker_file(_write(tmp_path, gapped))
+
+
+def test_crlf_split_between_blocks_parses(tmp_path, monkeypatch):
+    rows = _two_marker_rows(12)
+    lf = parse_marker_file(_write(tmp_path, _marker_text(rows, names=("M1", "M2"))))
+    crlf = _marker_text(rows, names=("M1", "M2")).replace("\n", "\r\n")
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(crlf.encode("utf-8"))
+    # the first data block ends between the first row's \r and its \n
+    for chars_per_block in (len(rows[0]) + 1, 2 * len(rows[0]) + 3):
+        monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", chars_per_block)
+        back = parse_marker_file(path)
+        for name in ("M1", "M2"):
+            assert back.markers[name].tobytes() == lf.markers[name].tobytes()
+
+
+def test_non_utf8_input_is_an_input_error(tmp_path, monkeypatch):
+    good = _marker_text(_two_marker_rows(40), names=("M1", "M2")).encode("utf-8")
+    in_header = tmp_path / "header.tsv"
+    in_header.write_bytes(good.replace(b"RATE", b"RA\xffTE"))
+    with pytest.raises(InputError, match="header.tsv: not UTF-8"):
+        parse_marker_file(in_header)
+
+    # mid-stream: the bad byte arrives in a later block of data
+    monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", 64)
+    mid = tmp_path / "mid.tsv"
+    mid.write_bytes(good[: len(good) - 100] + b"\xff" + good[len(good) - 99 :])
+    with pytest.raises(InputError, match="mid.tsv: not UTF-8"):
+        parse_marker_file(mid)
+
+    rows = _timed_rows([k / 1000.0 for k in range(40)], 5)
+    plates = _force_text(rows).encode("utf-8")
+    bad = tmp_path / "force.tsv"
+    bad.write_bytes(plates[:-50] + b"\xfe" + plates[-49:])
+    with pytest.raises(InputError, match="force.tsv: not UTF-8"):
+        parse_force_file(bad)
+
+
+def test_marker_parse_peak_memory_stays_near_the_parsed_arrays(tmp_path):
+    traj = generate_walker(WalkerParams(duration_s=30.0)).markers
+    assert traj.n_frames == 6000
+    path = tmp_path / "walker30.tsv"
+    write_marker_file(path, traj)
+    del traj
+    tracemalloc.start()
+    try:
+        back = parse_marker_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(back.markers[n].nbytes + back.missing[n].nbytes for n in back.marker_names)
+    assert peak < 3 * arrays, f"peak {peak / arrays:.2f} x the parsed arrays"
