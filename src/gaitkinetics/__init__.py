@@ -39,13 +39,11 @@ from .grf import (
     GrfSeries,
     butterfly,
     decompose_ds,
-    decompose_ds_oracle,
     decompose_gait,
     total_grf,
 )
 from .ingest import (
     ForcePlateSeries,
-    IngestConfig,
     MarkerTrajectorySet,
     fill_gaps,
     parse_force_file,
@@ -79,7 +77,6 @@ __all__ = [
     "GaitKineticsError",
     "GaitTimeline",
     "GrfSeries",
-    "IngestConfig",
     "InputError",
     "InternalInvariantError",
     "MarkerTrajectorySet",
@@ -100,7 +97,6 @@ __all__ = [
     "compare",
     "decimate",
     "decompose_ds",
-    "decompose_ds_oracle",
     "decompose_gait",
     "detect_events_zeni",
     "detect_stance_threshold",

@@ -186,6 +186,10 @@ def load_table(path) -> AnthropometricTable:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read anthropometric table {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read anthropometric table {path}: not UTF-8 text ({exc.reason})"
+        ) from None
     return parse_table(text, source=str(path))
 
 

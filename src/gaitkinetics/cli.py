@@ -26,6 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .events import (
     write_events_csv,
 )
 from .grf import (
+    DEFAULT_BUTTERFLY_SCALE_M_PER_N,
     DEFAULT_GRAVITY_MPS2,
     butterfly,
     decompose_gait,
@@ -50,7 +52,14 @@ from .grf import (
     write_butterfly_svg,
     write_diagnostics_csv,
 )
-from .ingest import IngestConfig, _write_csv, fill_gaps, parse_force_file, parse_marker_file
+from .ingest import (
+    DEFAULT_MAX_GAP_FRAMES,
+    DEFAULT_NOISE_FLOOR_N,
+    _write_csv,
+    fill_gaps,
+    parse_force_file,
+    parse_marker_file,
+)
 from .kinematics import (
     bundled_definitions_path,
     com_trajectory,
@@ -102,9 +111,9 @@ class PipelineConfig:
     stance_threshold_m: float = DEFAULT_STANCE_THRESHOLD_M
     min_event_period_s: float = DEFAULT_MIN_PERIOD_S
     gravity_mps2: float = DEFAULT_GRAVITY_MPS2
-    max_gap_frames: int = 10
-    noise_floor_n: float = 5.0
-    butterfly_scale_m_per_n: float = 0.001
+    max_gap_frames: int = DEFAULT_MAX_GAP_FRAMES
+    noise_floor_n: float = DEFAULT_NOISE_FLOOR_N
+    butterfly_scale_m_per_n: float = DEFAULT_BUTTERFLY_SCALE_M_PER_N
     include_segment_coms: bool = False
     output_dir: str = "."
     left_heel_marker: str = "LHEE"
@@ -132,30 +141,11 @@ class PipelineConfig:
             raise InputError(f"subject_sex must be 'm' or 'f', got {self.subject_sex!r}")
 
 
-_CONVERTERS = {
-    "marker_file": str,
-    "force_file": str,
-    "anthro_table": str,
-    "segment_definitions": str,
-    "subject_mass_kg": float,
-    "subject_height_m": float,
-    "subject_sex": str,
-    "cutoff_hz": float,
-    "filter_order": int,
-    "stance_threshold_m": float,
-    "min_event_period_s": float,
-    "gravity_mps2": float,
-    "max_gap_frames": int,
-    "noise_floor_n": float,
-    "butterfly_scale_m_per_n": float,
-    "include_segment_coms": _parse_bool,
-    "output_dir": str,
-    "left_heel_marker": str,
-    "right_heel_marker": str,
-    "left_toe_marker": str,
-    "right_toe_marker": str,
-    "sacrum_marker": str,
-}
+def _converter(field):
+    """Parser of a PipelineConfig field's flag and config-file text: its
+    type without ``None``, with booleans read by ``_parse_bool``."""
+    (kind,) = [t for t in get_args(field.type) or (field.type,) if t is not type(None)]
+    return _parse_bool if kind is bool else kind
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -165,6 +155,11 @@ def parse_config_file(path) -> dict[str, str]:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read config file {path}: not UTF-8 text ({exc.reason})"
+        ) from None
+    names = {field.name for field in fields(PipelineConfig)}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -174,7 +169,7 @@ def parse_config_file(path) -> dict[str, str]:
             raise InputError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONVERTERS:
+        if key not in names:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise InputError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -206,7 +201,7 @@ def build_config(
             provenance[name] = "env"
         elif name in file_values:
             try:
-                merged[name] = _CONVERTERS[name](file_values[name])
+                merged[name] = _converter(field)(file_values[name])
             except ValueError as exc:
                 raise InputError(f"config key {name}: {exc}") from exc
             provenance[name] = "config"
@@ -243,10 +238,7 @@ def _load_markers(config: PipelineConfig):
     Returns (filled trajectory, per-frame flag of gap-derived samples).
     """
     _require(config, "marker_file")
-    ingest_cfg = IngestConfig(
-        noise_floor_n=config.noise_floor_n, max_gap_frames=config.max_gap_frames
-    )
-    raw = parse_marker_file(config.marker_file, ingest_cfg)
+    raw = parse_marker_file(config.marker_file)
     filled = fill_gaps(raw, config.max_gap_frames)
     n = raw.n_frames
     flagged = np.zeros(n, dtype=bool)
@@ -377,10 +369,7 @@ def _compute_bilateral(config: PipelineConfig):
 
 
 def _compare_against_plates(config: PipelineConfig, marker_force) -> tuple[Path, Path]:
-    plates = parse_force_file(
-        config.force_file,
-        IngestConfig(noise_floor_n=config.noise_floor_n, max_gap_frames=config.max_gap_frames),
-    )
+    plates = parse_force_file(config.force_file, config.noise_floor_n)
     ratio = plates.sample_rate_hz / marker_force.sample_rate_hz
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9:
@@ -404,7 +393,7 @@ def _compare_against_plates(config: PipelineConfig, marker_force) -> tuple[Path,
     span = slice(margin, n - margin)
     a = UniformSeries(marker_force.sample_rate_hz, marker_force.force[:, span])
     b = UniformSeries(plate_smooth.sample_rate_hz, plate_smooth.values[:, span])
-    report = compare(a, b, compensate_bias=True)
+    report = compare(a, b)
     out = _out_dir(config)
     csv_path, text_path = out / "validation.csv", out / "validation.txt"
     write_comparison_csv(csv_path, report)
@@ -483,10 +472,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command, help=blurb, description=blurb)
         sub.add_argument("--config", help="path to a key = value config file")
         for field in fields(PipelineConfig):
-            converter = _CONVERTERS[field.name]
             sub.add_argument(
                 _flag_name(field.name),
-                type=converter,
+                type=_converter(field),
                 default=None,
                 metavar=field.name.upper(),
                 help=f"override config key {field.name}",

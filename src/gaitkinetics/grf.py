@@ -14,16 +14,12 @@ change of both limb forces.  The minimizer has a closed form, per axis:
 
 (the subject mass cancels between the acceleration and force forms).  Both
 limb curves share the curvature of the total: the second derivative of each
-equals half that of the total force.  ``decompose_ds_oracle`` solves the
-discretized minimization directly (eliminate R2 = F - R1, solve the
-resulting tridiagonal system with pinned endpoints) and is kept as an
-independent cross-check.
+equals half that of the total force.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .anthro import SegmentId, SubjectProfile
 from .errors import InputError, InternalInvariantError
@@ -34,6 +30,7 @@ from .signal import UniformSeries, differentiate
 
 __all__ = [
     "DEFAULT_GRAVITY_MPS2",
+    "DEFAULT_BUTTERFLY_SCALE_M_PER_N",
     "NEGATIVE_VERTICAL_FRACTION",
     "GrfSeries",
     "DsBoundary",
@@ -42,7 +39,6 @@ __all__ = [
     "ButterflyDiagram",
     "total_grf",
     "decompose_ds",
-    "decompose_ds_oracle",
     "decompose_gait",
     "butterfly",
     "write_bilateral_csv",
@@ -52,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_GRAVITY_MPS2 = 9.81
+# butterfly vector length per newton of force
+DEFAULT_BUTTERFLY_SCALE_M_PER_N = 0.001
 # per-limb vertical force below -2% of body weight is flagged as implausible
 NEGATIVE_VERTICAL_FRACTION = 0.02
 
@@ -90,25 +88,17 @@ class DsBoundary:
 
     The leading foot struck at ``start_frame`` (its force departs from
     zero); the trailing foot toes off at ``end_frame`` (its force must
-    vanish there).  ``duration_s`` is the window length in seconds,
-    (end - start) / sample_rate.
+    vanish there).
     """
 
     start_frame: int
     end_frame: int
-    duration_s: float
-    leading_foot: str
-    trailing_foot: str
 
     def __post_init__(self):
         if self.end_frame <= self.start_frame:
             raise InputError(
                 f"double stance needs end > start, got [{self.start_frame}, {self.end_frame}]"
             )
-        if not self.duration_s > 0:
-            raise InputError(f"double stance duration must be positive, got {self.duration_s}")
-        if {self.leading_foot, self.trailing_foot} != {"left", "right"}:
-            raise InputError("leading and trailing feet must be left and right")
 
 
 @dataclass
@@ -245,19 +235,14 @@ def _window(total: GrfSeries, boundary: DsBoundary) -> np.ndarray:
     return total.force[:, boundary.start_frame : boundary.end_frame + 1]
 
 
-def decompose_ds(
-    total: GrfSeries, boundary: DsBoundary, mass_kg: float
-) -> tuple[GrfSeries, GrfSeries]:
+def decompose_ds(total: GrfSeries, boundary: DsBoundary) -> tuple[GrfSeries, GrfSeries]:
     """Closed-form minimum rate-of-change split of one double stance.
 
     Returns (r1, r2) over the window, r1 the trailing limb (exactly zero at
     the last sample), r2 the leading limb (exactly zero at the first).  The
-    split is applied per axis; formulated directly in force units the
-    subject mass cancels, so the argument is validated only for interface
-    symmetry with the acceleration form of the equations.
+    split is applied per axis; formulated directly in force units it needs
+    no subject mass.
     """
-    if not mass_kg > 0:
-        raise InputError(f"mass must be positive, got {mass_kg}")
     f = _window(total, boundary)
     span = boundary.end_frame - boundary.start_frame
     tau = np.arange(span + 1) / span  # endpoints are exactly 0.0 and 1.0
@@ -266,42 +251,6 @@ def decompose_ds(
     ramp = (0.5 * (f1 + f0)) * tau
     r1 = 0.5 * (f + f0) - ramp
     r2 = 0.5 * (f - f0) + ramp
-    return (
-        GrfSeries(total.sample_rate_hz, r1),
-        GrfSeries(total.sample_rate_hz, r2),
-    )
-
-
-def decompose_ds_oracle(
-    total: GrfSeries, boundary: DsBoundary
-) -> tuple[GrfSeries, GrfSeries]:
-    """Reference split: exact minimizer of the discretized objective.
-
-    Minimizes the sum of squared sample-to-sample increments of both limb
-    forces subject to r1 + r2 = f, r2 = 0 at the first sample and r1 = 0 at
-    the last.  Eliminating r2 leaves a tridiagonal normal system for the
-    interior r1 samples, solved per axis.  Kept as an independent check on
-    ``decompose_ds``; needs at least 3 samples in the window.
-    """
-    f = _window(total, boundary)
-    n = f.shape[1]
-    if n < 3:
-        raise InputError(f"oracle needs at least 3 samples in the window, got {n}")
-    r1 = np.empty_like(f)
-    r1[:, 0] = f[:, 0]  # r2 pinned to zero at the heel strike
-    r1[:, -1] = 0.0  # trailing limb pinned to zero at toe-off
-    # stationarity: r1[j-1] - 2 r1[j] + r1[j+1] = (f[j-1] - 2 f[j] + f[j+1]) / 2
-    rhs = 0.5 * (f[:, :-2] - 2.0 * f[:, 1:-1] + f[:, 2:])
-    rhs[:, 0] -= r1[:, 0]
-    rhs[:, -1] -= r1[:, -1]
-    m = n - 2
-    ab = np.zeros((3, m))
-    ab[0, 1:] = 1.0  # superdiagonal
-    ab[1, :] = -2.0  # diagonal
-    ab[2, :-1] = 1.0  # subdiagonal
-    r1_interior = scipy.linalg.solve_banded((1, 1), ab, rhs.T)
-    r1[:, 1:-1] = r1_interior.T
-    r2 = f - r1
     return (
         GrfSeries(total.sample_rate_hz, r1),
         GrfSeries(total.sample_rate_hz, r2),
@@ -367,14 +316,7 @@ def decompose_gait(
                     (s, e, "double stance boundary force derived from flagged frames")
                 )
                 continue
-            boundary = DsBoundary(
-                start_frame=s,
-                end_frame=e,
-                duration_s=(e - s) / total.sample_rate_hz,
-                leading_foot=phase.leading_foot,
-                trailing_foot=phase.trailing_foot,
-            )
-            r1, r2 = decompose_ds(total, boundary, mass_kg)
+            r1, r2 = decompose_ds(total, DsBoundary(start_frame=s, end_frame=e))
             trailing = left if phase.trailing_foot == "left" else right
             leading = left if phase.leading_foot == "left" else right
             trailing[:, s : e + 1] = r1.force
@@ -458,7 +400,9 @@ def write_diagnostics_csv(path, bilateral: BilateralGrf) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_butterfly_csv(path, diagram: ButterflyDiagram, scale_m_per_n: float = 0.001) -> None:
+def write_butterfly_csv(
+    path, diagram: ButterflyDiagram, scale_m_per_n: float = DEFAULT_BUTTERFLY_SCALE_M_PER_N
+) -> None:
     """Write anchors and scaled vector tips: base_x,base_y,tip_x,tip_y,tip_z,foot."""
     if not scale_m_per_n > 0:
         raise InputError(f"display scale must be positive, got {scale_m_per_n}")
@@ -473,7 +417,9 @@ def write_butterfly_csv(path, diagram: ButterflyDiagram, scale_m_per_n: float = 
 _SVG_COLORS = {"left": "#1f77b4", "right": "#d62728"}
 
 
-def write_butterfly_svg(path, diagram: ButterflyDiagram, scale_m_per_n: float = 0.001) -> None:
+def write_butterfly_svg(
+    path, diagram: ButterflyDiagram, scale_m_per_n: float = DEFAULT_BUTTERFLY_SCALE_M_PER_N
+) -> None:
     """Render the sagittal-plane butterfly picture as a standalone SVG.
 
     X maps the antero-posterior anchor/tip positions, Y the scaled vertical

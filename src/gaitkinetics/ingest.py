@@ -32,7 +32,8 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
-    "IngestConfig",
+    "DEFAULT_NOISE_FLOOR_N",
+    "DEFAULT_MAX_GAP_FRAMES",
     "MarkerTrajectorySet",
     "ForcePlateSeries",
     "parse_marker_file",
@@ -41,6 +42,12 @@ __all__ = [
     "write_force_file",
     "fill_gaps",
 ]
+
+# vertical plate force below -DEFAULT_NOISE_FLOOR_N newtons is flagged as
+# implausible but kept
+DEFAULT_NOISE_FLOOR_N = 5.0
+# the longest interior occlusion run that fill_gaps interpolates across
+DEFAULT_MAX_GAP_FRAMES = 10
 
 _UNITS = ("m", "mm")
 
@@ -53,34 +60,6 @@ _VALUES_PER_BLOCK = 1 << 12
 
 # the parsers read this many characters of data lines at a time
 _CHARS_PER_BLOCK = 1 << 20
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    """Options shared by the file readers.
-
-    expected_unit: require the marker file's UNITS tag to match ("m" or
-        "mm"); None accepts either.
-    noise_floor_n: vertical plate force below ``-noise_floor_n`` newtons is
-        flagged as implausible but kept.
-    max_gap_frames: largest interior occlusion run that ``fill_gaps`` will
-        interpolate across.
-    """
-
-    expected_unit: str | None = None
-    noise_floor_n: float = 5.0
-    max_gap_frames: int = 10
-
-    def __post_init__(self):
-        if self.expected_unit is not None and self.expected_unit not in _UNITS:
-            raise InputError(
-                f"expected_unit must be one of {sorted(_UNITS)}, "
-                f"got {self.expected_unit!r}"
-            )
-        if self.noise_floor_n < 0:
-            raise InputError("noise_floor_n must be non-negative")
-        if self.max_gap_frames < 0:
-            raise InputError("max_gap_frames must be non-negative")
 
 
 @dataclass
@@ -139,14 +118,14 @@ class ForcePlateSeries:
     """Uniformly sampled per-plate forces (N) and centres of pressure (m).
 
     forces: (n_plates, n_frames, 3); cop: (n_plates, n_frames, 2).
-    below_noise flags frames whose vertical force undershoots the noise
-    floor; they are kept, not rejected.
+    below_noise flags frames whose vertical force is below ``-noise_floor_n``
+    newtons; they are kept, not rejected.
     """
 
     sample_rate_hz: float
     forces: np.ndarray
     cop: np.ndarray
-    noise_floor_n: float = 5.0
+    noise_floor_n: float = DEFAULT_NOISE_FLOOR_N
     below_noise: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -162,6 +141,8 @@ class ForcePlateSeries:
             raise InputError("force trial has zero frames")
         if not (np.all(np.isfinite(self.forces)) and np.all(np.isfinite(self.cop))):
             raise InputError("force data contains non-finite values")
+        if self.noise_floor_n < 0:
+            raise InputError("noise_floor_n must be non-negative")
         if self.below_noise is None:
             self.below_noise = self.forces[:, :, 2] < -self.noise_floor_n
         self.below_noise = np.asarray(self.below_noise, dtype=bool)
@@ -364,9 +345,8 @@ def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) ->
         rows[r] = "\t".join(["0" if b else f for f, b in zip(fields, blank)])
 
 
-def parse_marker_file(path, config: IngestConfig | None = None) -> MarkerTrajectorySet:
+def parse_marker_file(path) -> MarkerTrajectorySet:
     """Parse a marker TSV file into a MarkerTrajectorySet (metres)."""
-    config = config or IngestConfig()
     blocks = _text_blocks(path, 3)
     lines = next(blocks)
     rate = _parse_rate(lines, path)
@@ -374,10 +354,6 @@ def parse_marker_file(path, config: IngestConfig | None = None) -> MarkerTraject
     unit = _header_value(lines, 1, "UNITS", path)
     if unit not in _UNITS:
         raise InputError(f"{path}: unknown unit tag {unit!r} (expected 'mm' or 'm')")
-    if config.expected_unit is not None and unit != config.expected_unit:
-        raise InputError(
-            f"{path}: unit tag {unit!r} does not match expected {config.expected_unit!r}"
-        )
 
     if len(lines) < 3:
         raise InputError(f"{path}: missing header line 3 (MARKERS)")
@@ -447,9 +423,9 @@ def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
     _write_csv(path, header, columns, sep="\t")
 
 
-def parse_force_file(path, config: IngestConfig | None = None) -> ForcePlateSeries:
-    """Parse a force-plate TSV file (newtons / metres)."""
-    config = config or IngestConfig()
+def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> ForcePlateSeries:
+    """Parse a force-plate TSV file (newtons / metres); see ``ForcePlateSeries``
+    for ``noise_floor_n``."""
     blocks = _text_blocks(path, 2)
     lines = next(blocks)
     rate = _parse_rate(lines, path)
@@ -469,7 +445,7 @@ def parse_force_file(path, config: IngestConfig | None = None) -> ForcePlateSeri
     _check_times(path, data, rate)
     forces, cop = _gather(data, n_plates, [3, 2])
     return ForcePlateSeries(
-        sample_rate_hz=rate, forces=forces, cop=cop, noise_floor_n=config.noise_floor_n
+        sample_rate_hz=rate, forces=forces, cop=cop, noise_floor_n=noise_floor_n
     )
 
 
@@ -488,16 +464,17 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
-def fill_gaps(traj: MarkerTrajectorySet, max_gap_frames: int | None = None) -> MarkerTrajectorySet:
+def fill_gaps(
+    traj: MarkerTrajectorySet, max_gap_frames: int = DEFAULT_MAX_GAP_FRAMES
+) -> MarkerTrajectorySet:
     """Linearly interpolate interior occlusion runs of <= max_gap_frames.
 
     Runs longer than the threshold, and runs touching the first or last
     frame (no bracketing sample on one side), are left missing.  Present
     frames are passed through untouched, so the output mask is a subset of
-    the input mask.
+    the input mask.  A marker with samples to fill gets new position and
+    mask arrays; every other marker shares its arrays with ``traj``.
     """
-    if max_gap_frames is None:
-        max_gap_frames = IngestConfig().max_gap_frames
     if max_gap_frames < 0:
         raise InputError("max_gap_frames must be non-negative")
 
@@ -505,16 +482,17 @@ def fill_gaps(traj: MarkerTrajectorySet, max_gap_frames: int | None = None) -> M
     new_pos = {}
     new_miss = {}
     for name in traj.marker_names:
-        pos = traj.markers[name].copy()
-        mask = traj.missing[name].copy()
+        pos, mask = traj.markers[name], traj.missing[name]
         starts, ends = _runs(mask)
         run = np.repeat(np.arange(starts.size), ends - starts)  # of each missing frame
         fill = ((starts > 0) & (ends < n) & (ends - starts <= max_gap_frames))[run]
-        j, run = np.flatnonzero(mask)[fill], run[fill]
-        lo, hi = starts[run] - 1, ends[run]
-        t = ((j - lo) / (hi - lo))[:, None]
-        pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
-        mask[j] = False
+        if fill.any():
+            j, run = np.flatnonzero(mask)[fill], run[fill]
+            lo, hi = starts[run] - 1, ends[run]
+            t = ((j - lo) / (hi - lo))[:, None]
+            pos, mask = pos.copy(), mask.copy()
+            pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
+            mask[j] = False
         new_pos[name] = pos
         new_miss[name] = mask
     return MarkerTrajectorySet(

@@ -333,6 +333,10 @@ def load_segment_definitions(path):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read segment definitions {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read segment definitions {path}: not UTF-8 text ({exc.reason})"
+        ) from None
     return parse_segment_definitions(text, source=str(path))
 
 

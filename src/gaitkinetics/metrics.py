@@ -73,14 +73,11 @@ def _axis_names(n_channels: int) -> list[str]:
     return [f"ch{i}" for i in range(n_channels)]
 
 
-def compare(
-    a: UniformSeries, b: UniformSeries, compensate_bias: bool = True
-) -> ComparisonReport:
+def compare(a: UniformSeries, b: UniformSeries) -> ComparisonReport:
     """Compare two series sample by sample (a minus b).
 
-    With ``compensate_bias`` the per-channel mean difference is subtracted
-    before the compensated RMSE; without it that figure simply repeats the
-    raw RMSE.  Callers must align rates and lengths first (decimate the
+    The compensated RMSE is taken after subtracting each channel's mean
+    difference.  Callers must align rates and lengths first (decimate the
     denser series rather than inventing samples).
     """
     if a.sample_rate_hz != b.sample_rate_hz:
@@ -96,11 +93,8 @@ def compare(
     for name, d in zip(_axis_names(diff.shape[0]), diff):
         bias = float(np.mean(d))
         rmse = float(np.sqrt(np.mean(d * d)))
-        if compensate_bias:
-            centered = d - bias
-            comp = float(np.sqrt(np.mean(centered * centered)))
-        else:
-            comp = rmse
+        centered = d - bias
+        comp = float(np.sqrt(np.mean(centered * centered)))
         entries.append(
             AxisComparison(
                 axis=name,

@@ -1,5 +1,8 @@
 """Shared fixtures: bundled model files, synthetic trials, derived pipelines.
 
+``decompose_ds_oracle`` is the reference the closed-form double-stance
+split is checked against.
+
 Expensive artifacts (the 10 s walker, its filtered CoM, the detected
 timeline, the per-limb decomposition) are session-scoped so the whole
 suite computes them once.  ``ACCEPTANCE_RESULTS`` collects one PASS/FAIL
@@ -9,10 +12,12 @@ end of the run so the verdict survives in captured output.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gaitkinetics.anthro import bundled_table_path, load_table
+from gaitkinetics.errors import InputError
 from gaitkinetics.events import FootEvents, build_timeline, detect_events_zeni
-from gaitkinetics.grf import decompose_gait, total_grf
+from gaitkinetics.grf import DsBoundary, GrfSeries, _window, decompose_gait, total_grf
 from gaitkinetics.kinematics import (
     bundled_definitions_path,
     com_trajectory,
@@ -140,4 +145,40 @@ def displace_markers_z(traj, dz):
     missing = {name: mask.copy() for name, mask in traj.missing.items()}
     return type(traj)(
         sample_rate_hz=traj.sample_rate_hz, markers=markers, missing=missing
+    )
+
+
+def decompose_ds_oracle(
+    total: GrfSeries, boundary: DsBoundary
+) -> tuple[GrfSeries, GrfSeries]:
+    """Reference split: exact minimizer of the discretized objective.
+
+    Minimizes the sum of squared sample-to-sample increments of both limb
+    forces subject to r1 + r2 = f, r2 = 0 at the first sample and r1 = 0 at
+    the last.  Eliminating r2 leaves a tridiagonal normal system for the
+    interior r1 samples, solved per axis.  Kept as an independent check on
+    ``decompose_ds``; needs at least 3 samples in the window.
+    """
+    f = _window(total, boundary)
+    n = f.shape[1]
+    if n < 3:
+        raise InputError(f"oracle needs at least 3 samples in the window, got {n}")
+    r1 = np.empty_like(f)
+    r1[:, 0] = f[:, 0]  # r2 pinned to zero at the heel strike
+    r1[:, -1] = 0.0  # trailing limb pinned to zero at toe-off
+    # stationarity: r1[j-1] - 2 r1[j] + r1[j+1] = (f[j-1] - 2 f[j] + f[j+1]) / 2
+    rhs = 0.5 * (f[:, :-2] - 2.0 * f[:, 1:-1] + f[:, 2:])
+    rhs[:, 0] -= r1[:, 0]
+    rhs[:, -1] -= r1[:, -1]
+    m = n - 2
+    ab = np.zeros((3, m))
+    ab[0, 1:] = 1.0  # superdiagonal
+    ab[1, :] = -2.0  # diagonal
+    ab[2, :-1] = 1.0  # subdiagonal
+    r1_interior = scipy.linalg.solve_banded((1, 1), ab, rhs.T)
+    r1[:, 1:-1] = r1_interior.T
+    r2 = f - r1
+    return (
+        GrfSeries(total.sample_rate_hz, r1),
+        GrfSeries(total.sample_rate_hz, r2),
     )

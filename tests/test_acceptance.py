@@ -10,20 +10,19 @@ import time
 import numpy as np
 
 from gaitkinetics.events import DOUBLE_STANCE, detect_events_zeni
-from gaitkinetics.grf import (
-    DsBoundary,
-    GrfSeries,
-    decompose_ds,
-    decompose_ds_oracle,
-    decompose_gait,
-    total_grf,
-)
+from gaitkinetics.grf import DsBoundary, GrfSeries, decompose_ds, decompose_gait, total_grf
 from gaitkinetics.kinematics import com_trajectory, filter_com_trajectory
 from gaitkinetics.metrics import compare, stance_vgrf_shape
 from gaitkinetics.signal import UniformSeries, lowpass
 from gaitkinetics.synth import generate_static
 
-from conftest import CUTOFF_HZ, FILTER_ORDER, detect_timeline_from_markers, shift_markers
+from conftest import (
+    CUTOFF_HZ,
+    FILTER_ORDER,
+    decompose_ds_oracle,
+    detect_timeline_from_markers,
+    shift_markers,
+)
 
 GRAVITY = 9.81
 
@@ -114,8 +113,8 @@ def test_criterion_03_closed_form_matches_the_discrete_minimizer(acceptance_log)
     for _ in range(100):
         n = int(rng.integers(10, 201))
         total = GrfSeries(float(n - 1), _smooth_force(rng, n))
-        boundary = DsBoundary(0, n - 1, 1.0, "left", "right")
-        r1c, r2c = decompose_ds(total, boundary, 80.0)
+        boundary = DsBoundary(0, n - 1)
+        r1c, r2c = decompose_ds(total, boundary)
         r1o, r2o = decompose_ds_oracle(total, boundary)
         scale = max(1.0, float(np.max(np.abs(total.force))))
         gap = max(
@@ -140,8 +139,8 @@ def test_criterion_03_closed_form_matches_the_discrete_minimizer(acceptance_log)
     gaps = []
     for n in grids:
         total = GrfSeries(float(n - 1), profile(n))
-        boundary = DsBoundary(0, n - 1, 1.0, "left", "right")
-        r1c, _ = decompose_ds(total, boundary, 80.0)
+        boundary = DsBoundary(0, n - 1)
+        r1c, _ = decompose_ds(total, boundary)
         r1o, _ = decompose_ds_oracle(total, boundary)
         scale = max(1.0, float(np.max(np.abs(total.force))))
         gaps.append(float(np.max(np.abs(r1c.force - r1o.force))) / scale)

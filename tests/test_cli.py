@@ -1,5 +1,9 @@
 """End-to-end command-line pipeline runs (invoked in-process)."""
 
+from dataclasses import fields
+from pathlib import Path
+from typing import get_args
+
 import numpy as np
 import pytest
 
@@ -166,19 +170,28 @@ def test_dropped_data_row_exits_2_naming_the_row(cli_files, tmp_path, capsys, ki
     assert f"{broken}: data row 41: time" in captured.err
 
 
-@pytest.mark.parametrize("kind", ["markers", "forces"])
+@pytest.mark.parametrize("kind", ["markers", "forces", "config", "anthro", "segments"])
 def test_non_utf8_input_exits_2_naming_the_file(cli_files, tmp_path, capsys, kind):
-    data = cli_files[kind].read_bytes()
+    config = tmp_path / "run.cfg"
+    config.write_text("cutoff_hz = 5.0\n", encoding="utf-8")
+    flag, source, what = {
+        "markers": ("--marker-file", cli_files["markers"], ""),
+        "forces": ("--force-file", cli_files["forces"], ""),
+        "config": ("--config", config, "config file "),
+        "anthro": ("--anthro-table", bundled_table_path(), "anthropometric table "),
+        "segments": ("--segment-definitions", bundled_definitions_path(), "segment definitions "),
+    }[kind]
+    data = Path(source).read_bytes()
     broken = tmp_path / f"latin1_{kind}.tsv"
     broken.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 + 1 :])
-    files = {"markers": cli_files["markers"], "forces": cli_files["forces"], kind: broken}
     code, captured = _run(
-        ["grf", "--marker-file", str(files["markers"]), "--force-file", str(files["forces"]),
-         "--output-dir", str(tmp_path)] + SUBJECT_ARGS,
+        ["grf", "--marker-file", str(cli_files["markers"]),
+         "--force-file", str(cli_files["forces"]), "--output-dir", str(tmp_path)]
+        + SUBJECT_ARGS + [flag, str(broken)],
         capsys,
     )
     assert code == 2
-    assert f"error: cannot read {broken}: not UTF-8 text" in captured.err
+    assert f"error: cannot read {what}{broken}: not UTF-8 text" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -280,6 +293,30 @@ def test_config_file_parsing_rejects_malformed_input(tmp_path):
     comments_only = tmp_path / "comments.cfg"
     comments_only.write_text("# nothing here\n\n  # still nothing\n", encoding="utf-8")
     assert cli.parse_config_file(comments_only) == {}
+
+
+# valid texts for a config field of each type, and the values they must parse to
+FIELD_SAMPLES = {
+    float: [("2.5", 2.5)],
+    int: [("6", 6)],
+    bool: [("yes", True), ("off", False)],
+    str: [("m", "m")],
+}
+
+
+@pytest.mark.parametrize("field", fields(cli.PipelineConfig), ids=lambda field: field.name)
+def test_each_config_field_parses_alike_as_flag_and_config_key(tmp_path, field):
+    (kind,) = set(get_args(field.type) or (field.type,)) - {type(None)}
+    for text, value in FIELD_SAMPLES[kind]:
+        args = cli._build_parser().parse_args(["com", "--" + field.name.replace("_", "-"), text])
+        from_flag, _ = cli.build_config({field.name: getattr(args, field.name)}, env={})
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field.name} = {text}\n", encoding="utf-8")
+        from_file, provenance = cli.build_config({}, cli.parse_config_file(path), env={})
+        assert provenance[field.name] == "config"
+        for config in (from_flag, from_file):
+            parsed = getattr(config, field.name)
+            assert type(parsed) is kind and parsed == value
 
 
 def test_malformed_config_file_exits_2(cli_files, tmp_path, capsys):

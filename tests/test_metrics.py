@@ -79,13 +79,6 @@ def test_bias_and_compensated_rmse_decompose_the_total():
         assert abs(gap) <= 1e-12 * max(1.0, entry.rmse**2)
 
 
-def test_compensation_can_be_disabled():
-    a, b = _random_series(9), _random_series(10)
-    report = compare(a, b, compensate_bias=False)
-    for entry in report.axes:
-        assert entry.bias_compensated_rmse == entry.rmse
-
-
 def test_compare_validates_alignment():
     a = _random_series(11)
     with pytest.raises(InputError, match="rates differ"):
