@@ -91,7 +91,9 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise InputError(f"expected a boolean, got {text!r}")
+    # argparse names the flag in this error's message; build_config names
+    # the config key
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def build_config(
         elif name in file_values:
             try:
                 merged[name] = _converter(field)(file_values[name])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise InputError(f"config key {name}: {exc}") from exc
             provenance[name] = "config"
         else:
@@ -280,24 +282,27 @@ def _marker_series(traj, name: str, axis: int) -> UniformSeries:
 
 def _detect_timeline(config: PipelineConfig, traj):
     """Detect per-foot events on low-passed AP series and build the timeline."""
-
-    def filtered_ap(name: str) -> UniformSeries:
-        series = _marker_series(traj, name, axis=0)
-        return lowpass(series, config.cutoff_hz, config.filter_order)
-
-    sacrum = filtered_ap(config.sacrum_marker)
+    names = (
+        config.sacrum_marker,
+        config.left_heel_marker,
+        config.left_toe_marker,
+        config.right_heel_marker,
+        config.right_toe_marker,
+    )
+    ap = np.stack([_marker_series(traj, name, axis=0).values[0] for name in names])
+    filtered = lowpass(
+        UniformSeries(traj.sample_rate_hz, ap), config.cutoff_hz, config.filter_order
+    ).values
+    sacrum, left_heel, left_toe, right_heel, right_toe = (
+        UniformSeries(traj.sample_rate_hz, row) for row in filtered
+    )
     events = {}
     try:
-        for foot, heel_name, toe_name in (
-            ("left", config.left_heel_marker, config.left_toe_marker),
-            ("right", config.right_heel_marker, config.right_toe_marker),
+        for foot, heel, toe in (
+            ("left", left_heel, left_toe),
+            ("right", right_heel, right_toe),
         ):
-            hs, to = detect_events_zeni(
-                filtered_ap(heel_name),
-                filtered_ap(toe_name),
-                sacrum,
-                config.min_event_period_s,
-            )
+            hs, to = detect_events_zeni(heel, toe, sacrum, config.min_event_period_s)
             events[foot] = FootEvents(foot=foot, heel_strikes=hs, toe_offs=to)
     except NoGaitDataError as exc:
         raise NoGaitDataError(f"no complete gait cycle found: {exc}") from exc

@@ -346,7 +346,7 @@ def bundled_definitions_path():
 
 
 def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId):
-    """Evaluate an affine marker combination over all frames -> (n, 3)."""
+    """Evaluate an affine marker combination over all frames -> (3, n)."""
     acc = None
     for name, w in rule.weights:
         if name not in traj.markers:
@@ -360,12 +360,33 @@ def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId):
             )
         term = w * traj.markers[name]
         acc = term if acc is None else acc + term
-    return acc
+    # summed on the contiguous (n, 3) marker arrays, transposed once
+    return np.ascontiguousarray(acc.T)
+
+
+# Vector algebra on component-major (3, n) arrays, one row per coordinate.
+# Written out row by row: numpy reduces a length-3 last axis of (n, 3) data
+# several times slower, and these expressions give the same bits as
+# np.linalg.norm / np.sum / np.cross over that axis.
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
 
 
 def _unit(v: np.ndarray, segment: SegmentId, what: str) -> np.ndarray:
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    bad = norm[..., 0] <= 0
+    norm = _norm(v)
+    bad = norm <= 0
     if np.any(bad):
         frame = int(np.argmax(bad))
         raise InputError(f"{segment}: {what} has zero length at frame {frame}")
@@ -374,9 +395,9 @@ def _unit(v: np.ndarray, segment: SegmentId, what: str) -> np.ndarray:
 
 def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId) -> np.ndarray:
     """Unit component of w orthogonal to a unit axis; rejects near-collinear."""
-    w_perp = w - np.sum(w * axis, axis=-1, keepdims=True) * axis
-    norm_w = np.linalg.norm(w, axis=-1)
-    norm_p = np.linalg.norm(w_perp, axis=-1)
+    w_perp = w - _dot(w, axis) * axis
+    norm_w = _norm(w)
+    norm_p = _norm(w_perp)
     bad = norm_p <= _COLLINEAR_SIN * norm_w
     if np.any(bad):
         frame = int(np.argmax(bad))
@@ -384,11 +405,12 @@ def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId) -> np.ndarra
             f"{segment}: axis reference is collinear with the primary axis "
             f"(within 1e-3 rad) at frame {frame}"
         )
-    return w_perp / norm_p[..., np.newaxis]
+    return w_perp / norm_p
 
 
 def _basis_series(traj, definition: SegmentDefinition, origin, distal):
-    """Per-frame right-handed orthonormal basis, shape (n, 3, 3) (columns x,y,z)."""
+    """Per-frame right-handed orthonormal basis as the axes (u_x, u_y, u_z),
+    each (3, n)."""
     seg = definition.segment
     ref_pt = _eval_point(traj, definition.ref, seg)
     w = ref_pt - origin
@@ -399,13 +421,13 @@ def _basis_series(traj, definition: SegmentDefinition, origin, distal):
         p = _perp_unit(w, u_z, seg)
         if definition.ref_kind in ("anterior", "posterior"):
             u_x = p if definition.ref_kind == "anterior" else -p
-            u_y = np.cross(u_z, u_x)
+            u_y = _cross(u_z, u_x)
         else:
             toward_left = 1.0 if definition.segment.side == "left" else -1.0
             if definition.ref_kind == "medial":
                 toward_left = -toward_left
             u_y = toward_left * p
-            u_x = np.cross(u_y, u_z)
+            u_x = _cross(u_y, u_z)
     else:
         fwd_from = _eval_point(traj, definition.forward[0], seg)
         fwd_to = _eval_point(traj, definition.forward[1], seg)
@@ -415,28 +437,30 @@ def _basis_series(traj, definition: SegmentDefinition, origin, distal):
         if definition.ref_kind == "medial":
             toward_left = -toward_left
         u_y = toward_left * p
-        u_z = np.cross(u_x, u_y)
+        u_z = _cross(u_x, u_y)
 
-    return np.stack([u_x, u_y, u_z], axis=-1)
+    return u_x, u_y, u_z
 
 
 def _segment_com_series(traj, definition, table, subject):
-    """CoM track for one marker-defined segment -> (origin, basis, length, com)."""
+    """CoM track for one marker-defined segment.
+
+    Returns (origin, distal, axes, length, com): origin, distal and com are
+    (3, n), axes the (u_x, u_y, u_z) of ``_basis_series``, length (n,).
+    """
     seg = definition.segment
     origin = _eval_point(traj, definition.origin, seg)
     distal = _eval_point(traj, definition.distal, seg)
-    length = np.linalg.norm(origin - distal, axis=-1)
+    length = _norm(origin - distal)
     if np.any(length <= 0):
         frame = int(np.argmax(length <= 0))
         raise InputError(f"{seg}: origin and distal coincide at frame {frame}")
-    basis = _basis_series(traj, definition, origin, distal)
+    u_x, u_y, u_z = axes = _basis_series(traj, definition, origin, distal)
     params = table.get(seg.kind, subject.sex)
     p_ml = -params.p_ml if seg.side == "left" else params.p_ml
-    offset = (
-        params.p_ap * basis[..., 0] + p_ml * basis[..., 1] + params.p_si * basis[..., 2]
-    )
-    com = origin + length[..., np.newaxis] * offset
-    return origin, basis, length, com
+    offset = params.p_ap * u_x + p_ml * u_y + params.p_si * u_z
+    com = origin + length * offset
+    return origin, distal, axes, length, com
 
 
 def segment_state(
@@ -449,13 +473,13 @@ def segment_state(
     """Pose of one segment at one frame (hands have no marker definition)."""
     if not 0 <= frame < traj.n_frames:
         raise InputError(f"frame {frame} out of range [0, {traj.n_frames})")
-    origin, basis, length, com = _segment_com_series(traj, definition, table, subject)
+    origin, _, axes, length, com = _segment_com_series(traj, definition, table, subject)
     return SegmentState(
         segment=definition.segment,
-        origin=origin[frame],
-        basis=basis[frame],
+        origin=origin[:, frame],
+        basis=np.stack([u[:, frame] for u in axes], axis=-1),
         length_m=float(length[frame]),
-        com=com[frame],
+        com=com[:, frame],
     )
 
 
@@ -464,16 +488,17 @@ def hand_com(wrist_center: np.ndarray, elbow_center: np.ndarray) -> np.ndarray:
 
     The hand length is taken as 74% of the elbow-to-wrist distance and the
     CoM placed half a hand length beyond the wrist along the elbow-to-wrist
-    direction, i.e. at wrist + 0.37 * (wrist - elbow).
+    direction, i.e. at wrist + 0.37 * (wrist - elbow).  Points are (3,) or
+    (n, 3).
     """
-    wrist = np.asarray(wrist_center, dtype=float)
-    elbow = np.asarray(elbow_center, dtype=float)
+    wrist = np.moveaxis(np.asarray(wrist_center, dtype=float), -1, 0)
+    elbow = np.moveaxis(np.asarray(elbow_center, dtype=float), -1, 0)
     seg = wrist - elbow
-    dist = np.linalg.norm(seg, axis=-1, keepdims=True)
+    dist = _norm(seg)
     if np.any(dist <= 0):
         raise InputError("hand fallback: wrist and elbow centres coincide")
     hand_length = HAND_LENGTH_PER_FOREARM * dist
-    return wrist + 0.5 * hand_length * (seg / dist)
+    return np.moveaxis(wrist + 0.5 * hand_length * (seg / dist), 0, -1)
 
 
 def com_trajectory(
@@ -496,11 +521,10 @@ def com_trajectory(
         masses[i] = segment_mass(table, subject, sid)
         if sid.kind == "hand":
             continue
-        origin, _, _, com = _segment_com_series(traj, defs[sid], table, subject)
+        origin, distal, _, _, com = _segment_com_series(traj, defs[sid], table, subject)
         if sid.kind == "forearm":
-            wrist = _eval_point(traj, defs[sid].distal, sid)
-            forearm_endpoints[sid.side] = (wrist, origin)
-        coms[:, i, :] = com.T
+            forearm_endpoints[sid.side] = (distal, origin)
+        coms[:, i, :] = com
 
     for i, sid in enumerate(SEGMENT_IDS):
         if sid.kind != "hand":
@@ -508,7 +532,7 @@ def com_trajectory(
         if sid.side not in forearm_endpoints:
             raise InputError(f"{sid}: no forearm definition to derive the hand from")
         wrist, elbow = forearm_endpoints[sid.side]
-        coms[:, i, :] = hand_com(wrist, elbow).T
+        coms[:, i, :] = hand_com(wrist.T, elbow.T).T
 
     whole = _weighted_mean(coms, masses)
     return ComTrajectory(

@@ -319,6 +319,35 @@ def test_each_config_field_parses_alike_as_flag_and_config_key(tmp_path, field):
             assert type(parsed) is kind and parsed == value
 
 
+def test_bad_boolean_flag_exits_2_naming_the_flag(cli_files, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["com", "--marker-file", str(cli_files["two_frame"]),
+             "--output-dir", str(tmp_path), "--include-segment-coms", "maybe"]
+            + SUBJECT_ARGS
+        )
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --include-segment-coms: expected a boolean, got 'maybe'" in err
+    assert "Traceback" not in err
+
+
+def test_bad_boolean_config_value_exits_2_naming_the_key(cli_files, tmp_path, capsys):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("include_segment_coms = perhaps\n", encoding="utf-8")
+    code, captured = _run(
+        ["com", "--marker-file", str(cli_files["two_frame"]),
+         "--config", str(config_path),
+         "--output-dir", str(tmp_path)] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert (
+        "error: config key include_segment_coms: expected a boolean, got 'perhaps'"
+        in captured.err
+    )
+
+
 def test_malformed_config_file_exits_2(cli_files, tmp_path, capsys):
     config_path = tmp_path / "broken.cfg"
     config_path.write_text("mystery = 12\n", encoding="utf-8")

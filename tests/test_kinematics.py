@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import CUTOFF_HZ, FILTER_ORDER, shift_markers
-from gaitkinetics.anthro import SEGMENT_KINDS, SegmentId, SubjectProfile, parse_table
+from gaitkinetics.anthro import (
+    SEGMENT_IDS,
+    SEGMENT_KINDS,
+    SegmentId,
+    SubjectProfile,
+    parse_table,
+    segment_mass,
+)
 from gaitkinetics.errors import InputError
-from gaitkinetics.ingest import MarkerTrajectorySet
+from gaitkinetics.ingest import (
+    MarkerTrajectorySet,
+    fill_gaps,
+    parse_marker_file,
+    write_marker_file,
+)
 from gaitkinetics.kinematics import (
     PointRule,
     SegmentDefinition,
@@ -272,6 +284,196 @@ def test_filtering_preserves_a_static_trajectory_bitwise(
     com = com_trajectory(static_trial.markers, definitions, table, static_trial.subject)
     smooth = filter_com_trajectory(com, CUTOFF_HZ, FILTER_ORDER)
     assert np.array_equal(smooth.whole_body, com.whole_body)
+
+
+# ---------------------------------- row-major reference (bit for bit)
+#
+# The geometry as it was computed on (n_frames, 3) arrays, with
+# np.linalg.norm, np.sum and np.cross over the last axis, before it moved
+# to component-major (3, n_frames) rows.  Kept as the reference the
+# component-major code must reproduce bit for bit.
+
+
+def _ref_eval_point(traj, rule):
+    acc = None
+    for name, w in rule.weights:
+        term = w * traj.markers[name]
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _ref_unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _ref_perp_unit(w, axis):
+    w_perp = w - np.sum(w * axis, axis=-1, keepdims=True) * axis
+    return w_perp / np.linalg.norm(w_perp, axis=-1)[..., np.newaxis]
+
+
+def _ref_basis_series(traj, definition, origin, distal):
+    w = _ref_eval_point(traj, definition.ref) - origin
+    if definition.style == "longitudinal":
+        sup, inf = (origin, distal) if definition.superior == "origin" else (distal, origin)
+        u_z = _ref_unit(sup - inf)
+        p = _ref_perp_unit(w, u_z)
+        if definition.ref_kind in ("anterior", "posterior"):
+            u_x = p if definition.ref_kind == "anterior" else -p
+            u_y = np.cross(u_z, u_x)
+        else:
+            toward_left = 1.0 if definition.segment.side == "left" else -1.0
+            if definition.ref_kind == "medial":
+                toward_left = -toward_left
+            u_y = toward_left * p
+            u_x = np.cross(u_y, u_z)
+    else:
+        fwd_from = _ref_eval_point(traj, definition.forward[0])
+        fwd_to = _ref_eval_point(traj, definition.forward[1])
+        u_x = _ref_unit(fwd_to - fwd_from)
+        p = _ref_perp_unit(w, u_x)
+        toward_left = 1.0 if definition.segment.side == "left" else -1.0
+        if definition.ref_kind == "medial":
+            toward_left = -toward_left
+        u_y = toward_left * p
+        u_z = np.cross(u_x, u_y)
+    return np.stack([u_x, u_y, u_z], axis=-1)
+
+
+def _ref_segment_com_series(traj, definition, table, subject):
+    seg = definition.segment
+    origin = _ref_eval_point(traj, definition.origin)
+    distal = _ref_eval_point(traj, definition.distal)
+    length = np.linalg.norm(origin - distal, axis=-1)
+    basis = _ref_basis_series(traj, definition, origin, distal)
+    params = table.get(seg.kind, subject.sex)
+    p_ml = -params.p_ml if seg.side == "left" else params.p_ml
+    offset = (
+        params.p_ap * basis[..., 0] + p_ml * basis[..., 1] + params.p_si * basis[..., 2]
+    )
+    com = origin + length[..., np.newaxis] * offset
+    return origin, basis, length, com
+
+
+def _ref_hand_com(wrist, elbow):
+    seg = wrist - elbow
+    dist = np.linalg.norm(seg, axis=-1, keepdims=True)
+    return wrist + 0.5 * (0.74 * dist) * (seg / dist)
+
+
+def _ref_com_trajectory(traj, defs, table, subject):
+    """(segment_coms, whole_body) as the row-major code computed them."""
+    coms = np.empty((3, len(SEGMENT_IDS), traj.n_frames))
+    masses = np.array([segment_mass(table, subject, sid) for sid in SEGMENT_IDS])
+    forearms = {}
+    for i, sid in enumerate(SEGMENT_IDS):
+        if sid.kind == "hand":
+            continue
+        origin, _, _, com = _ref_segment_com_series(traj, defs[sid], table, subject)
+        if sid.kind == "forearm":
+            forearms[sid.side] = (_ref_eval_point(traj, defs[sid].distal), origin)
+        coms[:, i, :] = com.T
+    for i, sid in enumerate(SEGMENT_IDS):
+        if sid.kind == "hand":
+            coms[:, i, :] = _ref_hand_com(*forearms[sid.side]).T
+    whole = np.zeros((3, traj.n_frames))
+    for i in range(len(masses)):
+        whole += masses[i] * coms[:, i, :]
+    return coms, whole / float(np.sum(masses))
+
+
+def _assert_com_matches_the_reference(traj, definitions, table, subject):
+    com = com_trajectory(traj, definitions, table, subject)
+    ref_coms, ref_whole = _ref_com_trajectory(traj, definitions, table, subject)
+    assert com.segment_coms.tobytes() == ref_coms.tobytes()
+    assert com.whole_body.tobytes() == ref_whole.tobytes()
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 2000])
+def test_com_trajectory_is_bitwise_the_row_major_reference(
+    walker, table, definitions, n_frames
+):
+    assert walker.markers.n_frames == 2000
+    short = _slice_markers(walker.markers, 0, n_frames)
+    _assert_com_matches_the_reference(short, definitions, table, walker.subject)
+
+
+def test_com_of_a_parsed_gap_filled_mm_file_is_bitwise_the_reference(
+    tmp_path, walker, table, definitions
+):
+    traj = _slice_markers(walker.markers, 0, 600)
+    rng = np.random.default_rng(5)
+    for name in traj.marker_names:
+        traj.markers[name] *= 1000.0
+    for _ in range(30):
+        name = traj.marker_names[int(rng.integers(len(traj.marker_names)))]
+        start = int(rng.integers(5, traj.n_frames - 15))
+        traj.missing[name][start : start + int(rng.integers(1, 8))] = True
+    path = tmp_path / "walker_mm.tsv"
+    write_marker_file(path, traj)
+    text = path.read_text(encoding="utf-8").replace("UNITS\tm\n", "UNITS\tmm\n", 1)
+    path.write_text(text, encoding="utf-8")
+
+    filled = fill_gaps(parse_marker_file(path))
+    assert not any(mask.any() for mask in filled.missing.values())
+    # untouched markers are views into the parser's (n_markers, n, 3) array
+    assert any(pos.base is not None and pos.base.ndim == 3 for pos in filled.markers.values())
+    _assert_com_matches_the_reference(filled, definitions, table, walker.subject)
+
+
+def _custom_definitions():
+    """Definitions reaching every branch of the basis construction."""
+    rule = PointRule.parse
+    yield SegmentDefinition(
+        segment=SegmentId("pelvis"), origin=rule("LASI+RASI+LPSI+RPSI"),
+        distal=rule("LTRO+RTRO"), ref=rule("LASI+RASI"), ref_kind="anterior",
+    )
+    yield SegmentDefinition(
+        segment=SegmentId("pelvis"), origin=rule("LASI+RASI+LPSI+RPSI"),
+        distal=rule("LTRO+RTRO"), ref=rule("LPSI+RPSI"), ref_kind="posterior",
+    )
+    yield SegmentDefinition(
+        segment=SegmentId("head_neck"), origin=rule("C7"),
+        distal=rule("LFHD+RFHD+LBHD+RBHD"), superior="distal",
+        ref=rule("LFHD+RFHD"), ref_kind="anterior",
+    )
+    for side, s in (("left", "L"), ("right", "R")):
+        yield SegmentDefinition(
+            segment=SegmentId("thigh", side), origin=rule(f"{s}ASI*0.5+{s}TRO*0.5"),
+            distal=rule(f"{s}KNE_LAT+{s}KNE_MED"), ref=rule(f"{s}KNE_LAT"),
+            ref_kind="lateral",
+        )
+        yield SegmentDefinition(
+            segment=SegmentId("shank", side), origin=rule(f"{s}KNE_LAT+{s}KNE_MED"),
+            distal=rule(f"{s}ANK_LAT+{s}ANK_MED"), superior="distal",
+            ref=rule(f"{s}KNE_MED"), ref_kind="medial",
+        )
+        for ref, kind in ((f"{s}ANK_LAT", "lateral"), (f"{s}ANK_MED", "medial")):
+            yield SegmentDefinition(
+                segment=SegmentId("foot", side), origin=rule(f"{s}ANK_LAT+{s}ANK_MED"),
+                distal=rule(f"{s}TOE"), ref=rule(ref), ref_kind=kind,
+                style="anteroposterior",
+                forward=(rule(f"{s}HEE"), rule(f"{s}TOE")),
+            )
+
+
+@pytest.mark.parametrize(
+    "definition",
+    list(_custom_definitions()),
+    ids=lambda d: f"{d.segment}-{d.style}-{d.ref_kind}-superior_{d.superior}",
+)
+def test_segment_state_is_bitwise_the_row_major_reference(
+    walker, table, definition
+):
+    traj = _slice_markers(walker.markers, 0, 300)
+    origin, basis, length, com = _ref_segment_com_series(
+        traj, definition, table, walker.subject
+    )
+    for frame in (0, 137, 299):
+        state = segment_state(traj, definition, table, walker.subject, frame)
+        assert state.origin.tobytes() == origin[frame].tobytes()
+        assert state.basis.tobytes() == basis[frame].tobytes()
+        assert state.length_m == length[frame]
+        assert state.com.tobytes() == com[frame].tobytes()
 
 
 # ----------------------------------------------------------- point rules

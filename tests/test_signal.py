@@ -6,12 +6,15 @@ forward/backward passes) so the production path and the reference share
 no code.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
 
 from gaitkinetics import signal as gk_signal
 from gaitkinetics.errors import InputError
+from gaitkinetics.ingest import parse_force_file, write_force_file
 from gaitkinetics.signal import (
     UniformSeries,
     decimate,
@@ -19,6 +22,7 @@ from gaitkinetics.signal import (
     lowpass,
     smoothed_acceleration,
 )
+from gaitkinetics.synth import WalkerParams, synth_force_plates
 
 RATE = 200.0
 
@@ -122,6 +126,67 @@ def test_lowpass_filters_channels_independently():
     x = rng.normal(size=600)
     both = lowpass(UniformSeries(RATE, np.vstack([x, 3.0 * x])), 6.0, 4).values
     assert np.max(np.abs(both[1] - 3.0 * both[0])) <= 1e-9
+
+
+# --------------------------------------------------- grouped channels
+
+
+def per_channel_lowpass(values, rate, cutoff_hz, order):
+    """One ``sosfiltfilt`` call per channel, as ``lowpass`` once ran."""
+    sos = scipy.signal.butter(order, cutoff_hz, btype="low", fs=rate, output="sos")
+    out = np.empty_like(values)
+    for i, x in enumerate(values):
+        c = float(np.mean(x))
+        out[i] = scipy.signal.sosfiltfilt(sos, x - c, padtype="even", padlen=3 * order) + c
+    return out
+
+
+@pytest.mark.parametrize("n_channels", [1, 5, 48])
+@pytest.mark.parametrize("samples_per_call", [None, 150, 300, 700])
+def test_grouped_lowpass_is_bitwise_one_call_per_channel(
+    monkeypatch, n_channels, samples_per_call
+):
+    if samples_per_call is not None:  # groups of 1, 2 and 5 channels of 124 padded samples
+        monkeypatch.setattr(gk_signal, "_SAMPLES_PER_CALL", samples_per_call)
+    rng = np.random.default_rng(n_channels)
+    x = rng.normal(size=(n_channels, 100)) * rng.uniform(0.1, 1000.0, size=(n_channels, 1))
+    x += rng.normal(size=(n_channels, 1)) * 50.0
+    x[n_channels // 2] = 7.3  # a constant channel passes through exactly
+    out = lowpass(UniformSeries(RATE, x), 6.0, 4).values
+    assert out.tobytes() == per_channel_lowpass(x, RATE, 6.0, 4).tobytes()
+    assert np.array_equal(out[n_channels // 2], x[n_channels // 2])
+
+
+@pytest.mark.parametrize("samples_per_call", [None, 5_000, 20_000])
+def test_grouped_lowpass_keeps_the_bits_of_f_ordered_plate_input(
+    tmp_path, monkeypatch, samples_per_call
+):
+    if samples_per_call is not None:
+        monkeypatch.setattr(gk_signal, "_SAMPLES_PER_CALL", samples_per_call)
+    path = tmp_path / "forces.tsv"
+    write_force_file(path, synth_force_plates(WalkerParams(duration_s=2.0)))
+    plates = parse_force_file(path)
+    total = plates.total_force().T  # as the CLI's plate comparison passes it
+    assert total.flags.f_contiguous and not total.flags.c_contiguous
+    out = lowpass(UniformSeries(plates.sample_rate_hz, total), 80.0, 4).values
+    ref = per_channel_lowpass(total, plates.sample_rate_hz, 80.0, 4)
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_lowpass_memory_stays_within_the_output_and_a_few_groups():
+    x = np.random.default_rng(4).normal(size=(48, 24_000))
+    series = UniformSeries(RATE, x)
+    lowpass(series, 5.0, 4)  # first-call set-up out of the measurement
+    group_bytes = gk_signal._SAMPLES_PER_CALL // (24_000 + 24) * (24_000 + 24) * 8
+    tracemalloc.start()
+    try:
+        out = lowpass(series, 5.0, 4).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 4.1 groups above the output today; filtering all 48 channels in
+    # one call would take several times the output
+    assert peak < out.nbytes + 6 * group_bytes
 
 
 @pytest.mark.parametrize(

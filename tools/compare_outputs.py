@@ -1,0 +1,134 @@
+"""Compare the CLI's outputs at a git revision with those of this checkout.
+
+    python3 tools/compare_outputs.py REF [--seed N]
+
+Extracts ``REF`` into a temporary directory with ``git archive`` (no
+worktree is registered, so an interrupted run leaves nothing in ``.git``),
+generates seeded inputs once with ``benchmarks/worker.py generate`` (the
+``cli-plates-120s`` and ``cli-occluded-10s`` workloads), and runs in both
+trees, each in a fresh interpreter:
+
+- ``grf --force-file``, ``validate``, ``com --include-segment-coms yes``,
+  ``events`` and ``butterfly`` on the 120 s trial;
+- ``grf`` on each of the eight occluded 10 s trials.
+
+Every run writes to ``out`` under its own working directory, so the paths
+it prints read alike in both trees.  The sha256 of every output file, of
+stdout and of stderr, and the exit code are compared; each difference is
+listed and the script exits 1 if there is any, 0 otherwise.
+"""
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+RUN_MAIN = "import sys; from gaitkinetics.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _export(ref, dest):
+    """Write the files of ``ref`` into ``dest``."""
+    tar = subprocess.run(
+        ["git", "-C", str(REPO), "archive", "--format=tar", ref],
+        check=True,
+        capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def _generate(workload, seed, dest):
+    """Inputs of one benchmark workload; returns its trials' argv lists."""
+    worker = REPO / "benchmarks" / "worker.py"
+    subprocess.run(
+        [sys.executable, str(worker), "generate", workload, str(seed), str(dest)], check=True
+    )
+    plan = json.loads((dest / "plan.json").read_text(encoding="utf-8"))
+    return [trial["argv"] for trial in plan["trials"]]
+
+
+def _without_force_file(argv):
+    i = argv.index("--force-file")
+    return argv[:i] + argv[i + 2 :]
+
+
+def _commands(inputs, seed):
+    """{run name: argv} of every run compared."""
+    (plates,) = _generate("cli-plates-120s", seed, inputs / "plates")
+    markers_only = _without_force_file(plates)[1:]
+    runs = {
+        "grf-force-file": plates,
+        "validate": ["validate", *plates[1:]],
+        "com-segments": ["com", *markers_only, "--include-segment-coms", "yes"],
+        "events": ["events", *markers_only],
+        "butterfly": ["butterfly", *markers_only],
+    }
+    for i, argv in enumerate(_generate("cli-occluded-10s", seed, inputs / "occluded")):
+        runs[f"occluded-t{i}"] = argv
+    return runs
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(tree, name, argv, work):
+    """Digests of one run: {item: sha256 or exit code}."""
+    cwd = work / name
+    cwd.mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_MAIN, *argv, "--output-dir", "out"],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True,
+    )
+    digests = {
+        "exit code": proc.returncode,
+        "stdout": _sha256(proc.stdout),
+        "stderr": _sha256(proc.stderr),
+    }
+    for path in sorted((cwd / "out").rglob("*")):
+        if path.is_file():
+            digests[f"file {path.relative_to(cwd / 'out')}"] = _sha256(path.read_bytes())
+    return digests
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git revision to compare against, e.g. HEAD~1")
+    parser.add_argument("--seed", type=int, default=7, help="input seed (default 7)")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp = Path(tmp)
+        _export(args.ref, tmp / "ref")
+        runs = _commands(tmp / "inputs", args.seed)
+        trees = (tmp / "ref", REPO)
+        differences = 0
+        for name, run_argv in runs.items():
+            ref_digests, new_digests = (
+                _run(tree, name, run_argv, tmp / f"runs-{i}")
+                for i, tree in enumerate(trees)
+            )
+            for item in sorted(set(ref_digests) | set(new_digests)):
+                old, new = ref_digests.get(item), new_digests.get(item)
+                if old != new:
+                    differences += 1
+                    print(f"DIFFERS {name}: {item}: {old} -> {new}")
+            print(
+                f"{name}: {len(ref_digests)} items compared, "
+                f"exit code {new_digests['exit code']}"
+            )
+    print(f"{differences} difference(s) between {args.ref} and the checkout")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
