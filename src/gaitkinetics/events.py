@@ -15,11 +15,10 @@ intervals.  Phases cut off by the trial edges are flagged incomplete.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .errors import InputError, InternalInvariantError, NoGaitDataError
 from .ingest import _runs, _write_csv
-from .signal import UniformSeries
+from .signal import UniformSeries, find_peaks
 
 __all__ = [
     "SS_LEFT",
@@ -203,8 +202,8 @@ def detect_events_zeni(
     rel_toe = toe - sacrum
     distance = max(1, int(round(min_period_s * rate)))
 
-    heel_strikes, _ = scipy.signal.find_peaks(rel_heel, distance=distance)
-    toe_offs, _ = scipy.signal.find_peaks(-rel_toe, distance=distance)
+    heel_strikes = find_peaks(rel_heel, distance=distance)
+    toe_offs = find_peaks(-rel_toe, distance=distance)
     if heel_strikes.size == 0:
         raise NoGaitDataError("no heel-strike extremum found (series too short?)")
     if toe_offs.size == 0:
@@ -315,14 +314,9 @@ def build_timeline(
     label_names = {0: DOUBLE_STANCE, 1: SS_LEFT, 2: SS_RIGHT, 3: NO_STANCE}
 
     phases: list[Phase] = []
-    k = 0
-    while k < n_frames:
-        start = k
-        code = labels[k]
-        while k < n_frames and labels[k] == code:
-            k += 1
-        end = k - 1
-        label = label_names[int(code)]
+    cuts = np.flatnonzero(np.diff(labels)) + 1  # first frame of each run but the first
+    for start, end in zip([0, *cuts.tolist()], [*(cuts - 1).tolist(), n_frames - 1]):
+        label = label_names[int(labels[start])]
         if label == DOUBLE_STANCE:
             leading = next(
                 (foot for foot in ("left", "right") if start in hs_at[foot]), None

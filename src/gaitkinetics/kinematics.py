@@ -15,6 +15,7 @@ The whole-body CoM is the segment-mass-weighted mean over all 16 segments,
 accumulated in a fixed segment order so results are bitwise reproducible.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -149,16 +150,12 @@ class SegmentDefinition:
         if self.segment.kind == "hand":
             raise InputError("hands take no marker definition (wrist fallback rule)")
 
+    def point_rules(self) -> tuple[PointRule, ...]:
+        """Origin, distal, ref and (anteroposterior style) the forward pair."""
+        return (self.origin, self.distal, self.ref, *(self.forward or ()))
+
     def required_markers(self) -> tuple[str, ...]:
-        names = list(self.origin.marker_names) + list(self.distal.marker_names)
-        names += list(self.ref.marker_names)
-        if self.forward is not None:
-            names += list(self.forward[0].marker_names)
-            names += list(self.forward[1].marker_names)
-        seen: dict[str, None] = {}
-        for n in names:
-            seen.setdefault(n)
-        return tuple(seen)
+        return tuple(dict.fromkeys(n for r in self.point_rules() for n in r.marker_names))
 
 
 @dataclass
@@ -364,6 +361,31 @@ def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId):
     return np.ascontiguousarray(acc.T)
 
 
+class _Points:
+    """``_eval_point`` for the rules of some definitions, each evaluated once.
+
+    A result shared by several segments is held only until its last use:
+    keeping every result for the whole call would leave ~18 MB live on a
+    120 s trial and cost more in page faults than the repeats it saves.
+    A missing marker is reported with the first segment that needs it.
+    Callers never change a returned array in place.
+    """
+
+    def __init__(self, traj: MarkerTrajectorySet, definitions):
+        self.traj = traj
+        self.uses = Counter(rule for d in definitions for rule in d.point_rules())
+        self.held: dict[PointRule, np.ndarray] = {}
+
+    def __call__(self, rule: PointRule, segment: SegmentId) -> np.ndarray:
+        self.uses[rule] -= 1
+        if rule in self.held:
+            return self.held[rule] if self.uses[rule] else self.held.pop(rule)
+        value = _eval_point(self.traj, rule, segment)
+        if self.uses[rule]:
+            self.held[rule] = value
+        return value
+
+
 # Vector algebra on component-major (3, n) arrays, one row per coordinate.
 # Written out row by row: numpy reduces a length-3 last axis of (n, 3) data
 # several times slower, and these expressions give the same bits as
@@ -384,12 +406,13 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _unit(v: np.ndarray, segment: SegmentId, what: str) -> np.ndarray:
+def _unit(v: np.ndarray, segment: SegmentId) -> np.ndarray:
+    """v / |v| for the forward axis of an anteroposterior segment."""
     norm = _norm(v)
     bad = norm <= 0
     if np.any(bad):
         frame = int(np.argmax(bad))
-        raise InputError(f"{segment}: {what} has zero length at frame {frame}")
+        raise InputError(f"{segment}: forward axis has zero length at frame {frame}")
     return v / norm
 
 
@@ -408,16 +431,16 @@ def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId) -> np.ndarra
     return w_perp / norm_p
 
 
-def _basis_series(traj, definition: SegmentDefinition, origin, distal):
+def _basis_series(point: _Points, definition: SegmentDefinition, origin, distal, length):
     """Per-frame right-handed orthonormal basis as the axes (u_x, u_y, u_z),
-    each (3, n)."""
+    each (3, n).  ``length`` is the nonzero origin-distal distance."""
     seg = definition.segment
-    ref_pt = _eval_point(traj, definition.ref, seg)
+    ref_pt = point(definition.ref, seg)
     w = ref_pt - origin
 
     if definition.style == "longitudinal":
         sup, inf = (origin, distal) if definition.superior == "origin" else (distal, origin)
-        u_z = _unit(sup - inf, seg, "longitudinal axis")
+        u_z = (sup - inf) / length  # the norm of sup - inf, whichever end is up
         p = _perp_unit(w, u_z, seg)
         if definition.ref_kind in ("anterior", "posterior"):
             u_x = p if definition.ref_kind == "anterior" else -p
@@ -429,9 +452,9 @@ def _basis_series(traj, definition: SegmentDefinition, origin, distal):
             u_y = toward_left * p
             u_x = _cross(u_y, u_z)
     else:
-        fwd_from = _eval_point(traj, definition.forward[0], seg)
-        fwd_to = _eval_point(traj, definition.forward[1], seg)
-        u_x = _unit(fwd_to - fwd_from, seg, "forward axis")
+        fwd_from = point(definition.forward[0], seg)
+        fwd_to = point(definition.forward[1], seg)
+        u_x = _unit(fwd_to - fwd_from, seg)
         p = _perp_unit(w, u_x, seg)
         toward_left = 1.0 if definition.segment.side == "left" else -1.0
         if definition.ref_kind == "medial":
@@ -442,20 +465,20 @@ def _basis_series(traj, definition: SegmentDefinition, origin, distal):
     return u_x, u_y, u_z
 
 
-def _segment_com_series(traj, definition, table, subject):
+def _segment_com_series(point: _Points, definition, table, subject):
     """CoM track for one marker-defined segment.
 
     Returns (origin, distal, axes, length, com): origin, distal and com are
     (3, n), axes the (u_x, u_y, u_z) of ``_basis_series``, length (n,).
     """
     seg = definition.segment
-    origin = _eval_point(traj, definition.origin, seg)
-    distal = _eval_point(traj, definition.distal, seg)
+    origin = point(definition.origin, seg)
+    distal = point(definition.distal, seg)
     length = _norm(origin - distal)
     if np.any(length <= 0):
         frame = int(np.argmax(length <= 0))
         raise InputError(f"{seg}: origin and distal coincide at frame {frame}")
-    u_x, u_y, u_z = axes = _basis_series(traj, definition, origin, distal)
+    u_x, u_y, u_z = axes = _basis_series(point, definition, origin, distal, length)
     params = table.get(seg.kind, subject.sex)
     p_ml = -params.p_ml if seg.side == "left" else params.p_ml
     offset = params.p_ap * u_x + p_ml * u_y + params.p_si * u_z
@@ -473,7 +496,9 @@ def segment_state(
     """Pose of one segment at one frame (hands have no marker definition)."""
     if not 0 <= frame < traj.n_frames:
         raise InputError(f"frame {frame} out of range [0, {traj.n_frames})")
-    origin, _, axes, length, com = _segment_com_series(traj, definition, table, subject)
+    origin, _, axes, length, com = _segment_com_series(
+        _Points(traj, [definition]), definition, table, subject
+    )
     return SegmentState(
         segment=definition.segment,
         origin=origin[:, frame],
@@ -516,12 +541,13 @@ def com_trajectory(
     coms = np.empty((3, len(SEGMENT_IDS), n))
     masses = np.empty(len(SEGMENT_IDS))
     forearm_endpoints: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    point = _Points(traj, [defs[sid] for sid in SEGMENT_IDS if sid.kind != "hand"])
 
     for i, sid in enumerate(SEGMENT_IDS):
         masses[i] = segment_mass(table, subject, sid)
         if sid.kind == "hand":
             continue
-        origin, distal, _, _, com = _segment_com_series(traj, defs[sid], table, subject)
+        origin, distal, _, _, com = _segment_com_series(point, defs[sid], table, subject)
         if sid.kind == "forearm":
             forearm_endpoints[sid.side] = (distal, origin)
         coms[:, i, :] = com

@@ -15,12 +15,11 @@ valley, and a push-off peak, reported in units of body weight.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import InputError
 from .grf import GrfSeries
 from .ingest import _write_csv
-from .signal import UniformSeries
+from .signal import UniformSeries, find_peaks
 
 __all__ = [
     "AxisComparison",
@@ -144,7 +143,7 @@ def stance_vgrf_shape(vgrf, body_weight_n: float) -> StanceShape:
     if not np.all(np.isfinite(v)):
         raise InputError("stance profile contains non-finite values")
     bw = v / body_weight_n
-    peaks, _ = find_peaks(bw)
+    peaks = find_peaks(bw)
     if peaks.size < 2:
         top = float(np.max(bw))
         return StanceShape(

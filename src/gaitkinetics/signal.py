@@ -6,12 +6,18 @@ edges.  Differentiation uses second-order central differences inside the
 series and second-order one-sided stencils at the two edge samples.
 Decimation low-passes at 0.4x the target rate before taking every
 ``factor``-th sample; a factor of 1 is the identity and applies no filter.
+
+The filter design is computed here; the recursion and the peak search run
+in scipy's compiled ``_sosfilt`` and ``_peak_finding_utils`` kernels.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy
 
 from .errors import InputError
 
@@ -27,6 +33,32 @@ __all__ = [
 # channels amortise the per-call cost, and the bound keeps the filter's
 # temporaries small.
 _SAMPLES_PER_CALL = 1 << 16
+
+
+def _load_scipy_kernel(name: str):
+    """scipy's compiled ``scipy.signal.<name>`` module, loaded by file location.
+
+    Importing it by name would first run the ``scipy.signal`` package, which
+    takes over a second (it imports ``scipy.stats``, the window functions
+    and the array-API layer) for the four functions this module needs.
+    """
+    directory = os.path.join(os.path.dirname(scipy.__file__), "signal")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(f"scipy.signal.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(
+        f"scipy {scipy.__version__} has no compiled {name} kernel: "
+        f"{os.path.join(directory, name + importlib.machinery.EXTENSION_SUFFIXES[0])} "
+        "not found"
+    )
+
+
+_SOSFILT = _load_scipy_kernel("_sosfilt")
+_PEAKS = _load_scipy_kernel("_peak_finding_utils")
 
 
 @dataclass
@@ -85,10 +117,58 @@ def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[n
             f"series of {series.n_samples} samples is too short to mirror-pad "
             f"with {padlen} samples; need more than {padlen}"
         )
-    sos = scipy.signal.butter(
-        order, cutoff_hz, btype="low", fs=series.sample_rate_hz, output="sos"
-    )
+    # scipy's butter(order, cutoff_hz, fs=rate, output="sos") with the
+    # same float operations: design at fs = 2 (so 2 * fs = 4), prewarp,
+    # analog poles, bilinear transform, then one conjugate pair per section,
+    # nearest the unit circle last, every zero at -1 and the gain in section 0
+    wn = float(cutoff_hz) / (float(series.sample_rate_hz) / 2)
+    warped = float(4.0 * np.tan(np.pi * wn / 2.0))
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    poles = warped * -np.exp(1j * np.pi * m / (2 * order))
+    gain = warped**order * np.real(1.0 / np.prod(4.0 - poles))
+    poles = ((4.0 + poles) / (4.0 - poles))[order // 2 - 1 :: -1]
+    sos = np.zeros((order // 2, 6))
+    sos[:, :4] = (1.0, 2.0, 1.0, 1.0)
+    sos[:, 4] = -2.0 * poles.real
+    sos[:, 5] = poles.real * poles.real + poles.imag * poles.imag
+    sos[0, :3] *= gain
     return sos, padlen
+
+
+def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
+    """(sections, 2) states of a unit step in steady state, as ``sosfilt_zi``."""
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for k, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        i_minus_a = np.eye(2) - [[-a[1], 1.0], [-a[2], 0.0]]  # I - companion(a).T
+        zi[k] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """The biquad cascade along the last axis of (channels, N) data.
+
+    ``zi`` is (channels, sections, 2).  Runs scipy's kernel in place on a
+    C-contiguous copy in the inputs' result dtype, as ``sosfilt`` does.
+    """
+    dtype = np.result_type(sos, x, zi)
+    y = np.array(x, dtype, order="C")
+    _SOSFILT._sosfilt(sos.astype(dtype, copy=False), y, np.array(zi, dtype, order="C"))
+    return y
+
+
+def find_peaks(x: np.ndarray, distance: float | None = None) -> np.ndarray:
+    """Local maxima of a 1-D series, as scipy's ``find_peaks``.
+
+    A flat peak counts once, at its middle sample (the left one of two).
+    With ``distance``, a peak closer than that to a higher one is dropped.
+    """
+    x = np.asarray(x, dtype=np.float64, order="C")
+    peaks, _, _ = _PEAKS._local_maxima_1d(x)
+    if distance is not None:
+        peaks = peaks[_PEAKS._select_by_peak_distance(peaks, x[peaks], distance)]
+    return peaks
 
 
 def lowpass(series: UniformSeries, cutoff_hz: float, order: int = 4) -> UniformSeries:
@@ -103,14 +183,16 @@ def lowpass(series: UniformSeries, cutoff_hz: float, order: int = 4) -> UniformS
     samples (a longer channel alone), with the same bits as one at a time.
     """
     sos, padlen = _butterworth(series, cutoff_hz, order)
+    zi = _sosfilt_zi(sos)
     out = np.empty_like(series.values)
     rows = max(1, _SAMPLES_PER_CALL // (series.n_samples + 2 * padlen))
     for start in range(0, series.n_channels, rows):
         x = series.values[start : start + rows]
         c = np.array([[float(np.mean(row))] for row in x])
-        out[start : start + rows] = (
-            scipy.signal.sosfiltfilt(sos, x - c, padtype="even", padlen=padlen) + c
-        )
+        y = _mirror_extend(x - c, padlen)
+        y = _sosfilt(sos, y, zi * y[:, :1, np.newaxis])
+        y = _sosfilt(sos, y[:, ::-1], zi * y[:, -1:, np.newaxis])
+        out[start : start + rows] = y[:, ::-1][:, padlen:-padlen] + c
     return UniformSeries(sample_rate_hz=series.sample_rate_hz, values=out)
 
 
@@ -198,9 +280,7 @@ def _run_cascade(
     Each section starts from its steady state for a constant input equal
     to the channel's first sample, ``x0``.
     """
-    zi = np.asarray(states)[:, np.newaxis, :] * x0[:, np.newaxis]
-    y, _ = scipy.signal.sosfilt(sos, x, axis=-1, zi=zi)
-    return y
+    return _sosfilt(sos, x, np.asarray(states) * x0[:, np.newaxis, np.newaxis])
 
 
 def _zero_phase_extended(sos: np.ndarray, values: np.ndarray, padlen: int) -> np.ndarray:

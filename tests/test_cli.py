@@ -1,5 +1,8 @@
 """End-to-end command-line pipeline runs (invoked in-process)."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args
@@ -7,6 +10,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
+import gaitkinetics
 from gaitkinetics import cli
 from gaitkinetics.anthro import SubjectProfile, bundled_table_path, load_table
 from gaitkinetics.errors import InputError
@@ -404,6 +408,30 @@ def test_grf_writes_the_full_report_set(cli_files, tmp_path, capsys):
         assert f"wrote {out / name}" in captured.out
     header = (out / "grf.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("time_s,Fx_total")
+
+
+def test_grf_run_imports_neither_scipy_signal_nor_scipy_stats(cli_files, tmp_path):
+    # the filter and the peak search call scipy's compiled kernels directly;
+    # importing scipy.signal would add over a second to every invocation
+    script = (
+        "import sys; from gaitkinetics.cli import main; code = main(sys.argv[1:]); "
+        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules]); "
+        "sys.exit(code)"
+    )
+    src = str(Path(gaitkinetics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "grf",
+         "--marker-file", str(cli_files["markers"]),
+         "--force-file", str(cli_files["forces"]),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote " in proc.stdout and (tmp_path / "out" / "validation.csv").exists()
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_validate_reports_small_errors_on_matched_data(cli_files, tmp_path):

@@ -183,6 +183,28 @@ def test_timeline_phases_tile_and_label_the_trial():
     assert ds.trailing_foot == "right"
 
 
+@pytest.mark.parametrize(
+    "n_frames, tail",
+    [
+        (20, [(DOUBLE_STANCE, 10, 10, False), (SS_LEFT, 11, 19, True)]),
+        (11, [(DOUBLE_STANCE, 10, 10, False)]),  # a one-frame run ends the trial
+    ],
+)
+def test_timeline_keeps_one_frame_runs_and_runs_at_both_ends(n_frames, tail):
+    left = FootEvents("left", heel_strikes=(10,), toe_offs=(4,))
+    right = FootEvents("right", heel_strikes=(4,), toe_offs=(10,))
+    timeline = build_timeline(left, right, n_frames=n_frames, sample_rate_hz=100.0)
+    got = [(p.label, p.start, p.end, p.incomplete) for p in timeline.phases]
+    assert got == [
+        (SS_LEFT, 0, 3, True),  # left already in stance at the trial start
+        (DOUBLE_STANCE, 4, 4, False),
+        (SS_RIGHT, 5, 9, False),
+        *tail,
+    ]
+    feet = [(p.leading_foot, p.trailing_foot) for p in timeline.phases[1::2][:2]]
+    assert feet == [("right", "left"), ("left", "right")]
+
+
 def test_timeline_stance_masks_follow_the_phases():
     timeline = _mixed_timeline()
     left = timeline.stance_mask("left")
@@ -206,9 +228,12 @@ def test_timeline_single_foot_trial_is_one_incomplete_phase():
 def test_timeline_with_no_events_is_all_no_stance():
     empty_l = FootEvents("left", (), ())
     empty_r = FootEvents("right", (), ())
-    timeline = build_timeline(empty_l, empty_r, n_frames=30, sample_rate_hz=100.0)
-    assert [(p.label, p.start, p.end) for p in timeline.phases] == [(NO_STANCE, 0, 29)]
-    assert timeline.phases[0].incomplete
+    for n_frames in (30, 1):
+        timeline = build_timeline(empty_l, empty_r, n_frames, sample_rate_hz=100.0)
+        assert [(p.label, p.start, p.end) for p in timeline.phases] == [
+            (NO_STANCE, 0, n_frames - 1)
+        ]
+        assert timeline.phases[0].incomplete
 
 
 def test_timeline_validation_rejects_broken_tilings_and_frames():

@@ -145,6 +145,22 @@ def test_foot_style_segment_uses_the_forward_axis():
     assert np.max(np.abs(state.com - np.array([0.135, 0.0, 0.08]))) <= 1e-12
 
 
+def test_zero_length_forward_axis_is_rejected():
+    markers = {"HEL": (0.1, 0.0, 0.0), "TOE": (0.1, 0.0, 0.0), "ANK": (0.05, 0.0, 0.08)}
+    definition = SegmentDefinition(
+        segment=SegmentId("foot", "left"),
+        origin=PointRule.parse("ANK"),
+        distal=PointRule.parse("TOE"),
+        ref=PointRule.parse("ANK"),
+        ref_kind="lateral",
+        style="anteroposterior",
+        forward=(PointRule.parse("HEL"), PointRule.parse("TOE")),
+    )
+    message = "^left_foot: forward axis has zero length at frame 0"
+    with pytest.raises(InputError, match=message):
+        segment_state(_static_markers(markers), definition, _table_with({}), SUBJECT, 0)
+
+
 def test_collinear_axis_reference_is_rejected():
     markers = dict(RIGHT_THIGH_MARKERS)
     markers["REF"] = (0.0, 0.0, -1.0)  # on the longitudinal axis
@@ -260,6 +276,45 @@ def test_com_rejects_occluded_frames(walker, table, definitions):
     short.markers["LASI"][2] = np.nan
     with pytest.raises(InputError, match="missing at frame 2"):
         com_trajectory(short, definitions, table, walker.subject)
+
+
+@pytest.mark.parametrize(
+    "marker, segment",
+    [("T10", "thorax"), ("RKNE_MED", "right_thigh"), ("LANK_LAT", "left_shank")],
+)
+def test_a_shared_point_rule_reports_the_first_segment_that_needs_it(
+    walker, table, definitions, marker, segment
+):
+    # T10 is in STRN+T10 (thorax and abdomen), the knee and ankle centres
+    # are each one segment's distal end and the next one's origin
+    short = _slice_markers(walker.markers, 0, 4)
+    short.missing[marker][1] = True
+    short.markers[marker][1] = np.nan
+    message = f"^{segment}: marker '{marker}' missing at frame 1"
+    with pytest.raises(InputError, match=message):
+        com_trajectory(short, definitions, table, walker.subject)
+
+
+class _CountingDict(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_com_evaluates_each_distinct_point_rule_once(walker, table, definitions):
+    short = _slice_markers(walker.markers, 0, 4)
+    expect = com_trajectory(short, definitions, table, walker.subject)
+    short.markers = _CountingDict(short.markers)
+    com = com_trajectory(short, definitions, table, walker.subject)
+    rules = set()
+    for d in definitions.values():
+        rules |= {d.origin, d.distal, d.ref, *(d.forward or ())}
+    # 46 rules, 15 of them shared by two segments
+    assert len(rules) == 31
+    assert short.markers.reads == sum(len(rule.weights) for rule in rules)
+    assert com.segment_coms.tobytes() == expect.segment_coms.tobytes()
 
 
 def test_filtered_trajectory_keeps_the_weighted_mean_invariant(walker_com):

@@ -173,6 +173,16 @@ def test_grouped_lowpass_keeps_the_bits_of_f_ordered_plate_input(
     assert out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize(
+    "order, rate, cutoff_hz", [(2, 100.0, 10.0), (6, 250.0, 3.0), (8, 2000.0, 400.0)]
+)
+def test_lowpass_is_bitwise_scipy_sosfiltfilt_for_other_designs(order, rate, cutoff_hz):
+    rng = np.random.default_rng(order)
+    x = np.cumsum(rng.normal(size=(7, 333)), axis=1) + rng.normal(size=(7, 1)) * 100.0
+    out = lowpass(UniformSeries(rate, x), cutoff_hz, order).values
+    assert out.tobytes() == per_channel_lowpass(x, rate, cutoff_hz, order).tobytes()
+
+
 def test_lowpass_memory_stays_within_the_output_and_a_few_groups():
     x = np.random.default_rng(4).normal(size=(48, 24_000))
     series = UniformSeries(RATE, x)
@@ -204,6 +214,88 @@ def test_lowpass_rejects_bad_parameters(cutoff, order, n, message):
     series = UniformSeries(RATE, np.linspace(0.0, 1.0, n))
     with pytest.raises(InputError, match=message):
         lowpass(series, cutoff, order)
+
+
+# ------------------------------------- scipy's kernels, scipy.signal as oracle
+
+BUTTER_RATES = [100, 120, 150, 200, 250, 300, 500, 600, 1000, 1200, 2000]
+BUTTER_CUTOFFS = [0.5, 1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 40]
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_butterworth_sections_are_bitwise_scipy_butter(order):
+    n_cases = 0
+    for rate in BUTTER_RATES:
+        # decimate's anti-alias cutoff: 0.4 x the rate after factors 2, 5, 10
+        for cutoff in BUTTER_CUTOFFS + [0.4 * rate / factor for factor in (2, 5, 10)]:
+            if cutoff >= rate / 2:
+                continue
+            series = UniformSeries(rate, np.zeros(100))
+            sos, padlen = gk_signal._butterworth(series, cutoff, order)
+            expect = scipy.signal.butter(order, cutoff, fs=rate, output="sos")
+            assert sos.shape == expect.shape and sos.tobytes() == expect.tobytes(), (
+                rate,
+                cutoff,
+            )
+            assert padlen == 3 * order
+            zi = gk_signal._sosfilt_zi(sos)
+            expect_zi = scipy.signal.sosfilt_zi(expect)
+            assert zi.tobytes() == expect_zi.tobytes(), (rate, cutoff)
+            n_cases += 1
+    assert n_cases == 198
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_sosfilt_kernel_is_bitwise_scipy_sosfilt(dtype):
+    rng = np.random.default_rng(5)
+    sos = scipy.signal.butter(6, 7.0, fs=RATE, output="sos").astype(dtype)
+    x = (np.cumsum(rng.normal(size=(4, 500)), axis=1) * 10.0).astype(dtype)
+    zi = rng.normal(size=(3, 4, 2)).astype(dtype)  # scipy's (sections, channels, 2)
+    x_bytes, zi_bytes = x.tobytes(), zi.tobytes()
+    for data in (x, x[:, ::-1], np.asfortranarray(x)):
+        expect, _ = scipy.signal.sosfilt(sos, data, axis=-1, zi=zi)
+        got = gk_signal._sosfilt(sos, data, zi.transpose(1, 0, 2))
+        assert got.dtype == dtype
+        assert got.tobytes() == expect.tobytes()
+    assert x.tobytes() == x_bytes and zi.tobytes() == zi_bytes  # inputs left alone
+
+
+def test_missing_scipy_kernel_fails_naming_the_file():
+    with pytest.raises(ImportError, match=r"signal[/\\]_no_such_kernel\."):
+        gk_signal._load_scipy_kernel("_no_such_kernel")
+
+
+PEAK_SERIES = {
+    "plateaus": [0, 1, 1, 0, 2, 2, 2, 0, 3, 3, 3, 3, 1, 1, 4, 4, 0],
+    "ties": [0, 2, 0, 2, 0, 2, 0, 1, 2, 1, 2, 0],
+    "peaks at the ends": [5, 1, 3, 1, 5],
+    "plateaus at the ends": [5, 5, 1, 3, 3, 1, 5, 5],
+    "constant": [2.5] * 9,
+    "three samples": [0, 1, 0],
+    "three flat samples": [1, 1, 1],
+    "two samples": [0, 1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_SERIES))
+@pytest.mark.parametrize("distance", [None, 1, 2, 100])
+def test_find_peaks_gives_scipy_indices(name, distance):
+    x = np.array(PEAK_SERIES[name], dtype=float)
+    for series in (x, -x, np.repeat(x, 3)):
+        expect, _ = scipy.signal.find_peaks(series, distance=distance)
+        got = gk_signal.find_peaks(series, distance=distance)
+        assert got.tolist() == expect.tolist()
+
+
+@pytest.mark.parametrize("distance", [None, 1, 80, 100])
+def test_find_peaks_gives_scipy_indices_on_noisy_gait_like_series(distance):
+    rng = np.random.default_rng(9)
+    t = np.arange(2000) / RATE
+    x = np.sin(2 * np.pi * 0.9 * t) + 0.3 * rng.normal(size=t.size)
+    x = np.round(x, 1)  # many ties and short plateaus
+    expect, _ = scipy.signal.find_peaks(x, distance=distance)
+    got = gk_signal.find_peaks(x, distance=distance)
+    assert got.tolist() == expect.tolist()
 
 
 # --------------------------------------------------------- differentiation

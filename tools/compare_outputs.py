@@ -10,10 +10,12 @@ trees, each in a fresh interpreter:
 
 - ``grf --force-file``, ``validate``, ``com --include-segment-coms yes``,
   ``events`` and ``butterfly`` on the 120 s trial;
-- ``grf`` on each of the eight occluded 10 s trials.
+- ``grf`` on each of the eight occluded 10 s trials;
+- ``--help`` of the program and of each subcommand, which shows a change
+  to the CLI's imports or argparse set-up.
 
-Every run writes to ``out`` under its own working directory, so the paths
-it prints read alike in both trees.  The sha256 of every output file, of
+Every run but ``--help`` writes to ``out`` under its own working
+directory, so the paths it prints read alike in both trees.  The sha256 of every output file, of
 stdout and of stderr, and the exit code are compared; each difference is
 listed and the script exits 1 if there is any, 0 otherwise.
 """
@@ -31,6 +33,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 RUN_MAIN = "import sys; from gaitkinetics.cli import main; sys.exit(main(sys.argv[1:]))"
+SUBCOMMANDS = ("com", "events", "grf", "validate", "butterfly")
 
 
 def _export(ref, dest):
@@ -72,6 +75,10 @@ def _commands(inputs, seed):
     }
     for i, argv in enumerate(_generate("cli-occluded-10s", seed, inputs / "occluded")):
         runs[f"occluded-t{i}"] = argv
+    runs = {name: [*argv, "--output-dir", "out"] for name, argv in runs.items()}
+    runs["help"] = ["--help"]
+    for command in SUBCOMMANDS:
+        runs[f"help-{command}"] = [command, "--help"]
     return runs
 
 
@@ -84,7 +91,7 @@ def _run(tree, name, argv, work):
     cwd = work / name
     cwd.mkdir(parents=True)
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_MAIN, *argv, "--output-dir", "out"],
+        [sys.executable, "-c", RUN_MAIN, *argv],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
         capture_output=True,
