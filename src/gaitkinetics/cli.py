@@ -263,11 +263,6 @@ def _load_model(config: PipelineConfig):
     return table, definitions, subject
 
 
-def _compute_filtered_com(config: PipelineConfig, traj, table, definitions, subject):
-    com = com_trajectory(traj, definitions, table, subject)
-    return filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
-
-
 def _marker_series(traj, name: str, axis: int) -> UniformSeries:
     if name not in traj.markers:
         raise InputError(f"marker {name!r} not present in trial")
@@ -280,8 +275,9 @@ def _marker_series(traj, name: str, axis: int) -> UniformSeries:
     return UniformSeries(traj.sample_rate_hz, traj.markers[name][:, axis])
 
 
-def _detect_timeline(config: PipelineConfig, traj):
-    """Detect per-foot events on low-passed AP series and build the timeline."""
+def _event_series(config: PipelineConfig, traj) -> UniformSeries:
+    """AP coordinates of the sacrum, left heel and toe, and right heel and toe
+    markers: a copy, which shares no memory with ``traj``."""
     names = (
         config.sacrum_marker,
         config.left_heel_marker,
@@ -290,11 +286,15 @@ def _detect_timeline(config: PipelineConfig, traj):
         config.right_toe_marker,
     )
     ap = np.stack([_marker_series(traj, name, axis=0).values[0] for name in names])
-    filtered = lowpass(
-        UniformSeries(traj.sample_rate_hz, ap), config.cutoff_hz, config.filter_order
-    ).values
+    return UniformSeries(traj.sample_rate_hz, ap)
+
+
+def _detect_timeline(config: PipelineConfig, ap: UniformSeries):
+    """Detect per-foot events on the low-passed ``_event_series`` and build
+    the timeline."""
+    filtered = lowpass(ap, config.cutoff_hz, config.filter_order).values
     sacrum, left_heel, left_toe, right_heel, right_toe = (
-        UniformSeries(traj.sample_rate_hz, row) for row in filtered
+        UniformSeries(ap.sample_rate_hz, row) for row in filtered
     )
     events = {}
     try:
@@ -306,9 +306,7 @@ def _detect_timeline(config: PipelineConfig, traj):
             events[foot] = FootEvents(foot=foot, heel_strikes=hs, toe_offs=to)
     except NoGaitDataError as exc:
         raise NoGaitDataError(f"no complete gait cycle found: {exc}") from exc
-    return build_timeline(
-        events["left"], events["right"], traj.n_frames, traj.sample_rate_hz
-    )
+    return build_timeline(events["left"], events["right"], ap.n_samples, ap.sample_rate_hz)
 
 
 def run_com(config: PipelineConfig) -> list[Path]:
@@ -328,7 +326,7 @@ def run_com(config: PipelineConfig) -> list[Path]:
 
 def run_events(config: PipelineConfig) -> list[Path]:
     traj, _ = _load_markers(config)
-    timeline = _detect_timeline(config, traj)
+    timeline = _detect_timeline(config, _event_series(config, traj))
     out = _out_dir(config)
     events_path = out / "events.csv"
     write_events_csv(events_path, timeline)
@@ -360,8 +358,16 @@ def _compute_bilateral(config: PipelineConfig):
     """Full chain shared by grf and butterfly: markers -> per-limb forces."""
     traj, flagged = _load_markers(config)
     table, definitions, subject = _load_model(config)
-    com = _compute_filtered_com(config, traj, table, definitions, subject)
-    timeline = _detect_timeline(config, traj)
+    com = com_trajectory(traj, definitions, table, subject)
+    try:
+        ap = _event_series(config, traj)
+    except InputError as exc:  # reported after any error of the filter, which runs first
+        ap = exc
+    del traj  # the marker set is not held through the filter
+    com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
+    if isinstance(ap, InputError):
+        raise ap
+    timeline = _detect_timeline(config, ap)
     total = total_grf(com, subject, config.gravity_mps2)
     bilateral = decompose_gait(
         total,
@@ -383,6 +389,7 @@ def _compare_against_plates(config: PipelineConfig, marker_force) -> tuple[Path,
             f"of the marker rate {marker_force.sample_rate_hz} Hz"
         )
     plate_total = UniformSeries(plates.sample_rate_hz, plates.total_force().T)
+    del plates  # the plate arrays are not held through the decimation
     plate_at_marker_rate = decimate(plate_total, factor)
     plate_smooth = lowpass(plate_at_marker_rate, config.cutoff_hz, config.filter_order)
     n = min(plate_smooth.n_samples, marker_force.n_frames)
@@ -431,9 +438,11 @@ def run_validate(config: PipelineConfig) -> list[Path]:
     _require(config, "force_file")
     traj, _ = _load_markers(config)
     table, definitions, subject = _load_model(config)
-    com = _compute_filtered_com(config, traj, table, definitions, subject)
+    com = com_trajectory(traj, definitions, table, subject)
+    del traj  # the marker set is not held through the filter
+    com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
     total = total_grf(com, subject, config.gravity_mps2)
-    del traj, com  # not held across the plate parse
+    del com  # not held across the plate parse
     return list(_compare_against_plates(config, total))
 
 

@@ -17,14 +17,20 @@ Force-plate files
 In both, the first time stamp is free and each later one must follow the
 previous by 1/RATE within a quarter of a sample period, so a dropped or
 repeated row is rejected; blank lines may only end the file.  Files must
-be UTF-8 text.  The parsers read and parse the data in blocks of
-``_CHARS_PER_BLOCK`` characters, so a parse holds about the parsed arrays
-plus one block of text, never the whole file's.
+be UTF-8 text.  A parser counts the file's lines first and allocates its
+result's arrays from the count, then parses the data about
+``_BYTES_PER_BLOCK`` bytes at a time, copying each block's values into
+place.  So a parse holds its result plus one block of text, its lines and
+its values, never a second copy of the data.
 
 Both writers emit shortest round-trip float text (``repr``), so a
 write/parse cycle reproduces the numeric payload bit for bit.
 """
 
+import codecs
+import functools
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +64,8 @@ _TIME_STEP_TOLERANCE = 0.25
 # _write_csv formats this many values at a time
 _VALUES_PER_BLOCK = 1 << 12
 
-# the parsers read this many characters of data lines at a time
-_CHARS_PER_BLOCK = 1 << 20
+# the parsers read data lines this many bytes at a time, then to the end of the line
+_BYTES_PER_BLOCK = 1 << 20
 
 
 @dataclass
@@ -165,30 +171,53 @@ class ForcePlateSeries:
         return np.arange(self.n_frames) / self.sample_rate_hz
 
 
+def _count_lines(path) -> int:
+    """Number of lines of ``path`` less the blank one after a final ``\\n``:
+    its newlines, plus one if it does not end in one.  Read a block at a
+    time into one buffer.  The file is read again to be parsed, so it must
+    be a regular file, not a pipe."""
+    n, last = 0, ord("\n")
+    buffer = bytearray(_BYTES_PER_BLOCK)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                raise InputError(f"cannot read {path}: not a regular file")
+            while size := fh.readinto(buffer):
+                n += buffer.count(b"\n", 0, size)
+                last = buffer[size - 1]
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return n + (last != ord("\n"))
+
+
+def _read_block(fh, decode) -> str:
+    """The next ``_BYTES_PER_BLOCK`` bytes of ``fh`` and the rest of the line
+    they end in, decoded; "" at the end of the file."""
+    block = decode(fh.read(_BYTES_PER_BLOCK))
+    block += decode(fh.readline())  # resized in place, not copied
+    return block
+
+
 def _text_blocks(path, n_header: int):
     """Yield the first ``n_header`` lines of ``path`` as one list (fewer if
-    the file ends first), then its remaining lines in lists of about
-    ``_CHARS_PER_BLOCK`` characters.
+    the file ends first), then its remaining text in blocks of whole lines
+    of at least ``_BYTES_PER_BLOCK`` bytes (less at the end).
 
-    Lines are split at ``\\n`` only and lose any trailing ``\\r``.  As with
-    ``str.split``, the text after the last ``\\n`` is a line too, so a file
-    that ends in ``\\n`` ends in one blank line.
+    The file is read as bytes and decoded as UTF-8 a block at a time.  Each
+    block ends in ``\\n``, except perhaps the file's last.  Lines are split
+    at ``\\n`` only; header lines lose any trailing ``\\r``, data lines keep
+    it.  Once yielded, a block is held only by the caller.
     """
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        with open(path, "rb") as fh:
             header = [fh.readline()]
-            while len(header) < n_header and header[-1].endswith("\n"):
+            while len(header) < n_header and header[-1].endswith(b"\n"):
                 header.append(fh.readline())
-            yield [line.rstrip("\n").rstrip("\r") for line in header]
-            if not header[-1].endswith("\n"):
-                return
-            tail = ""
-            while chunk := fh.read(_CHARS_PER_BLOCK):
-                text = tail + chunk
-                lines = text.split("\n")
-                tail = lines.pop()
-                yield [line.rstrip("\r") for line in lines] if "\r" in text else lines
-            yield [tail.rstrip("\r")]
+            yield [decode(line).rstrip("\n").rstrip("\r") for line in header]
+            if header[-1].endswith(b"\n"):
+                yield from iter(functools.partial(_read_block, fh, decode), "")
+            decode(b"", True)  # a character cut short by the end of the file
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -217,42 +246,6 @@ def _parse_rate(lines: list[str], path) -> float:
     return rate
 
 
-def _row_blocks(path, blocks, first: int, n_cols: int):
-    """Yield ``(start, rows)`` for each list of data lines in ``blocks``, the
-    first of which is line ``first + 1`` of the file; ``start`` counts the
-    data rows before ``rows``.  Each row is checked to hold ``n_cols`` fields.
-
-    Blank lines may only end the file: one between data rows would shift
-    every later frame, so it is rejected, also when the row after it comes
-    in a later block.
-    """
-    start = 0
-    blank = None  # line number of the first of the blank lines that end the text so far
-    for rows in blocks:
-        n_lines = len(rows)
-        while rows and rows[-1] == "":
-            rows.pop()
-        if rows and blank is None and "" in rows:
-            blank = first + start + rows.index("") + 1
-        if rows and blank is not None:
-            raise InputError(f"{path}: line {blank} is blank; blank lines may only end the file")
-        if blank is None and len(rows) < n_lines:
-            blank = first + start + len(rows) + 1
-        if rows:
-            tabs = np.array([row.count("\t") for row in rows])
-            bad = np.flatnonzero(tabs != n_cols - 1)
-            if bad.size:
-                r = int(bad[0])
-                raise InputError(
-                    f"{path}: data row {start + r + 1} has {tabs[r] + 1} columns, "
-                    f"expected {n_cols}"
-                )
-            yield start, rows
-        start += n_lines
-    if start == 0 or blank == first + 1:  # no line, or blank lines only
-        raise InputError(f"{path}: zero data frames")
-
-
 def _loadtxt(rows: list[str]) -> np.ndarray:
     return np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
 
@@ -268,85 +261,144 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _parse_rows(path, rows: list[str], start: int, fields: list[str]) -> np.ndarray:
-    """Parse checked data rows, the first of which is data row ``start + 1``,
-    into an (n_rows, n_fields) float array; ``fields`` names each column for
-    error messages."""
+def _parse_rows(
+    path, rows: list[str], start: int, fields: list[str],
+    names: list[str] | None = None, look_first: bool = False,
+) -> tuple[np.ndarray, bool]:
+    """Parse data rows, the first of which is data row ``start + 1``, into an
+    (n_rows, n_fields) float array; ``fields`` names each column for error
+    messages.  With ``names`` (marker files), blank triplets read as ``0``.
+    Returns the array and whether a blank triplet was found.
+
+    The rows are looked at one by one only when the block as a whole does
+    not parse, or first with ``look_first``: then a row with the wrong number
+    of fields is reported first, a partially blank triplet next, and a field
+    that is not a number last.
+    """
+    if not look_first:
+        try:
+            values = _loadtxt(rows)
+            if values.shape[1] == len(fields):
+                return values, False
+        except ValueError:
+            pass
+    for r, row in enumerate(rows):
+        n_cols = row.count("\t") + 1
+        if n_cols != len(fields):
+            raise InputError(
+                f"{path}: data row {start + r + 1} has {n_cols} columns, expected {len(fields)}"
+            )
+    zeroed = names is not None and _zero_blank_triplets(path, rows, start, names)
     try:
-        return _loadtxt(rows)
+        return _loadtxt(rows), zeroed
     except ValueError:
-        r = next(r for r, row in enumerate(rows) if not _is_number(row))
-        c = next(c for c, f in enumerate(rows[r].split("\t")) if not _is_number(f))
-        raise InputError(
-            f"{path}: data row {start + r + 1}, {fields[c]}: non-numeric value"
-        ) from None
+        pass
+    r = next(r for r, row in enumerate(rows) if not _is_number(row))
+    c = next(c for c, f in enumerate(rows[r].split("\t")) if not _is_number(f))
+    raise InputError(f"{path}: data row {start + r + 1}, {fields[c]}: non-numeric value")
 
 
-def _check_times(path, blocks: list[np.ndarray], rate: float) -> None:
-    """Check the time stamps in column 0 of the parsed blocks.
+def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) -> bool:
+    """Rewrite blank coordinate triplets in place as ``0``, the other occlusion
+    mark; True if any was.
 
-    The first is free, and each later one must follow the one before by
-    1/rate within ``_TIME_STEP_TOLERANCE`` sample periods, which a dropped or
-    repeated row breaks.
+    ``rows`` begin at data row ``start + 1`` and hold one field per
+    coordinate.  A field is blank when it is empty or holds only spaces;
+    only rows that can hold one are split, one at a time.  A triplet with
+    one or two blank fields is rejected.
     """
-    times = np.concatenate([block[:, 0] for block in blocks])
-    bad = np.flatnonzero(~(np.abs(np.diff(times) * rate - 1.0) <= _TIME_STEP_TOLERANCE))
-    if bad.size:
-        r = int(bad[0]) + 1
-        raise InputError(
-            f"{path}: data row {r + 1}: time {float(times[r])!r} s follows "
-            f"{float(times[r - 1])!r} s, but rows must step by 1/RATE = {1.0 / rate!r} s "
-            "(dropped or repeated row?)"
-        )
-
-
-def _gather(blocks: list[np.ndarray], n_groups: int, widths: list[int]) -> list[np.ndarray]:
-    """Gather the columns after the time into (n_groups, n_rows, width) arrays.
-
-    After the time, each row holds ``n_groups`` groups of ``sum(widths)``
-    values; output ``k`` takes the ``widths[k]`` values after those of the
-    outputs before it.  ``blocks`` is emptied as it is copied, so the parsed
-    data is held only about once.
-    """
-    n = sum(len(block) for block in blocks)
-    outs = [np.empty((n_groups, n, w)) for w in widths]
-    edges = np.cumsum([0, *widths]).tolist()
-    blocks.reverse()
-    a = 0
-    while blocks:
-        block = blocks.pop()
-        k = len(block)
-        groups = block[:, 1:].reshape(k, n_groups, edges[-1]).transpose(1, 0, 2)
-        for out, lo, hi in zip(outs, edges, edges[1:]):
-            out[:, a : a + k] = groups[:, :, lo:hi]
-        a += k
-    return outs
-
-
-def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) -> None:
-    """Rewrite blank coordinate triplets in place as ``0``, the other occlusion mark.
-
-    ``rows`` begin at data row ``start + 1``.  A field is blank when it is
-    empty or holds only spaces; only rows that can hold one are split, one at
-    a time.  A triplet with one or two blank fields is rejected.
-    """
+    zeroed = False
     for r, row in enumerate(rows):
         if not ("\t\t" in row or row[-1] == "\t" or " " in row):
             continue
         fields = row.split("\t")
         # a blank time is left blank, so that it fails to parse
-        blank = [False] + [not f.strip(" ") for f in fields[1:]]
-        partial = np.flatnonzero(np.reshape(blank[1:], (-1, 3)).sum(axis=1) % 3)
-        if partial.size:
+        blank = bytes([False] + [not f.strip(" ") for f in fields[1:]])
+        first = blank[1::3]  # each triplet's first flag; triplets compared as bytes
+        if blank[2::3] != first or blank[3::3] != first:
+            m = next(m for m in range(len(names)) if len(set(blank[3 * m + 1 : 3 * m + 4])) > 1)
             raise InputError(
-                f"{path}: data row {start + r + 1}, marker {names[partial[0]]!r}: "
+                f"{path}: data row {start + r + 1}, marker {names[m]!r}: "
                 "partially blank coordinate triplet"
             )
-        rows[r] = "\t".join(["0" if b else f for f, b in zip(fields, blank)])
+        if any(first):
+            rows[r] = "\t".join(["0" if b else f for f, b in zip(fields, blank)])
+            zeroed = True
+    return zeroed
+
+
+def _data_blocks(path, blocks, first: int, fields: list[str], width: int, rate: float,
+                 capacity: int, names: list[str] | None = None):
+    """Parse the data text ``blocks`` of ``_text_blocks``, which begin at
+    line ``first + 1`` of the file, a block at a time.
+
+    Yields ``(start, groups)`` per block: its k rows are data rows
+    ``start + 1`` to ``start + k``, and ``groups`` is a (n_groups, k, width)
+    view of the values after the time, one group of ``width`` per marker or
+    plate.  ``fields`` names the time and then each value, and ``names``
+    (marker files only) each marker; with it, blank triplets read as ``0``.
+
+    Blank lines may only end the file: one between data rows would shift
+    every later frame, so it is rejected, also when the row after it comes
+    in a later block.  A file with more than ``capacity`` data rows changed
+    since its lines were counted, and is rejected.  The first time stamp is
+    free, and each later one must follow the one before by 1/rate within
+    ``_TIME_STEP_TOLERANCE`` sample periods, which a dropped or repeated row
+    breaks; this is reported after the last block, so that any other fault
+    is reported first.
+    """
+    start = 0  # data rows before the block
+    blank = None  # line number of the first of the blank lines that end the text so far
+    bad_step = None  # (data row, time, time before) of the first bad step
+    previous = np.empty(0)  # the last time of the block before
+    after_blanks = False  # whether the block before held a blank triplet
+    for text in blocks:
+        rows = text.split("\n")
+        if "\r" in text:
+            rows = [row.rstrip("\r") for row in rows]
+        n_lines = len(rows) - text.endswith("\n")  # a final \n ends a line, starts none
+        del text  # the rows hold the same characters
+        while rows and rows[-1] == "":
+            rows.pop()
+        if rows and blank is None and "" in rows:
+            blank = first + start + rows.index("") + 1
+        if rows and blank is not None:
+            raise InputError(f"{path}: line {blank} is blank; blank lines may only end the file")
+        if blank is None and len(rows) < n_lines:
+            blank = first + start + len(rows) + 1
+        if rows:
+            if start + len(rows) > capacity:
+                raise InputError(
+                    f"{path}: more than the {capacity} data rows counted before "
+                    "parsing; the file changed while it was read"
+                )
+            # a block after one with blank triplets likely holds some too, and
+            # would fail to parse before they are zeroed
+            values, after_blanks = _parse_rows(path, rows, start, fields, names, after_blanks)
+            del rows
+            times = np.concatenate([previous, values[:, 0]])
+            bad = np.flatnonzero(~(np.abs(np.diff(times) * rate - 1.0) <= _TIME_STEP_TOLERANCE))
+            if bad_step is None and bad.size:
+                r = int(bad[0]) + 1
+                bad_step = (start + r - previous.size, times[r], times[r - 1])
+            previous = times[-1:]
+            yield start, values[:, 1:].reshape(len(values), -1, width).transpose(1, 0, 2)
+            del values  # not held through the next read
+        start += n_lines
+    if start == 0 or blank == first + 1:  # no line, or blank lines only
+        raise InputError(f"{path}: zero data frames")
+    if bad_step is not None:
+        r, t, before = bad_step
+        raise InputError(
+            f"{path}: data row {r + 1}: time {float(t)!r} s follows "
+            f"{float(before)!r} s, but rows must step by 1/RATE = {1.0 / rate!r} s "
+            "(dropped or repeated row?)"
+        )
 
 
 def parse_marker_file(path) -> MarkerTrajectorySet:
     """Parse a marker TSV file into a MarkerTrajectorySet (metres)."""
+    capacity = max(0, _count_lines(path) - 3)
     blocks = _text_blocks(path, 3)
     lines = next(blocks)
     rate = _parse_rate(lines, path)
@@ -365,14 +417,16 @@ def parse_marker_file(path) -> MarkerTrajectorySet:
         raise InputError(f"{path}: duplicate marker names in header")
 
     fields = ["time"] + [f"marker {name!r}" for name in names for _ in range(3)]
-    data = []
-    for start, rows in _row_blocks(path, blocks, 3, len(fields)):
-        _zero_blank_triplets(path, rows, start, names)
-        data.append(_parse_rows(path, rows, start, fields))
-    _check_times(path, data, rate)
-    (pos,) = _gather(data, len(names), [3])
-    # an all-zero triplet (a blank one was zeroed above) marks an occlusion
-    missing = (pos == 0.0).all(axis=2)
+    pos = np.empty((len(names), capacity, 3))
+    missing = np.empty((len(names), capacity), dtype=bool)
+    n = 0
+    for start, groups in _data_blocks(path, blocks, 3, fields, 3, rate, capacity, names):
+        n = start + groups.shape[1]
+        pos[:, start:n] = groups
+        # an all-zero triplet (a blank one was zeroed) marks an occlusion
+        missing[:, start:n] = (groups == 0.0).all(axis=2)
+    # views, when trailing blank lines were counted
+    pos, missing = pos[:, :n], missing[:, :n]
     if unit == "mm":
         pos /= 1000.0  # correctly rounded, value by value
     pos[missing] = np.nan
@@ -426,6 +480,7 @@ def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
 def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> ForcePlateSeries:
     """Parse a force-plate TSV file (newtons / metres); see ``ForcePlateSeries``
     for ``noise_floor_n``."""
+    capacity = max(0, _count_lines(path) - 2)
     blocks = _text_blocks(path, 2)
     lines = next(blocks)
     rate = _parse_rate(lines, path)
@@ -438,14 +493,15 @@ def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> Forc
         raise InputError(f"{path}: PLATES must be >= 1, got {n_plates}")
 
     fields = ["time"] + [f"plate {p + 1}" for p in range(n_plates) for _ in range(5)]
-    data = [
-        _parse_rows(path, rows, start, fields)
-        for start, rows in _row_blocks(path, blocks, 2, len(fields))
-    ]
-    _check_times(path, data, rate)
-    forces, cop = _gather(data, n_plates, [3, 2])
+    forces = np.empty((n_plates, capacity, 3))
+    cop = np.empty((n_plates, capacity, 2))
+    n = 0
+    for start, groups in _data_blocks(path, blocks, 2, fields, 5, rate, capacity):
+        n = start + groups.shape[1]
+        forces[:, start:n] = groups[:, :, :3]
+        cop[:, start:n] = groups[:, :, 3:]
     return ForcePlateSeries(
-        sample_rate_hz=rate, forces=forces, cop=cop, noise_floor_n=noise_floor_n
+        sample_rate_hz=rate, forces=forces[:, :n], cop=cop[:, :n], noise_floor_n=noise_floor_n
     )
 
 

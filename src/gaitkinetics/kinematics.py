@@ -342,27 +342,28 @@ def bundled_definitions_path():
     return resources.files("gaitkinetics").joinpath("data", "segment_definitions.txt")
 
 
-def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId):
-    """Evaluate an affine marker combination over all frames -> (3, n)."""
+def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId, frames: slice):
+    """Evaluate an affine marker combination over ``frames`` -> (3, n)."""
     acc = None
     for name, w in rule.weights:
         if name not in traj.markers:
             raise InputError(f"{segment}: marker {name!r} not present in trial")
-        miss = traj.missing[name]
+        miss = traj.missing[name][frames]
         if miss.any():
-            frame = int(np.argmax(miss))
+            frame = frames.start + int(np.argmax(miss))
             raise InputError(
                 f"{segment}: marker {name!r} missing at frame {frame} "
                 "(fill or trim gaps first)"
             )
-        term = w * traj.markers[name]
+        term = w * traj.markers[name][frames]
         acc = term if acc is None else acc + term
     # summed on the contiguous (n, 3) marker arrays, transposed once
     return np.ascontiguousarray(acc.T)
 
 
 class _Points:
-    """``_eval_point`` for the rules of some definitions, each evaluated once.
+    """``_eval_point`` for the rules of some definitions, each evaluated once,
+    over the frames ``start`` to ``stop`` (all by default).
 
     A result shared by several segments is held only until its last use:
     keeping every result for the whole call would leave ~18 MB live on a
@@ -371,8 +372,9 @@ class _Points:
     Callers never change a returned array in place.
     """
 
-    def __init__(self, traj: MarkerTrajectorySet, definitions):
+    def __init__(self, traj: MarkerTrajectorySet, definitions, start: int = 0, stop=None):
         self.traj = traj
+        self.frames = slice(start, stop)
         self.uses = Counter(rule for d in definitions for rule in d.point_rules())
         self.held: dict[PointRule, np.ndarray] = {}
 
@@ -380,7 +382,7 @@ class _Points:
         self.uses[rule] -= 1
         if rule in self.held:
             return self.held[rule] if self.uses[rule] else self.held.pop(rule)
-        value = _eval_point(self.traj, rule, segment)
+        value = _eval_point(self.traj, rule, segment, self.frames)
         if self.uses[rule]:
             self.held[rule] = value
         return value
@@ -406,24 +408,26 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _unit(v: np.ndarray, segment: SegmentId) -> np.ndarray:
-    """v / |v| for the forward axis of an anteroposterior segment."""
+def _unit(v: np.ndarray, segment: SegmentId, start: int) -> np.ndarray:
+    """v / |v| for the forward axis of an anteroposterior segment; ``v``
+    begins at frame ``start``."""
     norm = _norm(v)
     bad = norm <= 0
     if np.any(bad):
-        frame = int(np.argmax(bad))
+        frame = start + int(np.argmax(bad))
         raise InputError(f"{segment}: forward axis has zero length at frame {frame}")
     return v / norm
 
 
-def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId) -> np.ndarray:
-    """Unit component of w orthogonal to a unit axis; rejects near-collinear."""
+def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId, start: int) -> np.ndarray:
+    """Unit component of w orthogonal to a unit axis; rejects near-collinear.
+    ``w`` begins at frame ``start``."""
     w_perp = w - _dot(w, axis) * axis
     norm_w = _norm(w)
     norm_p = _norm(w_perp)
     bad = norm_p <= _COLLINEAR_SIN * norm_w
     if np.any(bad):
-        frame = int(np.argmax(bad))
+        frame = start + int(np.argmax(bad))
         raise InputError(
             f"{segment}: axis reference is collinear with the primary axis "
             f"(within 1e-3 rad) at frame {frame}"
@@ -434,14 +438,14 @@ def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId) -> np.ndarra
 def _basis_series(point: _Points, definition: SegmentDefinition, origin, distal, length):
     """Per-frame right-handed orthonormal basis as the axes (u_x, u_y, u_z),
     each (3, n).  ``length`` is the nonzero origin-distal distance."""
-    seg = definition.segment
+    seg, start = definition.segment, point.frames.start
     ref_pt = point(definition.ref, seg)
     w = ref_pt - origin
 
     if definition.style == "longitudinal":
         sup, inf = (origin, distal) if definition.superior == "origin" else (distal, origin)
         u_z = (sup - inf) / length  # the norm of sup - inf, whichever end is up
-        p = _perp_unit(w, u_z, seg)
+        p = _perp_unit(w, u_z, seg, start)
         if definition.ref_kind in ("anterior", "posterior"):
             u_x = p if definition.ref_kind == "anterior" else -p
             u_y = _cross(u_z, u_x)
@@ -454,8 +458,8 @@ def _basis_series(point: _Points, definition: SegmentDefinition, origin, distal,
     else:
         fwd_from = point(definition.forward[0], seg)
         fwd_to = point(definition.forward[1], seg)
-        u_x = _unit(fwd_to - fwd_from, seg)
-        p = _perp_unit(w, u_x, seg)
+        u_x = _unit(fwd_to - fwd_from, seg, start)
+        p = _perp_unit(w, u_x, seg, start)
         toward_left = 1.0 if definition.segment.side == "left" else -1.0
         if definition.ref_kind == "medial":
             toward_left = -toward_left
@@ -476,7 +480,7 @@ def _segment_com_series(point: _Points, definition, table, subject):
     distal = point(definition.distal, seg)
     length = _norm(origin - distal)
     if np.any(length <= 0):
-        frame = int(np.argmax(length <= 0))
+        frame = point.frames.start + int(np.argmax(length <= 0))
         raise InputError(f"{seg}: origin and distal coincide at frame {frame}")
     u_x, u_y, u_z = axes = _basis_series(point, definition, origin, distal, length)
     params = table.get(seg.kind, subject.sex)
@@ -493,18 +497,22 @@ def segment_state(
     subject: SubjectProfile,
     frame: int,
 ) -> SegmentState:
-    """Pose of one segment at one frame (hands have no marker definition)."""
+    """Pose of one segment at one frame (hands have no marker definition).
+
+    Only that frame is evaluated, so only a fault there (a missing marker,
+    coincident endpoints, a collinear reference) is an error.
+    """
     if not 0 <= frame < traj.n_frames:
         raise InputError(f"frame {frame} out of range [0, {traj.n_frames})")
     origin, _, axes, length, com = _segment_com_series(
-        _Points(traj, [definition]), definition, table, subject
+        _Points(traj, [definition], frame, frame + 1), definition, table, subject
     )
     return SegmentState(
         segment=definition.segment,
-        origin=origin[:, frame],
-        basis=np.stack([u[:, frame] for u in axes], axis=-1),
-        length_m=float(length[frame]),
-        com=com[:, frame],
+        origin=origin[:, 0],
+        basis=np.stack([u[:, 0] for u in axes], axis=-1),
+        length_m=float(length[0]),
+        com=com[:, 0],
     )
 
 
@@ -537,10 +545,8 @@ def com_trajectory(
         if sid.kind != "hand" and sid not in defs:
             raise InputError(f"missing segment definition for {sid}")
 
-    n = traj.n_frames
-    coms = np.empty((3, len(SEGMENT_IDS), n))
+    coms = np.empty((3, len(SEGMENT_IDS), traj.n_frames))
     masses = np.empty(len(SEGMENT_IDS))
-    forearm_endpoints: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     point = _Points(traj, [defs[sid] for sid in SEGMENT_IDS if sid.kind != "hand"])
 
     for i, sid in enumerate(SEGMENT_IDS):
@@ -548,17 +554,14 @@ def com_trajectory(
         if sid.kind == "hand":
             continue
         origin, distal, _, _, com = _segment_com_series(point, defs[sid], table, subject)
-        if sid.kind == "forearm":
-            forearm_endpoints[sid.side] = (distal, origin)
         coms[:, i, :] = com
-
-    for i, sid in enumerate(SEGMENT_IDS):
-        if sid.kind != "hand":
-            continue
-        if sid.side not in forearm_endpoints:
-            raise InputError(f"{sid}: no forearm definition to derive the hand from")
-        wrist, elbow = forearm_endpoints[sid.side]
-        coms[:, i, :] = hand_com(wrist.T, elbow.T).T
+        if sid.kind == "forearm":
+            # the hand from the forearm's wrist (distal) and elbow (origin)
+            # right away, so that no segment's endpoints are held through
+            # the segments that follow
+            hand = SEGMENT_IDS.index(SegmentId("hand", sid.side))
+            coms[:, hand, :] = hand_com(distal.T, origin.T).T
+        del origin, distal, com
 
     whole = _weighted_mean(coms, masses)
     return ComTrajectory(

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args
@@ -499,3 +500,93 @@ def test_synth_module_writes_the_demo_trial(tmp_path, capsys):
     assert (tmp_path / "demo" / "walker_markers.tsv").exists()
     assert (tmp_path / "demo" / "walker_forces.tsv").exists()
     assert captured.out.count("wrote ") == 2
+
+
+# ------------------------------------------------- what a run holds, and when
+
+
+@pytest.mark.parametrize("command", ["grf", "validate", "butterfly"])
+def test_markers_are_dropped_before_the_filter_and_plates_before_decimation(
+    cli_files, tmp_path, monkeypatch, command
+):
+    held = {}
+
+    def record(kind, fn, arrays):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            array = arrays(result)
+            assert array.base is not None  # a view of the parser's one array
+            held[kind] = (weakref.ref(result), weakref.ref(array.base))
+            return result
+
+        return wrapped
+
+    def check_dropped(kind, fn):
+        def wrapped(*args, **kwargs):
+            assert all(ref() is None for ref in held.pop(kind)), f"{kind} still held"
+            held[f"{kind} checked"] = True
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name, wrapper in (
+        ("fill_gaps", record("markers", cli.fill_gaps, lambda traj: traj.markers["LASI"])),
+        ("parse_force_file", record("plates", cli.parse_force_file, lambda s: s.forces)),
+        ("filter_com_trajectory", check_dropped("markers", cli.filter_com_trajectory)),
+        ("decimate", check_dropped("plates", cli.decimate)),
+    ):
+        monkeypatch.setattr(cli, name, wrapper)
+    code = _run(
+        [command, "--marker-file", str(cli_files["markers"]),
+         "--force-file", str(cli_files["forces"]),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS
+    )
+    assert code == 0
+    assert held.pop("markers checked")
+    assert held.pop("plates checked", False) == (command != "butterfly")
+    assert not held
+
+
+def test_the_filter_error_still_comes_before_an_event_marker_error(tmp_path, capsys):
+    trial = generate_walker(WalkerParams(duration_s=4.0))
+    short = tmp_path / "ten_frames.tsv"
+    write_marker_file(short, _slice_markers(trial.markers, 10))
+    argv = ["grf", "--marker-file", str(short), "--left-heel-marker", "NOPE",
+            "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS
+    code, captured = _run(argv, capsys)
+    assert code == 2
+    assert captured.err == (
+        "error: series of 10 samples is too short to mirror-pad with 12 samples; "
+        "need more than 12\n"
+    )
+    argv[2] = str(tmp_path / "long.tsv")
+    write_marker_file(argv[2], trial.markers)
+    code, captured = _run(argv, capsys)
+    assert code == 2
+    assert captured.err == "error: marker 'NOPE' not present in trial\n"
+
+
+def test_stage_rss_tool_prints_memory_after_each_stage(cli_files, tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "stage_rss.py"
+    src = Path(gaitkinetics.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--src", str(src), "grf",
+         "--marker-file", str(cli_files["markers"]),
+         "--force-file", str(cli_files["forces"]),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote " in proc.stdout
+    header, *rows = proc.stderr.splitlines()
+    assert header.split() == ["stage", "rss_mb", "peak_mb"]
+    stages = [row.split()[0] for row in rows]
+    assert stages[0] == "import" and rows[-1].split()[:2] == ["exit", "0"]
+    for stage in ("parse_marker_file", "com_trajectory", "filter_com_trajectory",
+                  "parse_force_file", "decimate", "write_comparison_text"):
+        assert stage in stages
+    peaks = [float(row.split()[-1]) for row in rows]
+    assert peaks == sorted(peaks) and all(
+        float(row.split()[-2]) <= peak + 1.0 for row, peak in zip(rows, peaks)
+    )

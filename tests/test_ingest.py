@@ -1,5 +1,7 @@
 """Marker/force file parsing, writing, and gap filling."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from gaitkinetics.ingest import (
     write_force_file,
     write_marker_file,
 )
-from gaitkinetics.synth import WalkerParams, generate_walker
+from gaitkinetics.synth import WalkerParams, generate_walker, synth_force_plates
 
 
 def _marker_text(rows, names=("M1",), rate="200.0", units="m"):
@@ -449,12 +451,12 @@ def _gapped_walker(duration_s, seed):
     return traj
 
 
-@pytest.mark.parametrize("chars_per_block", [300, 5000])
-def test_many_block_parse_is_bit_identical_to_one_block(tmp_path, monkeypatch, chars_per_block):
+@pytest.mark.parametrize("bytes_per_block", [300, 5000])
+def test_many_block_parse_is_bit_identical_to_one_block(tmp_path, monkeypatch, bytes_per_block):
     path = tmp_path / "walker.tsv"
     write_marker_file(path, _gapped_walker(2.0, seed=23))
     whole = parse_marker_file(path)
-    monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", chars_per_block)
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
     blocks = parse_marker_file(path)
     assert blocks.marker_names == whole.marker_names
     for name in whole.marker_names:
@@ -490,15 +492,15 @@ def test_errors_in_a_later_block_name_the_same_row(tmp_path, monkeypatch, fault,
     with pytest.raises(InputError, match=message):
         parse_marker_file(path)
     # every block size from one that splits a row to one that holds a few
-    for chars_per_block in range(20, 120, 7):
-        monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", chars_per_block)
+    for bytes_per_block in range(20, 120, 7):
+        monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
         with pytest.raises(InputError, match=message):
             parse_marker_file(path)
 
 
-@pytest.mark.parametrize("chars_per_block", range(1, 80, 3))
-def test_blank_lines_across_block_boundaries(tmp_path, monkeypatch, chars_per_block):
-    monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", chars_per_block)
+@pytest.mark.parametrize("bytes_per_block", range(1, 80, 3))
+def test_blank_lines_across_block_boundaries(tmp_path, monkeypatch, bytes_per_block):
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
     rows = _two_marker_rows(6)
     trailing = _marker_text(rows, names=("M1", "M2")) + "\n" * 40
     assert parse_marker_file(_write(tmp_path, trailing)).n_frames == 6
@@ -516,8 +518,8 @@ def test_crlf_split_between_blocks_parses(tmp_path, monkeypatch):
     path = tmp_path / "crlf.tsv"
     path.write_bytes(crlf.encode("utf-8"))
     # the first data block ends between the first row's \r and its \n
-    for chars_per_block in (len(rows[0]) + 1, 2 * len(rows[0]) + 3):
-        monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", chars_per_block)
+    for bytes_per_block in (len(rows[0]) + 1, 2 * len(rows[0]) + 3):
+        monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
         back = parse_marker_file(path)
         for name in ("M1", "M2"):
             assert back.markers[name].tobytes() == lf.markers[name].tobytes()
@@ -531,7 +533,7 @@ def test_non_utf8_input_is_an_input_error(tmp_path, monkeypatch):
         parse_marker_file(in_header)
 
     # mid-stream: the bad byte arrives in a later block of data
-    monkeypatch.setattr(ingest, "_CHARS_PER_BLOCK", 64)
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", 64)
     mid = tmp_path / "mid.tsv"
     mid.write_bytes(good[: len(good) - 100] + b"\xff" + good[len(good) - 99 :])
     with pytest.raises(InputError, match="mid.tsv: not UTF-8"):
@@ -573,3 +575,246 @@ def test_fill_gaps_shares_the_arrays_of_markers_it_leaves_untouched():
     arrays = sum(traj.markers[n].nbytes + traj.missing[n].nbytes for n in traj.marker_names)
     assert peak < 0.1 * arrays, f"peak {peak / arrays:.2f} x the marker arrays"
     assert all(filled.markers[n] is traj.markers[n] for n in traj.marker_names)
+
+
+# ----------------------------------------- one copy of each parsed array
+
+
+@pytest.fixture(scope="module")
+def files_60s(tmp_path_factory):
+    """A 60 s synth walker's marker file, and two plates of noise at 2 kHz."""
+    root = tmp_path_factory.mktemp("trial_60s")
+    markers, plates = root / "markers.tsv", root / "plates.tsv"
+    write_marker_file(markers, generate_walker(WalkerParams(duration_s=60.0)).markers)
+    rng = np.random.default_rng(60)
+    n = 120_000
+    series = ForcePlateSeries(2000.0, rng.normal(size=(2, n, 3)), rng.normal(size=(2, n, 2)))
+    write_force_file(plates, series)
+    return {"markers": markers, "plates": plates}
+
+
+def _marker_bytes(traj):
+    return sum(traj.markers[n].nbytes + traj.missing[n].nbytes for n in traj.marker_names)
+
+
+def _plate_bytes(series):
+    return series.forces.nbytes + series.cop.nbytes + series.below_noise.nbytes
+
+
+@pytest.mark.parametrize(
+    "kind, parse, retained_bytes",
+    [("markers", parse_marker_file, _marker_bytes), ("plates", parse_force_file, _plate_bytes)],
+)
+def test_parse_holds_one_block_of_text_beyond_its_result(files_60s, kind, parse, retained_bytes):
+    tracemalloc.start()
+    try:
+        result = parse(files_60s[kind])
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the final arrays are allocated once, and nothing else outlives the parse
+    assert retained_bytes(result) <= retained <= retained_bytes(result) + (64 << 10)
+    # beyond them: one block of text, its lines and its values (about 2.5 blocks
+    # on these files), never a whole-trial copy (the result is 9-12 blocks)
+    block = ingest._BYTES_PER_BLOCK
+    assert peak - retained < 3 * block, f"{(peak - retained) / block:.2f} blocks"
+
+
+def test_trailing_blank_lines_leave_views_of_the_same_values(tmp_path):
+    traj = _gapped_walker(1.0, seed=3)
+    path = tmp_path / "walker.tsv"
+    write_marker_file(path, traj)
+    plain = parse_marker_file(path)
+    rng = np.random.default_rng(8)
+    series = ForcePlateSeries(1000.0, rng.normal(size=(2, 50, 3)), rng.normal(size=(2, 50, 2)))
+    plates = tmp_path / "plates.tsv"
+    write_force_file(plates, series)
+    for ending in ("\n", "\n\n\n", "\r\n\r\n"):
+        for file in (path, plates):
+            file.write_bytes(file.read_bytes().rstrip(b"\r\n") + b"\n" + ending.encode())
+        back = parse_marker_file(path)
+        assert back.n_frames == plain.n_frames
+        for name in plain.marker_names:
+            assert back.markers[name].tobytes() == plain.markers[name].tobytes()
+            assert np.array_equal(back.missing[name], plain.missing[name])
+        got = parse_force_file(plates)
+        assert got.forces.tobytes() == series.forces.tobytes()
+        assert got.cop.tobytes() == series.cop.tobytes()
+        assert got.total_force().tobytes() == series.total_force().tobytes()
+
+
+@pytest.mark.parametrize("kind", ["markers", "forces"])
+def test_a_file_that_grows_while_it_is_read_exits_2_naming_it(tmp_path, capsys, monkeypatch, kind):
+    from gaitkinetics import cli
+
+    params = WalkerParams(duration_s=4.0)
+    files = {"markers": tmp_path / "markers.tsv", "forces": tmp_path / "forces.tsv"}
+    write_marker_file(files["markers"], generate_walker(params).markers)
+    write_force_file(files["forces"], synth_force_plates(params))
+    count_lines = ingest._count_lines
+
+    def count_then_append(path):
+        n = count_lines(path)
+        if path == str(files[kind]):
+            lines = files[kind].read_text(encoding="utf-8").splitlines()
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n".join(lines[-3:]) + "\n")
+        return n
+
+    monkeypatch.setattr(ingest, "_count_lines", count_then_append)
+    code = cli.main(
+        ["grf", "--marker-file", str(files["markers"]), "--force-file", str(files["forces"]),
+         "--subject-mass-kg", "80", "--subject-height-m", "1.78", "--subject-sex", "m",
+         "--output-dir", str(tmp_path / "out")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {files[kind]}: more than the " in err
+    assert "the file changed while it was read" in err
+
+
+# ------------------------------------------------ block checks of the text
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # one row a field short and a later one a field over: the block's
+        # tab count is right, the rows are not
+        ({3: "0.015\t1\t2\t3\t4\t5", 5: "0.025\t1\t2\t3\t4\t5\t6\t7"},
+         "data row 4 has 6 columns, expected 7"),
+        ({3: "0.015\t1\t2\t3\t4\t5\t6\t", 5: "0.025\t1\t2\t3\t4\t5"},
+         "data row 4 has 8 columns, expected 7"),
+        # a partially blank triplet before a hidden miscount: columns first
+        ({1: "0.005\t1\t2\t3\t4\t\t6", 3: "0.015\t1\t2\t3\t4\t5", 5: "0.025\t1\t2\t3\t4\t5\t6\t7"},
+         "data row 4 has 6 columns, expected 7"),
+        # a non-numeric field before a hidden miscount: columns first
+        ({1: "0.005\t1\t2\tx\t4\t5\t6", 3: "0.015\t1\t2\t3\t4\t5", 5: "0.025\t1\t2\t3\t4\t5\t6\t7"},
+         "data row 4 has 6 columns, expected 7"),
+        ({4: "   "}, "data row 5 has 1 columns, expected 7"),
+    ],
+)
+def test_rows_that_hide_a_miscount_from_the_block_are_named(tmp_path, fault, message):
+    rows = _two_marker_rows(8)
+    for r, row in fault.items():
+        rows[r] = row
+    path = _write(tmp_path, _marker_text(rows, names=("M1", "M2")))
+    with pytest.raises(InputError, match=message):
+        parse_marker_file(path)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("0.75\t1.5\t2.5\t3.5\t\t", "data row 151 has 6 columns, expected 7"),
+        ("0.75\t1.5\t2.5\t3.5\t\t\t\t\t", "data row 151 has 9 columns, expected 7"),
+        ("0.75\t1.5\t2.5\t3.5\t4.5\t\t6.5", "data row 151, marker 'M2': partially blank"),
+        ("0.75\t1.5\t2.5\tx\t\t\t", "data row 151, marker 'M1': non-numeric value"),
+    ],
+)
+def test_faults_after_blocks_with_blank_triplets_are_named(tmp_path, monkeypatch, fault, message):
+    # every other row holds a blank triplet, so each block after the first
+    # is looked at row by row before it is parsed
+    rows = _two_marker_rows(200)
+    rows[::2] = [row.replace("\t4.5\t5.5\t6.5", "\t\t\t") for row in rows[::2]]
+    rows[150] = fault
+    path = _write(tmp_path, _marker_text(rows, names=("M1", "M2")))
+    for bytes_per_block in (1 << 20, 100, 400):
+        monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
+        with pytest.raises(InputError, match=message):
+            parse_marker_file(path)
+
+
+def test_a_hidden_miscount_in_a_force_file_is_named(tmp_path):
+    rows = _timed_rows([k / 1000.0 for k in range(6)], 5)
+    rows[2] += "\t1.0"
+    rows[4] = rows[4][: rows[4].rindex("\t")]
+    with pytest.raises(InputError, match="data row 3 has 7 columns, expected 6"):
+        parse_force_file(_write(tmp_path, _force_text(rows), "force.tsv"))
+
+
+def test_only_blocks_near_a_blank_triplet_are_split_row_by_row(tmp_path, monkeypatch):
+    rows = _two_marker_rows(300)
+    rows[250] = rows[250].replace("\t4.5\t5.5\t6.5", "\t\t\t")
+    path = _write(tmp_path, _marker_text(rows, names=("M1", "M2")))
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", 1000)
+    calls = []
+    zero_blank_triplets = ingest._zero_blank_triplets
+
+    def counted(path, rows, start, names):
+        calls.append(start)
+        return zero_blank_triplets(path, rows, start, names)
+
+    monkeypatch.setattr(ingest, "_zero_blank_triplets", counted)
+    back = parse_marker_file(path)
+    # of ten blocks of about 30 rows, one holds the blank triplet: it and the
+    # block after it are split, no other
+    assert len(calls) == 2 and calls[0] <= 250 < calls[1] < 300
+    assert np.flatnonzero(back.missing["M2"]).tolist() == [250]
+    assert not back.missing["M1"].any()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("row", [1, 3])
+def test_a_blank_last_field_alone_is_a_partially_blank_triplet(tmp_path, newline, row):
+    rows = _two_marker_rows(4)
+    rows[row] = rows[row].replace("\t6.5", "\t")
+    text = _marker_text(rows, names=("M1", "M2")).replace("\n", newline)
+    path = tmp_path / "trial.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(InputError, match=f"data row {row + 1}, marker 'M2': partially blank"):
+        parse_marker_file(path)
+    # without its final newline, the block ends in the tab
+    if row == 3:
+        path.write_bytes(text.rstrip("\r\n").encode("utf-8"))
+        with pytest.raises(InputError, match="data row 4, marker 'M2': partially blank"):
+            parse_marker_file(path)
+
+
+@pytest.mark.parametrize("bytes_per_block", [40, 90, 200])
+def test_a_dropped_row_at_a_block_boundary_is_named(tmp_path, monkeypatch, bytes_per_block):
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
+    rows = _two_marker_rows(30)
+    for dropped in range(1, 29):
+        text = _marker_text(rows[:dropped] + rows[dropped + 1 :], names=("M1", "M2"))
+        path = _write(tmp_path, text)
+        with pytest.raises(InputError, match=f"data row {dropped + 1}: time"):
+            parse_marker_file(path)
+
+
+def test_a_pipe_is_rejected_by_name_not_waited_on(tmp_path):
+    # the parsers read a file twice (count its lines, then parse it)
+    fifo = tmp_path / "markers.fifo"
+    os.mkfifo(fifo)
+    text = _marker_text(_two_marker_rows(5), names=("M1", "M2"))
+
+    def write():
+        try:
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    with pytest.raises(InputError, match=f"cannot read {fifo}: not a regular file"):
+        parse_marker_file(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    with pytest.raises(InputError, match="cannot read /dev/null: not a regular file"):
+        parse_force_file("/dev/null")
+
+
+@pytest.mark.parametrize("bytes_per_block", [1, 2, 64, 1 << 20])
+def test_a_character_cut_short_by_the_end_of_the_file_is_not_utf8(
+    tmp_path, monkeypatch, bytes_per_block
+):
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
+    text = _marker_text(_two_marker_rows(3), names=("M1", "Mé"))
+    path = tmp_path / "trial.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert parse_marker_file(path).marker_names == ["M1", "Mé"]
+    for cut in (text.encode("utf-8")[:-1] + b"\xc3", b"RATE\t200.0\nUNITS\tm\nMARKERS\tM\xc3"):
+        path.write_bytes(cut)
+        with pytest.raises(InputError, match="not UTF-8 text"):
+            parse_marker_file(path)

@@ -179,6 +179,46 @@ def test_coincident_endpoints_are_rejected():
         )
 
 
+def _foot_definition():
+    return SegmentDefinition(
+        segment=SegmentId("foot", "right"),
+        origin=PointRule.parse("ANK"),
+        distal=PointRule.parse("TOE"),
+        ref=PointRule.parse("REF"),
+        ref_kind="lateral",
+        style="anteroposterior",
+        forward=(PointRule.parse("HEL"), PointRule.parse("TOE")),
+    )
+
+
+def test_segment_state_evaluates_only_the_requested_frame():
+    thigh, foot = _thigh_definition("right"), _foot_definition()
+    markers = {**RIGHT_THIGH_MARKERS, "HEL": (0.0, 0.0, -0.5), "TOE": (0.2, 0.0, -0.5),
+               "ANK": (0.05, 0.0, -0.42)}
+    clean = _static_markers(markers, n_frames=6)
+    traj = _static_markers(markers, n_frames=6)
+    traj.markers["DIS"][1] = traj.markers["ORI"][1]  # thigh endpoints coincide
+    traj.markers["REF"][2] = (0.0, 0.0, -1.0)  # on the thigh's axis
+    traj.markers["HEL"][3] = traj.markers["TOE"][3]  # no foot forward axis
+    traj.markers["REF"][4] = np.nan  # occluded
+    traj.missing["REF"][4] = True
+    table = _table_with({"thigh": (0.1, 0.02, -0.4), "foot": (0.5, 0.0, 0.0)})
+    for definition, fault, message in (
+        (thigh, 1, "right_thigh: origin and distal coincide at frame 1"),
+        (thigh, 2, "right_thigh: axis reference is collinear .* at frame 2"),
+        (foot, 3, "right_foot: forward axis has zero length at frame 3"),
+        (thigh, 4, "right_thigh: marker 'REF' missing at frame 4"),
+    ):
+        with pytest.raises(InputError, match=f"^{message}"):
+            segment_state(traj, definition, table, SUBJECT, fault)
+        # a fault at another frame no longer matters
+        for frame in (0, 5):
+            state = segment_state(traj, definition, table, SUBJECT, frame)
+            expect = segment_state(clean, definition, table, SUBJECT, frame)
+            assert state.com.tobytes() == expect.com.tobytes()
+            assert state.basis.tobytes() == expect.basis.tobytes()
+
+
 # ------------------------------------------------------------------ hands
 
 
