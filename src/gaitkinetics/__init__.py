@@ -61,7 +61,7 @@ from .kinematics import (
     load_segment_definitions,
 )
 from .metrics import ComparisonReport, StanceShape, compare, stance_vgrf_shape
-from .signal import UniformSeries, decimate, differentiate, lowpass, smoothed_acceleration
+from .signal import UniformSeries, decimate, lowpass, smoothed_acceleration
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "decompose_gait",
     "detect_events_zeni",
     "detect_stance_threshold",
-    "differentiate",
     "smoothed_acceleration",
     "fill_gaps",
     "filter_com_trajectory",

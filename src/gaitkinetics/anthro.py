@@ -12,6 +12,7 @@ Table file format (tab-separated, ``#`` comments allowed):
     segment<TAB>sex<TAB>mass_ratio<TAB>P_AP<TAB>P_ML<TAB>P_SI
 """
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -149,6 +150,9 @@ class SubjectProfile:
             raise InputError(f"subject mass must be positive, got {self.mass_kg}")
         if not self.height_m > 0:
             raise InputError(f"subject height must be positive, got {self.height_m}")
+        for name, value in (("mass", self.mass_kg), ("height", self.height_m)):
+            if not math.isfinite(value):
+                raise InputError(f"subject {name} must be finite, got {value}")
         if self.sex not in _SEXES:
             raise InputError(f"subject sex must be 'm' or 'f', got {self.sex!r}")
 

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 input/config error, 3 no usable gait data,
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -141,6 +142,10 @@ class PipelineConfig:
             raise InputError(f"subject_height_m must be positive, got {self.subject_height_m}")
         if self.subject_sex is not None and self.subject_sex not in ("m", "f"):
             raise InputError(f"subject_sex must be 'm' or 'f', got {self.subject_sex!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if _converter(field) is float and value is not None and not math.isfinite(value):
+                raise InputError(f"{field.name} must be finite, got {value}")
 
 
 def _converter(field):

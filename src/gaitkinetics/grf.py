@@ -26,7 +26,6 @@ from .errors import InputError, InternalInvariantError
 from .events import DOUBLE_STANCE, NO_STANCE, SS_LEFT, SS_RIGHT, GaitTimeline
 from .ingest import _runs, _write_csv
 from .kinematics import ComTrajectory
-from .signal import UniformSeries, differentiate
 
 __all__ = [
     "DEFAULT_GRAVITY_MPS2",
@@ -203,21 +202,22 @@ def total_grf(
     subject: SubjectProfile,
     gravity_mps2: float = DEFAULT_GRAVITY_MPS2,
 ) -> GrfSeries:
-    """Whole-body GRF from the (already smoothed) CoM trajectory.
+    """Whole-body GRF from the CoM acceleration of a low-passed trajectory.
 
-    F = m * a, with gravity added back on the vertical axis.  The caller is
-    expected to low-pass the CoM first.  When the trajectory carries the
-    acceleration channel attached by the filtering stage, that channel is
-    used directly (it is computed in extended precision, so it does not
-    inherit the storage rounding of the positions); otherwise the positions
-    are double-differentiated here.
+    F = m * a, with gravity added back on the vertical axis.  The
+    acceleration is the one ``filter_com_trajectory`` attaches (computed in
+    extended precision, so it does not inherit the storage rounding of the
+    positions); a trajectory without it, straight from ``com_trajectory``,
+    is refused.
     """
     if not gravity_mps2 > 0:
         raise InputError(f"gravity must be positive, got {gravity_mps2}")
-    if com.whole_body_acceleration is not None:
-        acc = com.whole_body_acceleration
-    else:
-        acc = differentiate(UniformSeries(com.sample_rate_hz, com.whole_body), 2).values
+    acc = com.whole_body_acceleration
+    if acc is None:
+        raise InputError(
+            "CoM trajectory carries no acceleration; low-pass it with "
+            "filter_com_trajectory first"
+        )
     if not np.all(np.isfinite(acc)):
         raise InputError(
             "CoM acceleration contains non-finite values; fill or trim marker gaps first"
@@ -384,20 +384,13 @@ def write_bilateral_csv(path, bilateral: BilateralGrf) -> None:
 
 def write_diagnostics_csv(path, bilateral: BilateralGrf) -> None:
     """Write excluded intervals and implausible-force flags."""
-    lines = ["record,start_frame,end_frame,detail"]
-    for s, e, reason in bilateral.diagnostics.excluded_intervals:
-        lines.append(f"excluded,{s},{e},{reason}")
-    for foot, mask in (
-        ("left", bilateral.diagnostics.negative_vertical_left),
-        ("right", bilateral.diagnostics.negative_vertical_right),
-    ):
-        for start, end in zip(*_runs(mask)):
-            lines.append(
-                f"negative_vertical,{start},{end - 1},{foot} limb below "
-                f"-{NEGATIVE_VERTICAL_FRACTION:g} body weight"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    d = bilateral.diagnostics
+    rows = [("excluded", s, e, reason) for s, e, reason in d.excluded_intervals]
+    for foot, mask in (("left", d.negative_vertical_left), ("right", d.negative_vertical_right)):
+        detail = f"{foot} limb below -{NEGATIVE_VERTICAL_FRACTION:g} body weight"
+        rows += [("negative_vertical", s, e - 1, detail) for s, e in zip(*_runs(mask))]
+    columns = np.array(rows, dtype=str).reshape(-1, 4).T  # record, start, end, detail
+    _write_csv(path, ["record,start_frame,end_frame,detail"], columns)
 
 
 def write_butterfly_csv(

@@ -100,7 +100,7 @@ class MarkerTrajectorySet:
                 n = pos.shape[0]
             elif pos.shape[0] != n:
                 raise InputError(f"marker {name!r}: frame count differs from others")
-            if not np.all(np.isfinite(pos[~mask])):
+            if not np.all(np.isfinite(pos) | mask[:, np.newaxis]):
                 raise InputError(f"marker {name!r}: non-finite position in a present frame")
             self.markers[name] = pos
             self.missing[name] = mask

@@ -200,9 +200,9 @@ class ComTrajectory:
     segment_coms: np.ndarray
     masses_kg: np.ndarray
     whole_body: np.ndarray
-    # whole-body acceleration attached by the filtering stage; None for a
-    # trajectory that has not been smoothed (consumers then differentiate
-    # the positions themselves)
+    # whole-body acceleration attached by filter_com_trajectory, the one
+    # source total_grf reads; None for a trajectory that has not been
+    # low-passed
     whole_body_acceleration: np.ndarray | None = None
 
     def __post_init__(self):
@@ -563,7 +563,13 @@ def com_trajectory(
             coms[:, hand, :] = hand_com(distal.T, origin.T).T
         del origin, distal, com
 
-    whole = _weighted_mean(coms, masses)
+    try:
+        with np.errstate(over="raise"):
+            whole = _weighted_mean(coms, masses)
+    except FloatingPointError:
+        raise InputError(
+            f"subject mass {subject.mass_kg} kg overflows the mass-weighted CoM mean"
+        ) from None
     return ComTrajectory(
         sample_rate_hz=traj.sample_rate_hz,
         segment_ids=SEGMENT_IDS,

@@ -1,9 +1,12 @@
-"""Uniformly sampled series: zero-phase filtering, differentiation, decimation.
+"""Uniformly sampled series: zero-phase filtering, smoothed acceleration, decimation.
 
 The low-pass is a Butterworth of the given order run forward then backward
 (zero net phase, squared magnitude response), with mirror padding at the
-edges.  Differentiation uses second-order central differences inside the
-series and second-order one-sided stencils at the two edge samples.
+edges.  ``lowpass`` runs that pass in float64; ``smoothed_acceleration``
+runs the same pass in long double and takes second differences of its
+output, central inside the series and second-order one-sided at the two
+edge samples.  Both go through one function, ``_zero_phase``; they differ
+only in the dtype and in the steady-state routine that starts each pass.
 Decimation low-passes at 0.4x the target rate before taking every
 ``factor``-th sample; a factor of 1 is the identity and applies no filter.
 
@@ -24,12 +27,11 @@ from .errors import InputError
 __all__ = [
     "UniformSeries",
     "lowpass",
-    "differentiate",
     "smoothed_acceleration",
     "decimate",
 ]
 
-# Padded samples filtered per sosfiltfilt call in ``lowpass``: groups of
+# Padded samples filtered per ``_zero_phase`` call in ``lowpass``: groups of
 # channels amortise the per-call cost, and the bound keeps the filter's
 # temporaries small.
 _SAMPLES_PER_CALL = 1 << 16
@@ -189,10 +191,7 @@ def lowpass(series: UniformSeries, cutoff_hz: float, order: int = 4) -> UniformS
     for start in range(0, series.n_channels, rows):
         x = series.values[start : start + rows]
         c = np.array([[float(np.mean(row))] for row in x])
-        y = _mirror_extend(x - c, padlen)
-        y = _sosfilt(sos, y, zi * y[:, :1, np.newaxis])
-        y = _sosfilt(sos, y[:, ::-1], zi * y[:, -1:, np.newaxis])
-        out[start : start + rows] = y[:, ::-1][:, padlen:-padlen] + c
+        out[start : start + rows] = _zero_phase(sos, zi, x - c, padlen) + c
     return UniformSeries(sample_rate_hz=series.sample_rate_hz, values=out)
 
 
@@ -219,86 +218,35 @@ def _second_difference(x: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-def differentiate(series: UniformSeries, order: int) -> UniformSeries:
-    """First or second time derivative by finite differences.
+def _zero_phase(sos: np.ndarray, zi: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
+    """The forward-backward cascade over (channels, N) data, in the dtype of
+    ``sos``, ``zi`` and ``x``.
 
-    Interior samples use central stencils; the two edge samples use
-    one-sided second-order stencils (for a 3-sample series the second
-    derivative falls back to the single 3-point estimate).  Interior
-    second differences are evaluated as nested first differences, which
-    is exact for slowly varying data and keeps the result unchanged under
-    constant offsets of the input.
+    Each end is mirrored by ``padlen`` samples (no endpoint repeat) and
+    trimmed after.  ``zi`` is the (sections, 2) steady state for a unit
+    step; each pass starts from it scaled by the first sample it filters.
     """
-    if order not in (1, 2):
-        raise InputError(f"derivative order must be 1 or 2, got {order}")
-    x = series.values
-    n = series.n_samples
-    if n < 3:
-        raise InputError(f"series too short to differentiate: {n} samples")
-    r = series.sample_rate_hz
-    if order == 1:
-        out = np.empty_like(x)
-        out[:, 1:-1] = (x[:, 2:] - x[:, :-2]) * (r / 2.0)
-        out[:, 0] = (-3.0 * x[:, 0] + 4.0 * x[:, 1] - x[:, 2]) * (r / 2.0)
-        out[:, -1] = (3.0 * x[:, -1] - 4.0 * x[:, -2] + x[:, -3]) * (r / 2.0)
-    else:
-        out = _second_difference(x, r)
-    return UniformSeries(sample_rate_hz=r, values=out)
+    x = np.concatenate([x[:, padlen:0:-1], x, x[:, -2 : -padlen - 2 : -1]], axis=1)
+    x = _sosfilt(sos, x, zi * x[:, :1, np.newaxis])
+    x = _sosfilt(sos, x[:, ::-1], zi * x[:, -1:, np.newaxis])
+    return x[:, ::-1][:, padlen:-padlen]
 
 
-def _mirror_extend(x: np.ndarray, n: int) -> np.ndarray:
-    """Even (mirror, no endpoint repeat) extension of (channels, N) by n."""
-    return np.concatenate([x[:, n:0:-1], x, x[:, -2 : -n - 2 : -1]], axis=1)
+def _cascade_steady_states(sos: np.ndarray) -> np.ndarray:
+    """(sections, 2) states of a unit step in steady state, in long double.
 
-
-def _cascade_steady_states(sos: np.ndarray) -> list[tuple[np.longdouble, np.longdouble]]:
-    """Per-section direct-form-II-transposed state for a unit constant input.
-
-    Section k's state is pre-scaled by the DC gain of the sections before
-    it, so scaling every state by the first sample of the actual input
-    reproduces the usual transient-suppressing initial conditions.
+    The closed form of ``_sosfilt_zi``, for long-double ``sos``, since
+    ``np.linalg.solve`` has no long double; in float64 the two differ in
+    the last bits.  Section k's state is pre-scaled by the DC gain of the
+    sections before it.
     """
-    states = []
+    zi = np.empty((len(sos), 2), dtype=np.longdouble)
     gain = np.longdouble(1.0)
-    for b0, b1, b2, _a0, a1, a2 in sos:
+    for k, (b0, b1, b2, _a0, a1, a2) in enumerate(sos):
         h = (b0 + b1 + b2) / (1.0 + a1 + a2)
-        z1 = ((b1 + b2) - (a1 + a2) * h) * gain
-        z2 = (b2 - a2 * h) * gain
-        states.append((z1, z2))
+        zi[k] = ((b1 + b2) - (a1 + a2) * h) * gain, (b2 - a2 * h) * gain
         gain = gain * h
-    return states
-
-
-def _run_cascade(
-    sos: np.ndarray,
-    x: np.ndarray,
-    states: list[tuple[np.longdouble, np.longdouble]],
-    x0: np.ndarray,
-) -> np.ndarray:
-    """One pass of the biquad cascade over (channels, N) extended data.
-
-    Each section starts from its steady state for a constant input equal
-    to the channel's first sample, ``x0``.
-    """
-    return _sosfilt(sos, x, np.asarray(states) * x0[:, np.newaxis, np.newaxis])
-
-
-def _zero_phase_extended(sos: np.ndarray, values: np.ndarray, padlen: int) -> np.ndarray:
-    """Forward-backward biquad cascade evaluated in extended precision.
-
-    Same construction as ``lowpass`` (mirror padding, steady-state initial
-    conditions scaled by the edge sample) but with the recursion carried in
-    ``np.longdouble``, so the output carries far less roundoff than the
-    magnitude of the data would allow in double precision.  Input may be
-    float64 or longdouble; output is longdouble.
-    """
-    x = np.asarray(values, dtype=np.longdouble)
-    ext = _mirror_extend(x, padlen)
-    sos_ld = np.asarray(sos, dtype=np.longdouble)
-    states = _cascade_steady_states(sos_ld)
-    fwd = _run_cascade(sos_ld, ext, states, ext[:, 0])
-    rev = _run_cascade(sos_ld, fwd[:, ::-1], states, fwd[:, -1])
-    return rev[:, ::-1][:, padlen:-padlen]
+    return zi
 
 
 def smoothed_acceleration(
@@ -306,9 +254,10 @@ def smoothed_acceleration(
 ) -> UniformSeries:
     """Second derivative of the zero-phase low-passed series.
 
-    Applies the same Butterworth forward-backward filter as ``lowpass``
-    and then the same second-difference stencils as ``differentiate``,
-    but carries the intermediate filtered samples in extended precision.
+    Applies the same Butterworth forward-backward filter as ``lowpass``,
+    then second differences (nested first differences inside, one-sided
+    second-order stencils at the two edge samples), but carries the
+    filtered samples in extended precision.
     Double-differencing multiplies per-sample storage rounding by the
     squared sample rate, so accelerations derived from metre-scale
     positions stored in float64 pick up noise around 1e-10 m/s^2 at
@@ -319,9 +268,10 @@ def smoothed_acceleration(
     result by well under 1e-11 m/s^2, kilometre-scale ones by ~1e-10.
     """
     sos, padlen = _butterworth(series, cutoff_hz, order)
+    sos = sos.astype(np.longdouble)
     x = np.asarray(series.values, dtype=np.longdouble)
     center = x.mean(axis=1, keepdims=True)
-    filtered = _zero_phase_extended(sos, x - center, padlen)
+    filtered = _zero_phase(sos, _cascade_steady_states(sos), x - center, padlen)
     acc = _second_difference(filtered, series.sample_rate_hz)
     return UniformSeries(
         sample_rate_hz=series.sample_rate_hz, values=np.asarray(acc, dtype=float)

@@ -1,7 +1,9 @@
 """Shared fixtures: bundled model files, synthetic trials, derived pipelines.
 
 ``decompose_ds_oracle`` is the reference the closed-form double-stance
-split is checked against.
+split is checked against, and ``differentiate`` the finite-difference
+reference for ``smoothed_acceleration`` and for tests that attach an
+exact acceleration to an unfiltered CoM trajectory.
 
 Expensive artifacts (the 10 s walker, its filtered CoM, the detected
 timeline, the per-limb decomposition) are session-scoped so the whole
@@ -24,7 +26,7 @@ from gaitkinetics.kinematics import (
     filter_com_trajectory,
     load_segment_definitions,
 )
-from gaitkinetics.signal import UniformSeries, lowpass
+from gaitkinetics.signal import UniformSeries, _second_difference, lowpass
 from gaitkinetics.synth import (
     generate_static,
     generate_two_leg_forces,
@@ -182,3 +184,30 @@ def decompose_ds_oracle(
         GrfSeries(total.sample_rate_hz, r1),
         GrfSeries(total.sample_rate_hz, r2),
     )
+
+
+def differentiate(series: UniformSeries, order: int) -> UniformSeries:
+    """First or second time derivative by finite differences.
+
+    Interior samples use central stencils; the two edge samples use
+    one-sided second-order stencils (for a 3-sample series the second
+    derivative falls back to the single 3-point estimate).  Interior
+    second differences are evaluated as nested first differences, which
+    is exact for slowly varying data and keeps the result unchanged under
+    constant offsets of the input.
+    """
+    if order not in (1, 2):
+        raise InputError(f"derivative order must be 1 or 2, got {order}")
+    x = series.values
+    n = series.n_samples
+    if n < 3:
+        raise InputError(f"series too short to differentiate: {n} samples")
+    r = series.sample_rate_hz
+    if order == 1:
+        out = np.empty_like(x)
+        out[:, 1:-1] = (x[:, 2:] - x[:, :-2]) * (r / 2.0)
+        out[:, 0] = (-3.0 * x[:, 0] + 4.0 * x[:, 1] - x[:, 2]) * (r / 2.0)
+        out[:, -1] = (3.0 * x[:, -1] - 4.0 * x[:, -2] + x[:, -3]) * (r / 2.0)
+    else:
+        out = _second_difference(x, r)
+    return UniformSeries(sample_rate_hz=r, values=out)

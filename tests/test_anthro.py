@@ -168,3 +168,11 @@ def test_subject_profile_validation():
         SubjectProfile(mass_kg=70.0, height_m=-1.0, sex="m")
     with pytest.raises(InputError, match="sex"):
         SubjectProfile(mass_kg=70.0, height_m=1.7, sex="male")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_subject_profile_rejects_non_finite_mass_and_height(value):
+    with pytest.raises(InputError, match="subject mass must be"):
+        SubjectProfile(mass_kg=value, height_m=1.7, sex="m")
+    with pytest.raises(InputError, match="subject height must be"):
+        SubjectProfile(mass_kg=70.0, height_m=value, sex="m")

@@ -324,6 +324,48 @@ def test_each_config_field_parses_alike_as_flag_and_config_key(tmp_path, field):
             assert type(parsed) is kind and parsed == value
 
 
+FLOAT_FIELDS = [
+    field for field in fields(cli.PipelineConfig)
+    if float in (get_args(field.type) or (field.type,))
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("text", ["inf", "nan"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS, ids=lambda field: field.name)
+def test_non_finite_float_option_exits_2_naming_it(
+    cli_files, tmp_path, capsys, field, text, source
+):
+    options = dict(zip(SUBJECT_ARGS[::2], SUBJECT_ARGS[1::2]))
+    flag = "--" + field.name.replace("_", "-")
+    argv = ["grf", "--marker-file", str(cli_files["markers"]),
+            "--force-file", str(cli_files["forces"]), "--output-dir", str(tmp_path / "out")]
+    if source == "flag":
+        options[flag] = text
+    else:
+        options.pop(flag, None)  # a flag would override the config key
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"{field.name} = {text}\n", encoding="utf-8")
+        argv += ["--config", str(config_path)]
+    code, captured = _run(argv + [item for pair in options.items() for item in pair], capsys)
+    assert code == 2
+    assert captured.err.startswith(f"error: {field.name} must be ")
+    assert captured.err.rstrip().endswith(f"got {text}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_subject_mass_that_overflows_the_com_mean_exits_2(cli_files, tmp_path, capsys):
+    code, captured = _run(
+        ["grf", "--marker-file", str(cli_files["markers"]),
+         "--output-dir", str(tmp_path)] + SUBJECT_ARGS + ["--subject-mass-kg", "1e308"],
+        capsys,
+    )
+    assert code == 2
+    assert captured.err == (
+        "error: subject mass 1e+308 kg overflows the mass-weighted CoM mean\n"
+    )
+
+
 def test_bad_boolean_flag_exits_2_naming_the_flag(cli_files, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(

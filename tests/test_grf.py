@@ -1,5 +1,7 @@
 """Total ground reaction force and minimum rate-of-change limb decomposition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gaitkinetics.grf import (
     BilateralGrf,
     ButterflyDiagram,
     DsBoundary,
+    GrfDiagnostics,
     GrfSeries,
     butterfly,
     decompose_ds,
@@ -23,7 +26,13 @@ from gaitkinetics.grf import (
 from gaitkinetics.kinematics import com_trajectory, filter_com_trajectory
 from gaitkinetics.signal import UniformSeries
 
-from conftest import CUTOFF_HZ, FILTER_ORDER, decompose_ds_oracle, displace_markers_z
+from conftest import (
+    CUTOFF_HZ,
+    FILTER_ORDER,
+    decompose_ds_oracle,
+    differentiate,
+    displace_markers_z,
+)
 
 GRAVITY = 9.81
 
@@ -62,15 +71,22 @@ def test_static_subject_supports_exactly_body_weight(static_trial, table, defini
     assert np.max(np.abs(force.force[2] - weight)) <= 1e-6
 
 
+def with_differenced_acceleration(com):
+    """The unfiltered trajectory with its positions' second differences
+    attached as the acceleration ``total_grf`` reads."""
+    acc = differentiate(UniformSeries(com.sample_rate_hz, com.whole_body), 2).values
+    return dataclasses.replace(com, whole_body_acceleration=acc)
+
+
 def test_free_fall_produces_zero_force(static_trial, table, definitions):
-    # displace every marker along the ballistic arc; the unsmoothed route
-    # double-differentiates the positions, which is exact for a parabola
+    # displace every marker along the ballistic arc; double-differencing
+    # the positions is exact for a parabola
     markers = static_trial.markers
     n = next(iter(markers.markers.values())).shape[0]
     t = np.arange(n) / markers.sample_rate_hz
     falling = displace_markers_z(markers, 0.4 * t - 0.5 * GRAVITY * t**2)
     com = com_trajectory(falling, definitions, table, static_trial.subject)
-    force = total_grf(com, static_trial.subject)
+    force = total_grf(with_differenced_acceleration(com), static_trial.subject)
     assert np.max(np.abs(force.force)) <= 1e-6
 
 
@@ -85,7 +101,7 @@ def test_vertical_oscillation_matches_the_analytic_force(
     omega = 2.0 * np.pi * freq
     bobbing = displace_markers_z(markers, amp * np.sin(omega * t))
     com = com_trajectory(bobbing, definitions, table, static_trial.subject)
-    force = total_grf(com, static_trial.subject)
+    force = total_grf(with_differenced_acceleration(com), static_trial.subject)
     m = static_trial.subject.mass_kg
     expected_z = m * (GRAVITY - amp * omega**2 * np.sin(omega * t))
     interior = slice(2, -2)
@@ -107,6 +123,15 @@ def test_total_grf_validates_gravity_and_finiteness(
     filtered.whole_body_acceleration[0, 3] = np.nan
     with pytest.raises(InputError, match="non-finite"):
         total_grf(filtered, static_trial.subject)
+
+
+def test_total_grf_refuses_an_unfiltered_trajectory(static_trial, table, definitions):
+    com = com_trajectory(
+        static_trial.markers, definitions, table, static_trial.subject
+    )
+    assert com.whole_body_acceleration is None
+    with pytest.raises(InputError, match="filter_com_trajectory"):
+        total_grf(com, static_trial.subject)
 
 
 def test_grf_series_validation():
@@ -475,6 +500,42 @@ def test_diagnostics_csv_lists_excluded_intervals(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "record,start_frame,end_frame,detail"
     assert "excluded,151,199,no foot in stance" in lines
+
+
+def test_diagnostics_csv_keeps_its_line_format(tmp_path):
+    rng = np.random.default_rng(67)
+    total = GrfSeries(100.0, _smooth_force(rng, 200))
+    bilateral = decompose_gait(total, _mixed_timeline(), 70.0)
+    left = np.zeros(200, dtype=bool)
+    left[[3, 4, 5, 199]] = True
+    right = np.zeros(200, dtype=bool)
+    right[[0, *range(10, 20)]] = True
+    bilateral.diagnostics = GrfDiagnostics(
+        excluded_intervals=[
+            (40, 60, "double stance without detected boundary events"),
+            (151, 199, "no foot in stance"),
+        ],
+        negative_vertical_left=left,
+        negative_vertical_right=right,
+    )
+    path = tmp_path / "diag.csv"
+    write_diagnostics_csv(path, bilateral)
+    assert path.read_bytes() == (
+        b"record,start_frame,end_frame,detail\n"
+        b"excluded,40,60,double stance without detected boundary events\n"
+        b"excluded,151,199,no foot in stance\n"
+        b"negative_vertical,3,5,left limb below -0.02 body weight\n"
+        b"negative_vertical,199,199,left limb below -0.02 body weight\n"
+        b"negative_vertical,0,0,right limb below -0.02 body weight\n"
+        b"negative_vertical,10,19,right limb below -0.02 body weight\n"
+    )
+    # nothing excluded or flagged: the header line alone
+    bilateral.diagnostics = GrfDiagnostics(
+        negative_vertical_left=np.zeros(200, dtype=bool),
+        negative_vertical_right=np.zeros(200, dtype=bool),
+    )
+    write_diagnostics_csv(path, bilateral)
+    assert path.read_bytes() == b"record,start_frame,end_frame,detail\n"
 
 
 def test_butterfly_csv_scales_the_vector_tips(tmp_path, walker_bilateral, walker_com):

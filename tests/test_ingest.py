@@ -577,6 +577,32 @@ def test_fill_gaps_shares_the_arrays_of_markers_it_leaves_untouched():
     assert all(filled.markers[n] is traj.markers[n] for n in traj.marker_names)
 
 
+def test_building_a_marker_set_copies_no_positions():
+    traj = generate_walker(WalkerParams(duration_s=30.0)).markers
+    markers, missing = dict(traj.markers), dict(traj.missing)
+    tracemalloc.start()
+    try:
+        MarkerTrajectorySet(traj.sample_rate_hz, markers, missing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_marker = traj.markers["LHEE"].nbytes
+    assert peak < 0.5 * one_marker, f"peak {peak / one_marker:.2f} x one marker's positions"
+
+
+def test_marker_set_rejects_non_finite_present_positions_only():
+    pos = np.zeros((5, 3))
+    pos[2] = np.nan
+    mask = np.zeros(5, dtype=bool)
+    with pytest.raises(InputError, match="marker 'M': non-finite position in a present frame"):
+        MarkerTrajectorySet(100.0, {"M": pos.copy()}, {"M": mask.copy()})
+    mask[2] = True
+    MarkerTrajectorySet(100.0, {"M": pos}, {"M": mask})
+    pos[4, 1] = np.inf
+    with pytest.raises(InputError, match="non-finite position in a present frame"):
+        MarkerTrajectorySet(100.0, {"M": pos}, {"M": mask})
+
+
 # ----------------------------------------- one copy of each parsed array
 
 

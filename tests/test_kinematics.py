@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import CUTOFF_HZ, FILTER_ORDER, shift_markers
+from conftest import CUTOFF_HZ, FILTER_ORDER, differentiate, shift_markers
 from gaitkinetics.anthro import (
     SEGMENT_IDS,
     SEGMENT_KINDS,
@@ -31,7 +31,7 @@ from gaitkinetics.kinematics import (
     segment_state,
     write_com_csv,
 )
-from gaitkinetics.signal import UniformSeries, differentiate
+from gaitkinetics.signal import UniformSeries
 
 SUBJECT = SubjectProfile(mass_kg=80.0, height_m=1.80, sex="m")
 

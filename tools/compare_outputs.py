@@ -1,4 +1,4 @@
-"""Compare the CLI's outputs at a git revision with those of this checkout.
+"""Compare the outputs at a git revision with those of this checkout.
 
     python3 tools/compare_outputs.py REF [--seed N]
 
@@ -12,12 +12,16 @@ trees, each in a fresh interpreter:
   ``events`` and ``butterfly`` on the 120 s trial;
 - ``grf`` on each of the eight occluded 10 s trials;
 - ``--help`` of the program and of each subcommand, which shows a change
-  to the CLI's imports or argparse set-up.
+  to the CLI's imports or argparse set-up;
+- the README's Python API chain (``run_api_chain`` and
+  ``save_api_outputs`` of this checkout's ``benchmarks/worker.py``) on the
+  ``api-inmemory-120s`` walker, built in memory.
 
-Every run but ``--help`` writes to ``out`` under its own working
+Every CLI run but ``--help`` writes to ``out`` under its own working
 directory, so the paths it prints read alike in both trees.  The sha256 of every output file, of
-stdout and of stderr, and the exit code are compared; each difference is
-listed and the script exits 1 if there is any, 0 otherwise.
+stdout and of stderr, and the exit code are compared, and for the API
+chain the sha256 of each saved array; each difference is listed and the
+script exits 1 if there is any, 0 otherwise.
 """
 
 import argparse
@@ -32,7 +36,30 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+BENCHMARKS = REPO / "benchmarks"
 RUN_MAIN = "import sys; from gaitkinetics.cli import main; sys.exit(main(sys.argv[1:]))"
+# argv: the plan of an api-inmemory-120s input; writes api/outputs.npz and
+# prints the sha256 of each array in it as JSON (the file itself holds the
+# time it was written)
+RUN_API_CHAIN = """
+import hashlib, json, sys
+from pathlib import Path
+import numpy as np
+import worker
+from gaitkinetics import anthro, cli, kinematics, synth
+(spec,) = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8"))["trials"]
+markers = synth.generate_walker(synth.WalkerParams(**spec["walker"])).markers
+table = anthro.load_table(anthro.bundled_table_path())
+definitions = kinematics.load_segment_definitions(kinematics.bundled_definitions_path())
+worker.save_api_outputs(
+    Path("api"), *worker.run_api_chain(cli, markers, spec["walker"], table, definitions)
+)
+with np.load("api/outputs.npz") as arrays:
+    print(json.dumps({
+        name: hashlib.sha256(f"{a.dtype}{a.shape}".encode() + a.tobytes()).hexdigest()
+        for name, a in arrays.items()
+    }))
+"""
 SUBCOMMANDS = ("com", "events", "grf", "validate", "butterfly")
 
 
@@ -48,13 +75,13 @@ def _export(ref, dest):
 
 
 def _generate(workload, seed, dest):
-    """Inputs of one benchmark workload; returns its trials' argv lists."""
+    """Inputs of one benchmark workload; returns its plan's trials."""
     worker = REPO / "benchmarks" / "worker.py"
     subprocess.run(
         [sys.executable, str(worker), "generate", workload, str(seed), str(dest)], check=True
     )
     plan = json.loads((dest / "plan.json").read_text(encoding="utf-8"))
-    return [trial["argv"] for trial in plan["trials"]]
+    return plan["trials"]
 
 
 def _without_force_file(argv):
@@ -64,7 +91,7 @@ def _without_force_file(argv):
 
 def _commands(inputs, seed):
     """{run name: argv} of every run compared."""
-    (plates,) = _generate("cli-plates-120s", seed, inputs / "plates")
+    (plates,) = [trial["argv"] for trial in _generate("cli-plates-120s", seed, inputs / "plates")]
     markers_only = _without_force_file(plates)[1:]
     runs = {
         "grf-force-file": plates,
@@ -73,12 +100,14 @@ def _commands(inputs, seed):
         "events": ["events", *markers_only],
         "butterfly": ["butterfly", *markers_only],
     }
-    for i, argv in enumerate(_generate("cli-occluded-10s", seed, inputs / "occluded")):
-        runs[f"occluded-t{i}"] = argv
+    for i, trial in enumerate(_generate("cli-occluded-10s", seed, inputs / "occluded")):
+        runs[f"occluded-t{i}"] = trial["argv"]
     runs = {name: [*argv, "--output-dir", "out"] for name, argv in runs.items()}
     runs["help"] = ["--help"]
     for command in SUBCOMMANDS:
         runs[f"help-{command}"] = [command, "--help"]
+    _generate("api-inmemory-120s", seed, inputs / "api")
+    runs["api-chain"] = ["-c", RUN_API_CHAIN, str(inputs / "api" / "plan.json")]
     return runs
 
 
@@ -87,13 +116,20 @@ def _sha256(data):
 
 
 def _run(tree, name, argv, work):
-    """Digests of one run: {item: sha256 or exit code}."""
+    """Digests of one run: {item: sha256 or exit code}.
+
+    ``argv`` is the CLI's, or ``-c`` and a script, which runs with this
+    checkout's ``benchmarks`` importable and prints a JSON object of more
+    digests.
+    """
     cwd = work / name
     cwd.mkdir(parents=True)
+    script = argv[0] == "-c"
+    paths = [str(tree / "src"), *([str(BENCHMARKS)] if script else [])]
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_MAIN, *argv],
+        [sys.executable, *(argv if script else ["-c", RUN_MAIN, *argv])],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
         capture_output=True,
     )
     digests = {
@@ -101,6 +137,8 @@ def _run(tree, name, argv, work):
         "stdout": _sha256(proc.stdout),
         "stderr": _sha256(proc.stderr),
     }
+    if script and proc.returncode == 0:
+        digests.update({f"array {k}": v for k, v in json.loads(proc.stdout).items()})
     for path in sorted((cwd / "out").rglob("*")):
         if path.is_file():
             digests[f"file {path.relative_to(cwd / 'out')}"] = _sha256(path.read_bytes())
