@@ -7,9 +7,12 @@ are sign-normalized first so that progression increases with time, using
 the sacrum's net displacement over the trial.  Extrema closer than a
 minimum period to a stronger extremum of the same kind are suppressed.
 
-A timeline tiles the trial into double stance (heel strike of one foot to
-the first subsequent toe-off of the other), single stance, and no-stance
-intervals.  Phases cut off by the trial edges are flagged incomplete.
+A foot is in stance from each heel strike to its next toe-off, inclusive;
+the stance starts at frame 0 when the foot's first event is a toe-off and
+runs to the last frame when its last event is a heel strike.  A timeline
+tiles the trial into double stance (heel strike of one foot to the first
+subsequent toe-off of the other), single stance, and no-stance intervals.
+Phases cut off by the trial edges are flagged incomplete.
 """
 
 from dataclasses import dataclass, field
@@ -154,9 +157,6 @@ class GaitTimeline:
                 return phase
         raise InputError(f"frame {frame} outside the timeline")
 
-    def times(self, frames) -> np.ndarray:
-        return np.asarray(frames, dtype=float) / self.sample_rate_hz
-
 
 def _normalize_direction(heel, toe, sacrum):
     """Flip signs so antero-posterior progression increases over the trial."""
@@ -223,48 +223,22 @@ def detect_stance_threshold(
     return list(zip(starts.tolist(), (ends - 1).tolist()))
 
 
-@dataclass(frozen=True)
-class _Stance:
-    """One stance interval of a single foot, with boundary provenance."""
+def _stance_mask(events: FootEvents, n_frames: int) -> np.ndarray:
+    """One foot's stance frames under ``build_timeline``'s rule.
 
-    start: int
-    end: int
-    hs_observed: bool  # start frame is a detected heel strike
-    to_observed: bool  # end frame is a detected toe-off
-
-
-def _stance_intervals(events: FootEvents, n_frames: int) -> list[_Stance]:
-    merged = sorted(
-        [(f, "hs") for f in events.heel_strikes] + [(f, "to") for f in events.toe_offs]
-    )
-    stances: list[_Stance] = []
-    open_start: int | None = None
-    open_observed = False
-    for i, (frame, kind) in enumerate(merged):
-        if kind == "hs":
-            if open_start is not None:
-                raise InputError(
-                    f"{events.foot}: heel strike at frame {frame} while already in stance"
-                )
-            open_start, open_observed = frame, True
-        else:
-            if open_start is None:
-                if i != 0:
-                    raise InputError(
-                        f"{events.foot}: toe-off at frame {frame} without a stance to end"
-                    )
-                # foot was already in stance when the trial began
-                open_start, open_observed = 0, False
-            stances.append(
-                _Stance(start=open_start, end=frame, hs_observed=open_observed, to_observed=True)
-            )
-            open_start, open_observed = None, False
-    if open_start is not None:
-        # stance still open when the trial ended
-        stances.append(
-            _Stance(start=open_start, end=n_frames - 1, hs_observed=open_observed, to_observed=False)
-        )
-    return stances
+    Pairing starts with ends needs no checks: ``FootEvents`` already
+    guarantees that the events alternate.
+    """
+    starts = list(events.heel_strikes)
+    ends = list(events.toe_offs)
+    if ends and (not starts or ends[0] < starts[0]):
+        starts.insert(0, 0)
+    if len(ends) < len(starts):
+        ends.append(n_frames - 1)
+    mask = np.zeros(n_frames, dtype=bool)
+    for start, end in zip(starts, ends):
+        mask[start : end + 1] = True
+    return mask
 
 
 def build_timeline(
@@ -275,10 +249,11 @@ def build_timeline(
 ) -> GaitTimeline:
     """Tile the trial into single/double/no-stance phases from foot events.
 
-    Stance runs from each heel strike to that foot's next toe-off
-    (inclusive); stances cut by the trial edges are synthesized from the
-    edge frame.  A double-stance phase is complete only when its start is a
-    detected heel strike and its end a detected toe-off of the other foot;
+    A foot is in stance from each heel strike to its next toe-off
+    (inclusive); a stance starts at frame 0 when the foot's first event is
+    a toe-off and runs to the last frame when its last event is a heel
+    strike.  A double-stance phase is complete only when its start is a
+    heel strike of one foot and its end a toe-off of the other;
     single/no-stance phases touching the trial edges are flagged incomplete.
     """
     if left_events.foot != "left" or right_events.foot != "right":
@@ -286,49 +261,22 @@ def build_timeline(
     if n_frames < 1:
         raise InputError("timeline needs at least one frame")
 
-    stances = {
-        "left": _stance_intervals(left_events, n_frames),
-        "right": _stance_intervals(right_events, n_frames),
-    }
-    occupancy = {}
-    hs_at = {}
-    to_at = {}
-    for foot in ("left", "right"):
-        occ = np.zeros(n_frames, dtype=bool)
-        hs_set, to_set = set(), set()
-        for st in stances[foot]:
-            occ[st.start : st.end + 1] = True
-            if st.hs_observed:
-                hs_set.add(st.start)
-            if st.to_observed:
-                to_set.add(st.end)
-        occupancy[foot] = occ
-        hs_at[foot] = hs_set
-        to_at[foot] = to_set
-
-    labels = np.where(
-        occupancy["left"] & occupancy["right"],
-        0,
-        np.where(occupancy["left"], 1, np.where(occupancy["right"], 2, 3)),
-    )
-    label_names = {0: DOUBLE_STANCE, 1: SS_LEFT, 2: SS_RIGHT, 3: NO_STANCE}
-
+    # 0 no stance, 1 left only, 2 right only, 3 both
+    codes = _stance_mask(left_events, n_frames) + 2 * _stance_mask(right_events, n_frames)
+    cuts = np.flatnonzero(np.diff(codes)) + 1  # first frame of each run but the first
     phases: list[Phase] = []
-    cuts = np.flatnonzero(np.diff(labels)) + 1  # first frame of each run but the first
     for start, end in zip([0, *cuts.tolist()], [*(cuts - 1).tolist(), n_frames - 1]):
-        label = label_names[int(labels[start])]
+        label = (NO_STANCE, SS_LEFT, SS_RIGHT, DOUBLE_STANCE)[codes[start]]
         if label == DOUBLE_STANCE:
             leading = next(
-                (foot for foot in ("left", "right") if start in hs_at[foot]), None
+                (ev.foot for ev in (left_events, right_events) if start in ev.heel_strikes),
+                None,
             )
             trailing = next(
-                (foot for foot in ("left", "right") if end in to_at[foot]), None
+                (ev.foot for ev in (left_events, right_events) if end in ev.toe_offs),
+                None,
             )
-            complete = (
-                leading is not None
-                and trailing is not None
-                and leading != trailing
-            )
+            complete = leading is not None and trailing is not None and leading != trailing
             phases.append(
                 Phase(
                     label=label,

@@ -222,8 +222,15 @@ def total_grf(
         raise InputError(
             "CoM acceleration contains non-finite values; fill or trim marker gaps first"
         )
-    force = subject.mass_kg * acc
-    force[2] += subject.mass_kg * gravity_mps2
+    try:
+        with np.errstate(over="raise"):
+            force = subject.mass_kg * acc
+            force[2] += np.multiply(subject.mass_kg, gravity_mps2)
+    except FloatingPointError:
+        raise InputError(
+            f"subject mass {subject.mass_kg} kg and gravity {gravity_mps2} m/s^2 "
+            "overflow the ground reaction force"
+        ) from None
     return GrfSeries(sample_rate_hz=com.sample_rate_hz, force=force)
 
 

@@ -154,9 +154,6 @@ class SegmentDefinition:
         """Origin, distal, ref and (anteroposterior style) the forward pair."""
         return (self.origin, self.distal, self.ref, *(self.forward or ()))
 
-    def required_markers(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(n for r in self.point_rules() for n in r.marker_names))
-
 
 @dataclass
 class SegmentState:

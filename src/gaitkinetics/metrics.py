@@ -87,21 +87,27 @@ def compare(a: UniformSeries, b: UniformSeries) -> ComparisonReport:
         raise InputError(
             f"series shapes differ: {a.values.shape} vs {b.values.shape}"
         )
-    diff = a.values - b.values
     entries = []
-    for name, d in zip(_axis_names(diff.shape[0]), diff):
-        bias = float(np.mean(d))
-        rmse = float(np.sqrt(np.mean(d * d)))
-        centered = d - bias
-        comp = float(np.sqrt(np.mean(centered * centered)))
-        entries.append(
-            AxisComparison(
-                axis=name,
-                rmse=rmse,
-                mean_bias=bias,
-                bias_compensated_rmse=min(comp, rmse + 1e-12),
-            )
-        )
+    try:
+        with np.errstate(over="raise"):
+            diff = a.values - b.values
+            for name, d in zip(_axis_names(diff.shape[0]), diff):
+                bias = float(np.mean(d))
+                rmse = float(np.sqrt(np.mean(d * d)))
+                centered = d - bias
+                comp = float(np.sqrt(np.mean(centered * centered)))
+                entries.append(
+                    AxisComparison(
+                        axis=name,
+                        rmse=rmse,
+                        mean_bias=bias,
+                        bias_compensated_rmse=min(comp, rmse + 1e-12),
+                    )
+                )
+    except FloatingPointError:
+        raise InputError(
+            "the compared series differ too widely: their squared difference overflows"
+        ) from None
     return ComparisonReport(
         sample_count=diff.shape[1],
         sample_rate_hz=a.sample_rate_hz,

@@ -366,6 +366,32 @@ def test_subject_mass_that_overflows_the_com_mean_exits_2(cli_files, tmp_path, c
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--subject-mass-kg", "1e300"],
+         "the compared series differ too widely: their squared difference overflows"),
+        (["--gravity-mps2", "1e300"],
+         "the compared series differ too widely: their squared difference overflows"),
+        (["--subject-mass-kg", "1e307"],
+         "subject mass 1e+307 kg and gravity 9.81 m/s^2 overflow the ground reaction force"),
+    ],
+    ids=["mass-1e300", "gravity-1e300", "mass-1e307"],
+)
+def test_huge_mass_or_gravity_exits_2_without_an_overflow_warning(
+    cli_files, tmp_path, capsys, option, message
+):
+    code, captured = _run(
+        ["grf", "--marker-file", str(cli_files["markers"]),
+         "--force-file", str(cli_files["forces"]),
+         "--output-dir", str(tmp_path)] + SUBJECT_ARGS + option,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bad_boolean_flag_exits_2_naming_the_flag(cli_files, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(

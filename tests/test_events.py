@@ -253,6 +253,91 @@ def test_timeline_validation_rejects_broken_tilings_and_frames():
         build_timeline(right, left, 30, 100.0)
 
 
+def _random_foot_events(rng, foot, n_frames):
+    """Alternating events on random distinct frames, starting with either kind."""
+    most = n_frames if rng.random() < 0.5 else min(n_frames, 8)  # dense or sparse
+    count = int(rng.integers(0, most + 1))
+    frames = np.sort(rng.choice(n_frames, size=count, replace=False)).tolist()
+    first = int(rng.integers(2))  # 0: heel strike first, 1: toe-off first
+    heel_strikes = frames[first::2]
+    toe_offs = frames[1 - first :: 2]
+    return FootEvents(foot, heel_strikes, toe_offs)
+
+
+def _oracle_in_stance(events, frame):
+    """Per-frame stance rule, walked event by event."""
+    latest = None
+    for f in sorted(events.heel_strikes + events.toe_offs):
+        if f <= frame:
+            latest = f
+    if latest is None:
+        return bool(events.toe_offs) and (
+            not events.heel_strikes or events.toe_offs[0] < events.heel_strikes[0]
+        )
+    return latest in events.heel_strikes or frame in events.toe_offs
+
+
+def _oracle_phases(left, right, n_frames):
+    names = {(False, False): NO_STANCE, (True, False): SS_LEFT,
+             (False, True): SS_RIGHT, (True, True): DOUBLE_STANCE}
+    labels = [
+        names[_oracle_in_stance(left, f), _oracle_in_stance(right, f)]
+        for f in range(n_frames)
+    ]
+    phases = []
+    start = 0
+    for f in range(1, n_frames + 1):
+        if f < n_frames and labels[f] == labels[start]:
+            continue
+        end = f - 1
+        if labels[start] == DOUBLE_STANCE:
+            leading = next((ev.foot for ev in (left, right) if start in ev.heel_strikes), None)
+            trailing = next((ev.foot for ev in (left, right) if end in ev.toe_offs), None)
+            incomplete = leading is None or trailing is None or leading == trailing
+        else:
+            leading = trailing = None
+            incomplete = start == 0 or end == n_frames - 1
+        phases.append((labels[start], start, end, incomplete, leading, trailing))
+        start = f
+    return phases
+
+
+def test_timeline_matches_the_per_frame_stance_rule_on_random_events():
+    rng = np.random.default_rng(20261018)
+    seen = dict.fromkeys(
+        ("starts with toe-off", "ends with heel strike", "toe-off meets other heel strike",
+         "own toe-off and heel strike adjacent"),
+        0,
+    )
+    for _ in range(2500):
+        n_frames = int(rng.integers(1, 121))
+        left = _random_foot_events(rng, "left", n_frames)
+        right = _random_foot_events(rng, "right", n_frames)
+        timeline = build_timeline(left, right, n_frames, sample_rate_hz=100.0)
+        got = [
+            (p.label, p.start, p.end, p.incomplete, p.leading_foot, p.trailing_foot)
+            for p in timeline.phases
+        ]
+        assert got == _oracle_phases(left, right, n_frames), (left, right, n_frames)
+
+        for ev, other in ((left, right), (right, left)):
+            events = sorted(
+                [(f, "hs") for f in ev.heel_strikes] + [(f, "to") for f in ev.toe_offs]
+            )
+            if events and events[0][1] == "to":
+                seen["starts with toe-off"] += 1
+            if events and events[-1][1] == "hs":
+                seen["ends with heel strike"] += 1
+            if set(ev.toe_offs) & set(other.heel_strikes):
+                seen["toe-off meets other heel strike"] += 1
+            if any(
+                b - a == 1 and {ka, kb} == {"hs", "to"}
+                for (a, ka), (b, kb) in zip(events, events[1:])
+            ):
+                seen["own toe-off and heel strike adjacent"] += 1
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_events_csv_lists_events_sorted_by_frame(tmp_path):
     timeline = _mixed_timeline()
     path = tmp_path / "events.csv"
