@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InputError
+from .ingest import _read_text
 
 __all__ = [
     "SEGMENT_KINDS",
@@ -185,16 +186,7 @@ def parse_table(text: str, source: str = "<table>") -> AnthropometricTable:
 
 
 def load_table(path) -> AnthropometricTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read anthropometric table {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"cannot read anthropometric table {path}: not UTF-8 text ({exc.reason})"
-        ) from None
-    return parse_table(text, source=str(path))
+    return parse_table(_read_text(path, "anthropometric table"), source=str(path))
 
 
 def write_table(path, table: AnthropometricTable) -> None:

@@ -56,6 +56,7 @@ from .grf import (
 from .ingest import (
     DEFAULT_MAX_GAP_FRAMES,
     DEFAULT_NOISE_FLOOR_N,
+    _read_text,
     _write_csv,
     fill_gaps,
     parse_force_file,
@@ -68,7 +69,7 @@ from .kinematics import (
     load_segment_definitions,
     write_com_csv,
 )
-from .metrics import compare, write_comparison_csv, write_comparison_text
+from .metrics import ComparisonReport, compare, write_comparison_csv, write_comparison_text
 from .signal import UniformSeries, decimate, lowpass
 
 __all__ = [
@@ -157,15 +158,7 @@ def _converter(field):
 
 def parse_config_file(path) -> dict[str, str]:
     """Read a ``key = value`` config file; ``#`` starts a comment."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"cannot read config file {path}: not UTF-8 text ({exc.reason})"
-        ) from None
+    text = _read_text(path, "config file")
     names = {field.name for field in fields(PipelineConfig)}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -233,10 +226,22 @@ def _require(config: PipelineConfig, *names: str) -> None:
         )
 
 
-def _out_dir(config: PipelineConfig) -> Path:
+def _write_outputs(config: PipelineConfig, writers) -> list[Path]:
+    """Make the output directory and write each ``(file name, write)`` of
+    ``writers`` in order, ``write`` taking the file's path.  A run calls this
+    once it has computed and checked everything, so a run that fails on its
+    input writes nothing; a path that cannot be made or written is bad input
+    too, named in the error."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    target = f"output directory {out}"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in writers:
+            target = str(out / name)
+            write(out / name)
+    except OSError as exc:
+        raise InputError(f"cannot write {target}: {exc}") from exc
+    return [out / name for name, _ in writers]
 
 
 def _load_markers(config: PipelineConfig):
@@ -324,24 +329,27 @@ def run_com(config: PipelineConfig) -> list[Path]:
     traj, _ = _load_markers(config)
     table, definitions, subject = _load_model(config)
     com = com_trajectory(traj, definitions, table, subject)
-    out = _out_dir(config) / "com.csv"
-    write_com_csv(out, com, include_segments=config.include_segment_coms)
-    return [out]
+    segments = config.include_segment_coms
+    return _write_outputs(
+        config, [("com.csv", lambda p: write_com_csv(p, com, include_segments=segments))]
+    )
 
 
 def run_events(config: PipelineConfig) -> list[Path]:
     traj, _ = _load_markers(config)
     timeline = _detect_timeline(config, _event_series(config, traj))
-    out = _out_dir(config)
-    events_path = out / "events.csv"
-    write_events_csv(events_path, timeline)
-    stance_path = out / "stance_intervals.csv"
-    _write_stance_intervals(config, traj, stance_path)
-    return [events_path, stance_path]
+    stance = _stance_interval_columns(config, traj)
+    header = ["foot,start_frame,end_frame,start_time_s,end_time_s"]
+    writers = [
+        ("events.csv", lambda p: write_events_csv(p, timeline)),
+        ("stance_intervals.csv", lambda p: _write_csv(p, header, stance)),
+    ]
+    return _write_outputs(config, writers)
 
 
-def _write_stance_intervals(config: PipelineConfig, traj, path: Path) -> None:
-    """Cross-check view: stance intervals from the heel-height threshold."""
+def _stance_interval_columns(config: PipelineConfig, traj) -> list:
+    """Cross-check view: stance intervals from the heel-height threshold, as
+    the columns of ``stance_intervals.csv``."""
     feet, intervals = [], []
     for foot, name in (
         ("left", config.left_heel_marker),
@@ -352,11 +360,7 @@ def _write_stance_intervals(config: PipelineConfig, traj, path: Path) -> None:
             feet.append(foot)
             intervals.append(interval)
     frames = np.array(intervals, dtype=int).reshape(-1, 2).T
-    _write_csv(
-        path,
-        ["foot,start_frame,end_frame,start_time_s,end_time_s"],
-        [feet, *frames, *(frames / traj.sample_rate_hz)],
-    )
+    return [feet, *frames, *(frames / traj.sample_rate_hz)]
 
 
 def _compute_bilateral(config: PipelineConfig):
@@ -384,7 +388,7 @@ def _compute_bilateral(config: PipelineConfig):
     return com, timeline, bilateral
 
 
-def _compare_against_plates(config: PipelineConfig, marker_force) -> tuple[Path, Path]:
+def _compare_against_plates(config: PipelineConfig, marker_force) -> ComparisonReport:
     plates = parse_force_file(config.force_file, config.noise_floor_n)
     ratio = plates.sample_rate_hz / marker_force.sample_rate_hz
     factor = int(round(ratio))
@@ -410,33 +414,32 @@ def _compare_against_plates(config: PipelineConfig, marker_force) -> tuple[Path,
     span = slice(margin, n - margin)
     a = UniformSeries(marker_force.sample_rate_hz, marker_force.force[:, span])
     b = UniformSeries(plate_smooth.sample_rate_hz, plate_smooth.values[:, span])
-    report = compare(a, b)
-    out = _out_dir(config)
-    csv_path, text_path = out / "validation.csv", out / "validation.txt"
-    write_comparison_csv(csv_path, report)
-    write_comparison_text(text_path, report)
-    return csv_path, text_path
+    return compare(a, b)
+
+
+def _validation_writers(report: ComparisonReport) -> list:
+    return [
+        ("validation.csv", lambda p: write_comparison_csv(p, report)),
+        ("validation.txt", lambda p: write_comparison_text(p, report)),
+    ]
 
 
 def run_grf(config: PipelineConfig) -> list[Path]:
     com, timeline, bilateral = _compute_bilateral(config)
-    out = _out_dir(config)
-    written = []
-    write_bilateral_csv(out / "grf.csv", bilateral)
-    written.append(out / "grf.csv")
-    write_diagnostics_csv(out / "grf_diagnostics.csv", bilateral)
-    written.append(out / "grf_diagnostics.csv")
-    write_events_csv(out / "events.csv", timeline)
-    written.append(out / "events.csv")
     diagram = butterfly(bilateral, com)
-    write_butterfly_csv(out / "butterfly.csv", diagram, config.butterfly_scale_m_per_n)
-    written.append(out / "butterfly.csv")
-    write_butterfly_svg(out / "butterfly.svg", diagram, config.butterfly_scale_m_per_n)
-    written.append(out / "butterfly.svg")
-    del com, diagram  # not held across the plate parse
+    del com  # not held across the plate parse
+    scale = config.butterfly_scale_m_per_n
+    writers = [
+        ("grf.csv", lambda p: write_bilateral_csv(p, bilateral)),
+        ("grf_diagnostics.csv", lambda p: write_diagnostics_csv(p, bilateral)),
+        ("events.csv", lambda p: write_events_csv(p, timeline)),
+        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram, scale)),
+        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram, scale)),
+    ]
     if config.force_file is not None:
-        written.extend(_compare_against_plates(config, bilateral.total))
-    return written
+        report = _compare_against_plates(config, bilateral.total)
+        writers += _validation_writers(report)
+    return _write_outputs(config, writers)
 
 
 def run_validate(config: PipelineConfig) -> list[Path]:
@@ -448,16 +451,19 @@ def run_validate(config: PipelineConfig) -> list[Path]:
     com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
     total = total_grf(com, subject, config.gravity_mps2)
     del com  # not held across the plate parse
-    return list(_compare_against_plates(config, total))
+    report = _compare_against_plates(config, total)
+    return _write_outputs(config, _validation_writers(report))
 
 
 def run_butterfly(config: PipelineConfig) -> list[Path]:
-    com, timeline, bilateral = _compute_bilateral(config)
-    out = _out_dir(config)
+    com, _, bilateral = _compute_bilateral(config)
     diagram = butterfly(bilateral, com)
-    write_butterfly_csv(out / "butterfly.csv", diagram, config.butterfly_scale_m_per_n)
-    write_butterfly_svg(out / "butterfly.svg", diagram, config.butterfly_scale_m_per_n)
-    return [out / "butterfly.csv", out / "butterfly.svg"]
+    scale = config.butterfly_scale_m_per_n
+    writers = [
+        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram, scale)),
+        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram, scale)),
+    ]
+    return _write_outputs(config, writers)
 
 
 _COMMANDS = {

@@ -24,7 +24,7 @@ import numpy as np
 from .anthro import SegmentId, SubjectProfile
 from .errors import InputError, InternalInvariantError
 from .events import DOUBLE_STANCE, NO_STANCE, SS_LEFT, SS_RIGHT, GaitTimeline
-from .ingest import _runs, _write_csv
+from .ingest import _VALUES_PER_BLOCK, _runs, _write_csv
 from .kinematics import ComTrajectory
 
 __all__ = [
@@ -445,7 +445,7 @@ def write_butterfly_svg(
     def py(y):
         return height - 20.0 - (y + pad) * sy
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
         f'viewBox="0 0 {width:g} {height:g}">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
@@ -456,21 +456,23 @@ def write_butterfly_svg(
     # with the same float operations, in the same order, as on single values
     entry = (
         f'<line x1="{{:.3f}}" y1="{py(0.0):.3f}" x2="{{:.3f}}" y2="{{:.3f}}" '
-        'stroke="{}" stroke-width="0.6"/>'
+        'stroke="{}" stroke-width="0.6"/>\n'
     )
-    parts += map(
-        entry.format,
-        px(diagram.bases[:, 0]).tolist(),
-        px(tips[:, 0]).tolist(),
-        py(tips[:, 2]).tolist(),
-        [_SVG_COLORS[foot] for foot in diagram.feet],
-    )
-    parts.append(
+    base_x, tip_x, tip_y = px(diagram.bases[:, 0]), px(tips[:, 0]), py(tips[:, 2])
+    colors = [_SVG_COLORS[foot] for foot in diagram.feet]
+    tail = [
         '<text x="20" y="16" font-family="sans-serif" font-size="12" fill="#222222">'
         "per-limb ground reaction force, sagittal view "
         f"(display scale {scale_m_per_n:g} m/N; left {_SVG_COLORS['left']}, "
-        f"right {_SVG_COLORS['right']})</text>"
-    )
-    parts.append("</svg>")
+        f"right {_SVG_COLORS['right']})</text>",
+        "</svg>",
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write("\n".join(head) + "\n")
+        # formatted a block of entries at a time, which bounds the text held
+        step = _VALUES_PER_BLOCK // 4
+        for a in range(0, diagram.n_entries, step):
+            b = slice(a, a + step)
+            columns = (base_x[b].tolist(), tip_x[b].tolist(), tip_y[b].tolist(), colors[b])
+            fh.write("".join(map(entry.format, *columns)))
+        fh.write("\n".join(tail) + "\n")

@@ -190,6 +190,18 @@ def _count_lines(path) -> int:
     return n + (last != ord("\n"))
 
 
+def _read_text(path, what: str) -> str:
+    """The whole of a small UTF-8 text file; ``what`` names the kind of file
+    in the error of a file that cannot be read or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_block(fh, decode) -> str:
     """The next ``_BYTES_PER_BLOCK`` bytes of ``fh`` and the rest of the line
     they end in, decoded; "" at the end of the file."""

@@ -29,18 +29,16 @@ from .anthro import (
     segment_mass,
 )
 from .errors import InputError, InternalInvariantError
-from .ingest import MarkerTrajectorySet, _write_csv
+from .ingest import MarkerTrajectorySet, _read_text, _write_csv
 from .signal import UniformSeries, lowpass, smoothed_acceleration
 
 __all__ = [
     "PointRule",
     "SegmentDefinition",
-    "SegmentState",
     "ComTrajectory",
     "load_segment_definitions",
     "parse_segment_definitions",
     "bundled_definitions_path",
-    "segment_state",
     "hand_com",
     "com_trajectory",
     "filter_com_trajectory",
@@ -153,35 +151,6 @@ class SegmentDefinition:
     def point_rules(self) -> tuple[PointRule, ...]:
         """Origin, distal, ref and (anteroposterior style) the forward pair."""
         return (self.origin, self.distal, self.ref, *(self.forward or ()))
-
-
-@dataclass
-class SegmentState:
-    """Pose of one segment at one frame."""
-
-    segment: SegmentId
-    origin: np.ndarray  # (3,)
-    basis: np.ndarray  # (3, 3), columns are u_x, u_y, u_z
-    length_m: float
-    com: np.ndarray  # (3,)
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.basis = np.asarray(self.basis, dtype=float)
-        self.com = np.asarray(self.com, dtype=float)
-        if self.basis.shape != (3, 3):
-            raise InternalInvariantError("basis must be 3x3")
-        gram = self.basis.T @ self.basis
-        if not np.allclose(gram, np.eye(3), atol=1e-9):
-            raise InternalInvariantError(
-                f"{self.segment}: basis is not orthonormal within 1e-9"
-            )
-        if not abs(np.linalg.det(self.basis) - 1.0) <= 1e-9:
-            raise InternalInvariantError(
-                f"{self.segment}: basis determinant is not +1 within 1e-9"
-            )
-        if not self.length_m > 0:
-            raise InternalInvariantError(f"{self.segment}: non-positive length")
 
 
 @dataclass
@@ -322,16 +291,7 @@ def parse_segment_definitions(text: str, source: str = "<definitions>"):
 
 
 def load_segment_definitions(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read segment definitions {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"cannot read segment definitions {path}: not UTF-8 text ({exc.reason})"
-        ) from None
-    return parse_segment_definitions(text, source=str(path))
+    return parse_segment_definitions(_read_text(path, "segment definitions"), source=str(path))
 
 
 def bundled_definitions_path():
@@ -339,28 +299,27 @@ def bundled_definitions_path():
     return resources.files("gaitkinetics").joinpath("data", "segment_definitions.txt")
 
 
-def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId, frames: slice):
-    """Evaluate an affine marker combination over ``frames`` -> (3, n)."""
+def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId):
+    """Evaluate an affine marker combination over all frames -> (3, n)."""
     acc = None
     for name, w in rule.weights:
         if name not in traj.markers:
             raise InputError(f"{segment}: marker {name!r} not present in trial")
-        miss = traj.missing[name][frames]
+        miss = traj.missing[name]
         if miss.any():
-            frame = frames.start + int(np.argmax(miss))
+            frame = int(np.argmax(miss))
             raise InputError(
                 f"{segment}: marker {name!r} missing at frame {frame} "
                 "(fill or trim gaps first)"
             )
-        term = w * traj.markers[name][frames]
+        term = w * traj.markers[name]
         acc = term if acc is None else acc + term
     # summed on the contiguous (n, 3) marker arrays, transposed once
     return np.ascontiguousarray(acc.T)
 
 
 class _Points:
-    """``_eval_point`` for the rules of some definitions, each evaluated once,
-    over the frames ``start`` to ``stop`` (all by default).
+    """``_eval_point`` for the rules of some definitions, each evaluated once.
 
     A result shared by several segments is held only until its last use:
     keeping every result for the whole call would leave ~18 MB live on a
@@ -369,9 +328,8 @@ class _Points:
     Callers never change a returned array in place.
     """
 
-    def __init__(self, traj: MarkerTrajectorySet, definitions, start: int = 0, stop=None):
+    def __init__(self, traj: MarkerTrajectorySet, definitions):
         self.traj = traj
-        self.frames = slice(start, stop)
         self.uses = Counter(rule for d in definitions for rule in d.point_rules())
         self.held: dict[PointRule, np.ndarray] = {}
 
@@ -379,7 +337,7 @@ class _Points:
         self.uses[rule] -= 1
         if rule in self.held:
             return self.held[rule] if self.uses[rule] else self.held.pop(rule)
-        value = _eval_point(self.traj, rule, segment, self.frames)
+        value = _eval_point(self.traj, rule, segment)
         if self.uses[rule]:
             self.held[rule] = value
         return value
@@ -405,26 +363,24 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _unit(v: np.ndarray, segment: SegmentId, start: int) -> np.ndarray:
-    """v / |v| for the forward axis of an anteroposterior segment; ``v``
-    begins at frame ``start``."""
+def _unit(v: np.ndarray, segment: SegmentId) -> np.ndarray:
+    """v / |v| for the forward axis of an anteroposterior segment."""
     norm = _norm(v)
     bad = norm <= 0
     if np.any(bad):
-        frame = start + int(np.argmax(bad))
+        frame = int(np.argmax(bad))
         raise InputError(f"{segment}: forward axis has zero length at frame {frame}")
     return v / norm
 
 
-def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId, start: int) -> np.ndarray:
-    """Unit component of w orthogonal to a unit axis; rejects near-collinear.
-    ``w`` begins at frame ``start``."""
+def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId) -> np.ndarray:
+    """Unit component of w orthogonal to a unit axis; rejects near-collinear."""
     w_perp = w - _dot(w, axis) * axis
     norm_w = _norm(w)
     norm_p = _norm(w_perp)
     bad = norm_p <= _COLLINEAR_SIN * norm_w
     if np.any(bad):
-        frame = start + int(np.argmax(bad))
+        frame = int(np.argmax(bad))
         raise InputError(
             f"{segment}: axis reference is collinear with the primary axis "
             f"(within 1e-3 rad) at frame {frame}"
@@ -435,14 +391,14 @@ def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId, start: int) 
 def _basis_series(point: _Points, definition: SegmentDefinition, origin, distal, length):
     """Per-frame right-handed orthonormal basis as the axes (u_x, u_y, u_z),
     each (3, n).  ``length`` is the nonzero origin-distal distance."""
-    seg, start = definition.segment, point.frames.start
+    seg = definition.segment
     ref_pt = point(definition.ref, seg)
     w = ref_pt - origin
 
     if definition.style == "longitudinal":
         sup, inf = (origin, distal) if definition.superior == "origin" else (distal, origin)
         u_z = (sup - inf) / length  # the norm of sup - inf, whichever end is up
-        p = _perp_unit(w, u_z, seg, start)
+        p = _perp_unit(w, u_z, seg)
         if definition.ref_kind in ("anterior", "posterior"):
             u_x = p if definition.ref_kind == "anterior" else -p
             u_y = _cross(u_z, u_x)
@@ -455,8 +411,8 @@ def _basis_series(point: _Points, definition: SegmentDefinition, origin, distal,
     else:
         fwd_from = point(definition.forward[0], seg)
         fwd_to = point(definition.forward[1], seg)
-        u_x = _unit(fwd_to - fwd_from, seg, start)
-        p = _perp_unit(w, u_x, seg, start)
+        u_x = _unit(fwd_to - fwd_from, seg)
+        p = _perp_unit(w, u_x, seg)
         toward_left = 1.0 if definition.segment.side == "left" else -1.0
         if definition.ref_kind == "medial":
             toward_left = -toward_left
@@ -477,7 +433,7 @@ def _segment_com_series(point: _Points, definition, table, subject):
     distal = point(definition.distal, seg)
     length = _norm(origin - distal)
     if np.any(length <= 0):
-        frame = point.frames.start + int(np.argmax(length <= 0))
+        frame = int(np.argmax(length <= 0))
         raise InputError(f"{seg}: origin and distal coincide at frame {frame}")
     u_x, u_y, u_z = axes = _basis_series(point, definition, origin, distal, length)
     params = table.get(seg.kind, subject.sex)
@@ -485,32 +441,6 @@ def _segment_com_series(point: _Points, definition, table, subject):
     offset = params.p_ap * u_x + p_ml * u_y + params.p_si * u_z
     com = origin + length * offset
     return origin, distal, axes, length, com
-
-
-def segment_state(
-    traj: MarkerTrajectorySet,
-    definition: SegmentDefinition,
-    table: AnthropometricTable,
-    subject: SubjectProfile,
-    frame: int,
-) -> SegmentState:
-    """Pose of one segment at one frame (hands have no marker definition).
-
-    Only that frame is evaluated, so only a fault there (a missing marker,
-    coincident endpoints, a collinear reference) is an error.
-    """
-    if not 0 <= frame < traj.n_frames:
-        raise InputError(f"frame {frame} out of range [0, {traj.n_frames})")
-    origin, _, axes, length, com = _segment_com_series(
-        _Points(traj, [definition], frame, frame + 1), definition, table, subject
-    )
-    return SegmentState(
-        segment=definition.segment,
-        origin=origin[:, 0],
-        basis=np.stack([u[:, 0] for u in axes], axis=-1),
-        length_m=float(length[0]),
-        com=com[:, 0],
-    )
 
 
 def hand_com(wrist_center: np.ndarray, elbow_center: np.ndarray) -> np.ndarray:

@@ -34,18 +34,14 @@ import numpy as np
 
 from .anthro import SubjectProfile
 from .errors import InputError
-from .events import FootEvents, GaitTimeline, build_timeline
-from .grf import GrfSeries
+from .events import FootEvents
 from .ingest import ForcePlateSeries, MarkerTrajectorySet, write_force_file, write_marker_file
 
 __all__ = [
     "WalkerParams",
     "SynthTrial",
     "generate_walker",
-    "generate_static",
     "synth_force_plates",
-    "TwoLegForces",
-    "generate_two_leg_forces",
     "write_demo_files",
 ]
 
@@ -124,13 +120,6 @@ class SynthTrial:
     left_events: FootEvents
     right_events: FootEvents
     params: WalkerParams
-
-    def timeline(self) -> GaitTimeline:
-        """Timeline built from the scripted (not detected) events."""
-        n = next(iter(self.markers.markers.values())).shape[0]
-        return build_timeline(
-            self.left_events, self.right_events, n, self.markers.sample_rate_hz
-        )
 
 
 def _foot_track(
@@ -293,31 +282,6 @@ def generate_walker(params: WalkerParams | None = None) -> SynthTrial:
     )
 
 
-def generate_static(
-    params: WalkerParams | None = None, n_frames: int = 400, at_time_s: float = 0.2
-) -> SynthTrial:
-    """Freeze the walker mid-double-stance: every marker constant in time.
-
-    The resulting CoM is exactly stationary, so the total force must be
-    pure weight.  No gait events exist; the event lists are empty.
-    """
-    params = params or WalkerParams()
-    if n_frames < 2:
-        raise InputError(f"need at least 2 frames, got {n_frames}")
-    single = _walker_markers(np.array([at_time_s]), params)
-    positions = {name: np.repeat(pos, n_frames, axis=0) for name, pos in single.items()}
-    empty = np.zeros(0, dtype=int)
-    return SynthTrial(
-        markers=_as_trajectory_set(positions, params.sample_rate_hz),
-        subject=SubjectProfile(
-            mass_kg=params.mass_kg, height_m=params.height_m, sex="m"
-        ),
-        left_events=FootEvents("left", empty, empty),
-        right_events=FootEvents("right", empty, empty),
-        params=params,
-    )
-
-
 def _stance_weight(t: np.ndarray, params: WalkerParams) -> np.ndarray:
     """Fraction of total load carried by the right foot at each time.
 
@@ -393,71 +357,6 @@ def synth_force_plates(
     )
     return ForcePlateSeries(
         sample_rate_hz=force_rate_hz, forces=forces, cop=cop, noise_floor_n=5.0
-    )
-
-
-@dataclass
-class TwoLegForces:
-    """Analytic per-leg forces with scripted timing, for decomposition tests."""
-
-    total: GrfSeries
-    timeline: GaitTimeline
-    left_force: np.ndarray  # (3, n)
-    right_force: np.ndarray  # (3, n)
-    body_weight_n: float
-    mass_kg: float
-
-
-def _smoothstep(p: np.ndarray) -> np.ndarray:
-    return p * p * (3.0 - 2.0 * p)
-
-
-def generate_two_leg_forces(
-    params: WalkerParams | None = None, gravity_mps2: float = 9.81
-) -> TwoLegForces:
-    """Build known per-leg forces whose sum is handed to the decomposer.
-
-    Each leg's load ramps in and out smoothly across the double-stance
-    windows (zero at its heel strike, zero at its toe-off) and carries a
-    gentle double-humped modulation during stance.  The scripted timeline
-    lets tests compare the minimum rate-of-change reconstruction against
-    this ground truth.
-    """
-    params = params or WalkerParams()
-    n = params.n_frames
-    rate = params.sample_rate_hz
-    t = np.arange(n) / rate
-    bw = params.mass_kg * gravity_mps2
-    T = params.cycle_s
-    S = params.stance_s
-    ds = params.left_to_offset_s - params.right_hs_offset_s  # double-stance length
-
-    def leg(hs_offset_s: float, ap_sign: float) -> np.ndarray:
-        u = np.mod(t - hs_offset_s, T)
-        in_stance = u <= S
-        p = np.where(in_stance, u / S, 0.0)
-        d = ds / S  # fraction of stance spent in each double-stance window
-        ramp_in = _smoothstep(np.clip(p / d, 0.0, 1.0))
-        ramp_out = _smoothstep(np.clip((1.0 - p) / d, 0.0, 1.0))
-        w = np.where(in_stance, ramp_in * ramp_out, 0.0)
-        hump = 1.0 + 0.12 * np.cos(4.0 * np.pi * (p - 0.05)) * np.sin(np.pi * p)
-        fz = w * bw * hump
-        fx = ap_sign * w * 0.15 * bw * np.sin(2.0 * np.pi * p)
-        fy = ap_sign * w * 0.05 * bw * np.sin(np.pi * p)
-        return np.vstack([fx, fy, fz])
-
-    left = leg(params.left_hs_offset_s, 1.0)
-    right = leg(params.right_hs_offset_s, -1.0)
-    total = GrfSeries(rate, left + right)
-    ev_left, ev_right = _scripted_events(params, n)
-    timeline = build_timeline(ev_left, ev_right, n, rate)
-    return TwoLegForces(
-        total=total,
-        timeline=timeline,
-        left_force=left,
-        right_force=right,
-        body_weight_n=bw,
-        mass_kg=params.mass_kg,
     )
 
 

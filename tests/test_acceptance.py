@@ -14,13 +14,13 @@ from gaitkinetics.grf import DsBoundary, GrfSeries, decompose_ds, decompose_gait
 from gaitkinetics.kinematics import com_trajectory, filter_com_trajectory
 from gaitkinetics.metrics import compare, stance_vgrf_shape
 from gaitkinetics.signal import UniformSeries, lowpass
-from gaitkinetics.synth import generate_static
 
 from conftest import (
     CUTOFF_HZ,
     FILTER_ORDER,
     decompose_ds_oracle,
     detect_timeline_from_markers,
+    generate_static,
     shift_markers,
 )
 

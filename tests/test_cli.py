@@ -479,6 +479,61 @@ def test_grf_writes_the_full_report_set(cli_files, tmp_path, capsys):
     assert header.startswith("time_s,Fx_total")
 
 
+@pytest.mark.parametrize("fault", ["missing", "fractional rate"])
+def test_failed_plate_check_leaves_no_output(cli_files, tmp_path, capsys, fault):
+    forces = tmp_path / "forces.tsv"
+    if fault == "fractional rate":
+        text = cli_files["forces"].read_text(encoding="utf-8")
+        assert text.startswith("RATE\t2000.0\n")
+        forces.write_text(text.replace("2000.0", "1000.5", 1), encoding="utf-8")
+    out = tmp_path / "out"
+    code, captured = _run(
+        ["grf", "--marker-file", str(cli_files["markers"]), "--force-file", str(forces),
+         "--output-dir", str(out)] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot read {forces}: ") == (fault == "missing")
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["a file", "under a file", "a directory named com.csv"])
+def test_unusable_output_path_exits_2_naming_it(cli_files, tmp_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out, named = {
+        "a file": (blocker, f"output directory {blocker}"),
+        "under a file": (blocker / "sub", f"output directory {blocker / 'sub'}"),
+        "a directory named com.csv": (tmp_path / "out", tmp_path / "out" / "com.csv"),
+    }[case]
+    if case == "a directory named com.csv":
+        named.mkdir(parents=True)
+    code, captured = _run(
+        ["com", "--marker-file", str(cli_files["two_frame"]),
+         "--output-dir", str(out)] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {named}: ")
+    assert captured.err.count("\n") == 1
+    assert "wrote" not in captured.out
+
+
+def test_grf_into_an_existing_file_exits_2_naming_it(cli_files, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    code, captured = _run(
+        ["grf", "--marker-file", str(cli_files["markers"]),
+         "--force-file", str(cli_files["forces"]),
+         "--output-dir", str(blocker)] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write output directory {blocker}: ")
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
 def test_grf_run_imports_neither_scipy_signal_nor_scipy_stats(cli_files, tmp_path):
     # the filter and the peak search call scipy's compiled kernels directly;
     # importing scipy.signal would add over a second to every invocation
