@@ -30,7 +30,6 @@ __all__ = [
     "SubjectProfile",
     "load_table",
     "parse_table",
-    "write_table",
     "segment_mass",
     "bundled_table_path",
 ]
@@ -189,28 +188,12 @@ def load_table(path) -> AnthropometricTable:
     return parse_table(_read_text(path, "anthropometric table"), source=str(path))
 
 
-def write_table(path, table: AnthropometricTable) -> None:
-    lines = ["# segment\tsex\tmass_ratio\tP_AP\tP_ML\tP_SI"]
-    for (kind, sex) in sorted(table.rows):
-        p = table.rows[(kind, sex)]
-        lines.append(
-            "\t".join(
-                [kind, sex]
-                + [repr(float(v)) for v in (p.mass_ratio, p.p_ap, p.p_ml, p.p_si)]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def segment_mass(table: AnthropometricTable, subject: SubjectProfile, segment) -> float:
+def segment_mass(table: AnthropometricTable, subject: SubjectProfile, segment: SegmentId) -> float:
     """Mass in kg of one segment: subject mass times the table ratio.
 
-    ``segment`` may be a SegmentId or a bare kind string; left and right
-    instances of a bilateral kind weigh the same.
+    Left and right instances of a bilateral kind weigh the same.
     """
-    kind = segment.kind if isinstance(segment, SegmentId) else str(segment)
-    return subject.mass_kg * table.get(kind, subject.sex).mass_ratio
+    return subject.mass_kg * table.get(segment.kind, subject.sex).mass_ratio
 
 
 def bundled_table_path():

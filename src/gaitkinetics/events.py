@@ -94,10 +94,6 @@ class Phase:
         if self.end < self.start:
             raise InputError(f"phase end {self.end} before start {self.start}")
 
-    @property
-    def n_frames(self) -> int:
-        return self.end - self.start + 1
-
 
 @dataclass
 class GaitTimeline:
@@ -150,12 +146,6 @@ class GaitTimeline:
             if phase.label == own_ss or phase.label == DOUBLE_STANCE:
                 mask[phase.start : phase.end + 1] = True
         return mask
-
-    def phase_at(self, frame: int) -> Phase:
-        for phase in self.phases:
-            if phase.start <= frame <= phase.end:
-                return phase
-        raise InputError(f"frame {frame} outside the timeline")
 
 
 def _normalize_direction(heel, toe, sacrum):

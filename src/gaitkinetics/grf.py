@@ -168,9 +168,6 @@ class BilateralGrf:
             return self.right
         raise InputError(f"foot must be 'left' or 'right', got {foot!r}")
 
-    def body_weight_n(self) -> float:
-        return self.mass_kg * self.gravity_mps2
-
 
 @dataclass
 class ButterflyDiagram:

@@ -29,6 +29,7 @@ write/parse cycle reproduces the numeric payload bit for bit.
 
 import codecs
 import functools
+import itertools
 import os
 import stat
 from dataclasses import dataclass, field
@@ -132,7 +133,7 @@ class ForcePlateSeries:
     forces: np.ndarray
     cop: np.ndarray
     noise_floor_n: float = DEFAULT_NOISE_FLOOR_N
-    below_noise: np.ndarray = field(default=None)  # type: ignore[assignment]
+    below_noise: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.sample_rate_hz > 0:
@@ -149,11 +150,7 @@ class ForcePlateSeries:
             raise InputError("force data contains non-finite values")
         if self.noise_floor_n < 0:
             raise InputError("noise_floor_n must be non-negative")
-        if self.below_noise is None:
-            self.below_noise = self.forces[:, :, 2] < -self.noise_floor_n
-        self.below_noise = np.asarray(self.below_noise, dtype=bool)
-        if self.below_noise.shape != self.forces.shape[:2]:
-            raise InputError("below_noise mask shape mismatch")
+        self.below_noise = self.forces[:, :, 2] < -self.noise_floor_n
 
     @property
     def n_plates(self) -> int:
@@ -174,14 +171,15 @@ class ForcePlateSeries:
 def _count_lines(path) -> int:
     """Number of lines of ``path`` less the blank one after a final ``\\n``:
     its newlines, plus one if it does not end in one.  Read a block at a
-    time into one buffer.  The file is read again to be parsed, so it must
-    be a regular file, not a pipe."""
+    time into one buffer, no larger than the file.  The file is read again
+    to be parsed, so it must be a regular file, not a pipe."""
     n, last = 0, ord("\n")
-    buffer = bytearray(_BYTES_PER_BLOCK)
     try:
         with open(path, "rb", buffering=0) as fh:
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
                 raise InputError(f"cannot read {path}: not a regular file")
+            buffer = bytearray(min(_BYTES_PER_BLOCK, info.st_size + 1))
             while size := fh.readinto(buffer):
                 n += buffer.count(b"\n", 0, size)
                 last = buffer[size - 1]
@@ -202,10 +200,10 @@ def _read_text(path, what: str) -> str:
         raise InputError(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_block(fh, decode) -> str:
-    """The next ``_BYTES_PER_BLOCK`` bytes of ``fh`` and the rest of the line
-    they end in, decoded; "" at the end of the file."""
-    block = decode(fh.read(_BYTES_PER_BLOCK))
+def _read_block(fh, decode, size: int) -> str:
+    """The next ``size`` bytes of ``fh`` and the rest of the line they end
+    in, decoded; "" at the end of the file."""
+    block = decode(fh.read(size))
     block += decode(fh.readline())  # resized in place, not copied
     return block
 
@@ -228,7 +226,9 @@ def _text_blocks(path, n_header: int):
                 header.append(fh.readline())
             yield [decode(line).rstrip("\n").rstrip("\r") for line in header]
             if header[-1].endswith(b"\n"):
-                yield from iter(functools.partial(_read_block, fh, decode), "")
+                # a read allocates its whole size, so none is larger than the file
+                size = min(_BYTES_PER_BLOCK, os.fstat(fh.fileno()).st_size + 1)
+                yield from iter(functools.partial(_read_block, fh, decode, size), "")
             decode(b"", True)  # a character cut short by the end of the file
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -255,6 +255,8 @@ def _parse_rate(lines: list[str], path) -> float:
         raise InputError(f"{path}: RATE value {raw!r} is not a number") from exc
     if not rate > 0:
         raise InputError(f"{path}: RATE must be positive, got {rate}")
+    if np.isinf(rate):
+        raise InputError(f"{path}: RATE must be finite, got {rate}")
     return rate
 
 
@@ -503,6 +505,14 @@ def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> Forc
         raise InputError(f"{path}: PLATES value {raw_plates!r} is not an integer") from exc
     if n_plates < 1:
         raise InputError(f"{path}: PLATES must be >= 1, got {n_plates}")
+    # the first data row is checked against the count before the count sizes
+    # the field names and arrays; its block is popped, so not held, by the parse
+    pending = ["", next(blocks, "")]
+    row = pending[1].partition("\n")[0].rstrip("\r")
+    n_cols = row.count("\t") + 1
+    if row and n_cols != 1 + 5 * n_plates:
+        raise InputError(f"{path}: data row 1 has {n_cols} columns, expected {1 + 5 * n_plates}")
+    blocks = itertools.chain(iter(pending.pop, ""), blocks)
 
     fields = ["time"] + [f"plate {p + 1}" for p in range(n_plates) for _ in range(5)]
     forces = np.empty((n_plates, capacity, 3))

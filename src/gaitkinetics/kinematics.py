@@ -94,11 +94,6 @@ class PointRule:
         share = 1.0 / len(terms)
         return cls(weights=tuple((t, share) for t in terms))
 
-    def format(self) -> str:
-        if all(w == self.weights[0][1] for _, w in self.weights):
-            return "+".join(n for n, _ in self.weights)
-        return "+".join(f"{n}*{w!r}" for n, w in self.weights)
-
 
 @dataclass(frozen=True)
 class SegmentDefinition:
@@ -209,10 +204,6 @@ class ComTrajectory:
     @property
     def n_frames(self) -> int:
         return self.segment_coms.shape[2]
-
-    @property
-    def total_mass_kg(self) -> float:
-        return float(np.sum(self.masses_kg))
 
     def segment_index(self, segment: SegmentId) -> int:
         return self.segment_ids.index(segment)
@@ -449,16 +440,14 @@ def hand_com(wrist_center: np.ndarray, elbow_center: np.ndarray) -> np.ndarray:
     The hand length is taken as 74% of the elbow-to-wrist distance and the
     CoM placed half a hand length beyond the wrist along the elbow-to-wrist
     direction, i.e. at wrist + 0.37 * (wrist - elbow).  Points are (3,) or
-    (n, 3).
+    component-major (3, n).
     """
-    wrist = np.moveaxis(np.asarray(wrist_center, dtype=float), -1, 0)
-    elbow = np.moveaxis(np.asarray(elbow_center, dtype=float), -1, 0)
-    seg = wrist - elbow
+    seg = wrist_center - elbow_center
     dist = _norm(seg)
     if np.any(dist <= 0):
         raise InputError("hand fallback: wrist and elbow centres coincide")
     hand_length = HAND_LENGTH_PER_FOREARM * dist
-    return np.moveaxis(wrist + 0.5 * hand_length * (seg / dist), 0, -1)
+    return wrist_center + 0.5 * hand_length * (seg / dist)
 
 
 def com_trajectory(
@@ -476,20 +465,23 @@ def com_trajectory(
     masses = np.empty(len(SEGMENT_IDS))
     point = _Points(traj, [defs[sid] for sid in SEGMENT_IDS if sid.kind != "hand"])
 
-    for i, sid in enumerate(SEGMENT_IDS):
-        masses[i] = segment_mass(table, subject, sid)
-        if sid.kind == "hand":
-            continue
-        origin, distal, _, _, com = _segment_com_series(point, defs[sid], table, subject)
-        coms[:, i, :] = com
-        if sid.kind == "forearm":
-            # the hand from the forearm's wrist (distal) and elbow (origin)
-            # right away, so that no segment's endpoints are held through
-            # the segments that follow
-            hand = SEGMENT_IDS.index(SegmentId("hand", sid.side))
-            coms[:, hand, :] = hand_com(distal.T, origin.T).T
-        del origin, distal, com
-
+    try:
+        # an overflow would turn the geometry checks' inputs into inf and NaN
+        with np.errstate(over="raise"):
+            for i, sid in enumerate(SEGMENT_IDS):
+                masses[i] = segment_mass(table, subject, sid)
+                if sid.kind == "hand":
+                    continue
+                origin, distal, _, _, com = _segment_com_series(point, defs[sid], table, subject)
+                coms[:, i, :] = com
+                if sid.kind == "forearm":
+                    # the hand from the forearm's wrist (distal) and elbow (origin) right
+                    # away, so that no segment's endpoints are held through those that follow
+                    hand = SEGMENT_IDS.index(SegmentId("hand", sid.side))
+                    coms[:, hand, :] = hand_com(distal, origin)
+                del origin, distal, com
+    except FloatingPointError:
+        raise InputError(f"{sid}: marker coordinates too large for the segment geometry") from None
     try:
         with np.errstate(over="raise"):
             whole = _weighted_mean(coms, masses)

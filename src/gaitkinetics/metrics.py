@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .grf import GrfSeries
 from .ingest import _write_csv
 from .signal import UniformSeries, find_peaks
 
@@ -132,18 +131,14 @@ class StanceShape:
 def stance_vgrf_shape(vgrf, body_weight_n: float) -> StanceShape:
     """Summarize one stance phase's vertical force profile.
 
-    ``vgrf`` is a force series (its vertical component is used) or a plain
-    1-D vertical-force array in newtons, covering one stance from heel
-    strike to toe-off.  Peaks are interior local maxima; with fewer than
-    two the profile is not double-humped and the figures fall back to the
-    global extrema.
+    ``vgrf`` is a 1-D array of vertical force in newtons, covering one
+    stance from heel strike to toe-off.  Peaks are interior local maxima;
+    with fewer than two the profile is not double-humped and the figures
+    fall back to the global extrema.
     """
     if not body_weight_n > 0:
         raise InputError(f"body weight must be positive, got {body_weight_n}")
-    if isinstance(vgrf, GrfSeries):
-        v = vgrf.force[2]
-    else:
-        v = np.asarray(vgrf, dtype=float)
+    v = np.asarray(vgrf, dtype=float)
     if v.ndim != 1 or v.size < 3:
         raise InputError("stance profile needs a 1-D series of at least 3 samples")
     if not np.all(np.isfinite(v)):

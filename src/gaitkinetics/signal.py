@@ -92,12 +92,6 @@ class UniformSeries:
     def n_samples(self) -> int:
         return self.values.shape[1]
 
-    def channel(self, i: int) -> np.ndarray:
-        return self.values[i]
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate_hz
-
 
 def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[np.ndarray, int]:
     """Second-order sections of the low-pass and the mirror-pad length.

@@ -336,7 +336,9 @@ def test_criterion_09_stance_vertical_force_is_double_humped(
     hs = next(f for f in timeline.right.heel_strikes if 900 < f < 1000)
     to = next(f for f in timeline.right.toe_offs if f > hs)
     profile = walker_bilateral.right.force[2, hs : to + 1]
-    shape = stance_vgrf_shape(profile, walker_bilateral.body_weight_n())
+    shape = stance_vgrf_shape(
+        profile, walker_bilateral.mass_kg * walker_bilateral.gravity_mps2
+    )
     ok = (
         shape.is_m_shaped
         and shape.first_peak_bw > 1.0

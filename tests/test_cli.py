@@ -15,7 +15,7 @@ import gaitkinetics
 from gaitkinetics import cli
 from gaitkinetics.anthro import SubjectProfile, bundled_table_path, load_table
 from gaitkinetics.errors import InputError
-from gaitkinetics.ingest import write_force_file, write_marker_file
+from gaitkinetics.ingest import parse_marker_file, write_force_file, write_marker_file
 from gaitkinetics.kinematics import (
     bundled_definitions_path,
     com_trajectory,
@@ -390,6 +390,52 @@ def test_huge_mass_or_gravity_exits_2_without_an_overflow_warning(
     )
     assert code == 2
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+@pytest.mark.parametrize("command", ["com", "grf", "validate"])
+def test_huge_marker_coordinates_exit_2_naming_the_segment(
+    cli_files, tmp_path, capsys, command, scale
+):
+    traj = parse_marker_file(cli_files["markers"])
+    for name in traj.markers:
+        traj.markers[name] *= scale
+    markers = tmp_path / "scaled.tsv"
+    write_marker_file(markers, traj)
+    out = tmp_path / "out"
+    code, captured = _run(
+        [command, "--marker-file", str(markers), "--force-file", str(cli_files["forces"]),
+         "--output-dir", str(out)] + SUBJECT_ARGS,
+        capsys,
+    )
+    if scale == 1e150:
+        assert code == 0, captured.err
+        return
+    assert code == 2
+    assert captured.err == (
+        "error: head_neck: marker coordinates too large for the segment geometry\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [1, 40])
+@pytest.mark.parametrize("kind", ["markers", "forces"])
+def test_infinite_rate_exits_2_naming_the_file(cli_files, tmp_path, capsys, kind, rows):
+    lines = cli_files[kind].read_text(encoding="utf-8").splitlines()
+    head = 3 if kind == "markers" else 2
+    assert lines[0].startswith("RATE\t")
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text("\n".join(["RATE\tinf"] + lines[1 : head + rows]) + "\n", encoding="utf-8")
+    files = {"markers": cli_files["markers"], "forces": cli_files["forces"], kind: path}
+    code, captured = _run(
+        ["grf", "--marker-file", str(files["markers"]), "--force-file", str(files["forces"]),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err == f"error: {path}: RATE must be finite, got inf\n"
 
 
 def test_bad_boolean_flag_exits_2_naming_the_flag(cli_files, tmp_path, capsys):

@@ -250,6 +250,40 @@ def test_force_below_noise_flags_implausible_vertical():
     assert np.array_equal(series.below_noise[0], [False, False, True, False])
     with pytest.raises(InputError, match="noise_floor_n must be non-negative"):
         ForcePlateSeries(1000.0, forces, np.zeros((1, 4, 2)), noise_floor_n=-1.0)
+    with pytest.raises(TypeError, match="below_noise"):
+        ForcePlateSeries(1000.0, forces, np.zeros((1, 4, 2)), below_noise=np.zeros((1, 4), bool))
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [("inf", "must be finite, got inf"), ("-inf", "must be positive, got -inf"),
+     ("nan", "must be positive, got nan"), ("0", "must be positive, got 0.0")],
+)
+@pytest.mark.parametrize("kind", ["markers", "plates"])
+def test_rate_must_be_positive_and_finite(tmp_path, kind, rate, message):
+    if kind == "markers":
+        path = _write(tmp_path, _marker_text(["0.0\t1.0\t2.0\t3.0"], rate=rate))
+        parse = parse_marker_file
+    else:
+        path = _write(tmp_path, _force_text(["0.0\t1\t2\t3\t4\t5"], rate=rate), "force.tsv")
+        parse = parse_force_file
+    with pytest.raises(InputError) as caught:
+        parse(path)
+    assert str(caught.value) == f"{path}: RATE {message}"
+
+
+def test_plates_header_is_checked_against_the_first_row_before_allocating(tmp_path):
+    # the arrays and field names of 200,000 plates would take about 80 MiB
+    path = _write(tmp_path, _force_text(_timed_rows([0.0, 0.001], 10), 200_000), "force.tsv")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as caught:
+            parse_force_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == f"{path}: data row 1 has 11 columns, expected 1000001"
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
 
 
 # ------------------------------------------------------- parser edge cases

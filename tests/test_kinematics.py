@@ -239,13 +239,13 @@ def test_hand_com_lies_half_a_hand_beyond_the_wrist():
 
 
 def test_hand_com_distance_is_proportional_to_forearm_length():
+    # 20 component-major (3, n) points at once
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        wrist = rng.normal(size=3)
-        elbow = rng.normal(size=3)
-        forearm = np.linalg.norm(wrist - elbow)
-        reach = np.linalg.norm(hand_com(wrist, elbow) - wrist)
-        assert abs(reach - 0.5 * 0.74 * forearm) <= 1e-12 * max(1.0, forearm)
+    wrist = rng.normal(size=(3, 20))
+    elbow = rng.normal(size=(3, 20))
+    forearm = np.linalg.norm(wrist - elbow, axis=0)
+    reach = np.linalg.norm(hand_com(wrist, elbow) - wrist, axis=0)
+    assert np.all(np.abs(reach - 0.5 * 0.74 * forearm) <= 1e-12 * np.maximum(1.0, forearm))
 
 
 def test_hand_com_rejects_coincident_wrist_and_elbow():
@@ -272,7 +272,7 @@ def test_whole_body_com_matches_a_brute_force_weighted_mean(
     expect = np.average(com.segment_coms, axis=1, weights=com.masses_kg)
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(com.whole_body - expect)) <= 1e-12 * scale
-    assert com.total_mass_kg == pytest.approx(walker.subject.mass_kg, rel=0.01)
+    assert com.masses_kg.sum() == pytest.approx(walker.subject.mass_kg, rel=0.01)
 
 
 def test_com_is_equivariant_under_translation(walker, table, definitions):
@@ -583,13 +583,11 @@ def test_segment_state_is_bitwise_the_row_major_reference(
 # ----------------------------------------------------------- point rules
 
 
-def test_point_rule_parsing_and_formatting():
+def test_point_rule_parsing():
     centroid = PointRule.parse("A+B")
     assert centroid.weights == (("A", 0.5), ("B", 0.5))
     weighted = PointRule.parse("A*0.3+B*0.7")
     assert weighted.weights == (("A", 0.3), ("B", 0.7))
-    assert PointRule.parse(centroid.format()) == centroid
-    assert PointRule.parse(weighted.format()) == weighted
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaitkinetics.errors import InputError
-from gaitkinetics.grf import GrfSeries
 from gaitkinetics.metrics import (
     AxisComparison,
     compare,
@@ -141,15 +140,6 @@ def test_shape_verdict_is_independent_of_sampling_density():
     assert coarse.second_peak_bw == 1.25
 
 
-def test_shape_accepts_a_force_series_and_uses_its_vertical_row():
-    profile = np.array([0.2, 1.1, 0.9, 0.8, 0.9, 1.1, 0.2]) * 700.0
-    force = np.vstack([np.full(7, 99.0), np.full(7, -99.0), profile])
-    from_series = stance_vgrf_shape(GrfSeries(100.0, force), 700.0)
-    from_array = stance_vgrf_shape(profile, 700.0)
-    assert from_series == from_array
-    assert from_series.is_m_shaped
-
-
 def test_shape_validation():
     with pytest.raises(InputError, match="body weight"):
         stance_vgrf_shape([0.0, 1.0, 0.0], 0.0)
@@ -166,7 +156,9 @@ def test_walker_right_stance_is_m_shaped(walker_bilateral):
     hs = next(f for f in timeline.right.heel_strikes if 900 < f < 1000)
     to = next(f for f in timeline.right.toe_offs if f > hs)
     profile = walker_bilateral.right.force[2, hs : to + 1]
-    shape = stance_vgrf_shape(profile, walker_bilateral.body_weight_n())
+    shape = stance_vgrf_shape(
+        profile, walker_bilateral.mass_kg * walker_bilateral.gravity_mps2
+    )
     assert shape.is_m_shaped
     assert shape.first_peak_bw > 1.0
     assert shape.valley_bw < 1.0

@@ -485,8 +485,7 @@ def test_uniform_series_promotes_one_dimensional_input():
     assert series.values.shape == (1, 5)
     assert series.n_channels == 1
     assert series.n_samples == 5
-    assert np.array_equal(series.channel(0), np.arange(5.0))
-    assert np.array_equal(series.times(), np.arange(5) / 100.0)
+    assert np.array_equal(series.values[0], np.arange(5.0))
 
 
 @pytest.mark.parametrize(
