@@ -394,8 +394,8 @@ def _compare_against_plates(config: PipelineConfig, marker_force) -> ComparisonR
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9:
         raise InputError(
-            f"force rate {plates.sample_rate_hz} Hz is not an integer multiple "
-            f"of the marker rate {marker_force.sample_rate_hz} Hz"
+            f"{config.force_file}: force rate {plates.sample_rate_hz} Hz is not an integer "
+            f"multiple of the marker rate {marker_force.sample_rate_hz} Hz of {config.marker_file}"
         )
     plate_total = UniformSeries(plates.sample_rate_hz, plates.total_force().T)
     del plates  # the plate arrays are not held through the decimation

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, InternalInvariantError, NoGaitDataError
+from .errors import InputError, NoGaitDataError
 from .ingest import _runs, _write_csv
 from .signal import UniformSeries, find_peaks
 
@@ -28,6 +28,7 @@ __all__ = [
     "SS_RIGHT",
     "DOUBLE_STANCE",
     "NO_STANCE",
+    "PHASE_LABELS",
     "FootEvents",
     "Phase",
     "GaitTimeline",
@@ -41,6 +42,8 @@ SS_LEFT = "single_stance_left"
 SS_RIGHT = "single_stance_right"
 DOUBLE_STANCE = "double_stance"
 NO_STANCE = "no_stance"
+# indexed by stance code: left in stance + 2 x right in stance
+PHASE_LABELS = (NO_STANCE, SS_LEFT, SS_RIGHT, DOUBLE_STANCE)
 
 DEFAULT_MIN_PERIOD_S = 0.4
 DEFAULT_STANCE_THRESHOLD_M = 0.06
@@ -97,38 +100,36 @@ class Phase:
 
 @dataclass
 class GaitTimeline:
-    """Per-foot events plus a phase tiling of the whole trial."""
+    """Per-foot events and the stance they give each frame of the trial.
+
+    ``stance`` holds one code per frame: 0 no foot in stance, 1 left only,
+    2 right only, 3 both, so ``PHASE_LABELS[code]`` is the frame's phase
+    label.  ``phases`` lists its runs, which tile the trial.
+    """
 
     sample_rate_hz: float
     n_frames: int
     left: FootEvents
     right: FootEvents
-    phases: list[Phase] = field(default_factory=list)
+    stance: np.ndarray = field(init=False, repr=False)
+    phases: list[Phase] = field(init=False)
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if self.left.foot != "left" or self.right.foot != "right":
+            raise InputError("a timeline takes (left_events, right_events) in order")
         if self.n_frames < 1:
             raise InputError("timeline needs at least one frame")
+        if not self.sample_rate_hz > 0:
+            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
         for ev in (self.left, self.right):
             for frame in ev.heel_strikes + ev.toe_offs:
                 if not 0 <= frame < self.n_frames:
                     raise InputError(
                         f"{ev.foot} event frame {frame} outside [0, {self.n_frames})"
                     )
-        # phases must tile [0, n_frames - 1] without gaps or overlap
-        cursor = 0
-        for phase in self.phases:
-            if phase.start != cursor:
-                raise InternalInvariantError(
-                    f"phase tiling broken at frame {cursor} (next phase starts "
-                    f"at {phase.start})"
-                )
-            cursor = phase.end + 1
-        if cursor != self.n_frames:
-            raise InternalInvariantError(
-                f"phase tiling ends at frame {cursor - 1}, trial has {self.n_frames}"
-            )
+        n = self.n_frames
+        self.stance = _stance_mask(self.left, n) + 2 * _stance_mask(self.right, n)
+        self.phases = _phases(self.stance, self.left, self.right)
 
     def foot_events(self, foot: str) -> FootEvents:
         if foot == "left":
@@ -139,13 +140,8 @@ class GaitTimeline:
 
     def stance_mask(self, foot: str) -> np.ndarray:
         """True where the given foot is in stance (single or double)."""
-        mask = np.zeros(self.n_frames, dtype=bool)
-        own_ss = SS_LEFT if foot == "left" else SS_RIGHT
         self.foot_events(foot)  # validates the name
-        for phase in self.phases:
-            if phase.label == own_ss or phase.label == DOUBLE_STANCE:
-                mask[phase.start : phase.end + 1] = True
-        return mask
+        return (self.stance & (1 if foot == "left" else 2)) != 0
 
 
 def _normalize_direction(heel, toe, sacrum):
@@ -231,62 +227,43 @@ def _stance_mask(events: FootEvents, n_frames: int) -> np.ndarray:
     return mask
 
 
+def _phases(stance: np.ndarray, left: FootEvents, right: FootEvents) -> list[Phase]:
+    """The runs of equal ``stance`` codes, as phases.
+
+    A double-stance phase is complete only when its start is a heel strike
+    of one foot and its end a toe-off of the other; single/no-stance phases
+    touching the trial edges are flagged incomplete.
+    """
+    last = stance.size - 1
+    cuts = np.flatnonzero(np.diff(stance)) + 1  # first frame of each run but the first
+    phases: list[Phase] = []
+    for start, end in zip([0, *cuts.tolist()], [*(cuts - 1).tolist(), last]):
+        label = PHASE_LABELS[stance[start]]
+        if label == DOUBLE_STANCE:
+            leading = next((ev.foot for ev in (left, right) if start in ev.heel_strikes), None)
+            trailing = next((ev.foot for ev in (left, right) if end in ev.toe_offs), None)
+            complete = leading is not None and trailing is not None and leading != trailing
+            phases.append(Phase(label, start, end, not complete, leading, trailing))
+        else:
+            phases.append(Phase(label, start, end, incomplete=start == 0 or end == last))
+    return phases
+
+
 def build_timeline(
     left_events: FootEvents,
     right_events: FootEvents,
     n_frames: int,
     sample_rate_hz: float,
 ) -> GaitTimeline:
-    """Tile the trial into single/double/no-stance phases from foot events.
+    """The stance timeline of a trial from each foot's events.
 
     A foot is in stance from each heel strike to its next toe-off
     (inclusive); a stance starts at frame 0 when the foot's first event is
     a toe-off and runs to the last frame when its last event is a heel
-    strike.  A double-stance phase is complete only when its start is a
-    heel strike of one foot and its end a toe-off of the other;
-    single/no-stance phases touching the trial edges are flagged incomplete.
+    strike.  See ``GaitTimeline`` for the phases this gives.
     """
-    if left_events.foot != "left" or right_events.foot != "right":
-        raise InputError("build_timeline expects (left_events, right_events) in order")
-    if n_frames < 1:
-        raise InputError("timeline needs at least one frame")
-
-    # 0 no stance, 1 left only, 2 right only, 3 both
-    codes = _stance_mask(left_events, n_frames) + 2 * _stance_mask(right_events, n_frames)
-    cuts = np.flatnonzero(np.diff(codes)) + 1  # first frame of each run but the first
-    phases: list[Phase] = []
-    for start, end in zip([0, *cuts.tolist()], [*(cuts - 1).tolist(), n_frames - 1]):
-        label = (NO_STANCE, SS_LEFT, SS_RIGHT, DOUBLE_STANCE)[codes[start]]
-        if label == DOUBLE_STANCE:
-            leading = next(
-                (ev.foot for ev in (left_events, right_events) if start in ev.heel_strikes),
-                None,
-            )
-            trailing = next(
-                (ev.foot for ev in (left_events, right_events) if end in ev.toe_offs),
-                None,
-            )
-            complete = leading is not None and trailing is not None and leading != trailing
-            phases.append(
-                Phase(
-                    label=label,
-                    start=start,
-                    end=end,
-                    incomplete=not complete,
-                    leading_foot=leading,
-                    trailing_foot=trailing,
-                )
-            )
-        else:
-            incomplete = start == 0 or end == n_frames - 1
-            phases.append(Phase(label=label, start=start, end=end, incomplete=incomplete))
-
     return GaitTimeline(
-        sample_rate_hz=sample_rate_hz,
-        n_frames=n_frames,
-        left=left_events,
-        right=right_events,
-        phases=phases,
+        sample_rate_hz=sample_rate_hz, n_frames=n_frames, left=left_events, right=right_events
     )
 
 

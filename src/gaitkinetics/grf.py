@@ -23,7 +23,7 @@ import numpy as np
 
 from .anthro import SegmentId, SubjectProfile
 from .errors import InputError, InternalInvariantError
-from .events import DOUBLE_STANCE, NO_STANCE, SS_LEFT, SS_RIGHT, GaitTimeline
+from .events import DOUBLE_STANCE, PHASE_LABELS, SS_LEFT, SS_RIGHT, GaitTimeline
 from .ingest import _VALUES_PER_BLOCK, _runs, _write_csv
 from .kinematics import ComTrajectory
 
@@ -51,9 +51,6 @@ DEFAULT_GRAVITY_MPS2 = 9.81
 DEFAULT_BUTTERFLY_SCALE_M_PER_N = 0.001
 # per-limb vertical force below -2% of body weight is flagged as implausible
 NEGATIVE_VERTICAL_FRACTION = 0.02
-
-_AXES = ("x", "y", "z")
-
 
 @dataclass
 class GrfSeries:
@@ -146,16 +143,10 @@ class BilateralGrf:
             raise InternalInvariantError(
                 "left + right does not reproduce the total force on analyzed frames"
             )
-        for phase in self.timeline.phases:
-            swing = None
-            if phase.label == SS_LEFT:
-                swing = self.right.force
-            elif phase.label == SS_RIGHT:
-                swing = self.left.force
-            if swing is not None and np.any(swing[:, phase.start : phase.end + 1] != 0.0):
-                raise InternalInvariantError(
-                    "swing limb carries force during single stance"
-                )
+        # stance code 1 is left single stance, 2 right
+        for code, swing in ((1, self.right.force), (2, self.left.force)):
+            if np.any(swing[:, self.timeline.stance == code] != 0.0):
+                raise InternalInvariantError("swing limb carries force during single stance")
 
     @property
     def n_frames(self) -> int:
@@ -378,9 +369,7 @@ def butterfly(bilateral: BilateralGrf, com: ComTrajectory) -> ButterflyDiagram:
 def write_bilateral_csv(path, bilateral: BilateralGrf) -> None:
     """Write total and per-limb forces with the phase label per frame."""
     header = ["time_s,Fx_total,Fy_total,Fz_total,Fx_L,Fy_L,Fz_L,Fx_R,Fy_R,Fz_R,phase_label"]
-    labels = np.empty(bilateral.n_frames, dtype=object)
-    for phase in bilateral.timeline.phases:
-        labels[phase.start : phase.end + 1] = phase.label
+    labels = np.array(PHASE_LABELS, dtype=object)[bilateral.timeline.stance]
     columns = [bilateral.total.times(), *bilateral.total.force]
     columns += [*bilateral.left.force, *bilateral.right.force, labels]
     _write_csv(path, header, columns)

@@ -29,7 +29,6 @@ write/parse cycle reproduces the numeric payload bit for bit.
 
 import codecs
 import functools
-import itertools
 import os
 import stat
 from dataclasses import dataclass, field
@@ -275,32 +274,43 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _column_name(c: int, width: int, names: list[str] | None) -> str:
+    """How messages name data column ``c``: the time, then ``width`` columns
+    per marker of ``names``, or per plate when there are no names."""
+    if c == 0:
+        return "time"
+    group = (c - 1) // width
+    return f"marker {names[group]!r}" if names is not None else f"plate {group + 1}"
+
+
 def _parse_rows(
-    path, rows: list[str], start: int, fields: list[str],
+    path, rows: list[str], start: int, n_groups: int, width: int,
     names: list[str] | None = None, look_first: bool = False,
 ) -> tuple[np.ndarray, bool]:
     """Parse data rows, the first of which is data row ``start + 1``, into an
-    (n_rows, n_fields) float array; ``fields`` names each column for error
-    messages.  With ``names`` (marker files), blank triplets read as ``0``.
-    Returns the array and whether a blank triplet was found.
+    (n_rows, 1 + n_groups * width) float array, a time and then ``width``
+    values per marker or plate.  With ``names`` (marker files), blank
+    triplets read as ``0``.  Returns the array and whether a blank triplet
+    was found.
 
     The rows are looked at one by one only when the block as a whole does
     not parse, or first with ``look_first``: then a row with the wrong number
     of fields is reported first, a partially blank triplet next, and a field
     that is not a number last.
     """
+    n_fields = 1 + n_groups * width
     if not look_first:
         try:
             values = _loadtxt(rows)
-            if values.shape[1] == len(fields):
+            if values.shape[1] == n_fields:
                 return values, False
         except ValueError:
             pass
     for r, row in enumerate(rows):
         n_cols = row.count("\t") + 1
-        if n_cols != len(fields):
+        if n_cols != n_fields:
             raise InputError(
-                f"{path}: data row {start + r + 1} has {n_cols} columns, expected {len(fields)}"
+                f"{path}: data row {start + r + 1} has {n_cols} columns, expected {n_fields}"
             )
     zeroed = names is not None and _zero_blank_triplets(path, rows, start, names)
     try:
@@ -309,7 +319,9 @@ def _parse_rows(
         pass
     r = next(r for r, row in enumerate(rows) if not _is_number(row))
     c = next(c for c, f in enumerate(rows[r].split("\t")) if not _is_number(f))
-    raise InputError(f"{path}: data row {start + r + 1}, {fields[c]}: non-numeric value")
+    raise InputError(
+        f"{path}: data row {start + r + 1}, {_column_name(c, width, names)}: non-numeric value"
+    )
 
 
 def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) -> bool:
@@ -341,7 +353,7 @@ def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) ->
     return zeroed
 
 
-def _data_blocks(path, blocks, first: int, fields: list[str], width: int, rate: float,
+def _data_blocks(path, blocks, first: int, n_groups: int, width: int, rate: float,
                  capacity: int, names: list[str] | None = None):
     """Parse the data text ``blocks`` of ``_text_blocks``, which begin at
     line ``first + 1`` of the file, a block at a time.
@@ -349,8 +361,11 @@ def _data_blocks(path, blocks, first: int, fields: list[str], width: int, rate: 
     Yields ``(start, groups)`` per block: its k rows are data rows
     ``start + 1`` to ``start + k``, and ``groups`` is a (n_groups, k, width)
     view of the values after the time, one group of ``width`` per marker or
-    plate.  ``fields`` names the time and then each value, and ``names``
-    (marker files only) each marker; with it, blank triplets read as ``0``.
+    plate.  ``names`` (marker files only) names each marker; with it, blank
+    triplets read as ``0``.  The first block is yielded at ``start`` 0, so
+    only after its rows matched the header's column count: the caller sizes
+    nothing from the header before then.  A value that is not finite is
+    rejected with its row and marker or plate.
 
     Blank lines may only end the file: one between data rows would shift
     every later frame, so it is rejected, also when the row after it comes
@@ -388,8 +403,15 @@ def _data_blocks(path, blocks, first: int, fields: list[str], width: int, rate: 
                 )
             # a block after one with blank triplets likely holds some too, and
             # would fail to parse before they are zeroed
-            values, after_blanks = _parse_rows(path, rows, start, fields, names, after_blanks)
+            values, after_blanks = _parse_rows(
+                path, rows, start, n_groups, width, names, after_blanks
+            )
             del rows
+            finite = np.isfinite(values[:, 1:])
+            if not finite.all():
+                r, c = divmod(int(np.argmin(finite)), finite.shape[1])
+                column = _column_name(c + 1, width, names)
+                raise InputError(f"{path}: data row {start + r + 1}, {column}: non-finite value")
             times = np.concatenate([previous, values[:, 0]])
             bad = np.flatnonzero(~(np.abs(np.diff(times) * rate - 1.0) <= _TIME_STEP_TOLERANCE))
             if bad_step is None and bad.size:
@@ -430,11 +452,11 @@ def parse_marker_file(path) -> MarkerTrajectorySet:
     if len(set(names)) != len(names):
         raise InputError(f"{path}: duplicate marker names in header")
 
-    fields = ["time"] + [f"marker {name!r}" for name in names for _ in range(3)]
-    pos = np.empty((len(names), capacity, 3))
-    missing = np.empty((len(names), capacity), dtype=bool)
     n = 0
-    for start, groups in _data_blocks(path, blocks, 3, fields, 3, rate, capacity, names):
+    for start, groups in _data_blocks(path, blocks, 3, len(names), 3, rate, capacity, names):
+        if start == 0:  # the first rows matched the header
+            pos = np.empty((len(names), capacity, 3))
+            missing = np.empty((len(names), capacity), dtype=bool)
         n = start + groups.shape[1]
         pos[:, start:n] = groups
         # an all-zero triplet (a blank one was zeroed) marks an occlusion
@@ -505,20 +527,11 @@ def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> Forc
         raise InputError(f"{path}: PLATES value {raw_plates!r} is not an integer") from exc
     if n_plates < 1:
         raise InputError(f"{path}: PLATES must be >= 1, got {n_plates}")
-    # the first data row is checked against the count before the count sizes
-    # the field names and arrays; its block is popped, so not held, by the parse
-    pending = ["", next(blocks, "")]
-    row = pending[1].partition("\n")[0].rstrip("\r")
-    n_cols = row.count("\t") + 1
-    if row and n_cols != 1 + 5 * n_plates:
-        raise InputError(f"{path}: data row 1 has {n_cols} columns, expected {1 + 5 * n_plates}")
-    blocks = itertools.chain(iter(pending.pop, ""), blocks)
-
-    fields = ["time"] + [f"plate {p + 1}" for p in range(n_plates) for _ in range(5)]
-    forces = np.empty((n_plates, capacity, 3))
-    cop = np.empty((n_plates, capacity, 2))
     n = 0
-    for start, groups in _data_blocks(path, blocks, 2, fields, 5, rate, capacity):
+    for start, groups in _data_blocks(path, blocks, 2, n_plates, 5, rate, capacity):
+        if start == 0:  # the first rows matched the header
+            forces = np.empty((n_plates, capacity, 3))
+            cop = np.empty((n_plates, capacity, 2))
         n = start + groups.shape[1]
         forces[:, start:n] = groups[:, :, :3]
         cop[:, start:n] = groups[:, :, 3:]

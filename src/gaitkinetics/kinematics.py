@@ -16,7 +16,7 @@ accumulated in a fixed segment order so results are bitwise reproducible.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -153,53 +153,40 @@ class ComTrajectory:
     """Per-segment and whole-body CoM tracks.
 
     segment_coms has shape (3, n_segments, n_frames) in the order of
-    ``segment_ids``; whole_body is the mass-weighted mean over segments.
+    ``segment_ids``; whole_body is computed from them, as the mass-weighted
+    mean over segments.
     """
 
     sample_rate_hz: float
     segment_ids: tuple[SegmentId, ...]
     segment_coms: np.ndarray
     masses_kg: np.ndarray
-    whole_body: np.ndarray
     # whole-body acceleration attached by filter_com_trajectory, the one
     # source total_grf reads; None for a trajectory that has not been
     # low-passed
     whole_body_acceleration: np.ndarray | None = None
+    whole_body: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.sample_rate_hz > 0:
             raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
         self.segment_coms = np.asarray(self.segment_coms, dtype=float)
         self.masses_kg = np.asarray(self.masses_kg, dtype=float)
-        self.whole_body = np.asarray(self.whole_body, dtype=float)
-        if self.whole_body_acceleration is not None:
-            self.whole_body_acceleration = np.asarray(
-                self.whole_body_acceleration, dtype=float
-            )
-            if self.whole_body_acceleration.shape != self.whole_body.shape:
-                raise InternalInvariantError(
-                    "whole_body_acceleration must match whole_body in shape"
-                )
-            if not np.all(np.isfinite(self.whole_body_acceleration)):
-                raise InternalInvariantError(
-                    "whole_body_acceleration contains non-finite values"
-                )
         n_seg = len(self.segment_ids)
         if self.segment_coms.ndim != 3 or self.segment_coms.shape[:2] != (3, n_seg):
             raise InternalInvariantError("segment_coms must be (3, n_segments, n_frames)")
         if self.masses_kg.shape != (n_seg,) or not np.all(self.masses_kg > 0):
             raise InternalInvariantError("masses_kg must be positive, one per segment")
-        if self.whole_body.shape != (3, self.segment_coms.shape[2]):
-            raise InternalInvariantError("whole_body must be (3, n_frames)")
         if not np.all(np.isfinite(self.segment_coms)):
             raise InternalInvariantError("segment_coms contains non-finite values")
-        # whole_body must be the stated weighted mean of segment_coms
-        expect = _weighted_mean(self.segment_coms, self.masses_kg)
-        scale = max(1.0, float(np.max(np.abs(expect))))
-        if not np.all(np.abs(expect - self.whole_body) <= 1e-12 * scale):
-            raise InternalInvariantError(
-                "whole_body is not the mass-weighted mean of segment_coms"
-            )
+        acc = self.whole_body_acceleration
+        if acc is not None:
+            self.whole_body_acceleration = acc = np.asarray(acc, dtype=float)
+            if acc.shape != (3, self.n_frames):
+                raise InternalInvariantError("whole_body_acceleration must be (3, n_frames)")
+            if not np.all(np.isfinite(acc)):
+                raise InternalInvariantError("whole_body_acceleration contains non-finite values")
+        self.whole_body = _weighted_mean(self.segment_coms, self.masses_kg)
 
     @property
     def n_frames(self) -> int:
@@ -484,36 +471,33 @@ def com_trajectory(
         raise InputError(f"{sid}: marker coordinates too large for the segment geometry") from None
     try:
         with np.errstate(over="raise"):
-            whole = _weighted_mean(coms, masses)
+            return ComTrajectory(
+                sample_rate_hz=traj.sample_rate_hz,
+                segment_ids=SEGMENT_IDS,
+                segment_coms=coms,
+                masses_kg=masses,
+            )
     except FloatingPointError:
         raise InputError(
             f"subject mass {subject.mass_kg} kg overflows the mass-weighted CoM mean"
         ) from None
-    return ComTrajectory(
-        sample_rate_hz=traj.sample_rate_hz,
-        segment_ids=SEGMENT_IDS,
-        segment_coms=coms,
-        masses_kg=masses,
-        whole_body=whole,
-    )
 
 
 def filter_com_trajectory(com: ComTrajectory, cutoff_hz: float, order: int = 4) -> ComTrajectory:
-    """Low-pass every segment CoM track and rebuild the whole-body mean.
+    """Low-pass every segment CoM track; the returned trajectory computes
+    its whole-body mean from the filtered segments.
 
-    Rebuilding (rather than filtering the whole-body track directly) keeps
-    the weighted-mean invariant exact.  The whole-body acceleration is
-    computed alongside, by the same filter and difference stencils carried
-    in extended precision (see ``smoothed_acceleration``), and attached to
-    the returned trajectory so that downstream force estimation does not
-    amplify the storage rounding of the metre-scale positions.
+    The whole-body acceleration is computed alongside, by the same filter
+    and difference stencils carried in extended precision (see
+    ``smoothed_acceleration``), and attached to the returned trajectory so
+    that downstream force estimation does not amplify the storage rounding
+    of the metre-scale positions.
     """
     n_seg = len(com.segment_ids)
     flat = com.segment_coms.reshape(3 * n_seg, com.n_frames)
     filtered = lowpass(
         UniformSeries(com.sample_rate_hz, flat), cutoff_hz, order=order
     ).values.reshape(3, n_seg, com.n_frames)
-    whole = _weighted_mean(filtered, com.masses_kg)
     acc = smoothed_acceleration(
         UniformSeries(com.sample_rate_hz, com.whole_body), cutoff_hz, order=order
     ).values
@@ -522,7 +506,6 @@ def filter_com_trajectory(com: ComTrajectory, cutoff_hz: float, order: int = 4) 
         segment_ids=com.segment_ids,
         segment_coms=filtered,
         masses_kg=com.masses_kg,
-        whole_body=whole,
         whole_body_acceleration=acc,
     )
 

@@ -194,21 +194,14 @@ def _second_difference(x: np.ndarray, rate: float) -> np.ndarray:
 
     Interior samples use nested first differences (exact for neighbouring
     samples of like magnitude, unchanged under constant offsets); the two
-    edge samples use one-sided second-order stencils, falling back to the
-    single interior estimate for a 3-sample series.
+    edge samples use one-sided second-order stencils, which need N >= 4.
     """
     r = rate
     out = np.empty_like(x)
     d = np.diff(x, axis=1)
     out[:, 1:-1] = (d[:, 1:] - d[:, :-1]) * (r * r)
-    if x.shape[1] >= 4:
-        out[:, 0] = (2.0 * x[:, 0] - 5.0 * x[:, 1] + 4.0 * x[:, 2] - x[:, 3]) * (r * r)
-        out[:, -1] = (
-            2.0 * x[:, -1] - 5.0 * x[:, -2] + 4.0 * x[:, -3] - x[:, -4]
-        ) * (r * r)
-    else:
-        out[:, 0] = out[:, 1]
-        out[:, -1] = out[:, 1]
+    out[:, 0] = (2.0 * x[:, 0] - 5.0 * x[:, 1] + 4.0 * x[:, 2] - x[:, 3]) * (r * r)
+    out[:, -1] = (2.0 * x[:, -1] - 5.0 * x[:, -2] + 4.0 * x[:, -3] - x[:, -4]) * (r * r)
     return out
 
 

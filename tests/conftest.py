@@ -305,6 +305,9 @@ def differentiate(series: UniformSeries, order: int) -> UniformSeries:
         out[:, 1:-1] = (x[:, 2:] - x[:, :-2]) * (r / 2.0)
         out[:, 0] = (-3.0 * x[:, 0] + 4.0 * x[:, 1] - x[:, 2]) * (r / 2.0)
         out[:, -1] = (3.0 * x[:, -1] - 4.0 * x[:, -2] + x[:, -3]) * (r / 2.0)
+    elif n == 3:  # the single 3-point estimate at every sample
+        d = np.diff(x, axis=1)
+        out = np.repeat((d[:, 1:] - d[:, :1]) * (r * r), 3, axis=1)
     else:
         out = _second_difference(x, r)
     return UniformSeries(sample_rate_hz=r, values=out)

@@ -438,6 +438,35 @@ def test_infinite_rate_exits_2_naming_the_file(cli_files, tmp_path, capsys, kind
     assert captured.err == f"error: {path}: RATE must be finite, got inf\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["nan", "1e999", "-inf"])
+@pytest.mark.parametrize("kind", ["markers", "forces"])
+def test_a_non_finite_value_exits_2_naming_the_file_row_and_column(
+    cli_files, tmp_path, capsys, kind, text
+):
+    lines = cli_files[kind].read_text(encoding="utf-8").splitlines()
+    if kind == "markers":  # the z of LASI
+        head, named = 3, "marker 'LASI'"
+        column = 1 + 3 * lines[2].split("\t")[1:].index("LASI") + 2
+    else:  # the Fz of plate 2
+        head, column, named = 2, 1 + 5 + 2, "plate 2"
+    fields = lines[head + 6].split("\t")
+    fields[column] = text
+    lines[head + 6] = "\t".join(fields)
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    files = {"markers": cli_files["markers"], "forces": cli_files["forces"], kind: path}
+    out = tmp_path / "out"
+    code, captured = _run(
+        ["grf", "--marker-file", str(files["markers"]), "--force-file", str(files["forces"]),
+         "--output-dir", str(out)] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err == f"error: {path}: data row 7, {named}: non-finite value\n"
+    assert not out.exists()
+
+
 def test_bad_boolean_flag_exits_2_naming_the_flag(cli_files, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(
@@ -629,7 +658,10 @@ def test_validate_requires_an_integer_rate_multiple(cli_files, tmp_path, capsys)
         capsys,
     )
     assert code == 2
-    assert "integer multiple" in captured.err
+    assert captured.err == (
+        f"error: {cli_files['forces_300']}: force rate 300.0 Hz is not an integer multiple "
+        f"of the marker rate 200.0 Hz of {cli_files['markers']}\n"
+    )
 
 
 def test_validate_requires_enough_settled_samples(tmp_path, capsys):

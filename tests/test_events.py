@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from gaitkinetics.errors import InputError, InternalInvariantError, NoGaitDataError
+from gaitkinetics.errors import InputError, NoGaitDataError
 from gaitkinetics.events import (
     DOUBLE_STANCE,
     NO_STANCE,
+    PHASE_LABELS,
     SS_LEFT,
     SS_RIGHT,
     FootEvents,
@@ -211,6 +212,8 @@ def test_timeline_stance_masks_follow_the_phases():
     right = timeline.stance_mask("right")
     assert not left[:100].any() and left[100:151].all() and not left[151:].any()
     assert right[:131].all() and not right[131:].any()
+    labels = [PHASE_LABELS[code] for code in timeline.stance]
+    assert labels == [p.label for p in timeline.phases for _ in range(p.start, p.end + 1)]
 
 
 def test_timeline_single_foot_trial_is_one_incomplete_phase():
@@ -236,7 +239,8 @@ def test_timeline_with_no_events_is_all_no_stance():
 def test_timeline_validation_rejects_broken_tilings_and_frames():
     left = FootEvents("left", (10,), ())
     right = FootEvents("right", (), ())
-    with pytest.raises(InternalInvariantError, match="tiling"):
+    # the timeline derives its phases, so no broken tiling can be passed in
+    with pytest.raises(TypeError, match="phases"):
         GaitTimeline(
             sample_rate_hz=100.0,
             n_frames=30,

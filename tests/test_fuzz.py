@@ -1,0 +1,219 @@
+"""Seeded property tests of the trial parsers, run through ``cli.main``.
+
+A short demo trial's marker and force files are mutated the ways real files
+go wrong: rows dropped, repeated or cut short, blank lines, blank or partly
+blank triplets, non-finite or non-numeric fields, tabs added or removed,
+CRLF line ends, bytes that are not UTF-8, and edited header lines.  Every
+case must end in exit 0, 2 or 3 with no exception and no warning; a failed
+run writes nothing, and an exit 2 names what is wrong.
+"""
+
+import contextlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from gaitkinetics import cli
+from gaitkinetics.ingest import write_force_file, write_marker_file
+from gaitkinetics.synth import WalkerParams, generate_walker, synth_force_plates
+
+# Hypothesis imports its patch writer, and with it libcst, only to report a
+# failure; with some mypy_extensions versions that import warns, which the
+# suite's warnings-as-errors setting would turn into a crash of the whole
+# session in place of the report.  Imported here, once, the warning is left
+# out and a failing case is reported as it should be.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
+SUBJECT_ARGS = ["--subject-mass-kg", "80", "--subject-height-m", "1.78", "--subject-sex", "m"]
+
+# fixed seeds and no example database, so every run tries the same cases
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# a line index, a marker or field index, a character position: each is
+# taken modulo the size of what it indexes when the mutation is applied
+INDEX = st.integers(0, 1 << 20)
+FIELD_TEXT = st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "NaN", "", "  ", "abc", "0", "1e-320"]
+)
+NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\x80\xfe", b"\xed\xa0\x80"])
+
+DATA_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), INDEX),
+    st.tuples(st.just("repeat"), INDEX),
+    st.tuples(st.just("truncate"), INDEX, INDEX),
+    st.tuples(st.just("blank_line"), INDEX),
+    st.tuples(st.just("field"), INDEX, INDEX, FIELD_TEXT),
+    st.tuples(st.just("add_tab"), INDEX, INDEX),
+    st.tuples(st.just("remove_tab"), INDEX, INDEX),
+    st.tuples(st.just("crlf")),
+    st.tuples(st.just("bytes"), INDEX, INDEX, NOT_UTF8),
+)
+# the bits of the third number pick the fields of the triplet to overwrite:
+# all three (an occlusion when blank or zero) or one or two of them
+TRIPLETS = st.tuples(
+    st.just("triplet"), INDEX, INDEX, st.sampled_from([7, 7, 7, 1, 2, 3, 4, 5, 6]),
+    st.sampled_from(["", " ", "   ", "0"]),
+)
+RATES = st.sampled_from(["0", "-200", "abc", "inf", "nan", "1e999", "", "100", "200.0001", "2000"])
+MARKER_HEADER = st.one_of(
+    st.tuples(st.just("header"), st.just(0), RATES),
+    st.tuples(st.just("header"), st.just(1), st.sampled_from(["mm", "cm", "", "M"])),
+    st.tuples(st.just("names"), st.sampled_from(["drop", "duplicate", "rename", "add"]), INDEX),
+)
+PLATE_HEADER = st.one_of(
+    st.tuples(st.just("header"), st.just(0), RATES),
+    st.tuples(
+        st.just("header"), st.just(1), st.sampled_from(["0", "1", "3", "x", "-1", "", "200000"])
+    ),
+)
+
+
+_ROW_MUTATIONS = ("drop", "repeat", "truncate", "field", "triplet", "add_tab", "remove_tab")
+
+
+class _DemoFiles(dict):
+    """The lines of each file, by kind; shown short in a failure report."""
+
+    def __repr__(self):
+        return "<demo files>"
+
+
+@pytest.fixture(scope="module")
+def demo_files(tmp_path_factory):
+    """The lines of a 2 s demo trial's marker and force files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    params = WalkerParams(duration_s=2.0)
+    write_marker_file(root / "markers.tsv", generate_walker(params).markers)
+    write_force_file(root / "forces.tsv", synth_force_plates(params))
+    return _DemoFiles(
+        (kind, (root / f"{kind}.tsv").read_bytes().split(b"\n")[:-1])
+        for kind in ("markers", "forces")
+    )
+
+
+def _mutate(lines: list[bytes], n_header: int, mutation) -> list[bytes]:
+    """``lines`` with one mutation applied; data rows follow ``n_header``
+    header lines, and a mutation's first index picks one of them."""
+    lines = list(lines)
+    kind, *args = mutation
+    n_data = len(lines) - n_header  # the 2 s trial's 400 rows outlast any 3 mutations
+    row = n_header + args[0] % n_data if kind in _ROW_MUTATIONS else None
+    if kind == "drop":
+        del lines[row]
+    elif kind == "repeat":
+        lines.insert(row, lines[row])
+    elif kind == "truncate":
+        lines[row] = lines[row][: args[1] % (len(lines[row]) + 1)]
+    elif kind == "blank_line":
+        lines.insert(n_header + args[0] % (n_data + 1), b"")
+    elif kind in ("field", "triplet", "remove_tab"):
+        fields = lines[row].split(b"\t")
+        if kind == "field":
+            fields[args[1] % len(fields)] = args[2].encode()
+        elif kind == "triplet":
+            first = 1 + 3 * (args[1] % ((len(fields) - 1) // 3))
+            for k in range(3):
+                if args[2] >> k & 1:
+                    fields[first + k] = args[3].encode()
+        elif len(fields) > 1:  # join a field to the next
+            k = args[1] % (len(fields) - 1)
+            fields[k : k + 2] = [fields[k] + fields[k + 1]]
+        lines[row] = b"\t".join(fields)
+    elif kind == "add_tab":
+        cut = args[1] % (len(lines[row]) + 1)
+        lines[row] = lines[row][:cut] + b"\t" + lines[row][cut:]
+    elif kind == "crlf":
+        lines = [line + b"\r" for line in lines]
+    elif kind == "bytes":
+        at = args[0] % len(lines)
+        cut = args[1] % (len(lines[at]) + 1)
+        lines[at] = lines[at][:cut] + args[2] + lines[at][cut:]
+    elif kind == "header":
+        tag = lines[args[0]].split(b"\t")[0]
+        lines[args[0]] = tag + b"\t" + args[1].encode()
+    elif kind == "names":
+        names = lines[2].split(b"\t")[1:]
+        k = args[1] % len(names)
+        if args[0] == "drop":
+            del names[k]
+        elif args[0] == "duplicate":
+            names.insert(k, names[k])
+        elif args[0] == "rename":
+            names[k] = b"X" + names[k]
+        else:
+            names.insert(k, b"EXTRA")
+        lines[2] = b"\t".join([b"MARKERS", *names])
+    return lines
+
+
+def _run_grf(markers: list[bytes], forces: list[bytes], bad: str):
+    """Write the two files, run ``grf`` on them and check the outcome; ``bad``
+    names the file that was mutated."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = {"markers": root / "markers.tsv", "forces": root / "forces.tsv"}
+        paths["markers"].write_bytes(b"\n".join(markers) + b"\n")
+        paths["forces"].write_bytes(b"\n".join(forces) + b"\n")
+        out = root / "out"
+        argv = ["grf", "--marker-file", str(paths["markers"]),
+                "--force-file", str(paths["forces"]), "--output-dir", str(out), *SUBJECT_ARGS]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code != 0:
+            assert not out.exists(), f"exit {code} wrote {sorted(out.iterdir())}"
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if code == 2:
+            assert _names_the_fault(err, paths[bad]), err
+        return code, err
+
+
+def _names_the_fault(err: str, path: Path) -> bool:
+    """An exit 2 names the file it read the fault in.  The one exception is
+    a marker that the parse accepted but the CoM model or the event
+    detection cannot use (one the header renamed, or an occlusion that gap
+    filling left): that message names the marker."""
+    return str(path) in err or " marker '" in err
+
+
+@FUZZ
+@given(mutations=st.lists(st.one_of(DATA_MUTATIONS, TRIPLETS, MARKER_HEADER), min_size=1,
+                          max_size=3))
+@example(mutations=[("triplet", 0, 0, 7, "")])  # SACR occluded at frame 0
+@example(mutations=[("header", 0, "200.0001")])  # a marker rate the plates do not divide
+def test_mutated_marker_files_exit_cleanly(demo_files, mutations):
+    lines = demo_files["markers"]
+    for mutation in mutations:
+        lines = _mutate(lines, 3, mutation)
+    _run_grf(lines, demo_files["forces"], "markers")
+
+
+@FUZZ
+@given(mutations=st.lists(st.one_of(DATA_MUTATIONS, PLATE_HEADER), min_size=1, max_size=3))
+@example(mutations=[("field", 0, 3, "nan")])  # a plate's Fz
+def test_mutated_force_files_exit_cleanly(demo_files, mutations):
+    lines = demo_files["forces"]
+    for mutation in mutations:
+        lines = _mutate(lines, 2, mutation)
+    _run_grf(demo_files["markers"], lines, "forces")

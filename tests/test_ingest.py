@@ -286,6 +286,23 @@ def test_plates_header_is_checked_against_the_first_row_before_allocating(tmp_pa
     assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
 
 
+def test_markers_header_is_checked_against_the_first_row_before_allocating(tmp_path):
+    # a 0.66 MiB file; sizing the arrays and 300,001 column names from its
+    # header took a 34 MiB peak, its header's names alone take about 14 MiB
+    names = [f"M{k}" for k in range(100_000)]
+    path = _write(tmp_path, _marker_text(_timed_rows([0.0, 0.005], 3), names))
+    del names
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as caught:
+            parse_marker_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == f"{path}: data row 1 has 4 columns, expected 300001"
+    assert peak < 17 << 20, f"peak {peak / (1 << 20):.2f} MiB"
+
+
 # ------------------------------------------------------- parser edge cases
 
 

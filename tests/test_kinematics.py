@@ -22,6 +22,7 @@ from gaitkinetics.ingest import (
     write_marker_file,
 )
 from gaitkinetics.kinematics import (
+    ComTrajectory,
     PointRule,
     SegmentDefinition,
     _Points,
@@ -273,6 +274,12 @@ def test_whole_body_com_matches_a_brute_force_weighted_mean(
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(com.whole_body - expect)) <= 1e-12 * scale
     assert com.masses_kg.sum() == pytest.approx(walker.subject.mass_kg, rel=0.01)
+    # the trajectory computes its whole-body mean; no copy can be passed in
+    with pytest.raises(TypeError, match="whole_body"):
+        ComTrajectory(
+            com.sample_rate_hz, com.segment_ids, com.segment_coms, com.masses_kg,
+            whole_body=expect,
+        )
 
 
 def test_com_is_equivariant_under_translation(walker, table, definitions):
