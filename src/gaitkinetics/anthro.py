@@ -181,7 +181,10 @@ def parse_table(text: str, source: str = "<table>") -> AnthropometricTable:
         if sex not in _SEXES:
             raise InputError(f"{source}:{lineno}: unknown sex tag {sex!r}")
         rows[(kind, sex)] = SegmentParameters(*numbers)
-    return AnthropometricTable(rows=rows)
+    try:
+        return AnthropometricTable(rows=rows)
+    except InputError as exc:  # empty, incomplete, or mass ratios that do not sum to 1
+        raise InputError(f"{source}: {exc}") from None
 
 
 def load_table(path) -> AnthropometricTable:

@@ -45,6 +45,7 @@ from .events import (
 from .grf import (
     DEFAULT_BUTTERFLY_SCALE_M_PER_N,
     DEFAULT_GRAVITY_MPS2,
+    _check_display_scale,
     butterfly,
     decompose_gait,
     total_grf,
@@ -56,6 +57,7 @@ from .grf import (
 from .ingest import (
     DEFAULT_MAX_GAP_FRAMES,
     DEFAULT_NOISE_FLOOR_N,
+    _marker_positions,
     _read_text,
     _write_csv,
     fill_gaps,
@@ -252,8 +254,7 @@ def _load_markers(config: PipelineConfig):
     _require(config, "marker_file")
     raw = parse_marker_file(config.marker_file)
     filled = fill_gaps(raw, config.max_gap_frames)
-    n = raw.n_frames
-    flagged = np.zeros(n, dtype=bool)
+    flagged = np.zeros(raw.n_frames, dtype=bool)
     for name in raw.markers:
         flagged |= raw.missing[name] & ~filled.missing[name]
     return filled, flagged
@@ -261,28 +262,11 @@ def _load_markers(config: PipelineConfig):
 
 def _load_model(config: PipelineConfig):
     _require(config, "subject_mass_kg", "subject_height_m", "subject_sex")
-    table_path = config.anthro_table or bundled_table_path()
+    table = load_table(config.anthro_table or bundled_table_path())
     defs_path = config.segment_definitions or bundled_definitions_path()
-    table = load_table(table_path)
     definitions = load_segment_definitions(defs_path)
-    subject = SubjectProfile(
-        mass_kg=config.subject_mass_kg,
-        height_m=config.subject_height_m,
-        sex=config.subject_sex,
-    )
+    subject = SubjectProfile(config.subject_mass_kg, config.subject_height_m, config.subject_sex)
     return table, definitions, subject
-
-
-def _marker_series(traj, name: str, axis: int) -> UniformSeries:
-    if name not in traj.markers:
-        raise InputError(f"marker {name!r} not present in trial")
-    if traj.missing[name].any():
-        bad = int(np.count_nonzero(traj.missing[name]))
-        raise InputError(
-            f"marker {name!r} still has {bad} occluded frame(s) after gap "
-            f"filling; cannot use it for event detection"
-        )
-    return UniformSeries(traj.sample_rate_hz, traj.markers[name][:, axis])
 
 
 def _event_series(config: PipelineConfig, traj) -> UniformSeries:
@@ -295,7 +279,7 @@ def _event_series(config: PipelineConfig, traj) -> UniformSeries:
         config.right_heel_marker,
         config.right_toe_marker,
     )
-    ap = np.stack([_marker_series(traj, name, axis=0).values[0] for name in names])
+    ap = np.stack([_marker_positions(traj, name, config.marker_file)[:, 0] for name in names])
     return UniformSeries(traj.sample_rate_hz, ap)
 
 
@@ -355,7 +339,8 @@ def _stance_interval_columns(config: PipelineConfig, traj) -> list:
         ("left", config.left_heel_marker),
         ("right", config.right_heel_marker),
     ):
-        series = _marker_series(traj, name, axis=2)
+        heel = _marker_positions(traj, name, config.marker_file)[:, 2]
+        series = UniformSeries(traj.sample_rate_hz, heel)
         for interval in detect_stance_threshold(series, config.stance_threshold_m):
             feet.append(foot)
             intervals.append(interval)
@@ -379,11 +364,7 @@ def _compute_bilateral(config: PipelineConfig):
     timeline = _detect_timeline(config, ap)
     total = total_grf(com, subject, config.gravity_mps2)
     bilateral = decompose_gait(
-        total,
-        timeline,
-        subject.mass_kg,
-        config.gravity_mps2,
-        flagged_frames=flagged,
+        total, timeline, subject.mass_kg, config.gravity_mps2, flagged_frames=flagged
     )
     return com, timeline, bilateral
 
@@ -408,13 +389,17 @@ def _compare_against_plates(config: PipelineConfig, marker_force) -> ComparisonR
     margin = int(np.ceil(4.0 * marker_force.sample_rate_hz / config.cutoff_hz))
     if n <= 2 * margin + 1:
         raise InputError(
-            f"only {n} overlapping samples; need more than {2 * margin + 1} to "
-            f"compare after dropping {margin} filter-settling samples per end"
+            f"{config.force_file}: only {n} samples overlap the markers; need more than "
+            f"{2 * margin + 1} to compare after dropping {margin} filter-settling samples "
+            f"(four periods of cutoff_hz) per end"
         )
     span = slice(margin, n - margin)
     a = UniformSeries(marker_force.sample_rate_hz, marker_force.force[:, span])
     b = UniformSeries(plate_smooth.sample_rate_hz, plate_smooth.values[:, span])
-    return compare(a, b)
+    try:
+        return compare(a, b)
+    except InputError as exc:  # the squared difference overflows
+        raise InputError(f"{config.force_file} against {config.marker_file}: {exc}") from None
 
 
 def _validation_writers(report: ComparisonReport) -> list:
@@ -424,17 +409,26 @@ def _validation_writers(report: ComparisonReport) -> list:
     ]
 
 
+def _butterfly_writers(config: PipelineConfig, diagram) -> list:
+    """The butterfly CSV and SVG writers, after the display scale is checked,
+    so that a scale too large to draw fails before any file is written."""
+    scale = config.butterfly_scale_m_per_n
+    _check_display_scale(diagram, scale)
+    return [
+        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram, scale)),
+        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram, scale)),
+    ]
+
+
 def run_grf(config: PipelineConfig) -> list[Path]:
     com, timeline, bilateral = _compute_bilateral(config)
     diagram = butterfly(bilateral, com)
     del com  # not held across the plate parse
-    scale = config.butterfly_scale_m_per_n
     writers = [
         ("grf.csv", lambda p: write_bilateral_csv(p, bilateral)),
         ("grf_diagnostics.csv", lambda p: write_diagnostics_csv(p, bilateral)),
         ("events.csv", lambda p: write_events_csv(p, timeline)),
-        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram, scale)),
-        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram, scale)),
+        *_butterfly_writers(config, diagram),
     ]
     if config.force_file is not None:
         report = _compare_against_plates(config, bilateral.total)
@@ -457,13 +451,7 @@ def run_validate(config: PipelineConfig) -> list[Path]:
 
 def run_butterfly(config: PipelineConfig) -> list[Path]:
     com, _, bilateral = _compute_bilateral(config)
-    diagram = butterfly(bilateral, com)
-    scale = config.butterfly_scale_m_per_n
-    writers = [
-        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram, scale)),
-        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram, scale)),
-    ]
-    return _write_outputs(config, writers)
+    return _write_outputs(config, _butterfly_writers(config, butterfly(bilateral, com)))
 
 
 _COMMANDS = {

@@ -51,6 +51,8 @@ DEFAULT_GRAVITY_MPS2 = 9.81
 DEFAULT_BUTTERFLY_SCALE_M_PER_N = 0.001
 # per-limb vertical force below -2% of body weight is flagged as implausible
 NEGATIVE_VERTICAL_FRACTION = 0.02
+# the farthest butterfly vector tip (m) that the SVG's arithmetic spans with room to spare
+_MAX_TIP_M = 1e300
 
 @dataclass
 class GrfSeries:
@@ -205,10 +207,6 @@ def total_grf(
         raise InputError(
             "CoM trajectory carries no acceleration; low-pass it with "
             "filter_com_trajectory first"
-        )
-    if not np.all(np.isfinite(acc)):
-        raise InputError(
-            "CoM acceleration contains non-finite values; fill or trim marker gaps first"
         )
     try:
         with np.errstate(over="raise"):
@@ -386,12 +384,23 @@ def write_diagnostics_csv(path, bilateral: BilateralGrf) -> None:
     _write_csv(path, ["record,start_frame,end_frame,detail"], columns)
 
 
+def _check_display_scale(diagram: ButterflyDiagram, scale_m_per_n: float) -> None:
+    """Refuse a scale that is not positive or puts a vector tip past ``_MAX_TIP_M``."""
+    if not scale_m_per_n > 0:
+        raise InputError(f"display scale must be positive, got {scale_m_per_n}")
+    peak = float(np.abs(diagram.forces).max(initial=0.0))
+    if not float(np.abs(diagram.bases).max(initial=0.0)) + scale_m_per_n * peak <= _MAX_TIP_M:
+        raise InputError(
+            f"butterfly_scale_m_per_n {scale_m_per_n} m/N scales the {peak:g} N peak force "
+            f"past {_MAX_TIP_M:g} m, more than a butterfly diagram can span"
+        )
+
+
 def write_butterfly_csv(
     path, diagram: ButterflyDiagram, scale_m_per_n: float = DEFAULT_BUTTERFLY_SCALE_M_PER_N
 ) -> None:
     """Write anchors and scaled vector tips: base_x,base_y,tip_x,tip_y,tip_z,foot."""
-    if not scale_m_per_n > 0:
-        raise InputError(f"display scale must be positive, got {scale_m_per_n}")
+    _check_display_scale(diagram, scale_m_per_n)
     tips = diagram.bases + scale_m_per_n * diagram.forces
     _write_csv(
         path,
@@ -411,8 +420,7 @@ def write_butterfly_svg(
     X maps the antero-posterior anchor/tip positions, Y the scaled vertical
     force; the file embeds everything it needs (no external references).
     """
-    if not scale_m_per_n > 0:
-        raise InputError(f"display scale must be positive, got {scale_m_per_n}")
+    _check_display_scale(diagram, scale_m_per_n)
     tips = diagram.bases + scale_m_per_n * diagram.forces
     if diagram.n_entries:
         x_min = float(min(diagram.bases[:, 0].min(), tips[:, 0].min()))

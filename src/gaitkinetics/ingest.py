@@ -6,8 +6,9 @@ Marker files
     line 3: ``MARKERS<TAB>name1<TAB>name2...``
     data  : one row per frame, ``time<TAB>x<TAB>y<TAB>z`` triplets per marker.
     An occluded sample is either a blank triplet (three empty or
-    spaces-only fields) or an exact ``0<TAB>0<TAB>0`` triplet.  Positions are
-    stored internally in metres; mm inputs are divided by 1000.
+    spaces-only fields) or an exact ``0<TAB>0<TAB>0`` triplet; either is
+    held as a NaN triplet.  Positions are stored internally in metres; mm
+    inputs are divided by 1000.
 
 Force-plate files
     line 1: ``RATE<TAB><hz>``
@@ -72,36 +73,40 @@ _BYTES_PER_BLOCK = 1 << 20
 class MarkerTrajectorySet:
     """Uniformly sampled marker positions in metres.
 
-    markers: mapping marker name -> (n_frames, 3) float array.
-    missing: mapping marker name -> (n_frames,) bool; True marks occluded
-        samples.  Positions are NaN exactly where missing, finite elsewhere.
+    markers: mapping marker name -> (n_frames, 3) float array.  A frame's
+        triplet is all finite, or all NaN where the marker was occluded.
+    missing: mapping marker name -> (n_frames,) bool, True on the NaN
+        triplets; derived from the positions, never passed in.
     """
 
     sample_rate_hz: float
     markers: dict[str, np.ndarray]
-    missing: dict[str, np.ndarray]
+    missing: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         if not self.sample_rate_hz > 0:
             raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
         if not self.markers:
             raise InputError("marker set is empty")
-        if set(self.markers) != set(self.missing):
-            raise InputError("markers and missing masks name different markers")
+        self.missing = {}
         n = None
         for name, pos in self.markers.items():
             pos = np.asarray(pos, dtype=float)
             if pos.ndim != 2 or pos.shape[1] != 3:
                 raise InputError(f"marker {name!r}: positions must be (n_frames, 3)")
-            mask = np.asarray(self.missing[name], dtype=bool)
-            if mask.shape != (pos.shape[0],):
-                raise InputError(f"marker {name!r}: missing mask length mismatch")
             if n is None:
                 n = pos.shape[0]
             elif pos.shape[0] != n:
                 raise InputError(f"marker {name!r}: frame count differs from others")
-            if not np.all(np.isfinite(pos) | mask[:, np.newaxis]):
-                raise InputError(f"marker {name!r}: non-finite position in a present frame")
+            bad = np.isnan(pos)  # element by element: numpy reduces (n, 3) rows slowly
+            mask = bad[:, 0].copy()
+            bad ^= mask[:, np.newaxis]  # a coordinate whose NaN-ness differs from x's
+            bad |= np.isinf(pos)
+            if bad.any():
+                raise InputError(
+                    f"marker {name!r}: non-finite position at frame {int(np.argmax(bad)) // 3}; "
+                    "an occluded frame is an all-NaN triplet"
+                )
             self.markers[name] = pos
             self.missing[name] = mask
         if n == 0:
@@ -456,19 +461,14 @@ def parse_marker_file(path) -> MarkerTrajectorySet:
     for start, groups in _data_blocks(path, blocks, 3, len(names), 3, rate, capacity, names):
         if start == 0:  # the first rows matched the header
             pos = np.empty((len(names), capacity, 3))
-            missing = np.empty((len(names), capacity), dtype=bool)
         n = start + groups.shape[1]
         pos[:, start:n] = groups
         # an all-zero triplet (a blank one was zeroed) marks an occlusion
-        missing[:, start:n] = (groups == 0.0).all(axis=2)
-    # views, when trailing blank lines were counted
-    pos, missing = pos[:, :n], missing[:, :n]
+        pos[:, start:n][(groups == 0.0).all(axis=2)] = np.nan
+    pos = pos[:, :n]  # a view, when trailing blank lines were counted
     if unit == "mm":
         pos /= 1000.0  # correctly rounded, value by value
-    pos[missing] = np.nan
-    return MarkerTrajectorySet(
-        sample_rate_hz=rate, markers=dict(zip(names, pos)), missing=dict(zip(names, missing))
-    )
+    return MarkerTrajectorySet(sample_rate_hz=rate, markers=dict(zip(names, pos)))
 
 
 def _text(values):
@@ -501,14 +501,13 @@ def _write_csv(path, header: list[str], columns, sep: str = ",") -> None:
 def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
     """Write a MarkerTrajectorySet as a TSV file in metres.
 
-    Occluded frames become blank triplets, so parse(write(x)) restores the
-    positions and the missing mask exactly.
+    Occluded (NaN) frames become blank triplets, so parse(write(x))
+    restores the positions exactly.
     """
     names = traj.marker_names
     columns = [traj.times()]
     for name in names:
-        pos = np.where(traj.missing[name][:, None], np.nan, traj.markers[name])
-        columns += list(pos.T)
+        columns += list(traj.markers[name].T)
     header = [f"RATE\t{traj.sample_rate_hz!r}", "UNITS\tm", "MARKERS\t" + "\t".join(names)]
     _write_csv(path, header, columns, sep="\t")
 
@@ -562,18 +561,17 @@ def fill_gaps(
 
     Runs longer than the threshold, and runs touching the first or last
     frame (no bracketing sample on one side), are left missing.  Present
-    frames are passed through untouched, so the output mask is a subset of
-    the input mask.  A marker with samples to fill gets new position and
-    mask arrays; every other marker shares its arrays with ``traj``.
+    frames are passed through untouched, so the output's missing frames are
+    a subset of the input's.  A marker with samples to fill gets a new
+    position array; every other marker shares its array with ``traj``.
     """
     if max_gap_frames < 0:
         raise InputError("max_gap_frames must be non-negative")
 
     n = traj.n_frames
     new_pos = {}
-    new_miss = {}
-    for name in traj.marker_names:
-        pos, mask = traj.markers[name], traj.missing[name]
+    for name, pos in traj.markers.items():
+        mask = traj.missing[name]
         starts, ends = _runs(mask)
         run = np.repeat(np.arange(starts.size), ends - starts)  # of each missing frame
         fill = ((starts > 0) & (ends < n) & (ends - starts <= max_gap_frames))[run]
@@ -581,11 +579,22 @@ def fill_gaps(
             j, run = np.flatnonzero(mask)[fill], run[fill]
             lo, hi = starts[run] - 1, ends[run]
             t = ((j - lo) / (hi - lo))[:, None]
-            pos, mask = pos.copy(), mask.copy()
+            pos = pos.copy()
             pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
-            mask[j] = False
         new_pos[name] = pos
-        new_miss[name] = mask
-    return MarkerTrajectorySet(
-        sample_rate_hz=traj.sample_rate_hz, markers=new_pos, missing=new_miss
-    )
+    return MarkerTrajectorySet(sample_rate_hz=traj.sample_rate_hz, markers=new_pos)
+
+
+def _marker_positions(traj: MarkerTrajectorySet, name: str, who) -> np.ndarray:
+    """The (n_frames, 3) positions of marker ``name``, refused unless the
+    trial has it and it is tracked on every frame; ``who`` (the segment or
+    the file that needs it) opens the message."""
+    if name not in traj.markers:
+        raise InputError(f"{who}: marker {name!r} not present in trial")
+    missing = traj.missing[name]
+    if missing.any():
+        raise InputError(
+            f"{who}: marker {name!r} missing at frame {int(np.argmax(missing))} "
+            f"({int(np.count_nonzero(missing))} frame(s) still occluded after gap filling)"
+        )
+    return traj.markers[name]

@@ -18,6 +18,7 @@ accumulated in a fixed segment order so results are bitwise reproducible.
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .anthro import (
     segment_mass,
 )
 from .errors import InputError, InternalInvariantError
-from .ingest import MarkerTrajectorySet, _read_text, _write_csv
+from .ingest import MarkerTrajectorySet, _marker_positions, _read_text, _write_csv
 from .signal import UniformSeries, lowpass, smoothed_acceleration
 
 __all__ = [
@@ -65,10 +66,6 @@ class PointRule:
         total = sum(w for _, w in self.weights)
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"point rule weights sum to {total}, expected 1")
-
-    @property
-    def marker_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.weights)
 
     @classmethod
     def parse(cls, text: str) -> "PointRule":
@@ -153,12 +150,12 @@ class ComTrajectory:
     """Per-segment and whole-body CoM tracks.
 
     segment_coms has shape (3, n_segments, n_frames) in the order of
-    ``segment_ids``; whole_body is computed from them, as the mass-weighted
-    mean over segments.
+    ``segment_ids``, the model's 16 segments; whole_body is computed from
+    them, as the mass-weighted mean over segments.
     """
 
+    segment_ids: ClassVar[tuple[SegmentId, ...]] = SEGMENT_IDS
     sample_rate_hz: float
-    segment_ids: tuple[SegmentId, ...]
     segment_coms: np.ndarray
     masses_kg: np.ndarray
     # whole-body acceleration attached by filter_com_trajectory, the one
@@ -281,16 +278,7 @@ def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId):
     """Evaluate an affine marker combination over all frames -> (3, n)."""
     acc = None
     for name, w in rule.weights:
-        if name not in traj.markers:
-            raise InputError(f"{segment}: marker {name!r} not present in trial")
-        miss = traj.missing[name]
-        if miss.any():
-            frame = int(np.argmax(miss))
-            raise InputError(
-                f"{segment}: marker {name!r} missing at frame {frame} "
-                "(fill or trim gaps first)"
-            )
-        term = w * traj.markers[name]
+        term = w * _marker_positions(traj, name, segment)
         acc = term if acc is None else acc + term
     # summed on the contiguous (n, 3) marker arrays, transposed once
     return np.ascontiguousarray(acc.T)
@@ -473,7 +461,6 @@ def com_trajectory(
         with np.errstate(over="raise"):
             return ComTrajectory(
                 sample_rate_hz=traj.sample_rate_hz,
-                segment_ids=SEGMENT_IDS,
                 segment_coms=coms,
                 masses_kg=masses,
             )
@@ -503,7 +490,6 @@ def filter_com_trajectory(com: ComTrajectory, cutoff_hz: float, order: int = 4) 
     ).values
     return ComTrajectory(
         sample_rate_hz=com.sample_rate_hz,
-        segment_ids=com.segment_ids,
         segment_coms=filtered,
         masses_kg=com.masses_kg,
         whole_body_acceleration=acc,

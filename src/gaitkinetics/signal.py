@@ -97,7 +97,8 @@ def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[n
     """Second-order sections of the low-pass and the mirror-pad length.
 
     Rejects an order that is not positive and even, a cutoff outside
-    (0, Nyquist), and a series no longer than the pad.
+    (0, Nyquist) or so low that a pole rounds to 1, and a series no longer
+    than the pad.
     """
     if not (isinstance(order, (int, np.integer)) and order > 0 and order % 2 == 0):
         raise InputError(f"filter order must be a positive even integer, got {order}")
@@ -128,6 +129,14 @@ def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[n
     sos[:, 4] = -2.0 * poles.real
     sos[:, 5] = poles.real * poles.real + poles.imag * poles.imag
     sos[0, :3] *= gain
+    # far enough below the rate, a pole rounds onto z = 1: no steady state starts a pass
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            _sosfilt_zi(sos)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        raise InputError(
+            f"cutoff_hz {cutoff_hz} is too low to filter at rate {series.sample_rate_hz} Hz"
+        ) from None
     return sos, padlen
 
 

@@ -253,17 +253,6 @@ def _scripted_events(params: WalkerParams, n_frames: int) -> tuple[FootEvents, F
     return left, right
 
 
-def _as_trajectory_set(
-    positions: dict[str, np.ndarray], rate: float
-) -> MarkerTrajectorySet:
-    n = next(iter(positions.values())).shape[0]
-    return MarkerTrajectorySet(
-        sample_rate_hz=rate,
-        markers=positions,
-        missing={name: np.zeros(n, dtype=bool) for name in positions},
-    )
-
-
 def generate_walker(params: WalkerParams | None = None) -> SynthTrial:
     """Generate the standard walking trial with scripted ground truth."""
     params = params or WalkerParams()
@@ -272,7 +261,7 @@ def generate_walker(params: WalkerParams | None = None) -> SynthTrial:
     positions = _walker_markers(t, params)
     left, right = _scripted_events(params, n)
     return SynthTrial(
-        markers=_as_trajectory_set(positions, params.sample_rate_hz),
+        markers=MarkerTrajectorySet(params.sample_rate_hz, positions),
         subject=SubjectProfile(
             mass_kg=params.mass_kg, height_m=params.height_m, sex="m"
         ),
@@ -331,7 +320,7 @@ def synth_force_plates(
     definitions = load_segment_definitions(bundled_definitions_path())
     subject = SubjectProfile(mass_kg=params.mass_kg, height_m=params.height_m, sex="m")
     com = com_trajectory(
-        _as_trajectory_set(positions, force_rate_hz), definitions, table, subject
+        MarkerTrajectorySet(force_rate_hz, positions), definitions, table, subject
     )
     z = com.whole_body
     acc = np.zeros_like(z)

@@ -24,6 +24,7 @@ from gaitkinetics.anthro import SubjectProfile, bundled_table_path, load_table
 from gaitkinetics.errors import InputError
 from gaitkinetics.events import FootEvents, GaitTimeline, build_timeline, detect_events_zeni
 from gaitkinetics.grf import DsBoundary, GrfSeries, _window, decompose_gait, total_grf
+from gaitkinetics.ingest import MarkerTrajectorySet
 from gaitkinetics.kinematics import (
     bundled_definitions_path,
     com_trajectory,
@@ -34,7 +35,6 @@ from gaitkinetics.signal import UniformSeries, _second_difference, lowpass
 from gaitkinetics.synth import (
     SynthTrial,
     WalkerParams,
-    _as_trajectory_set,
     _scripted_events,
     _walker_markers,
     generate_walker,
@@ -98,7 +98,7 @@ def generate_static(
     positions = {name: np.repeat(pos, n_frames, axis=0) for name, pos in single.items()}
     empty = np.zeros(0, dtype=int)
     return SynthTrial(
-        markers=_as_trajectory_set(positions, params.sample_rate_hz),
+        markers=MarkerTrajectorySet(params.sample_rate_hz, positions),
         subject=SubjectProfile(
             mass_kg=params.mass_kg, height_m=params.height_m, sex="m"
         ),
@@ -227,10 +227,7 @@ def shift_markers(traj, delta):
     """Copy of a marker set with a constant 3-vector added to every sample."""
     delta = np.asarray(delta, dtype=float)
     markers = {name: pos + delta for name, pos in traj.markers.items()}
-    missing = {name: mask.copy() for name, mask in traj.missing.items()}
-    return type(traj)(
-        sample_rate_hz=traj.sample_rate_hz, markers=markers, missing=missing
-    )
+    return type(traj)(sample_rate_hz=traj.sample_rate_hz, markers=markers)
 
 
 def displace_markers_z(traj, dz):
@@ -241,10 +238,7 @@ def displace_markers_z(traj, dz):
         moved = pos.copy()
         moved[:, 2] += dz
         markers[name] = moved
-    missing = {name: mask.copy() for name, mask in traj.missing.items()}
-    return type(traj)(
-        sample_rate_hz=traj.sample_rate_hz, markers=markers, missing=missing
-    )
+    return type(traj)(sample_rate_hz=traj.sample_rate_hz, markers=markers)
 
 
 def decompose_ds_oracle(

@@ -33,10 +33,7 @@ SUBJECT_ARGS = [
 
 def _slice_markers(traj, n):
     markers = {name: pos[:n].copy() for name, pos in traj.markers.items()}
-    missing = {name: mask[:n].copy() for name, mask in traj.missing.items()}
-    return type(traj)(
-        sample_rate_hz=traj.sample_rate_hz, markers=markers, missing=missing
-    )
+    return type(traj)(sample_rate_hz=traj.sample_rate_hz, markers=markers)
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +224,7 @@ def test_unfillable_marker_gap_blocks_event_detection(cli_files, tmp_path, capsy
     from gaitkinetics.ingest import parse_marker_file
 
     traj = parse_marker_file(cli_files["markers"])
-    traj.missing["LHEE"][100:115] = True  # 15 frames: beyond max_gap_frames
+    traj.markers["LHEE"][100:115] = np.nan  # 15 frames: beyond max_gap_frames
     gappy_path = tmp_path / "gappy.tsv"
     write_marker_file(gappy_path, traj)
     code, captured = _run(
@@ -236,7 +233,10 @@ def test_unfillable_marker_gap_blocks_event_detection(cli_files, tmp_path, capsy
         capsys,
     )
     assert code == 2
-    assert "occluded frame(s)" in captured.err
+    assert captured.err == (
+        f"error: {gappy_path}: marker 'LHEE' missing at frame 100 "
+        "(15 frame(s) still occluded after gap filling)\n"
+    )
 
 
 # ------------------------------------------------------------ config layers
@@ -371,8 +371,10 @@ def test_subject_mass_that_overflows_the_com_mean_exits_2(cli_files, tmp_path, c
     "option, message",
     [
         (["--subject-mass-kg", "1e300"],
+         "{forces} against {markers}: "
          "the compared series differ too widely: their squared difference overflows"),
         (["--gravity-mps2", "1e300"],
+         "{forces} against {markers}: "
          "the compared series differ too widely: their squared difference overflows"),
         (["--subject-mass-kg", "1e307"],
          "subject mass 1e+307 kg and gravity 9.81 m/s^2 overflow the ground reaction force"),
@@ -389,7 +391,7 @@ def test_huge_mass_or_gravity_exits_2_without_an_overflow_warning(
         capsys,
     )
     assert code == 2
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message.format(**cli_files)}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -764,7 +766,7 @@ def test_the_filter_error_still_comes_before_an_event_marker_error(tmp_path, cap
     write_marker_file(argv[2], trial.markers)
     code, captured = _run(argv, capsys)
     assert code == 2
-    assert captured.err == "error: marker 'NOPE' not present in trial\n"
+    assert captured.err == f"error: {argv[2]}: marker 'NOPE' not present in trial\n"
 
 
 def test_stage_rss_tool_prints_memory_after_each_stage(cli_files, tmp_path):
@@ -791,3 +793,139 @@ def test_stage_rss_tool_prints_memory_after_each_stage(cli_files, tmp_path):
     assert peaks == sorted(peaks) and all(
         float(row.split()[-2]) <= peak + 1.0 for row, peak in zip(rows, peaks)
     )
+
+
+# ------------------------------------- input checks the other tests miss
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("markers", "RATE\t200.0", "missing header line 2 (UNITS)"),
+        ("markers", "RATE\t200.0\nUNITS m\n", "header line 2 must be 'UNITS<TAB>value'"),
+        ("markers", "RATE\t200.0\nUNITS\tm", "missing header line 3 (MARKERS)"),
+        ("forces", "RATE\t1000.0", "missing header line 2 (PLATES)"),
+        ("forces", "RATE\t1000.0\nPLATES 2\n", "header line 2 must be 'PLATES<TAB>value'"),
+    ],
+    ids=["no-units", "units-without-tab", "no-markers-line", "no-plates", "plates-without-tab"],
+)
+def test_a_short_or_untabbed_header_exits_2_naming_the_file(
+    cli_files, tmp_path, capsys, kind, text, message
+):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(text, encoding="utf-8")
+    files = {"markers": str(cli_files["markers"]), "forces": str(cli_files["forces"])}
+    files[kind] = str(bad)
+    code, captured = _run(
+        ["validate", "--marker-file", files["markers"], "--force-file", files["forces"],
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err.startswith(f"error: {bad}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--max-gap-frames", "-1"], "max_gap_frames must be >= 0, got -1"),
+        (["--noise-floor-n", "-1"], "noise_floor_n must be >= 0, got -1.0"),
+        (["--subject-sex", "x"], "subject_sex must be 'm' or 'f', got 'x'"),
+    ],
+)
+def test_an_out_of_range_option_exits_2_naming_its_key(cli_files, tmp_path, capsys, option, message):
+    code, captured = _run(
+        ["com", "--marker-file", str(cli_files["two_frame"]),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS + option,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+
+
+HEAD_NECK = (
+    "head_neck - origin=C7 distal=LFHD+RFHD+LBHD+RBHD superior=distal ref=LFHD+RFHD "
+    "ref_kind=anterior"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (HEAD_NECK, "head_neck -", "expected 'kind side key=value...'"),
+        ("origin=C7 ", "origin=C7 origin=C7 ", "duplicate key 'origin'"),
+        ("superior=distal", "superior=middle", "superior must be 'origin' or 'distal'"),
+        (None, None, "anteroposterior style needs a lateral/medial ref"),
+    ],
+    ids=["two-tokens", "repeated-key", "bad-superior", "anterior-foot"],
+)
+def test_a_bad_segment_definition_exits_2_naming_its_line(
+    cli_files, tmp_path, capsys, old, new, message
+):
+    text = Path(bundled_definitions_path()).read_text(encoding="utf-8")
+    if old is None:  # the left foot's axes from an anterior reference
+        old = "forward=LHEE:LTOE ref=LANK_LAT ref_kind=lateral"
+        new = "forward=LHEE:LTOE ref=LANK_LAT ref_kind=anterior"
+    assert old in text
+    text = text.replace(old, new, 1)
+    line = next(k for k, row in enumerate(text.splitlines(), 1) if new in row)
+    definitions = tmp_path / "segments.txt"
+    definitions.write_text(text, encoding="utf-8")
+    code, captured = _run(
+        ["com", "--marker-file", str(cli_files["two_frame"]),
+         "--segment-definitions", str(definitions),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err.startswith(f"error: {definitions}:{line}: ")
+    assert message in captured.err
+
+
+def test_a_comments_only_anthropometric_table_exits_2_naming_it(cli_files, tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("# kind\tsex\tmass\tap\tml\tsi\n\n# nothing else\n", encoding="utf-8")
+    code, captured = _run(
+        ["com", "--marker-file", str(cli_files["two_frame"]), "--anthro-table", str(table),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err == f"error: {table}: anthropometric table is empty\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["grf", "events", "validate"])
+def test_a_cutoff_too_low_to_filter_exits_2_and_one_just_above_runs(
+    cli_files, tmp_path, capsys, command
+):
+    argv = [command, "--marker-file", str(cli_files["markers"]),
+            "--force-file", str(cli_files["forces"]),
+            "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS
+    code, captured = _run(argv + ["--cutoff-hz", "1e-7"], capsys)
+    assert code == 2
+    assert captured.err == "error: cutoff_hz 1e-07 is too low to filter at rate 200.0 Hz\n"
+    assert not (tmp_path / "out").exists()
+    if command != "validate":  # whose settling margin outlasts the trial
+        code, captured = _run(argv + ["--cutoff-hz", "5e-7"], capsys)
+        assert code == 3
+        assert captured.err.startswith("error: no complete gait cycle found")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["1e300", "1e308", "1.7976931348623157e308"])
+@pytest.mark.parametrize("command", ["grf", "butterfly"])
+def test_a_butterfly_scale_too_large_to_draw_exits_2_writing_nothing(
+    cli_files, tmp_path, capsys, command, scale
+):
+    code, captured = _run(
+        [command, "--marker-file", str(cli_files["markers"]),
+         "--force-file", str(cli_files["forces"]), "--butterfly-scale-m-per-n", scale,
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err.startswith(f"error: butterfly_scale_m_per_n {float(scale)} m/N scales")
+    assert captured.err.endswith("past 1e+300 m, more than a butterfly diagram can span\n")
+    assert not (tmp_path / "out").exists()

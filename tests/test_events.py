@@ -75,6 +75,10 @@ def test_detection_requires_extrema():
     heel = _series(0.5 * t + 0.01 * t)  # monotone relative series
     with pytest.raises(NoGaitDataError, match="heel-strike"):
         detect_events_zeni(heel, heel, sacrum)
+    # heel strikes found, but a toe that never turns back has no toe-off
+    swinging = _series(0.5 * t + 0.2 * np.cos(2.0 * np.pi * t))
+    with pytest.raises(NoGaitDataError, match="^no toe-off extremum found"):
+        detect_events_zeni(swinging, heel, sacrum)
 
 
 def test_detection_suppresses_events_closer_than_the_minimum_period():

@@ -1,19 +1,23 @@
-"""Seeded property tests of the trial parsers, run through ``cli.main``.
+"""Seeded property tests of the trial parsers and the options, run through
+``cli.main``.
 
 A short demo trial's marker and force files are mutated the ways real files
 go wrong: rows dropped, repeated or cut short, blank lines, blank or partly
 blank triplets, non-finite or non-numeric fields, tabs added or removed,
-CRLF line ends, bytes that are not UTF-8, and edited header lines.  Every
-case must end in exit 0, 2 or 3 with no exception and no warning; a failed
-run writes nothing, and an exit 2 names what is wrong.
+CRLF line ends, bytes that are not UTF-8, and edited header lines.  The
+unmutated trial is also run with option values drawn across their whole
+range.  Every case must end in exit 0, 2 or 3 with no exception and no
+warning; a failed run writes nothing, and an exit 2 names what is wrong.
 """
 
 import contextlib
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -162,6 +166,24 @@ def _mutate(lines: list[bytes], n_header: int, mutation) -> list[bytes]:
     return lines
 
 
+def _main(argv: list[str], out: Path) -> tuple[int, str]:
+    """Run ``cli.main`` on ``argv``, which writes to ``out``, with every warning
+    an error, and check what every run must: exit 0, 2 or 3 with no
+    traceback, and a failed run writes nothing and prints one error line."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main([*argv, "--output-dir", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code != 0:
+        assert not out.exists(), f"exit {code} wrote {sorted(out.iterdir())}"
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err
+
+
 def _run_grf(markers: list[bytes], forces: list[bytes], bad: str):
     """Write the two files, run ``grf`` on them and check the outcome; ``bad``
     names the file that was mutated."""
@@ -170,20 +192,9 @@ def _run_grf(markers: list[bytes], forces: list[bytes], bad: str):
         paths = {"markers": root / "markers.tsv", "forces": root / "forces.tsv"}
         paths["markers"].write_bytes(b"\n".join(markers) + b"\n")
         paths["forces"].write_bytes(b"\n".join(forces) + b"\n")
-        out = root / "out"
         argv = ["grf", "--marker-file", str(paths["markers"]),
-                "--force-file", str(paths["forces"]), "--output-dir", str(out), *SUBJECT_ARGS]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("error")
-            code = cli.main(argv)
-        err = stderr.getvalue()
-        assert code in (0, 2, 3), err
-        assert "Traceback" not in err
-        if code != 0:
-            assert not out.exists(), f"exit {code} wrote {sorted(out.iterdir())}"
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+                "--force-file", str(paths["forces"]), *SUBJECT_ARGS]
+        code, err = _main(argv, root / "out")
         if code == 2:
             assert _names_the_fault(err, paths[bad]), err
         return code, err
@@ -191,9 +202,10 @@ def _run_grf(markers: list[bytes], forces: list[bytes], bad: str):
 
 def _names_the_fault(err: str, path: Path) -> bool:
     """An exit 2 names the file it read the fault in.  The one exception is
-    a marker that the parse accepted but the CoM model or the event
-    detection cannot use (one the header renamed, or an occlusion that gap
-    filling left): that message names the marker."""
+    a marker that the parse accepted but the CoM model cannot use (one the
+    header renamed, or an occlusion that gap filling left): that message
+    names the segment and the marker.  The event detection's refusal of
+    such a marker names the marker file."""
     return str(path) in err or " marker '" in err
 
 
@@ -217,3 +229,86 @@ def test_mutated_force_files_exit_cleanly(demo_files, mutations):
     for mutation in mutations:
         lines = _mutate(lines, 2, mutation)
     _run_grf(demo_files["markers"], lines, "forces")
+
+
+# ---------------------------------------------------------------- options
+
+# log-uniform over 600 decades
+HUGE_RANGE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+# the demo trial is sampled at 200 Hz, so its Nyquist frequency is 100 Hz
+NYQUIST_HZ = 100.0
+OPTIONS = {
+    "cutoff_hz": st.floats(-9.0, math.log10(NYQUIST_HZ), exclude_max=True).map(
+        lambda e: min(10.0**e, math.nextafter(NYQUIST_HZ, 0.0))
+    ),
+    "filter_order": st.integers(1, 20).map(lambda k: 2 * k),
+    "gravity_mps2": HUGE_RANGE,
+    "min_event_period_s": HUGE_RANGE,
+    "stance_threshold_m": HUGE_RANGE,
+    "butterfly_scale_m_per_n": HUGE_RANGE,
+    "noise_floor_n": HUGE_RANGE,
+    "subject_mass_kg": HUGE_RANGE,
+    "max_gap_frames": st.integers(0, 10**9),
+}
+SOME_OPTIONS = st.lists(st.sampled_from(sorted(OPTIONS)), min_size=1, max_size=3, unique=True)
+
+
+@pytest.fixture(scope="module")
+def demo_paths(demo_files, tmp_path_factory):
+    """The 2 s demo trial's marker and force files on disk."""
+    root = tmp_path_factory.mktemp("options")
+    paths = {}
+    for kind, lines in demo_files.items():
+        paths[kind] = root / f"{kind}.tsv"
+        paths[kind].write_bytes(b"\n".join(lines) + b"\n")
+    return paths
+
+
+def _rows(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def _check_grf_outputs(out: Path) -> None:
+    """On analysed frames, left + right is the total; at each analysed double
+    stance, the limb that strikes at its first frame and the one that toes
+    off at its last carry exactly 0.0 there."""
+    rows = _rows(out / "grf.csv")
+    forces = np.array([row[1:10] for row in rows], dtype=float).reshape(-1, 3, 3)
+    total, limbs = forces[:, 0], {"left": forces[:, 1], "right": forces[:, 2]}
+    analysed = np.ones(len(rows), dtype=bool)
+    for record, start, end, _ in _rows(out / "grf_diagnostics.csv"):
+        if record == "excluded":
+            analysed[int(start) : int(end) + 1] = False
+    resid = np.abs(limbs["left"] + limbs["right"] - total)[analysed]
+    assert resid.size == 0 or resid.max() <= 1e-9 * np.abs(total).max()
+    foot_at = {(kind, int(frame)): foot for foot, kind, frame, _ in _rows(out / "events.csv")}
+    double = np.array([row[10] == "double_stance" for row in rows])
+    edges = np.diff(double.astype(np.int8), prepend=0, append=0)
+    for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        if analysed[start]:
+            assert limbs[foot_at["heel_strike", start]][start].tolist() == [0.0] * 3
+            assert limbs[foot_at["toe_off", stop - 1]][stop - 1].tolist() == [0.0] * 3
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["com", "events", "grf", "validate", "butterfly"]),
+    options=SOME_OPTIONS.flatmap(lambda names: st.fixed_dictionaries(
+        {name: OPTIONS[name] for name in names}
+    )),
+)
+@example(command="grf", options={"cutoff_hz": 1e-7})  # a pole rounds onto z = 1
+@example(command="grf", options={"butterfly_scale_m_per_n": 1e308})  # tips overflow
+def test_option_values_exit_cleanly(demo_paths, command, options):
+    argv = [command, "--marker-file", str(demo_paths["markers"]),
+            "--force-file", str(demo_paths["forces"]), *SUBJECT_ARGS]
+    for name, value in options.items():
+        argv += ["--" + name.replace("_", "-"), repr(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code, err = _main(argv, out)
+        if code == 2:
+            named = [*options, str(demo_paths["markers"]), str(demo_paths["forces"]), " marker '"]
+            assert any(name in err for name in named), err
+        if code == 0 and command == "grf":
+            _check_grf_outputs(out)

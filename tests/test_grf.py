@@ -629,3 +629,17 @@ def test_butterfly_svg_draws_both_feet(tmp_path, walker_bilateral, walker_com):
     assert text.count("<line ") >= diagram.n_entries
     with pytest.raises(InputError, match="scale"):
         write_butterfly_svg(path, diagram, scale_m_per_n=-1.0)
+
+
+def test_a_zero_length_double_stance_is_excluded_with_its_reason():
+    # the left heel strikes on the very frame the right toe leaves the ground
+    n = 400
+    left = FootEvents("left", np.array([100, 320]), np.array([180]))
+    right = FootEvents("right", np.array([150]), np.array([100, 250]))
+    timeline = build_timeline(left, right, n, 200.0)
+    total = GrfSeries(200.0, np.tile([[1.0], [2.0], [800.0]], (1, n)))
+    bilateral = decompose_gait(total, timeline, 80.0)
+    assert (100, 100, "zero-length double stance") in bilateral.diagnostics.excluded_intervals
+    assert not bilateral.analyzed[100] and bilateral.analyzed[[99, 101]].all()
+    assert bilateral.left.force[:, 100].tolist() == [0.0] * 3
+    assert bilateral.right.force[:, 100].tolist() == [0.0] * 3

@@ -44,13 +44,9 @@ def test_marker_round_trip_is_bit_exact(tmp_path):
         "B": rng.normal(size=(n, 3)) * 1e-6,
     }
     markers["A"][:4, 0] = awkward
-    missing = {
-        "A": np.zeros(n, dtype=bool),
-        "B": np.zeros(n, dtype=bool),
-    }
-    missing["B"][[5, 6, 7, 20]] = True
-    markers["B"][missing["B"]] = np.nan
-    traj = MarkerTrajectorySet(sample_rate_hz=123.5, markers=markers, missing=missing)
+    markers["B"][[5, 6, 7, 20]] = np.nan
+    traj = MarkerTrajectorySet(sample_rate_hz=123.5, markers=markers)
+    assert np.flatnonzero(traj.missing["B"]).tolist() == [5, 6, 7, 20]
 
     path = tmp_path / "round.tsv"
     write_marker_file(path, traj)
@@ -127,12 +123,8 @@ def test_marker_file_with_zero_frames_is_rejected(tmp_path):
 def _gapped(z_values, missing_frames, rate=100.0):
     n = len(z_values)
     pos = np.column_stack([np.full(n, 1.0), np.full(n, 2.0), np.asarray(z_values, float)])
-    mask = np.zeros(n, dtype=bool)
-    mask[list(missing_frames)] = True
-    pos[mask] = np.nan
-    return MarkerTrajectorySet(
-        sample_rate_hz=rate, markers={"M": pos}, missing={"M": mask}
-    )
+    pos[list(missing_frames)] = np.nan
+    return MarkerTrajectorySet(sample_rate_hz=rate, markers={"M": pos})
 
 
 def test_fill_gaps_interpolates_single_missing_frame():
@@ -182,7 +174,7 @@ def test_fill_gaps_matches_linear_interpolation_reference():
     mask[drop] = True
     pos = walk.copy()
     pos[mask] = np.nan
-    traj = MarkerTrajectorySet(100.0, {"M": pos}, {"M": mask})
+    traj = MarkerTrajectorySet(100.0, {"M": pos})
     filled = fill_gaps(traj, max_gap_frames=10)
 
     frames = np.arange(n, dtype=float)
@@ -478,7 +470,7 @@ def test_fill_gaps_is_bitwise_the_frame_by_frame_formula(max_gap_frames):
         pos = np.cumsum(rng.normal(size=(n, 3)), axis=0) * 0.37 + 1e3
         pos[mask] = np.nan
         markers[name], missing[name] = pos, mask
-    traj = MarkerTrajectorySet(200.0, markers, missing)
+    traj = MarkerTrajectorySet(200.0, markers)
     filled = fill_gaps(traj, max_gap_frames=max_gap_frames)
     for name in markers:
         pos, mask = reference_fill_gaps(markers[name], missing[name], max_gap_frames)
@@ -630,28 +622,35 @@ def test_fill_gaps_shares_the_arrays_of_markers_it_leaves_untouched():
 
 def test_building_a_marker_set_copies_no_positions():
     traj = generate_walker(WalkerParams(duration_s=30.0)).markers
-    markers, missing = dict(traj.markers), dict(traj.missing)
+    markers = dict(traj.markers)
     tracemalloc.start()
     try:
-        MarkerTrajectorySet(traj.sample_rate_hz, markers, missing)
+        MarkerTrajectorySet(traj.sample_rate_hz, markers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # beyond the derived masks, one bool per frame per marker
+    peak -= len(markers) * traj.n_frames
     one_marker = traj.markers["LHEE"].nbytes
     assert peak < 0.5 * one_marker, f"peak {peak / one_marker:.2f} x one marker's positions"
 
 
 def test_marker_set_rejects_non_finite_present_positions_only():
+    # a triplet is all finite, or all NaN where the marker was occluded
     pos = np.zeros((5, 3))
     pos[2] = np.nan
-    mask = np.zeros(5, dtype=bool)
-    with pytest.raises(InputError, match="marker 'M': non-finite position in a present frame"):
-        MarkerTrajectorySet(100.0, {"M": pos.copy()}, {"M": mask.copy()})
-    mask[2] = True
-    MarkerTrajectorySet(100.0, {"M": pos}, {"M": mask})
-    pos[4, 1] = np.inf
-    with pytest.raises(InputError, match="non-finite position in a present frame"):
-        MarkerTrajectorySet(100.0, {"M": pos}, {"M": mask})
+    traj = MarkerTrajectorySet(100.0, {"M": pos.copy()})
+    assert traj.missing["M"].tolist() == [False, False, True, False, False]
+    for frame, value in ((3, (0.0, np.nan, 0.0)), (4, (0.0, np.inf, 0.0)), (1, (-np.inf,) * 3)):
+        bad = pos.copy()
+        bad[frame] = value
+        with pytest.raises(InputError, match=f"^marker 'M': non-finite position at frame {frame}"):
+            MarkerTrajectorySet(100.0, {"M": bad})
+    # the mask is derived from the positions; none can be passed in
+    with pytest.raises(TypeError, match="positional"):
+        MarkerTrajectorySet(100.0, {"M": pos}, {"M": traj.missing["M"]})
+    with pytest.raises(TypeError, match="'missing'"):
+        MarkerTrajectorySet(100.0, {"M": pos}, missing={"M": traj.missing["M"]})
 
 
 # ----------------------------------------- one copy of each parsed array

@@ -60,8 +60,7 @@ def _static_markers(points, n_frames=2, rate=200.0):
         name: np.tile(np.asarray(p, dtype=float), (n_frames, 1))
         for name, p in points.items()
     }
-    missing = {name: np.zeros(n_frames, dtype=bool) for name in points}
-    return MarkerTrajectorySet(sample_rate_hz=rate, markers=markers, missing=missing)
+    return MarkerTrajectorySet(sample_rate_hz=rate, markers=markers)
 
 
 def _table_with(offsets):
@@ -259,10 +258,7 @@ def test_hand_com_rejects_coincident_wrist_and_elbow():
 
 def _slice_markers(traj, start, stop):
     markers = {name: pos[start:stop].copy() for name, pos in traj.markers.items()}
-    missing = {name: mask[start:stop].copy() for name, mask in traj.missing.items()}
-    return MarkerTrajectorySet(
-        sample_rate_hz=traj.sample_rate_hz, markers=markers, missing=missing
-    )
+    return MarkerTrajectorySet(sample_rate_hz=traj.sample_rate_hz, markers=markers)
 
 
 def test_whole_body_com_matches_a_brute_force_weighted_mean(
@@ -277,8 +273,14 @@ def test_whole_body_com_matches_a_brute_force_weighted_mean(
     # the trajectory computes its whole-body mean; no copy can be passed in
     with pytest.raises(TypeError, match="whole_body"):
         ComTrajectory(
-            com.sample_rate_hz, com.segment_ids, com.segment_coms, com.masses_kg,
+            com.sample_rate_hz, com.segment_coms, com.masses_kg,
             whole_body=expect,
+        )
+    # its segments are the model's 16, which no caller passes in
+    assert com.segment_ids is SEGMENT_IDS
+    with pytest.raises(TypeError, match="segment_ids"):
+        ComTrajectory(
+            com.sample_rate_hz, com.segment_coms, com.masses_kg, segment_ids=SEGMENT_IDS
         )
 
 
@@ -308,11 +310,7 @@ def test_com_is_equivariant_under_rotation(walker, table, definitions):
     rotated_markers = {
         name: pos @ rot.T for name, pos in short.markers.items()
     }
-    rotated = MarkerTrajectorySet(
-        sample_rate_hz=short.sample_rate_hz,
-        markers=rotated_markers,
-        missing={name: mask.copy() for name, mask in short.missing.items()},
-    )
+    rotated = MarkerTrajectorySet(sample_rate_hz=short.sample_rate_hz, markers=rotated_markers)
     com = com_trajectory(short, definitions, table, walker.subject)
     com_rot = com_trajectory(rotated, definitions, table, walker.subject)
     expect = rot @ com.whole_body
@@ -518,7 +516,7 @@ def test_com_of_a_parsed_gap_filled_mm_file_is_bitwise_the_reference(
     for _ in range(30):
         name = traj.marker_names[int(rng.integers(len(traj.marker_names)))]
         start = int(rng.integers(5, traj.n_frames - 15))
-        traj.missing[name][start : start + int(rng.integers(1, 8))] = True
+        traj.markers[name][start : start + int(rng.integers(1, 8))] = np.nan
     path = tmp_path / "walker_mm.tsv"
     write_marker_file(path, traj)
     text = path.read_text(encoding="utf-8").replace("UNITS\tm\n", "UNITS\tmm\n", 1)

@@ -216,6 +216,25 @@ def test_lowpass_rejects_bad_parameters(cutoff, order, n, message):
         lowpass(series, cutoff, order)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_cutoff_that_rounds_a_pole_onto_one_is_rejected_by_every_filter():
+    # at 200 Hz, 2e-7 Hz and below put a pole of the order-4 design at z = 1
+    # in float64, where the steady state that starts each pass does not exist
+    series = UniformSeries(RATE, np.linspace(0.0, 1.0, 500))
+    message = "^cutoff_hz 1e-07 is too low to filter at rate 200.0 Hz$"
+    for run in (lowpass, smoothed_acceleration):
+        with pytest.raises(InputError, match=message):
+            run(series, 1e-7, 4)
+    with pytest.raises(InputError, match="^cutoff_hz 2e-07 is too low"):
+        lowpass(series, 2e-7, 4)
+    # 5e-7 Hz still filters, if to little purpose
+    for run in (lowpass, smoothed_acceleration):
+        assert np.all(np.isfinite(run(series, 5e-7, 4).values))
+    plates = UniformSeries(1000.0, np.linspace(0.0, 1.0, 2000))
+    with pytest.raises(InputError, match="^cutoff_hz 1e-09 is too low"):
+        lowpass(plates, 1e-9, 4)
+
+
 # ------------------------------------- scipy's kernels, scipy.signal as oracle
 
 BUTTER_RATES = [100, 120, 150, 200, 250, 300, 500, 600, 1000, 1200, 2000]
