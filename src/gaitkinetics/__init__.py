@@ -35,7 +35,6 @@ from .events import (
 from .grf import (
     BilateralGrf,
     ButterflyDiagram,
-    DsBoundary,
     GrfSeries,
     butterfly,
     decompose_ds,
@@ -71,7 +70,6 @@ __all__ = [
     "ButterflyDiagram",
     "ComTrajectory",
     "ComparisonReport",
-    "DsBoundary",
     "FootEvents",
     "ForcePlateSeries",
     "GaitKineticsError",

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 input/config error, 3 no usable gait data,
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -32,7 +33,7 @@ from typing import get_args
 import numpy as np
 
 from .anthro import SubjectProfile, bundled_table_path, load_table
-from .errors import InputError, InternalInvariantError, NoGaitDataError
+from .errors import InputError, InternalInvariantError, NoGaitDataError, SeriesTooShortError
 from .events import (
     DEFAULT_MIN_PERIOD_S,
     DEFAULT_STANCE_THRESHOLD_M,
@@ -246,6 +247,15 @@ def _write_outputs(config: PipelineConfig, writers) -> list[Path]:
     return [out / name for name, _ in writers]
 
 
+@contextlib.contextmanager
+def _naming_short_series(path):
+    """Prefix ``path`` to the error of a series from it too short to filter."""
+    try:
+        yield
+    except SeriesTooShortError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _load_markers(config: PipelineConfig):
     """Parse the marker file and fill short gaps.
 
@@ -321,7 +331,8 @@ def run_com(config: PipelineConfig) -> list[Path]:
 
 def run_events(config: PipelineConfig) -> list[Path]:
     traj, _ = _load_markers(config)
-    timeline = _detect_timeline(config, _event_series(config, traj))
+    with _naming_short_series(config.marker_file):
+        timeline = _detect_timeline(config, _event_series(config, traj))
     stance = _stance_interval_columns(config, traj)
     header = ["foot,start_frame,end_frame,start_time_s,end_time_s"]
     writers = [
@@ -353,15 +364,16 @@ def _compute_bilateral(config: PipelineConfig):
     traj, flagged = _load_markers(config)
     table, definitions, subject = _load_model(config)
     com = com_trajectory(traj, definitions, table, subject)
-    try:
-        ap = _event_series(config, traj)
-    except InputError as exc:  # reported after any error of the filter, which runs first
-        ap = exc
-    del traj  # the marker set is not held through the filter
-    com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
-    if isinstance(ap, InputError):
-        raise ap
-    timeline = _detect_timeline(config, ap)
+    with _naming_short_series(config.marker_file):
+        try:
+            ap = _event_series(config, traj)
+        except InputError as exc:  # reported after any error of the filter, which runs first
+            ap = exc
+        del traj  # the marker set is not held through the filter
+        com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
+        if isinstance(ap, InputError):
+            raise ap
+        timeline = _detect_timeline(config, ap)
     total = total_grf(com, subject, config.gravity_mps2)
     bilateral = decompose_gait(
         total, timeline, subject.mass_kg, config.gravity_mps2, flagged_frames=flagged
@@ -378,10 +390,11 @@ def _compare_against_plates(config: PipelineConfig, marker_force) -> ComparisonR
             f"{config.force_file}: force rate {plates.sample_rate_hz} Hz is not an integer "
             f"multiple of the marker rate {marker_force.sample_rate_hz} Hz of {config.marker_file}"
         )
-    plate_total = UniformSeries(plates.sample_rate_hz, plates.total_force().T)
-    del plates  # the plate arrays are not held through the decimation
-    plate_at_marker_rate = decimate(plate_total, factor)
-    plate_smooth = lowpass(plate_at_marker_rate, config.cutoff_hz, config.filter_order)
+    with _naming_short_series(config.force_file):
+        plate_total = UniformSeries(plates.sample_rate_hz, plates.total_force().T)
+        del plates  # the plate arrays are not held through the decimation
+        plate_at_marker_rate = decimate(plate_total, factor)
+        plate_smooth = lowpass(plate_at_marker_rate, config.cutoff_hz, config.filter_order)
     n = min(plate_smooth.n_samples, marker_force.n_frames)
     # Zero-phase filtering of a finite trial rings for a few cutoff periods
     # at each end; those frames reflect the trial boundary, not the gait,
@@ -442,7 +455,8 @@ def run_validate(config: PipelineConfig) -> list[Path]:
     table, definitions, subject = _load_model(config)
     com = com_trajectory(traj, definitions, table, subject)
     del traj  # the marker set is not held through the filter
-    com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
+    with _naming_short_series(config.marker_file):
+        com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
     total = total_grf(com, subject, config.gravity_mps2)
     del com  # not held across the plate parse
     report = _compare_against_plates(config, total)

@@ -8,6 +8,7 @@ a fourth.
 __all__ = [
     "GaitKineticsError",
     "InputError",
+    "SeriesTooShortError",
     "NoGaitDataError",
     "InternalInvariantError",
 ]
@@ -19,6 +20,10 @@ class GaitKineticsError(Exception):
 
 class InputError(GaitKineticsError):
     """Malformed file, inconsistent configuration, or invalid argument."""
+
+
+class SeriesTooShortError(InputError):
+    """A series has too few samples to filter; the CLI names its file."""
 
 
 class NoGaitDataError(GaitKineticsError):

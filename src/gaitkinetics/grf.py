@@ -17,7 +17,7 @@ limb curves share the curvature of the total: the second derivative of each
 equals half that of the total force.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_BUTTERFLY_SCALE_M_PER_N",
     "NEGATIVE_VERTICAL_FRACTION",
     "GrfSeries",
-    "DsBoundary",
     "GrfDiagnostics",
     "BilateralGrf",
     "ButterflyDiagram",
@@ -80,41 +79,24 @@ class GrfSeries:
         return np.arange(self.n_frames) / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class DsBoundary:
-    """One double-stance window: frames start..end inclusive.
-
-    The leading foot struck at ``start_frame`` (its force departs from
-    zero); the trailing foot toes off at ``end_frame`` (its force must
-    vanish there).
-    """
-
-    start_frame: int
-    end_frame: int
-
-    def __post_init__(self):
-        if self.end_frame <= self.start_frame:
-            raise InputError(
-                f"double stance needs end > start, got [{self.start_frame}, {self.end_frame}]"
-            )
-
-
 @dataclass
 class GrfDiagnostics:
-    """Per-frame quality flags and excluded intervals."""
+    """Excluded intervals and per-frame implausible-force flags."""
 
-    excluded_intervals: list[tuple[int, int, str]] = field(default_factory=list)
-    negative_vertical_left: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
-    negative_vertical_right: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
+    excluded_intervals: list[tuple[int, int, str]]
+    negative_vertical_left: np.ndarray
+    negative_vertical_right: np.ndarray
 
 
 @dataclass
 class BilateralGrf:
     """Total plus per-limb ground reaction forces over one trial.
 
-    On analyzed frames left + right equals the total componentwise; frames
-    belonging to excluded intervals (see diagnostics) hold zeros and are
-    masked out of ``analyzed``.
+    ``excluded_intervals`` (start, end inclusive, reason) is the one record
+    of the frames the split left out, which hold zeros: ``analyzed`` is every
+    other frame, where left + right equals the total componentwise, and
+    ``diagnostics`` adds the analyzed frames with a limb's vertical force
+    below -2% of body weight.
     """
 
     total: GrfSeries
@@ -123,20 +105,23 @@ class BilateralGrf:
     timeline: GaitTimeline
     mass_kg: float
     gravity_mps2: float
-    analyzed: np.ndarray
-    diagnostics: GrfDiagnostics
+    excluded_intervals: InitVar[list[tuple[int, int, str]]]
+    analyzed: np.ndarray = field(init=False)
+    diagnostics: GrfDiagnostics = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, excluded_intervals):
         n = self.total.n_frames
         if self.left.n_frames != n or self.right.n_frames != n:
             raise InternalInvariantError("total/left/right frame counts differ")
         if self.timeline.n_frames != n:
             raise InternalInvariantError("timeline span differs from force series")
-        self.analyzed = np.asarray(self.analyzed, dtype=bool)
-        if self.analyzed.shape != (n,):
-            raise InternalInvariantError("analyzed mask must be (n_frames,)")
         if not self.mass_kg > 0:
             raise InputError(f"mass must be positive, got {self.mass_kg}")
+        self.analyzed = np.ones(n, dtype=bool)
+        for s, e, _ in excluded_intervals:
+            if not 0 <= s <= e < n:
+                raise InternalInvariantError(f"excluded interval [{s}, {e}] outside the trial")
+            self.analyzed[s : e + 1] = False
         resid = self.left.force + self.right.force - self.total.force
         scale = max(1.0, float(np.max(np.abs(self.total.force))))
         if self.analyzed.any() and not (
@@ -149,6 +134,12 @@ class BilateralGrf:
         for code, swing in ((1, self.right.force), (2, self.left.force)):
             if np.any(swing[:, self.timeline.stance == code] != 0.0):
                 raise InternalInvariantError("swing limb carries force during single stance")
+        floor = -NEGATIVE_VERTICAL_FRACTION * self.mass_kg * self.gravity_mps2
+        self.diagnostics = GrfDiagnostics(
+            excluded_intervals,
+            self.analyzed & (self.left.force[2] < floor),
+            self.analyzed & (self.right.force[2] < floor),
+        )
 
     @property
     def n_frames(self) -> int:
@@ -220,34 +211,24 @@ def total_grf(
     return GrfSeries(sample_rate_hz=com.sample_rate_hz, force=force)
 
 
-def _window(total: GrfSeries, boundary: DsBoundary) -> np.ndarray:
-    if not (0 <= boundary.start_frame and boundary.end_frame < total.n_frames):
-        raise InputError(
-            f"double stance [{boundary.start_frame}, {boundary.end_frame}] outside trial"
-        )
-    return total.force[:, boundary.start_frame : boundary.end_frame + 1]
-
-
-def decompose_ds(total: GrfSeries, boundary: DsBoundary) -> tuple[GrfSeries, GrfSeries]:
+def decompose_ds(force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form minimum rate-of-change split of one double stance.
 
-    Returns (r1, r2) over the window, r1 the trailing limb (exactly zero at
-    the last sample), r2 the leading limb (exactly zero at the first).  The
-    split is applied per axis; formulated directly in force units it needs
-    no subject mass.
+    ``force`` is the total over the window, ``(3, k)`` with k >= 2, from the
+    leading foot's strike to the trailing foot's toe-off.  Returns (r1, r2),
+    r1 the trailing limb (exactly zero at the last sample), r2 the leading
+    limb (exactly zero at the first).  The split is applied per axis;
+    formulated directly in force units it needs no subject mass.
     """
-    f = _window(total, boundary)
-    span = boundary.end_frame - boundary.start_frame
-    tau = np.arange(span + 1) / span  # endpoints are exactly 0.0 and 1.0
-    f0 = f[:, :1]
-    f1 = f[:, -1:]
+    f = np.asarray(force, dtype=float)
+    if f.ndim != 2 or f.shape[0] != 3 or f.shape[1] < 2:
+        raise InputError(f"double stance force must be (3, k) with k >= 2, got {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise InputError("double stance force contains non-finite values")
+    tau = np.arange(f.shape[1]) / (f.shape[1] - 1)  # endpoints are exactly 0.0 and 1.0
+    f0, f1 = f[:, :1], f[:, -1:]
     ramp = (0.5 * (f1 + f0)) * tau
-    r1 = 0.5 * (f + f0) - ramp
-    r2 = 0.5 * (f - f0) + ramp
-    return (
-        GrfSeries(total.sample_rate_hz, r1),
-        GrfSeries(total.sample_rate_hz, r2),
-    )
+    return 0.5 * (f + f0) - ramp, 0.5 * (f - f0) + ramp
 
 
 def decompose_gait(
@@ -262,8 +243,9 @@ def decompose_gait(
     Single stance gives the stance limb the entire total and the swing limb
     exactly zero.  Complete double stances are split with ``decompose_ds``.
     Incomplete double stances (missing a detected boundary event) and
-    no-stance intervals are excluded: their limb forces stay zero and the
-    frames are masked out of ``analyzed`` with a reason recorded.
+    no-stance intervals are excluded: their limb forces stay zero, and each
+    is recorded with its reason in the excluded intervals that
+    ``BilateralGrf`` derives ``analyzed`` from.
 
     ``flagged_frames`` optionally marks frames whose force values are
     untrustworthy (for example derived from gap-filled markers); a double
@@ -276,8 +258,6 @@ def decompose_gait(
         )
     if timeline.sample_rate_hz != total.sample_rate_hz:
         raise InputError("timeline and force series sample rates differ")
-    if not mass_kg > 0:
-        raise InputError(f"mass must be positive, got {mass_kg}")
     n = total.n_frames
     if flagged_frames is not None:
         flagged_frames = np.asarray(flagged_frames, dtype=bool)
@@ -286,44 +266,31 @@ def decompose_gait(
 
     left = np.zeros((3, n))
     right = np.zeros((3, n))
-    analyzed = np.zeros(n, dtype=bool)
     excluded: list[tuple[int, int, str]] = []
 
     for phase in timeline.phases:
         s, e = phase.start, phase.end
+        frames = slice(s, e + 1)
         if phase.label == SS_LEFT:
-            left[:, s : e + 1] = total.force[:, s : e + 1]
-            analyzed[s : e + 1] = True
+            left[:, frames] = total.force[:, frames]
         elif phase.label == SS_RIGHT:
-            right[:, s : e + 1] = total.force[:, s : e + 1]
-            analyzed[s : e + 1] = True
+            right[:, frames] = total.force[:, frames]
         elif phase.label == DOUBLE_STANCE:
             if phase.incomplete:
                 excluded.append((s, e, "double stance without detected boundary events"))
-                continue
-            if e == s:
+            elif e == s:
                 excluded.append((s, e, "zero-length double stance"))
-                continue
-            if flagged_frames is not None and (flagged_frames[s] or flagged_frames[e]):
+            elif flagged_frames is not None and (flagged_frames[s] or flagged_frames[e]):
                 excluded.append(
                     (s, e, "double stance boundary force derived from flagged frames")
                 )
-                continue
-            r1, r2 = decompose_ds(total, DsBoundary(start_frame=s, end_frame=e))
-            trailing = left if phase.trailing_foot == "left" else right
-            leading = left if phase.leading_foot == "left" else right
-            trailing[:, s : e + 1] = r1.force
-            leading[:, s : e + 1] = r2.force
-            analyzed[s : e + 1] = True
+            else:
+                trailing = left if phase.trailing_foot == "left" else right
+                leading = left if phase.leading_foot == "left" else right
+                trailing[:, frames], leading[:, frames] = decompose_ds(total.force[:, frames])
         else:  # NO_STANCE
             excluded.append((s, e, "no foot in stance"))
 
-    floor = -NEGATIVE_VERTICAL_FRACTION * mass_kg * gravity_mps2
-    diagnostics = GrfDiagnostics(
-        excluded_intervals=excluded,
-        negative_vertical_left=analyzed & (left[2] < floor),
-        negative_vertical_right=analyzed & (right[2] < floor),
-    )
     return BilateralGrf(
         total=total,
         left=GrfSeries(total.sample_rate_hz, left),
@@ -331,8 +298,7 @@ def decompose_gait(
         timeline=timeline,
         mass_kg=mass_kg,
         gravity_mps2=gravity_mps2,
-        analyzed=analyzed,
-        diagnostics=diagnostics,
+        excluded_intervals=excluded,
     )
 
 

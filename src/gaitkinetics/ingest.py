@@ -464,7 +464,8 @@ def parse_marker_file(path) -> MarkerTrajectorySet:
         n = start + groups.shape[1]
         pos[:, start:n] = groups
         # an all-zero triplet (a blank one was zeroed) marks an occlusion
-        pos[:, start:n][(groups == 0.0).all(axis=2)] = np.nan
+        zero = (groups[..., 0] == 0.0) & (groups[..., 1] == 0.0) & (groups[..., 2] == 0.0)
+        pos[:, start:n][zero] = np.nan
     pos = pos[:, :n]  # a view, when trailing blank lines were counted
     if unit == "mm":
         pos /= 1000.0  # correctly rounded, value by value

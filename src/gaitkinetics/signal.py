@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import InputError
+from .errors import InputError, SeriesTooShortError
 
 __all__ = [
     "UniformSeries",
@@ -79,7 +79,7 @@ class UniformSeries:
         if v.ndim != 2:
             raise InputError("values must be one or two dimensional")
         if v.shape[1] < 2:
-            raise InputError(f"series needs at least 2 samples, got {v.shape[1]}")
+            raise SeriesTooShortError(f"series needs at least 2 samples, got {v.shape[1]}")
         if not np.all(np.isfinite(v)):
             raise InputError("series contains non-finite values")
         self.values = v
@@ -110,7 +110,7 @@ def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[n
         )
     padlen = 3 * order
     if series.n_samples <= padlen:
-        raise InputError(
+        raise SeriesTooShortError(
             f"series of {series.n_samples} samples is too short to mirror-pad "
             f"with {padlen} samples; need more than {padlen}"
         )
@@ -288,7 +288,7 @@ def decimate(series: UniformSeries, factor: int) -> UniformSeries:
     filtered = lowpass(series, 0.4 * new_rate, order=4)
     vals = filtered.values[:, ::factor]
     if vals.shape[1] < 2:
-        raise InputError(
+        raise SeriesTooShortError(
             f"decimation by {factor} leaves {vals.shape[1]} samples; need >= 2"
         )
     return UniformSeries(sample_rate_hz=new_rate, values=vals.copy())

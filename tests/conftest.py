@@ -23,7 +23,7 @@ import scipy.linalg
 from gaitkinetics.anthro import SubjectProfile, bundled_table_path, load_table
 from gaitkinetics.errors import InputError
 from gaitkinetics.events import FootEvents, GaitTimeline, build_timeline, detect_events_zeni
-from gaitkinetics.grf import DsBoundary, GrfSeries, _window, decompose_gait, total_grf
+from gaitkinetics.grf import GrfSeries, decompose_gait, total_grf
 from gaitkinetics.ingest import MarkerTrajectorySet
 from gaitkinetics.kinematics import (
     bundled_definitions_path,
@@ -241,10 +241,9 @@ def displace_markers_z(traj, dz):
     return type(traj)(sample_rate_hz=traj.sample_rate_hz, markers=markers)
 
 
-def decompose_ds_oracle(
-    total: GrfSeries, boundary: DsBoundary
-) -> tuple[GrfSeries, GrfSeries]:
-    """Reference split: exact minimizer of the discretized objective.
+def decompose_ds_oracle(force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference split of a ``(3, k)`` double-stance window: exact minimizer
+    of the discretized objective.
 
     Minimizes the sum of squared sample-to-sample increments of both limb
     forces subject to r1 + r2 = f, r2 = 0 at the first sample and r1 = 0 at
@@ -252,7 +251,7 @@ def decompose_ds_oracle(
     interior r1 samples, solved per axis.  Kept as an independent check on
     ``decompose_ds``; needs at least 3 samples in the window.
     """
-    f = _window(total, boundary)
+    f = np.asarray(force, dtype=float)
     n = f.shape[1]
     if n < 3:
         raise InputError(f"oracle needs at least 3 samples in the window, got {n}")
@@ -270,11 +269,7 @@ def decompose_ds_oracle(
     ab[2, :-1] = 1.0  # subdiagonal
     r1_interior = scipy.linalg.solve_banded((1, 1), ab, rhs.T)
     r1[:, 1:-1] = r1_interior.T
-    r2 = f - r1
-    return (
-        GrfSeries(total.sample_rate_hz, r1),
-        GrfSeries(total.sample_rate_hz, r2),
-    )
+    return r1, f - r1
 
 
 def differentiate(series: UniformSeries, order: int) -> UniformSeries:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from gaitkinetics.events import DOUBLE_STANCE, detect_events_zeni
-from gaitkinetics.grf import DsBoundary, GrfSeries, decompose_ds, decompose_gait, total_grf
+from gaitkinetics.grf import decompose_ds, decompose_gait, total_grf
 from gaitkinetics.kinematics import com_trajectory, filter_com_trajectory
 from gaitkinetics.metrics import compare, stance_vgrf_shape
 from gaitkinetics.signal import UniformSeries, lowpass
@@ -112,14 +112,13 @@ def test_criterion_03_closed_form_matches_the_discrete_minimizer(acceptance_log)
     worst_rel = 0.0
     for _ in range(100):
         n = int(rng.integers(10, 201))
-        total = GrfSeries(float(n - 1), _smooth_force(rng, n))
-        boundary = DsBoundary(0, n - 1)
-        r1c, r2c = decompose_ds(total, boundary)
-        r1o, r2o = decompose_ds_oracle(total, boundary)
-        scale = max(1.0, float(np.max(np.abs(total.force))))
+        force = _smooth_force(rng, n)
+        r1c, r2c = decompose_ds(force)
+        r1o, r2o = decompose_ds_oracle(force)
+        scale = max(1.0, float(np.max(np.abs(force))))
         gap = max(
-            float(np.max(np.abs(r1c.force - r1o.force))),
-            float(np.max(np.abs(r2c.force - r2o.force))),
+            float(np.max(np.abs(r1c - r1o))),
+            float(np.max(np.abs(r2c - r2o))),
         )
         worst_rel = max(worst_rel, gap / scale)
 
@@ -138,12 +137,11 @@ def test_criterion_03_closed_form_matches_the_discrete_minimizer(acceptance_log)
     grids = [10, 20, 40, 80, 160]
     gaps = []
     for n in grids:
-        total = GrfSeries(float(n - 1), profile(n))
-        boundary = DsBoundary(0, n - 1)
-        r1c, _ = decompose_ds(total, boundary)
-        r1o, _ = decompose_ds_oracle(total, boundary)
-        scale = max(1.0, float(np.max(np.abs(total.force))))
-        gaps.append(float(np.max(np.abs(r1c.force - r1o.force))) / scale)
+        force = profile(n)
+        r1c, _ = decompose_ds(force)
+        r1o, _ = decompose_ds_oracle(force)
+        scale = max(1.0, float(np.max(np.abs(force))))
+        gaps.append(float(np.max(np.abs(r1c - r1o))) / scale)
     h0 = 1.0 / (grids[0] - 1)
     envelope_c = 4.0 * gaps[0] / h0**2
     envelope_ok = all(

@@ -759,7 +759,7 @@ def test_the_filter_error_still_comes_before_an_event_marker_error(tmp_path, cap
     code, captured = _run(argv, capsys)
     assert code == 2
     assert captured.err == (
-        "error: series of 10 samples is too short to mirror-pad with 12 samples; "
+        f"error: {short}: series of 10 samples is too short to mirror-pad with 12 samples; "
         "need more than 12\n"
     )
     argv[2] = str(tmp_path / "long.tsv")
@@ -767,6 +767,44 @@ def test_the_filter_error_still_comes_before_an_event_marker_error(tmp_path, cap
     code, captured = _run(argv, capsys)
     assert code == 2
     assert captured.err == f"error: {argv[2]}: marker 'NOPE' not present in trial\n"
+
+
+MIRROR_PAD = "series of {} samples is too short to mirror-pad with 12 samples; need more than 12"
+
+
+@pytest.mark.parametrize(
+    "kind, rows, commands, message",
+    [
+        ("markers", 7, ("grf", "events", "validate", "butterfly"), MIRROR_PAD.format(7)),
+        ("markers", 1, ("grf", "events"), "series needs at least 2 samples, got 1"),
+        ("forces", 6, ("validate",), MIRROR_PAD.format(6)),
+        ("forces", 1, ("grf", "validate"), "series needs at least 2 samples, got 1"),
+    ],
+)
+def test_a_trial_too_short_to_filter_names_its_file(
+    cli_files, tmp_path, capsys, kind, rows, commands, message
+):
+    header_lines = {"markers": 3, "forces": 2}[kind]
+    lines = cli_files[kind].read_text(encoding="utf-8").splitlines(keepends=True)
+    files = {"markers": cli_files["markers"], "forces": cli_files["forces"]}
+    files[kind] = tmp_path / f"{rows}_rows.tsv"
+    files[kind].write_text("".join(lines[: header_lines + rows]), encoding="utf-8")
+    for command in commands:
+        out = tmp_path / command
+        argv = [command, "--marker-file", str(files["markers"]),
+                "--force-file", str(files["forces"]), "--output-dir", str(out)] + SUBJECT_ARGS
+        code, captured = _run(argv, capsys)
+        assert (code, captured.err) == (2, f"error: {files[kind]}: {message}\n")
+        assert not out.exists()
+
+
+def test_com_runs_on_a_one_frame_trial(cli_files, tmp_path):
+    lines = cli_files["markers"].read_text(encoding="utf-8").splitlines(keepends=True)
+    one = tmp_path / "one_frame.tsv"
+    one.write_text("".join(lines[:4]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run(["com", "--marker-file", str(one), "--output-dir", str(out)] + SUBJECT_ARGS) == 0
+    assert len((out / "com.csv").read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_stage_rss_tool_prints_memory_after_each_stage(cli_files, tmp_path):

@@ -2,8 +2,8 @@
 ``cli.main``.
 
 A short demo trial's marker and force files are mutated the ways real files
-go wrong: rows dropped, repeated or cut short, blank lines, blank or partly
-blank triplets, non-finite or non-numeric fields, tabs added or removed,
+go wrong: rows dropped, repeated or cut short, the file cut after its first
+few rows, blank lines, blank or partly blank triplets, non-finite or non-numeric fields, tabs added or removed,
 CRLF line ends, bytes that are not UTF-8, and edited header lines.  The
 unmutated trial is also run with option values drawn across their whole
 range.  Every case must end in exit 0, 2 or 3 with no exception and no
@@ -58,6 +58,7 @@ FIELD_TEXT = st.sampled_from(
 NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\x80\xfe", b"\xed\xa0\x80"])
 
 DATA_MUTATIONS = st.one_of(
+    st.tuples(st.just("keep"), st.integers(0, 20)),  # only the first 0-20 data rows
     st.tuples(st.just("drop"), INDEX),
     st.tuples(st.just("repeat"), INDEX),
     st.tuples(st.just("truncate"), INDEX, INDEX),
@@ -116,9 +117,13 @@ def _mutate(lines: list[bytes], n_header: int, mutation) -> list[bytes]:
     header lines, and a mutation's first index picks one of them."""
     lines = list(lines)
     kind, *args = mutation
-    n_data = len(lines) - n_header  # the 2 s trial's 400 rows outlast any 3 mutations
+    n_data = len(lines) - n_header
+    if kind in _ROW_MUTATIONS and n_data == 0:  # an earlier "keep" left no row
+        return lines
     row = n_header + args[0] % n_data if kind in _ROW_MUTATIONS else None
-    if kind == "drop":
+    if kind == "keep":
+        del lines[n_header + args[0] :]
+    elif kind == "drop":
         del lines[row]
     elif kind == "repeat":
         lines.insert(row, lines[row])
@@ -214,6 +219,8 @@ def _names_the_fault(err: str, path: Path) -> bool:
                           max_size=3))
 @example(mutations=[("triplet", 0, 0, 7, "")])  # SACR occluded at frame 0
 @example(mutations=[("header", 0, "200.0001")])  # a marker rate the plates do not divide
+@example(mutations=[("keep", 7)])  # too short to filter
+@example(mutations=[("keep", 1)])  # a single row
 def test_mutated_marker_files_exit_cleanly(demo_files, mutations):
     lines = demo_files["markers"]
     for mutation in mutations:
@@ -224,6 +231,8 @@ def test_mutated_marker_files_exit_cleanly(demo_files, mutations):
 @FUZZ
 @given(mutations=st.lists(st.one_of(DATA_MUTATIONS, PLATE_HEADER), min_size=1, max_size=3))
 @example(mutations=[("field", 0, 3, "nan")])  # a plate's Fz
+@example(mutations=[("keep", 6)])  # too short to filter
+@example(mutations=[("keep", 1)])  # a single row
 def test_mutated_force_files_exit_cleanly(demo_files, mutations):
     lines = demo_files["forces"]
     for mutation in mutations:

@@ -7,11 +7,10 @@ import pytest
 
 from gaitkinetics.anthro import SegmentId
 from gaitkinetics.errors import InputError, InternalInvariantError
-from gaitkinetics.events import FootEvents, build_timeline
+from gaitkinetics.events import DOUBLE_STANCE, NO_STANCE, FootEvents, build_timeline
 from gaitkinetics.grf import (
     BilateralGrf,
     ButterflyDiagram,
-    DsBoundary,
     GrfDiagnostics,
     GrfSeries,
     butterfly,
@@ -33,6 +32,7 @@ from conftest import (
     differentiate,
     displace_markers_z,
 )
+from test_events import _random_foot_events
 
 GRAVITY = 9.81
 
@@ -155,23 +155,19 @@ def test_grf_series_validation():
 
 def test_constant_total_splits_into_a_linear_crossfade():
     f0 = np.array([12.0, -3.0, 800.0])
-    total = GrfSeries(200.0, np.tile(f0[:, None], (1, 21)))
-    boundary = DsBoundary(0, 20)
-    r1, r2 = decompose_ds(total, boundary)
+    r1, r2 = decompose_ds(np.tile(f0[:, None], (1, 21)))
     tau = np.arange(21) / 20.0
-    assert np.max(np.abs(r1.force - f0[:, None] * (1.0 - tau))) <= 1e-12 * 800.0
-    assert np.max(np.abs(r2.force - f0[:, None] * tau)) <= 1e-12 * 800.0
+    assert np.max(np.abs(r1 - f0[:, None] * (1.0 - tau))) <= 1e-12 * 800.0
+    assert np.max(np.abs(r2 - f0[:, None] * tau)) <= 1e-12 * 800.0
 
 
 def test_split_boundary_forces_vanish_bitwise():
     rng = np.random.default_rng(11)
-    total = GrfSeries(200.0, _smooth_force(rng, 400))
-    boundary = DsBoundary(37, 81)
-    r1, r2 = decompose_ds(total, boundary)
-    assert np.all(r2.force[:, 0] == 0.0)  # leading limb zero at heel strike
-    assert np.all(r1.force[:, -1] == 0.0)  # trailing limb zero at toe-off
-    window = total.force[:, 37:82]
-    assert np.max(np.abs(r1.force + r2.force - window)) <= 1e-12 * np.max(
+    window = _smooth_force(rng, 400)[:, 37:82]
+    r1, r2 = decompose_ds(window)
+    assert np.all(r2[:, 0] == 0.0)  # leading limb zero at heel strike
+    assert np.all(r1[:, -1] == 0.0)  # trailing limb zero at toe-off
+    assert np.max(np.abs(r1 + r2 - window)) <= 1e-12 * np.max(
         np.abs(window)
     )
 
@@ -181,14 +177,13 @@ def test_closed_form_matches_the_discrete_minimizer():
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(3, 121))
-        total = GrfSeries(100.0, _smooth_force(rng, n))
-        boundary = DsBoundary(0, n - 1)
-        r1c, r2c = decompose_ds(total, boundary)
-        r1o, r2o = decompose_ds_oracle(total, boundary)
-        scale = max(1.0, float(np.max(np.abs(total.force))))
+        force = _smooth_force(rng, n)
+        r1c, r2c = decompose_ds(force)
+        r1o, r2o = decompose_ds_oracle(force)
+        scale = max(1.0, float(np.max(np.abs(force))))
         gap = max(
-            float(np.max(np.abs(r1c.force - r1o.force))),
-            float(np.max(np.abs(r2c.force - r2o.force))),
+            float(np.max(np.abs(r1c - r1o))),
+            float(np.max(np.abs(r2c - r2o))),
         )
         worst = max(worst, gap / scale)
     assert worst <= 1e-6
@@ -197,17 +192,15 @@ def test_closed_form_matches_the_discrete_minimizer():
 def test_three_sample_split_beats_a_brute_force_grid():
     rng = np.random.default_rng(3)
     f = rng.uniform(-500.0, 500.0, size=(3, 3))
-    total = GrfSeries(100.0, f)
-    boundary = DsBoundary(0, 2)
-    r1, r2 = decompose_ds(total, boundary)
+    r1, r2 = decompose_ds(f)
     # stationarity has one free value per axis: the middle trailing sample
     expected_mid = (f[:, 0] + 2.0 * f[:, 1] - f[:, 2]) / 4.0
-    assert np.max(np.abs(r1.force[:, 1] - expected_mid)) <= 1e-12 * 500.0
-    j_opt = _increment_energy(r1.force, r2.force)
+    assert np.max(np.abs(r1[:, 1] - expected_mid)) <= 1e-12 * 500.0
+    j_opt = _increment_energy(r1, r2)
     for offset in np.linspace(-200.0, 200.0, 81):
         if offset == 0.0:
             continue
-        r1_alt = r1.force.copy()
+        r1_alt = r1.copy()
         r1_alt[:, 1] += offset
         r2_alt = f - r1_alt
         assert _increment_energy(r1_alt, r2_alt) > j_opt
@@ -215,25 +208,23 @@ def test_three_sample_split_beats_a_brute_force_grid():
 
 def test_interior_curvature_is_half_the_total_curvature():
     rng = np.random.default_rng(17)
-    total = GrfSeries(200.0, _smooth_force(rng, 60))
-    boundary = DsBoundary(0, 59)
-    r1, r2 = decompose_ds(total, boundary)
+    force = _smooth_force(rng, 60)
+    r1, r2 = decompose_ds(force)
 
     def second_diff(a):
         return a[:, 2:] - 2.0 * a[:, 1:-1] + a[:, :-2]
 
-    target = 0.5 * second_diff(total.force)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(second_diff(total.force)))))
-    assert np.max(np.abs(second_diff(r1.force) - target)) <= tol
-    assert np.max(np.abs(second_diff(r2.force) - target)) <= tol
+    target = 0.5 * second_diff(force)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(second_diff(force)))))
+    assert np.max(np.abs(second_diff(r1) - target)) <= tol
+    assert np.max(np.abs(second_diff(r2) - target)) <= tol
 
 
 def test_endpoint_preserving_perturbations_never_lower_the_objective():
     rng = np.random.default_rng(23)
-    total = GrfSeries(200.0, _smooth_force(rng, 40))
-    boundary = DsBoundary(0, 39)
-    r1, r2 = decompose_ds(total, boundary)
-    j_opt = _increment_energy(r1.force, r2.force)
+    force = _smooth_force(rng, 40)
+    r1, r2 = decompose_ds(force)
+    j_opt = _increment_energy(r1, r2)
     tau = np.arange(40) / 39.0
     for _ in range(200):
         delta = rng.uniform(-30.0, 30.0) * np.sin(
@@ -242,21 +233,25 @@ def test_endpoint_preserving_perturbations_never_lower_the_objective():
         delta[0] = 0.0
         delta[-1] = 0.0  # keep both boundary conditions intact
         axis = int(rng.integers(0, 3))
-        r1_alt = r1.force.copy()
+        r1_alt = r1.copy()
         r1_alt[axis] += delta
-        r2_alt = total.force[:, :40] - r1_alt
+        r2_alt = force - r1_alt
         assert _increment_energy(r1_alt, r2_alt) >= j_opt * (1.0 - 1e-9)
 
 
 def test_split_validation():
     rng = np.random.default_rng(5)
-    total = GrfSeries(200.0, _smooth_force(rng, 50))
-    with pytest.raises(InputError, match="end > start"):
-        DsBoundary(10, 10)
-    with pytest.raises(InputError, match="outside trial"):
-        decompose_ds(total, DsBoundary(40, 60))
+    force = _smooth_force(rng, 50)
+    with pytest.raises(InputError, match="k >= 2"):
+        decompose_ds(force[:, 10:11])
+    with pytest.raises(InputError, match="k >= 2"):
+        decompose_ds(force[:2])
+    bad = force[:, 40:60].copy()
+    bad[1, 7] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        decompose_ds(bad)
     with pytest.raises(InputError, match="at least 3"):
-        decompose_ds_oracle(total, DsBoundary(5, 6))
+        decompose_ds_oracle(force[:, 5:7])
 
 
 # ------------------------------------------------------- whole-trial split
@@ -346,6 +341,69 @@ def test_flagged_boundary_frames_refuse_the_split():
     assert accepted.analyzed[100:131].all()
 
 
+def _exclusion_reason(phase, flagged):
+    """The reason a phase is left out of the split, or None."""
+    if phase.label == NO_STANCE:
+        return "no foot in stance"
+    if phase.label != DOUBLE_STANCE:
+        return None
+    if phase.incomplete:
+        return "double stance without detected boundary events"
+    if phase.start == phase.end:
+        return "zero-length double stance"
+    if flagged[phase.start] or flagged[phase.end]:
+        return "double stance boundary force derived from flagged frames"
+    return None
+
+
+def test_decompose_gait_on_random_timelines():
+    """Random events, smooth forces and flagged frames: the analysed frames and
+    the excluded intervals partition the trial, each interval is one phase
+    with the reason it earns, left + right is the total on analysed frames,
+    each split double stance's boundary limb forces are exactly 0.0, and both
+    negative-vertical masks lie inside ``analyzed``."""
+    rng = np.random.default_rng(20261019)
+    seen = dict.fromkeys(
+        ["split", "no foot in stance", "double stance without detected boundary events",
+         "zero-length double stance", "double stance boundary force derived from flagged frames",
+         "negative vertical"],
+        0,
+    )
+    for _ in range(1500):
+        n = int(rng.integers(1, 121))
+        left = _random_foot_events(rng, "left", n)
+        right = _random_foot_events(rng, "right", n)
+        timeline = build_timeline(left, right, n, sample_rate_hz=100.0)
+        total = GrfSeries(100.0, _smooth_force(rng, n, scale=float(rng.uniform(1.0, 1000.0))))
+        flagged = rng.random(n) < rng.uniform(0.0, 0.3)
+        bilateral = decompose_gait(total, timeline, 70.0, flagged_frames=flagged)
+        intervals = bilateral.diagnostics.excluded_intervals
+
+        reasons = [(p, _exclusion_reason(p, flagged)) for p in timeline.phases]
+        assert intervals == [(p.start, p.end, r) for p, r in reasons if r is not None]
+        covered = np.zeros(n, dtype=int)
+        for start, end, reason in intervals:
+            covered[start : end + 1] += 1
+            seen[reason] += 1
+        assert np.array_equal(covered, (~bilateral.analyzed).astype(int))
+
+        resid = bilateral.left.force + bilateral.right.force - total.force
+        scale = np.abs(total.force).max()
+        assert np.abs(resid[:, bilateral.analyzed]).max(initial=0.0) <= 1e-9 * scale
+        for phase, reason in reasons:
+            if phase.label == DOUBLE_STANCE and reason is None:
+                seen["split"] += 1
+                leading = bilateral.limb(phase.leading_foot).force[:, phase.start]
+                trailing = bilateral.limb(phase.trailing_foot).force[:, phase.end]
+                assert leading.tolist() == [0.0] * 3 and trailing.tolist() == [0.0] * 3
+
+        for mask in (bilateral.diagnostics.negative_vertical_left,
+                     bilateral.diagnostics.negative_vertical_right):
+            assert not (mask & ~bilateral.analyzed).any()
+            seen["negative vertical"] += int(mask.any())
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_decompose_gait_validates_inputs():
     rng = np.random.default_rng(59)
     total = GrfSeries(100.0, _smooth_force(rng, 200))
@@ -374,8 +432,7 @@ def test_bilateral_invariants_catch_tampered_forces():
             timeline=good.timeline,
             mass_kg=good.mass_kg,
             gravity_mps2=good.gravity_mps2,
-            analyzed=good.analyzed,
-            diagnostics=good.diagnostics,
+            excluded_intervals=good.diagnostics.excluded_intervals,
         )
 
     broken_sum = good.left.force.copy()
@@ -399,11 +456,31 @@ def test_bilateral_invariants_catch_tampered_forces():
             timeline=good.timeline,
             mass_kg=good.mass_kg,
             gravity_mps2=good.gravity_mps2,
-            analyzed=good.analyzed,
-            diagnostics=good.diagnostics,
+            excluded_intervals=good.diagnostics.excluded_intervals,
         )
     with pytest.raises(InputError, match="foot"):
         good.limb("back")
+
+
+def test_bilateral_derives_analyzed_and_diagnostics_from_its_intervals():
+    rng = np.random.default_rng(71)
+    good = decompose_gait(GrfSeries(100.0, _smooth_force(rng, 200)), _mixed_timeline(), 70.0)
+    given = {f.name: getattr(good, f.name) for f in dataclasses.fields(good) if f.init}
+    intervals = good.diagnostics.excluded_intervals
+    rebuilt = BilateralGrf(**given, excluded_intervals=intervals)
+    assert np.array_equal(rebuilt.analyzed, good.analyzed)
+    assert rebuilt.diagnostics.excluded_intervals == intervals
+    for side in ("left", "right"):
+        mask = f"negative_vertical_{side}"
+        assert np.array_equal(getattr(rebuilt.diagnostics, mask), getattr(good.diagnostics, mask))
+    # the derived values cannot be passed in to disagree with the intervals
+    for name in ("analyzed", "diagnostics"):
+        with pytest.raises(TypeError, match=name):
+            BilateralGrf(**given, excluded_intervals=intervals, **{name: None})
+    with pytest.raises(TypeError):
+        GrfDiagnostics()
+    with pytest.raises(InternalInvariantError, match=r"\[151, 200\] outside the trial"):
+        BilateralGrf(**given, excluded_intervals=[(151, 200, "no foot in stance")])
 
 
 def test_negative_vertical_force_is_flagged(tmp_path):
@@ -531,6 +608,7 @@ def test_diagnostics_csv_keeps_its_line_format(tmp_path):
     )
     # nothing excluded or flagged: the header line alone
     bilateral.diagnostics = GrfDiagnostics(
+        excluded_intervals=[],
         negative_vertical_left=np.zeros(200, dtype=bool),
         negative_vertical_right=np.zeros(200, dtype=bool),
     )

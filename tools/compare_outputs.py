@@ -20,8 +20,10 @@ trees, each in a fresh interpreter:
 Every CLI run but ``--help`` writes to ``out`` under its own working
 directory, so the paths it prints read alike in both trees.  The sha256 of every output file, of
 stdout and of stderr, and the exit code are compared, and for the API
-chain the sha256 of each saved array; each difference is listed and the
-script exits 1 if there is any, 0 otherwise.
+chain the sha256 of each saved array, of ``BilateralGrf.analyzed``, of both
+negative-vertical masks and of the excluded intervals with their reasons;
+each difference is listed and the script exits 1 if there is any, 0
+otherwise.
 """
 
 import argparse
@@ -39,8 +41,9 @@ REPO = Path(__file__).resolve().parents[1]
 BENCHMARKS = REPO / "benchmarks"
 RUN_MAIN = "import sys; from gaitkinetics.cli import main; sys.exit(main(sys.argv[1:]))"
 # argv: the plan of an api-inmemory-120s input; writes api/outputs.npz and
-# prints the sha256 of each array in it as JSON (the file itself holds the
-# time it was written)
+# prints as JSON the sha256 of each array in it (the file itself holds the
+# time it was written), of the analysed-frame and negative-vertical masks,
+# and of the excluded intervals with their reasons, which the file leaves out
 RUN_API_CHAIN = """
 import hashlib, json, sys
 from pathlib import Path
@@ -51,14 +54,21 @@ from gaitkinetics import anthro, cli, kinematics, synth
 markers = synth.generate_walker(synth.WalkerParams(**spec["walker"])).markers
 table = anthro.load_table(anthro.bundled_table_path())
 definitions = kinematics.load_segment_definitions(kinematics.bundled_definitions_path())
-worker.save_api_outputs(
-    Path("api"), *worker.run_api_chain(cli, markers, spec["walker"], table, definitions)
-)
-with np.load("api/outputs.npz") as arrays:
-    print(json.dumps({
-        name: hashlib.sha256(f"{a.dtype}{a.shape}".encode() + a.tobytes()).hexdigest()
-        for name, a in arrays.items()
-    }))
+bilateral, diagram = worker.run_api_chain(cli, markers, spec["walker"], table, definitions)
+worker.save_api_outputs(Path("api"), bilateral, diagram)
+d = bilateral.diagnostics
+with np.load("api/outputs.npz") as saved:
+    arrays = dict(saved)
+arrays["analyzed"] = bilateral.analyzed
+arrays["negative_vertical_left"] = d.negative_vertical_left
+arrays["negative_vertical_right"] = d.negative_vertical_right
+digests = {
+    name: hashlib.sha256(f"{a.dtype}{a.shape}".encode() + a.tobytes()).hexdigest()
+    for name, a in arrays.items()
+}
+intervals = [(int(s), int(e), reason) for s, e, reason in d.excluded_intervals]
+digests["excluded_intervals"] = hashlib.sha256(repr(intervals).encode()).hexdigest()
+print(json.dumps(digests))
 """
 SUBCOMMANDS = ("com", "events", "grf", "validate", "butterfly")
 
