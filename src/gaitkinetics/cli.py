@@ -46,7 +46,6 @@ from .events import (
 from .grf import (
     DEFAULT_BUTTERFLY_SCALE_M_PER_N,
     DEFAULT_GRAVITY_MPS2,
-    _check_display_scale,
     butterfly,
     decompose_gait,
     total_grf,
@@ -259,58 +258,65 @@ def _naming_short_series(path):
 def _load_markers(config: PipelineConfig):
     """Parse the marker file and fill short gaps.
 
-    Returns (filled trajectory, per-frame flag of gap-derived samples).
+    Returns the filled trajectory and, for each marker that gap filling
+    touched, the per-frame flag of its filled samples.
     """
     _require(config, "marker_file")
     raw = parse_marker_file(config.marker_file)
     filled = fill_gaps(raw, config.max_gap_frames)
-    flagged = np.zeros(raw.n_frames, dtype=bool)
+    fills = {}
     for name in raw.markers:
-        flagged |= raw.missing[name] & ~filled.missing[name]
-    return filled, flagged
+        mask = raw.missing[name] & ~filled.missing[name]
+        if mask.any():
+            fills[name] = mask
+    return filled, fills
 
 
-def _load_model(config: PipelineConfig):
+def _com(config: PipelineConfig, traj):
+    """The subject, the segment definitions and the raw CoM trajectory of ``traj``."""
     _require(config, "subject_mass_kg", "subject_height_m", "subject_sex")
     table = load_table(config.anthro_table or bundled_table_path())
     defs_path = config.segment_definitions or bundled_definitions_path()
     definitions = load_segment_definitions(defs_path)
     subject = SubjectProfile(config.subject_mass_kg, config.subject_height_m, config.subject_sex)
-    return table, definitions, subject
+    return subject, definitions, com_trajectory(traj, definitions, table, subject)
 
 
-def _event_series(config: PipelineConfig, traj) -> UniformSeries:
-    """AP coordinates of the sacrum, left heel and toe, and right heel and toe
-    markers: a copy, which shares no memory with ``traj``."""
-    names = (
-        config.sacrum_marker,
-        config.left_heel_marker,
-        config.left_toe_marker,
-        config.right_heel_marker,
-        config.right_toe_marker,
-    )
-    ap = np.stack([_marker_positions(traj, name, config.marker_file)[:, 0] for name in names])
-    return UniformSeries(traj.sample_rate_hz, ap)
+def _filtered_total(config: PipelineConfig, com, subject):
+    """The low-passed CoM trajectory and the total force it gives."""
+    with _naming_short_series(config.marker_file):
+        com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
+    return com, total_grf(com, subject, config.gravity_mps2)
 
 
-def _detect_timeline(config: PipelineConfig, ap: UniformSeries):
-    """Detect per-foot events on the low-passed ``_event_series`` and build
-    the timeline."""
-    filtered = lowpass(ap, config.cutoff_hz, config.filter_order).values
-    sacrum, left_heel, left_toe, right_heel, right_toe = (
-        UniformSeries(ap.sample_rate_hz, row) for row in filtered
-    )
-    events = {}
-    try:
-        for foot, heel, toe in (
-            ("left", left_heel, left_toe),
-            ("right", right_heel, right_toe),
-        ):
-            hs, to = detect_events_zeni(heel, toe, sacrum, config.min_event_period_s)
-            events[foot] = FootEvents(foot=foot, heel_strikes=hs, toe_offs=to)
-    except NoGaitDataError as exc:
-        raise NoGaitDataError(f"no complete gait cycle found: {exc}") from exc
-    return build_timeline(events["left"], events["right"], ap.n_samples, ap.sample_rate_hz)
+def _event_markers(config: PipelineConfig) -> tuple[str, ...]:
+    """The sacrum, left heel and toe, and right heel and toe markers."""
+    return (config.sacrum_marker, config.left_heel_marker, config.left_toe_marker,
+            config.right_heel_marker, config.right_toe_marker)
+
+
+def _timeline(config: PipelineConfig, traj):
+    """Detect per-foot events on the low-passed AP coordinates of the event
+    markers, copied from ``traj``, and build the timeline."""
+    rate = traj.sample_rate_hz
+    with _naming_short_series(config.marker_file):
+        ap = np.stack([_marker_positions(traj, name, config.marker_file)[:, 0]
+                       for name in _event_markers(config)])
+        filtered = lowpass(UniformSeries(rate, ap), config.cutoff_hz, config.filter_order).values
+        sacrum, left_heel, left_toe, right_heel, right_toe = (
+            UniformSeries(rate, row) for row in filtered
+        )
+        events = {}
+        try:
+            for foot, heel, toe in (
+                ("left", left_heel, left_toe),
+                ("right", right_heel, right_toe),
+            ):
+                hs, to = detect_events_zeni(heel, toe, sacrum, config.min_event_period_s)
+                events[foot] = FootEvents(foot=foot, heel_strikes=hs, toe_offs=to)
+        except NoGaitDataError as exc:
+            raise NoGaitDataError(f"no complete gait cycle found: {exc}") from exc
+        return build_timeline(events["left"], events["right"], traj.n_frames, rate)
 
 
 def run_com(config: PipelineConfig) -> list[Path]:
@@ -321,8 +327,7 @@ def run_com(config: PipelineConfig) -> list[Path]:
     reports exactly the weighted mean the segment model produces.
     """
     traj, _ = _load_markers(config)
-    table, definitions, subject = _load_model(config)
-    com = com_trajectory(traj, definitions, table, subject)
+    _, _, com = _com(config, traj)
     segments = config.include_segment_coms
     return _write_outputs(
         config, [("com.csv", lambda p: write_com_csv(p, com, include_segments=segments))]
@@ -331,8 +336,7 @@ def run_com(config: PipelineConfig) -> list[Path]:
 
 def run_events(config: PipelineConfig) -> list[Path]:
     traj, _ = _load_markers(config)
-    with _naming_short_series(config.marker_file):
-        timeline = _detect_timeline(config, _event_series(config, traj))
+    timeline = _timeline(config, traj)
     stance = _stance_interval_columns(config, traj)
     header = ["foot,start_frame,end_frame,start_time_s,end_time_s"]
     writers = [
@@ -360,21 +364,18 @@ def _stance_interval_columns(config: PipelineConfig, traj) -> list:
 
 
 def _compute_bilateral(config: PipelineConfig):
-    """Full chain shared by grf and butterfly: markers -> per-limb forces."""
-    traj, flagged = _load_markers(config)
-    table, definitions, subject = _load_model(config)
-    com = com_trajectory(traj, definitions, table, subject)
-    with _naming_short_series(config.marker_file):
-        try:
-            ap = _event_series(config, traj)
-        except InputError as exc:  # reported after any error of the filter, which runs first
-            ap = exc
-        del traj  # the marker set is not held through the filter
-        com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
-        if isinstance(ap, InputError):
-            raise ap
-        timeline = _detect_timeline(config, ap)
-    total = total_grf(com, subject, config.gravity_mps2)
+    """Full chain shared by grf and butterfly: markers -> per-limb forces.
+    Only a fill in a marker that the CoM model or the events read flags a frame."""
+    traj, fills = _load_markers(config)
+    subject, definitions, com = _com(config, traj)
+    timeline = _timeline(config, traj)
+    del traj  # the marker set is not held through the filter
+    com, total = _filtered_total(config, com, subject)
+    read = {name for d in definitions.values() for rule in d.point_rules()
+            for name, _ in rule.weights}
+    flagged = np.zeros(total.n_frames, dtype=bool)
+    for name in read.union(_event_markers(config)) & fills.keys():
+        flagged |= fills[name]
     bilateral = decompose_gait(
         total, timeline, subject.mass_kg, config.gravity_mps2, flagged_frames=flagged
     )
@@ -422,26 +423,22 @@ def _validation_writers(report: ComparisonReport) -> list:
     ]
 
 
-def _butterfly_writers(config: PipelineConfig, diagram) -> list:
-    """The butterfly CSV and SVG writers, after the display scale is checked,
-    so that a scale too large to draw fails before any file is written."""
-    scale = config.butterfly_scale_m_per_n
-    _check_display_scale(diagram, scale)
+def _butterfly_writers(diagram) -> list:
     return [
-        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram, scale)),
-        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram, scale)),
+        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram)),
+        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram)),
     ]
 
 
 def run_grf(config: PipelineConfig) -> list[Path]:
     com, timeline, bilateral = _compute_bilateral(config)
-    diagram = butterfly(bilateral, com)
+    diagram = butterfly(bilateral, com, config.butterfly_scale_m_per_n)
     del com  # not held across the plate parse
     writers = [
         ("grf.csv", lambda p: write_bilateral_csv(p, bilateral)),
         ("grf_diagnostics.csv", lambda p: write_diagnostics_csv(p, bilateral)),
         ("events.csv", lambda p: write_events_csv(p, timeline)),
-        *_butterfly_writers(config, diagram),
+        *_butterfly_writers(diagram),
     ]
     if config.force_file is not None:
         report = _compare_against_plates(config, bilateral.total)
@@ -452,12 +449,9 @@ def run_grf(config: PipelineConfig) -> list[Path]:
 def run_validate(config: PipelineConfig) -> list[Path]:
     _require(config, "force_file")
     traj, _ = _load_markers(config)
-    table, definitions, subject = _load_model(config)
-    com = com_trajectory(traj, definitions, table, subject)
+    subject, _, com = _com(config, traj)
     del traj  # the marker set is not held through the filter
-    with _naming_short_series(config.marker_file):
-        com = filter_com_trajectory(com, config.cutoff_hz, config.filter_order)
-    total = total_grf(com, subject, config.gravity_mps2)
+    _, total = _filtered_total(config, com, subject)
     del com  # not held across the plate parse
     report = _compare_against_plates(config, total)
     return _write_outputs(config, _validation_writers(report))
@@ -465,7 +459,8 @@ def run_validate(config: PipelineConfig) -> list[Path]:
 
 def run_butterfly(config: PipelineConfig) -> list[Path]:
     com, _, bilateral = _compute_bilateral(config)
-    return _write_outputs(config, _butterfly_writers(config, butterfly(bilateral, com)))
+    diagram = butterfly(bilateral, com, config.butterfly_scale_m_per_n)
+    return _write_outputs(config, _butterfly_writers(diagram))
 
 
 _COMMANDS = {

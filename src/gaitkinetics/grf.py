@@ -117,6 +117,8 @@ class BilateralGrf:
             raise InternalInvariantError("timeline span differs from force series")
         if not self.mass_kg > 0:
             raise InputError(f"mass must be positive, got {self.mass_kg}")
+        if not 0 < self.gravity_mps2 < np.inf:
+            raise InputError(f"gravity must be positive and finite, got {self.gravity_mps2}")
         self.analyzed = np.ones(n, dtype=bool)
         for s, e, _ in excluded_intervals:
             if not 0 <= s <= e < n:
@@ -155,13 +157,15 @@ class BilateralGrf:
 
 @dataclass
 class ButterflyDiagram:
-    """Per-frame force vectors anchored at the stance foot's ground point."""
+    """Per-frame force vectors anchored at the stance foot's ground point;
+    each tip is the base plus ``scale_m_per_n`` times the force."""
 
-    sample_rate_hz: float
     feet: tuple[str, ...]
     frames: np.ndarray  # (k,) int
     bases: np.ndarray  # (k, 3), z = 0 (ground projection of the foot CoM)
     forces: np.ndarray  # (k, 3) newtons
+    scale_m_per_n: float
+    tips: np.ndarray = field(init=False)  # (k, 3) metres
 
     def __post_init__(self):
         k = len(self.feet)
@@ -172,6 +176,16 @@ class ButterflyDiagram:
             raise InternalInvariantError("butterfly arrays disagree on entry count")
         if k and np.any(self.bases[:, 2] != 0.0):
             raise InternalInvariantError("butterfly bases must lie on the ground plane")
+        scale = self.scale_m_per_n
+        if not scale > 0:
+            raise InputError(f"display scale must be positive, got {scale}")
+        peak = float(np.abs(self.forces).max(initial=0.0))
+        if not float(np.abs(self.bases).max(initial=0.0)) + scale * peak <= _MAX_TIP_M:
+            raise InputError(
+                f"butterfly_scale_m_per_n {scale} m/N scales the {peak:g} N peak force "
+                f"past {_MAX_TIP_M:g} m, more than a butterfly diagram can span"
+            )
+        self.tips = self.bases + scale * self.forces
 
     @property
     def n_entries(self) -> int:
@@ -302,8 +316,13 @@ def decompose_gait(
     )
 
 
-def butterfly(bilateral: BilateralGrf, com: ComTrajectory) -> ButterflyDiagram:
-    """Force vectors anchored at the stance foot's ground projection.
+def butterfly(
+    bilateral: BilateralGrf,
+    com: ComTrajectory,
+    scale_m_per_n: float = DEFAULT_BUTTERFLY_SCALE_M_PER_N,
+) -> ButterflyDiagram:
+    """Force vectors anchored at the stance foot's ground projection, drawn
+    at ``scale_m_per_n`` metres per newton.
 
     One entry per analyzed stance frame per foot in stance; swing and
     excluded frames produce no entries.  The anchor is the foot segment CoM
@@ -322,11 +341,11 @@ def butterfly(bilateral: BilateralGrf, com: ComTrajectory) -> ButterflyDiagram:
         bases.append(np.column_stack([ground, np.zeros(stance.size)]))
         forces.append(bilateral.limb(foot).force[:, stance].T)
     return ButterflyDiagram(
-        sample_rate_hz=bilateral.total.sample_rate_hz,
         feet=tuple(feet),
         frames=np.concatenate(frames),
         bases=np.concatenate(bases),
         forces=np.concatenate(forces),
+        scale_m_per_n=scale_m_per_n,
     )
 
 
@@ -350,44 +369,25 @@ def write_diagnostics_csv(path, bilateral: BilateralGrf) -> None:
     _write_csv(path, ["record,start_frame,end_frame,detail"], columns)
 
 
-def _check_display_scale(diagram: ButterflyDiagram, scale_m_per_n: float) -> None:
-    """Refuse a scale that is not positive or puts a vector tip past ``_MAX_TIP_M``."""
-    if not scale_m_per_n > 0:
-        raise InputError(f"display scale must be positive, got {scale_m_per_n}")
-    peak = float(np.abs(diagram.forces).max(initial=0.0))
-    if not float(np.abs(diagram.bases).max(initial=0.0)) + scale_m_per_n * peak <= _MAX_TIP_M:
-        raise InputError(
-            f"butterfly_scale_m_per_n {scale_m_per_n} m/N scales the {peak:g} N peak force "
-            f"past {_MAX_TIP_M:g} m, more than a butterfly diagram can span"
-        )
-
-
-def write_butterfly_csv(
-    path, diagram: ButterflyDiagram, scale_m_per_n: float = DEFAULT_BUTTERFLY_SCALE_M_PER_N
-) -> None:
+def write_butterfly_csv(path, diagram: ButterflyDiagram) -> None:
     """Write anchors and scaled vector tips: base_x,base_y,tip_x,tip_y,tip_z,foot."""
-    _check_display_scale(diagram, scale_m_per_n)
-    tips = diagram.bases + scale_m_per_n * diagram.forces
     _write_csv(
         path,
         ["base_x,base_y,tip_x,tip_y,tip_z,foot"],
-        [diagram.bases[:, 0], diagram.bases[:, 1], *tips.T, diagram.feet],
+        [diagram.bases[:, 0], diagram.bases[:, 1], *diagram.tips.T, diagram.feet],
     )
 
 
 _SVG_COLORS = {"left": "#1f77b4", "right": "#d62728"}
 
 
-def write_butterfly_svg(
-    path, diagram: ButterflyDiagram, scale_m_per_n: float = DEFAULT_BUTTERFLY_SCALE_M_PER_N
-) -> None:
+def write_butterfly_svg(path, diagram: ButterflyDiagram) -> None:
     """Render the sagittal-plane butterfly picture as a standalone SVG.
 
     X maps the antero-posterior anchor/tip positions, Y the scaled vertical
     force; the file embeds everything it needs (no external references).
     """
-    _check_display_scale(diagram, scale_m_per_n)
-    tips = diagram.bases + scale_m_per_n * diagram.forces
+    tips = diagram.tips
     if diagram.n_entries:
         x_min = float(min(diagram.bases[:, 0].min(), tips[:, 0].min()))
         x_max = float(max(diagram.bases[:, 0].max(), tips[:, 0].max()))
@@ -423,7 +423,7 @@ def write_butterfly_svg(
     tail = [
         '<text x="20" y="16" font-family="sans-serif" font-size="12" fill="#222222">'
         "per-limb ground reaction force, sagittal view "
-        f"(display scale {scale_m_per_n:g} m/N; left {_SVG_COLORS['left']}, "
+        f"(display scale {diagram.scale_m_per_n:g} m/N; left {_SVG_COLORS['left']}, "
         f"right {_SVG_COLORS['right']})</text>",
         "</svg>",
     ]

@@ -556,6 +556,37 @@ def test_grf_writes_the_full_report_set(cli_files, tmp_path, capsys):
     assert header.startswith("time_s,Fx_total")
 
 
+@pytest.mark.parametrize("marker", ["T8", "LASI"])
+def test_only_a_fill_in_a_marker_the_run_reads_flags_a_double_stance(
+    cli_files, tmp_path, marker
+):
+    # the bundled model and the event detection read no T8 sample
+    argv = ["grf", "--output-dir", str(tmp_path / "clean")] + SUBJECT_ARGS
+    assert _run([*argv, "--marker-file", str(cli_files["markers"])]) == 0
+    clean = {name: (tmp_path / "clean" / name).read_bytes()
+             for name in ("grf.csv", "grf_diagnostics.csv", "events.csv")}
+    labels = [row.rsplit(b",", 1)[1] for row in clean["grf.csv"].splitlines()[1:]]
+    starts = [f for f in range(1, len(labels))
+              if labels[f] == b"double_stance" != labels[f - 1]]
+    start = starts[1]
+    end = next(f for f in range(start, len(labels)) if labels[f + 1] != b"double_stance")
+    assert f",{start},".encode() not in clean["grf_diagnostics.csv"]
+    traj = parse_marker_file(cli_files["markers"])
+    positions = {name: pos.copy() for name, pos in traj.markers.items()}
+    positions[marker][start] = np.nan  # a one-frame gap, which gap filling fills
+    gapped = tmp_path / "gapped.tsv"
+    write_marker_file(gapped, type(traj)(traj.sample_rate_hz, positions))
+    argv[2] = str(tmp_path / "out")
+    assert _run([*argv, "--marker-file", str(gapped)]) == 0
+    diagnostics = (tmp_path / "out" / "grf_diagnostics.csv").read_bytes()
+    refused = f"excluded,{start},{end},double stance boundary force derived from flagged frames"
+    if marker == "T8":
+        for name, content in clean.items():
+            assert (tmp_path / "out" / name).read_bytes() == content, name
+    else:
+        assert refused.encode() in diagnostics.splitlines()
+
+
 @pytest.mark.parametrize("fault", ["missing", "fractional rate"])
 def test_failed_plate_check_leaves_no_output(cli_files, tmp_path, capsys, fault):
     forces = tmp_path / "forces.tsv"
@@ -750,18 +781,19 @@ def test_markers_are_dropped_before_the_filter_and_plates_before_decimation(
     assert not held
 
 
-def test_the_filter_error_still_comes_before_an_event_marker_error(tmp_path, capsys):
+def test_every_subcommand_reports_an_event_marker_error_before_a_filter_error(
+    tmp_path, capsys
+):
     trial = generate_walker(WalkerParams(duration_s=4.0))
     short = tmp_path / "ten_frames.tsv"
     write_marker_file(short, _slice_markers(trial.markers, 10))
-    argv = ["grf", "--marker-file", str(short), "--left-heel-marker", "NOPE",
-            "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS
-    code, captured = _run(argv, capsys)
-    assert code == 2
-    assert captured.err == (
-        f"error: {short}: series of 10 samples is too short to mirror-pad with 12 samples; "
-        "need more than 12\n"
-    )
+    for command in ("grf", "butterfly", "events"):
+        argv = [command, "--marker-file", str(short), "--left-heel-marker", "NOPE",
+                "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS
+        code, captured = _run(argv, capsys)
+        assert code == 2
+        assert captured.err == f"error: {short}: marker 'NOPE' not present in trial\n"
+    argv[0] = "grf"
     argv[2] = str(tmp_path / "long.tsv")
     write_marker_file(argv[2], trial.markers)
     code, captured = _run(argv, capsys)

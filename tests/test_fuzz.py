@@ -1,13 +1,16 @@
-"""Seeded property tests of the trial parsers and the options, run through
-``cli.main``.
+"""Seeded property tests of the trial parsers, the options and the walker,
+run through ``cli.main``.
 
 A short demo trial's marker and force files are mutated the ways real files
 go wrong: rows dropped, repeated or cut short, the file cut after its first
 few rows, blank lines, blank or partly blank triplets, non-finite or non-numeric fields, tabs added or removed,
 CRLF line ends, bytes that are not UTF-8, and edited header lines.  The
 unmutated trial is also run with option values drawn across their whole
-range.  Every case must end in exit 0, 2 or 3 with no exception and no
-warning; a failed run writes nothing, and an exit 2 names what is wrong.
+range, and walkers are drawn with other rates, lengths, speeds and masses,
+walking either way along x, with marker noise.  Every case must end in
+exit 0, 2 or 3 with no exception and no warning; a failed run writes
+nothing, and an exit 2 names what is wrong.  An option or walker run that
+exits 0 gives the same bytes when it is run again.
 """
 
 import contextlib
@@ -321,3 +324,57 @@ def test_option_values_exit_cleanly(demo_paths, command, options):
             assert any(name in err for name in named), err
         if code == 0 and command == "grf":
             _check_grf_outputs(out)
+        if code == 0:
+            _check_rerun(argv, out)
+
+
+def _check_rerun(argv: list[str], out: Path) -> None:
+    """Running ``argv`` again, into a fresh directory, writes the same files
+    with the same bytes as the run that wrote ``out``."""
+    again = out.parent / "again"
+    assert _main(argv, again) == (0, "")
+    names = sorted(path.name for path in out.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------- walkers
+
+WALKERS = st.builds(
+    WalkerParams,
+    sample_rate_hz=st.floats(100.0, 1000.0),
+    duration_s=st.floats(1.0, 4.0),
+    speed_mps=st.floats(1.0, 1.5),  # the benchmark's speed and mass ranges
+    mass_kg=st.floats(55.0, 100.0),
+)
+
+
+@settings(FUZZ, max_examples=25)
+@given(
+    params=WALKERS,
+    backwards=st.booleans(),
+    noise_m=st.sampled_from([0.0, 0.002]) | st.floats(0.0, 0.002),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walker_variants_exit_cleanly(params, backwards, noise_m, seed):
+    """A walker along +x, or along -x (the trial turned 180 degrees about z),
+    with Gaussian marker noise of up to 2 mm, through ``grf``."""
+    trial = generate_walker(params).markers
+    rng = np.random.default_rng(seed)
+    turn = np.array([-1.0, -1.0, 1.0]) if backwards else np.ones(3)
+    markers = {
+        name: (pos + rng.normal(0.0, noise_m, pos.shape)) * turn
+        for name, pos in trial.markers.items()
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "markers.tsv", Path(tmp) / "out"
+        write_marker_file(path, type(trial)(trial.sample_rate_hz, markers))
+        argv = ["grf", "--marker-file", str(path), "--subject-mass-kg", repr(params.mass_kg),
+                "--subject-height-m", repr(params.height_m), "--subject-sex", "m"]
+        code, err = _main(argv, out)
+        if code == 0:
+            _check_grf_outputs(out)
+            _check_rerun(argv, out)
+        else:
+            assert _main(argv, out) == (code, err)

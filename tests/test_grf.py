@@ -9,6 +9,7 @@ from gaitkinetics.anthro import SegmentId
 from gaitkinetics.errors import InputError, InternalInvariantError
 from gaitkinetics.events import DOUBLE_STANCE, NO_STANCE, FootEvents, build_timeline
 from gaitkinetics.grf import (
+    DEFAULT_BUTTERFLY_SCALE_M_PER_N,
     BilateralGrf,
     ButterflyDiagram,
     GrfDiagnostics,
@@ -418,6 +419,32 @@ def test_decompose_gait_validates_inputs():
         decompose_gait(total, timeline, 70.0, flagged_frames=np.zeros(5, bool))
 
 
+@pytest.mark.parametrize("gravity", [-9.81, -np.inf, 0.0, np.nan, np.inf])
+def test_the_limb_split_refuses_a_gravity_that_is_not_positive_and_finite(gravity):
+    # a negative gravity raises the -2% body-weight floor above zero and flags
+    # ordinary stance frames; 0 and nan would flag none
+    rng = np.random.default_rng(67)
+    total = GrfSeries(100.0, _smooth_force(rng, 200))
+    with pytest.raises(InputError, match="gravity must be positive and finite"):
+        decompose_gait(total, _mixed_timeline(), 70.0, gravity_mps2=gravity)
+
+
+@pytest.mark.parametrize("foot, other", [("left", "right"), ("right", "left")])
+def test_force_on_an_excluded_frame_is_never_flagged_as_negative(foot, other):
+    # decompose_gait leaves excluded frames at 0.0, but a BilateralGrf built
+    # directly may load them; only analysed frames are judged
+    rng = np.random.default_rng(73)
+    good = decompose_gait(GrfSeries(100.0, _smooth_force(rng, 200)), _mixed_timeline(), 70.0)
+    assert (151, 199, "no foot in stance") in good.diagnostics.excluded_intervals
+    given = {f.name: getattr(good, f.name) for f in dataclasses.fields(good) if f.init}
+    pulled, pushed = good.limb(foot).force.copy(), good.limb(other).force.copy()
+    pulled[2, 151:] = -1000.0
+    pushed[2, 151:] = good.total.force[2, 151:] + 1000.0
+    given.update({foot: GrfSeries(100.0, pulled), other: GrfSeries(100.0, pushed)})
+    loaded = BilateralGrf(**given, excluded_intervals=good.diagnostics.excluded_intervals)
+    assert not getattr(loaded.diagnostics, f"negative_vertical_{foot}")[151:].any()
+
+
 def test_bilateral_invariants_catch_tampered_forces():
     rng = np.random.default_rng(61)
     total = GrfSeries(100.0, _smooth_force(rng, 200))
@@ -521,6 +548,11 @@ def test_butterfly_anchors_every_analyzed_stance_frame(
         assert np.array_equal(diagram.forces[sel].T, limb)
     assert diagram.n_entries == expected_total
     assert np.all(diagram.bases[:, 2] == 0.0)
+    # the diagram carries its one display scale and the tips drawn at it
+    names = [f.name for f in dataclasses.fields(diagram)]
+    assert names == ["feet", "frames", "bases", "forces", "scale_m_per_n", "tips"]
+    assert diagram.scale_m_per_n == DEFAULT_BUTTERFLY_SCALE_M_PER_N
+    assert np.array_equal(diagram.tips, diagram.bases + 0.001 * diagram.forces)
 
 
 def test_butterfly_is_empty_without_stance(static_trial, table, definitions):
@@ -617,10 +649,10 @@ def test_diagnostics_csv_keeps_its_line_format(tmp_path):
 
 
 def test_butterfly_csv_scales_the_vector_tips(tmp_path, walker_bilateral, walker_com):
-    diagram = butterfly(walker_bilateral, walker_com)
-    path = tmp_path / "butterfly.csv"
     scale = 0.002
-    write_butterfly_csv(path, diagram, scale_m_per_n=scale)
+    diagram = butterfly(walker_bilateral, walker_com, scale_m_per_n=scale)
+    path = tmp_path / "butterfly.csv"
+    write_butterfly_csv(path, diagram)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "base_x,base_y,tip_x,tip_y,tip_z,foot"
     assert len(lines) == diagram.n_entries + 1
@@ -632,7 +664,10 @@ def test_butterfly_csv_scales_the_vector_tips(tmp_path, walker_bilateral, walker
     assert float(fields[4]) == tip[2]
     assert fields[5] in ("left", "right")
     with pytest.raises(InputError, match="scale"):
-        write_butterfly_csv(path, diagram, scale_m_per_n=0.0)
+        butterfly(walker_bilateral, walker_com, scale_m_per_n=0.0)
+    # the scale belongs to the diagram, so a writer takes none
+    with pytest.raises(TypeError):
+        write_butterfly_csv(path, diagram, 0.001)
 
 
 def reference_butterfly_svg(path, diagram, scale_m_per_n):
@@ -684,14 +719,14 @@ def reference_butterfly_svg(path, diagram, scale_m_per_n):
 def test_butterfly_svg_matches_the_entry_by_entry_reference(
     tmp_path, walker_bilateral, walker_com, scale
 ):
-    diagram = butterfly(walker_bilateral, walker_com)
+    diagram = butterfly(walker_bilateral, walker_com, scale)
     assert diagram.n_entries > 1000
-    write_butterfly_svg(tmp_path / "fast.svg", diagram, scale)
+    write_butterfly_svg(tmp_path / "fast.svg", diagram)
     reference_butterfly_svg(tmp_path / "reference.svg", diagram, scale)
     assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
 
-    empty = ButterflyDiagram(200.0, (), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3)))
-    write_butterfly_svg(tmp_path / "fast.svg", empty, scale)
+    empty = ButterflyDiagram((), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3)), scale)
+    write_butterfly_svg(tmp_path / "fast.svg", empty)
     reference_butterfly_svg(tmp_path / "reference.svg", empty, scale)
     assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
 
@@ -706,7 +741,7 @@ def test_butterfly_svg_draws_both_feet(tmp_path, walker_bilateral, walker_com):
     assert "#1f77b4" in text and "#d62728" in text
     assert text.count("<line ") >= diagram.n_entries
     with pytest.raises(InputError, match="scale"):
-        write_butterfly_svg(path, diagram, scale_m_per_n=-1.0)
+        ButterflyDiagram(diagram.feet, diagram.frames, diagram.bases, diagram.forces, -1.0)
 
 
 def test_a_zero_length_double_stance_is_excluded_with_its_reason():
