@@ -178,8 +178,8 @@ def detect_events_zeni(
     for name, s in (("heel_ap", heel_ap), ("toe_ap", toe_ap), ("sacrum_ap", sacrum_ap)):
         if s.n_channels != 1:
             raise InputError(f"{name} must be single-channel")
-    if min_period_s < 0:
-        raise InputError(f"min_period_s must be non-negative, got {min_period_s}")
+    if not 0 <= min_period_s < np.inf:
+        raise InputError(f"min_period_s must be non-negative and finite, got {min_period_s}")
 
     heel, toe, sacrum = _normalize_direction(
         heel_ap.values[0], toe_ap.values[0], sacrum_ap.values[0]

@@ -115,8 +115,8 @@ class BilateralGrf:
             raise InternalInvariantError("total/left/right frame counts differ")
         if self.timeline.n_frames != n:
             raise InternalInvariantError("timeline span differs from force series")
-        if not self.mass_kg > 0:
-            raise InputError(f"mass must be positive, got {self.mass_kg}")
+        if not 0 < self.mass_kg < np.inf:
+            raise InputError(f"mass must be positive and finite, got {self.mass_kg}")
         if not 0 < self.gravity_mps2 < np.inf:
             raise InputError(f"gravity must be positive and finite, got {self.gravity_mps2}")
         self.analyzed = np.ones(n, dtype=bool)
@@ -240,9 +240,12 @@ def decompose_ds(force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(f)):
         raise InputError("double stance force contains non-finite values")
     tau = np.arange(f.shape[1]) / (f.shape[1] - 1)  # endpoints are exactly 0.0 and 1.0
-    f0, f1 = f[:, :1], f[:, -1:]
-    ramp = (0.5 * (f1 + f0)) * tau
-    return 0.5 * (f + f0) - ramp, 0.5 * (f - f0) + ramp
+    # on halves, so that no sum of two forces can overflow; halving commutes
+    # with rounding, so the bits are those of 0.5 * (f + f0) and the like
+    h = 0.5 * f
+    h0, h1 = h[:, :1], h[:, -1:]
+    ramp = (h1 + h0) * tau
+    return h + h0 - ramp, h - h0 + ramp
 
 
 def decompose_gait(

@@ -15,7 +15,6 @@ The whole-body CoM is the segment-mass-weighted mean over all 16 segments,
 accumulated in a fixed segment order so results are bitwise reproducible.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import ClassVar
@@ -49,6 +48,9 @@ __all__ = [
 HAND_LENGTH_PER_FOREARM = 0.74  # hand length as a fraction of elbow-wrist distance
 
 _COLLINEAR_SIN = np.sin(1e-3)  # reference within 1e-3 rad of the primary axis
+# segments are evaluated over consecutive ranges of at most this many frames,
+# so that each (3, k) temporary stays at about 192 KiB whatever the trial's length
+_FRAMES_PER_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -274,39 +276,14 @@ def bundled_definitions_path():
     return resources.files("gaitkinetics").joinpath("data", "segment_definitions.txt")
 
 
-def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId):
-    """Evaluate an affine marker combination over all frames -> (3, n)."""
+def _eval_point(traj: MarkerTrajectorySet, rule: PointRule, segment: SegmentId, frames: slice):
+    """Evaluate an affine marker combination over a frame range -> (3, k)."""
     acc = None
     for name, w in rule.weights:
-        term = w * _marker_positions(traj, name, segment)
+        term = w * _marker_positions(traj, name, segment)[frames]
         acc = term if acc is None else acc + term
-    # summed on the contiguous (n, 3) marker arrays, transposed once
+    # summed on the contiguous (k, 3) marker rows, transposed once
     return np.ascontiguousarray(acc.T)
-
-
-class _Points:
-    """``_eval_point`` for the rules of some definitions, each evaluated once.
-
-    A result shared by several segments is held only until its last use:
-    keeping every result for the whole call would leave ~18 MB live on a
-    120 s trial and cost more in page faults than the repeats it saves.
-    A missing marker is reported with the first segment that needs it.
-    Callers never change a returned array in place.
-    """
-
-    def __init__(self, traj: MarkerTrajectorySet, definitions):
-        self.traj = traj
-        self.uses = Counter(rule for d in definitions for rule in d.point_rules())
-        self.held: dict[PointRule, np.ndarray] = {}
-
-    def __call__(self, rule: PointRule, segment: SegmentId) -> np.ndarray:
-        self.uses[rule] -= 1
-        if rule in self.held:
-            return self.held[rule] if self.uses[rule] else self.held.pop(rule)
-        value = _eval_point(self.traj, rule, segment)
-        if self.uses[rule]:
-            self.held[rule] = value
-        return value
 
 
 # Vector algebra on component-major (3, n) arrays, one row per coordinate.
@@ -329,79 +306,71 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _unit(v: np.ndarray, segment: SegmentId) -> np.ndarray:
+def _refuse(bad: np.ndarray, frames: slice, segment: SegmentId, fault: str) -> None:
+    """Raise for the first True of ``bad``, named by its whole-trial frame."""
+    if np.any(bad):
+        raise InputError(f"{segment}: {fault} at frame {frames.start + int(np.argmax(bad))}")
+
+
+def _unit(v: np.ndarray, segment: SegmentId, frames: slice) -> np.ndarray:
     """v / |v| for the forward axis of an anteroposterior segment."""
     norm = _norm(v)
-    bad = norm <= 0
-    if np.any(bad):
-        frame = int(np.argmax(bad))
-        raise InputError(f"{segment}: forward axis has zero length at frame {frame}")
+    _refuse(norm <= 0, frames, segment, "forward axis has zero length")
     return v / norm
 
 
-def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId) -> np.ndarray:
+def _perp_unit(w: np.ndarray, axis: np.ndarray, segment: SegmentId, frames: slice) -> np.ndarray:
     """Unit component of w orthogonal to a unit axis; rejects near-collinear."""
     w_perp = w - _dot(w, axis) * axis
-    norm_w = _norm(w)
     norm_p = _norm(w_perp)
-    bad = norm_p <= _COLLINEAR_SIN * norm_w
-    if np.any(bad):
-        frame = int(np.argmax(bad))
-        raise InputError(
-            f"{segment}: axis reference is collinear with the primary axis "
-            f"(within 1e-3 rad) at frame {frame}"
-        )
+    _refuse(
+        norm_p <= _COLLINEAR_SIN * _norm(w), frames, segment,
+        "axis reference is collinear with the primary axis (within 1e-3 rad)",
+    )
     return w_perp / norm_p
 
 
-def _basis_series(point: _Points, definition: SegmentDefinition, origin, distal, length):
+def _basis_series(traj, frames, definition: SegmentDefinition, origin, distal, length):
     """Per-frame right-handed orthonormal basis as the axes (u_x, u_y, u_z),
-    each (3, n).  ``length`` is the nonzero origin-distal distance."""
+    each (3, k).  ``length`` is the nonzero origin-distal distance."""
     seg = definition.segment
-    ref_pt = point(definition.ref, seg)
-    w = ref_pt - origin
+    # +1 where the reference lies toward +x (anterior) or +y (the subject's
+    # left: lateral of a left segment, medial of a right one)
+    sign = -1.0 if definition.ref_kind in ("posterior", "medial") else 1.0
+    if definition.ref_kind in ("lateral", "medial") and seg.side == "right":
+        sign = -sign
+    w = _eval_point(traj, definition.ref, seg, frames) - origin
 
     if definition.style == "longitudinal":
         sup, inf = (origin, distal) if definition.superior == "origin" else (distal, origin)
         u_z = (sup - inf) / length  # the norm of sup - inf, whichever end is up
-        p = _perp_unit(w, u_z, seg)
+        p = sign * _perp_unit(w, u_z, seg, frames)
         if definition.ref_kind in ("anterior", "posterior"):
-            u_x = p if definition.ref_kind == "anterior" else -p
-            u_y = _cross(u_z, u_x)
+            u_x, u_y = p, _cross(u_z, p)
         else:
-            toward_left = 1.0 if definition.segment.side == "left" else -1.0
-            if definition.ref_kind == "medial":
-                toward_left = -toward_left
-            u_y = toward_left * p
-            u_x = _cross(u_y, u_z)
+            u_y, u_x = p, _cross(p, u_z)
     else:
-        fwd_from = point(definition.forward[0], seg)
-        fwd_to = point(definition.forward[1], seg)
-        u_x = _unit(fwd_to - fwd_from, seg)
-        p = _perp_unit(w, u_x, seg)
-        toward_left = 1.0 if definition.segment.side == "left" else -1.0
-        if definition.ref_kind == "medial":
-            toward_left = -toward_left
-        u_y = toward_left * p
+        fwd_from = _eval_point(traj, definition.forward[0], seg, frames)
+        fwd_to = _eval_point(traj, definition.forward[1], seg, frames)
+        u_x = _unit(fwd_to - fwd_from, seg, frames)
+        u_y = sign * _perp_unit(w, u_x, seg, frames)
         u_z = _cross(u_x, u_y)
 
     return u_x, u_y, u_z
 
 
-def _segment_com_series(point: _Points, definition, table, subject):
-    """CoM track for one marker-defined segment.
+def _segment_com_series(traj, frames, definition, table, subject):
+    """CoM track for one marker-defined segment over the range ``frames``.
 
     Returns (origin, distal, axes, length, com): origin, distal and com are
-    (3, n), axes the (u_x, u_y, u_z) of ``_basis_series``, length (n,).
+    (3, k), axes the (u_x, u_y, u_z) of ``_basis_series``, length (k,).
     """
     seg = definition.segment
-    origin = point(definition.origin, seg)
-    distal = point(definition.distal, seg)
+    origin = _eval_point(traj, definition.origin, seg, frames)
+    distal = _eval_point(traj, definition.distal, seg, frames)
     length = _norm(origin - distal)
-    if np.any(length <= 0):
-        frame = int(np.argmax(length <= 0))
-        raise InputError(f"{seg}: origin and distal coincide at frame {frame}")
-    u_x, u_y, u_z = axes = _basis_series(point, definition, origin, distal, length)
+    _refuse(length <= 0, frames, seg, "origin and distal coincide")
+    u_x, u_y, u_z = axes = _basis_series(traj, frames, definition, origin, distal, length)
     params = table.get(seg.kind, subject.sex)
     p_ml = -params.p_ml if seg.side == "left" else params.p_ml
     offset = params.p_ap * u_x + p_ml * u_y + params.p_si * u_z
@@ -437,24 +406,27 @@ def com_trajectory(
             raise InputError(f"missing segment definition for {sid}")
 
     coms = np.empty((3, len(SEGMENT_IDS), traj.n_frames))
-    masses = np.empty(len(SEGMENT_IDS))
-    point = _Points(traj, [defs[sid] for sid in SEGMENT_IDS if sid.kind != "hand"])
+    masses = np.array([segment_mass(table, subject, sid) for sid in SEGMENT_IDS])
+    ranges = [
+        slice(start, start + _FRAMES_PER_CHUNK)
+        for start in range(0, traj.n_frames, _FRAMES_PER_CHUNK)
+    ]
 
     try:
         # an overflow would turn the geometry checks' inputs into inf and NaN
         with np.errstate(over="raise"):
             for i, sid in enumerate(SEGMENT_IDS):
-                masses[i] = segment_mass(table, subject, sid)
                 if sid.kind == "hand":
                     continue
-                origin, distal, _, _, com = _segment_com_series(point, defs[sid], table, subject)
-                coms[:, i, :] = com
-                if sid.kind == "forearm":
-                    # the hand from the forearm's wrist (distal) and elbow (origin) right
-                    # away, so that no segment's endpoints are held through those that follow
-                    hand = SEGMENT_IDS.index(SegmentId("hand", sid.side))
-                    coms[:, hand, :] = hand_com(distal, origin)
-                del origin, distal, com
+                for frames in ranges:
+                    origin, distal, _, _, com = _segment_com_series(
+                        traj, frames, defs[sid], table, subject
+                    )
+                    coms[:, i, frames] = com
+                    if sid.kind == "forearm":
+                        # the hand from the forearm's wrist (distal) and elbow (origin)
+                        hand = SEGMENT_IDS.index(SegmentId("hand", sid.side))
+                        coms[:, hand, frames] = hand_com(distal, origin)
     except FloatingPointError:
         raise InputError(f"{sid}: marker coordinates too large for the segment geometry") from None
     try:

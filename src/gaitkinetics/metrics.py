@@ -58,12 +58,6 @@ class ComparisonReport:
     sample_rate_hz: float
     axes: tuple[AxisComparison, ...]
 
-    def axis(self, name: str) -> AxisComparison:
-        for entry in self.axes:
-            if entry.axis == name:
-                return entry
-        raise InputError(f"no axis named {name!r}")
-
 
 def _axis_names(n_channels: int) -> list[str]:
     if n_channels == 3:

@@ -241,6 +241,12 @@ def displace_markers_z(traj, dz):
     return type(traj)(sample_rate_hz=traj.sample_rate_hz, markers=markers)
 
 
+def axis_entry(report, name: str):
+    """The one entry of a ``ComparisonReport`` for the channel ``name``."""
+    (entry,) = [entry for entry in report.axes if entry.axis == name]
+    return entry
+
+
 def decompose_ds_oracle(force: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference split of a ``(3, k)`` double-stance window: exact minimizer
     of the discretized objective.

@@ -17,6 +17,7 @@ from gaitkinetics.signal import UniformSeries, lowpass
 
 from conftest import (
     CUTOFF_HZ,
+    axis_entry,
     FILTER_ORDER,
     decompose_ds_oracle,
     detect_timeline_from_markers,
@@ -388,7 +389,7 @@ def test_criterion_11_comparison_isolates_a_pure_vertical_offset(
     shifted = base.copy()
     shifted[2] += 0.072
     report = compare(UniformSeries(rate, shifted), UniformSeries(rate, base))
-    z = report.axis("z")
+    z = axis_entry(report, "z")
     bias_err = abs(z.mean_bias - 0.072)
     ok = bias_err <= 1e-12 and z.bias_compensated_rmse <= 1e-12
     line = _verdict(

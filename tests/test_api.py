@@ -59,3 +59,29 @@ def test_no_function_or_class_is_reached_only_by_the_tests():
         and len(re.findall(rf"\b{name}\b", text)) <= defined[name] + listed[name]
     ]
     assert unreached == []
+
+
+def test_every_method_is_called_besides_the_tests():
+    """Each method of a package class is called as ``.name(`` somewhere in
+    ``src/``, ``benchmarks/``, ``tools/`` or the README, and each property is
+    read as ``.name``.  Dunder methods are called implicitly and are skipped.
+
+    Still a scan of words: a method is counted as called wherever another
+    object's method of the same name is.
+    """
+    package = REPO / "src" / "gaitkinetics"
+    corpus = [*(REPO / "src").rglob("*.py"), *(REPO / "benchmarks").glob("*.py"),
+              *(REPO / "tools").glob("*.py"), REPO / "README.md"]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in corpus)
+    uncalled = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                    continue
+                read = any(getattr(d, "id", None) == "property" for d in node.decorator_list)
+                if not re.search(rf"\.{node.name}\b" + ("" if read else r"\("), text):
+                    uncalled.append(f"{cls.name}.{node.name}")
+    assert uncalled == []

@@ -1,10 +1,11 @@
 """End-to-end command-line pipeline runs (invoked in-process)."""
 
+import json
 import os
 import subprocess
 import sys
 import weakref
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_args
 
@@ -863,6 +864,22 @@ def test_stage_rss_tool_prints_memory_after_each_stage(cli_files, tmp_path):
     assert peaks == sorted(peaks) and all(
         float(row.split()[-2]) <= peak + 1.0 for row, peak in zip(rows, peaks)
     )
+
+
+def test_stage_rss_tool_measures_the_api_chain_of_a_plan(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "stage_rss.py"
+    walker = asdict(WalkerParams(duration_s=2.0))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"trials": [{"id": "t0", "walker": walker}]}), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--api-plan", str(plan)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stderr.splitlines()
+    assert header.split() == ["stage", "rss_mb", "peak_mb"]
+    stages = [row.split()[0] for row in rows]
+    assert stages[:3] == ["import", "generate_walker", "com_trajectory"]
+    assert stages[-3:] == ["decompose_gait", "butterfly", "return"]
 
 
 # ------------------------------------- input checks the other tests miss

@@ -117,6 +117,13 @@ def test_detection_rejects_mismatched_series():
         detect_events_zeni(heel, toe, sacrum, min_period_s=-1.0)
 
 
+@pytest.mark.parametrize("min_period_s", [-np.inf, np.nan, np.inf])
+def test_detection_refuses_a_min_period_that_is_not_finite(min_period_s):
+    # inf would overflow and nan fail the conversion to a peak distance
+    with pytest.raises(InputError, match="min_period_s must be non-negative and finite"):
+        detect_events_zeni(*_sinusoid_trio(), min_period_s=min_period_s)
+
+
 # -------------------------------------------------------- stance threshold
 
 

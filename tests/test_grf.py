@@ -240,6 +240,21 @@ def test_endpoint_preserving_perturbations_never_lower_the_objective():
         assert _increment_energy(r1_alt, r2_alt) >= j_opt * (1.0 - 1e-9)
 
 
+def test_the_split_of_forces_near_the_largest_float_stays_finite():
+    # both ends past half the float maximum: a sum of two forces overflows,
+    # yet no limb force is larger than the total
+    big = 1.7e308
+    force = np.array([
+        [big, -big, big, -big, big],
+        [big, big, -big, big, big],
+        [-big, big, 0.0, -big, -big],
+    ])
+    r1, r2 = decompose_ds(force)
+    assert np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))
+    assert np.max(np.abs(r1 + r2 - force)) <= 1e-15 * big
+    assert r1[:, -1].tolist() == [0.0] * 3 and r2[:, 0].tolist() == [0.0] * 3
+
+
 def test_split_validation():
     rng = np.random.default_rng(5)
     force = _smooth_force(rng, 50)
@@ -417,6 +432,15 @@ def test_decompose_gait_validates_inputs():
         decompose_gait(total, timeline, 0.0)
     with pytest.raises(InputError, match="flagged_frames"):
         decompose_gait(total, timeline, 70.0, flagged_frames=np.zeros(5, bool))
+
+
+@pytest.mark.parametrize("mass", [-70.0, -np.inf, 0.0, np.nan, np.inf])
+def test_the_limb_split_refuses_a_mass_that_is_not_positive_and_finite(mass):
+    # an infinite mass makes the -2% body-weight floor -inf and flags no frame
+    rng = np.random.default_rng(67)
+    total = GrfSeries(100.0, _smooth_force(rng, 200))
+    with pytest.raises(InputError, match="mass must be positive and finite"):
+        decompose_gait(total, _mixed_timeline(), mass)
 
 
 @pytest.mark.parametrize("gravity", [-9.81, -np.inf, 0.0, np.nan, np.inf])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CUTOFF_HZ, FILTER_ORDER, differentiate, shift_markers
+from gaitkinetics import kinematics
 from gaitkinetics.anthro import (
     SEGMENT_IDS,
     SEGMENT_KINDS,
@@ -25,7 +26,6 @@ from gaitkinetics.kinematics import (
     ComTrajectory,
     PointRule,
     SegmentDefinition,
-    _Points,
     _segment_com_series,
     bundled_definitions_path,
     com_trajectory,
@@ -41,10 +41,11 @@ SUBJECT = SubjectProfile(mass_kg=80.0, height_m=1.80, sex="m")
 
 
 def segment_state(traj, definition, table, subject, frame):
-    """Pose of one segment at one frame, taken from the whole-trial geometry
-    ``com_trajectory`` runs; its basis must be right-handed orthonormal."""
+    """Pose of one segment at one frame, taken from the geometry that
+    ``com_trajectory`` runs, over one range of the whole trial; its basis
+    must be right-handed orthonormal."""
     origin, _, axes, length, com = _segment_com_series(
-        _Points(traj, [definition]), definition, table, subject
+        traj, slice(0, traj.n_frames), definition, table, subject
     )
     basis = np.stack([u[:, frame] for u in axes], axis=-1)
     assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-9)
@@ -357,18 +358,33 @@ class _CountingDict(dict):
         return super().__getitem__(key)
 
 
-def test_com_evaluates_each_distinct_point_rule_once(walker, table, definitions):
+def test_com_evaluates_each_point_rule_once_per_use(walker, table, definitions):
     short = _slice_markers(walker.markers, 0, 4)
     expect = com_trajectory(short, definitions, table, walker.subject)
     short.markers = _CountingDict(short.markers)
     com = com_trajectory(short, definitions, table, walker.subject)
-    rules = set()
-    for d in definitions.values():
-        rules |= {d.origin, d.distal, d.ref, *(d.forward or ())}
-    # 46 rules, 15 of them shared by two segments
-    assert len(rules) == 31
-    assert short.markers.reads == sum(len(rule.weights) for rule in rules)
+    rules = [rule for d in definitions.values() for rule in d.point_rules()]
+    # 46 uses of 31 distinct rules: a rule two segments share is evaluated
+    # for each of them, once per frame range (this trial has one)
+    assert (len(rules), len(set(rules))) == (46, 31)
+    assert short.markers.reads == sum(len(rule.weights) for rule in rules) == 79
     assert com.segment_coms.tobytes() == expect.segment_coms.tobytes()
+
+
+def test_frame_ranges_change_no_bit_and_name_whole_trial_frames(
+    monkeypatch, walker, table, definitions
+):
+    short = _slice_markers(walker.markers, 0, 40)
+    expect = com_trajectory(short, definitions, table, walker.subject)
+    monkeypatch.setattr(kinematics, "_FRAMES_PER_CHUNK", 7)
+    com = com_trajectory(short, definitions, table, walker.subject)
+    assert com.segment_coms.tobytes() == expect.segment_coms.tobytes()
+    assert com.whole_body.tobytes() == expect.whole_body.tobytes()
+    # the toe planted on the ankle centre (LANK_LAT+LANK_MED) in the fourth range
+    ankle = 0.5 * short.markers["LANK_LAT"][24] + 0.5 * short.markers["LANK_MED"][24]
+    short.markers["LTOE"][24] = ankle
+    with pytest.raises(InputError, match="^left_foot: origin and distal coincide at frame 24$"):
+        com_trajectory(short, definitions, table, walker.subject)
 
 
 def test_filtered_trajectory_keeps_the_weighted_mean_invariant(walker_com):

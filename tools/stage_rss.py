@@ -1,6 +1,8 @@
-"""Resident memory after each stage of one ``gaitkinetics`` command.
+"""Resident memory after each stage of one ``gaitkinetics`` command, or of
+the README's Python API chain.
 
     python3 tools/stage_rss.py [--src DIR] COMMAND [OPTIONS...]
+    python3 tools/stage_rss.py [--src DIR] --api-plan PLAN
 
 Runs ``gaitkinetics COMMAND OPTIONS...`` through ``cli.main`` in this
 process, a fresh interpreter, with every package function that ``cli``
@@ -12,6 +14,13 @@ import of the package, one per call in call order, and one for the exit.
 ``--src`` picks the package source (default: this checkout's ``src``), so
 that two revisions can be measured alike.
 
+With ``--api-plan``, the ``plan.json`` of an ``api-inmemory-120s`` input
+(``python3 benchmarks/worker.py generate api-inmemory-120s SEED DIR``), it
+builds that plan's walker in memory and runs ``run_api_chain`` of
+``benchmarks/worker.py`` on it with ``cli``, as a benchmark round does:
+the chain calls the same wrapped bindings, and the table has a row for the
+walker and one for the chain's return in place of the exit.
+
 The figures are read from this process only: the resident pages in
 ``/proc/self/statm`` (Linux) and ``ru_maxrss`` from ``getrusage``.  The
 benchmark's trace gives the time of each layer; this gives its memory.
@@ -19,6 +28,7 @@ benchmark's trace gives the time of each layer; this gives its memory.
 
 import argparse
 import inspect
+import json
 import os
 import resource
 import sys
@@ -50,21 +60,37 @@ def _wrap(name, fn, rows):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=REPO / "src", help="package source directory")
+    parser.add_argument("--api-plan", type=Path, help="plan.json of an api-inmemory-120s input")
     parser.add_argument("command", nargs=argparse.REMAINDER, help="gaitkinetics arguments")
     args = parser.parse_args(argv)
-    if not args.command:
-        parser.error("no gaitkinetics command given")
+    if bool(args.command) == bool(args.api_plan):
+        parser.error("give either a gaitkinetics command or --api-plan")
 
     sys.path.insert(0, str(args.src))
     from gaitkinetics import cli
 
     rows = [("import gaitkinetics.cli", *_rss_mb())]
+    if args.api_plan:
+        sys.path.insert(0, str(REPO / "benchmarks"))
+        import worker
+        from gaitkinetics import synth
+
+        (spec,) = json.loads(args.api_plan.read_text(encoding="utf-8"))["trials"]
+        table = cli.load_table(cli.bundled_table_path())
+        definitions = cli.load_segment_definitions(cli.bundled_definitions_path())
+        markers = synth.generate_walker(synth.WalkerParams(**spec["walker"])).markers
+        rows.append(("generate_walker", *_rss_mb()))
     for attr, fn in list(vars(cli).items()):
         module = getattr(fn, "__module__", None) or ""
         if inspect.isfunction(fn) and module.startswith("gaitkinetics.") and module != cli.__name__:
             setattr(cli, attr, _wrap(attr, fn, rows))
-    code = cli.main(args.command)
-    rows.append((f"exit {code}", *_rss_mb()))
+    if args.api_plan:
+        worker.run_api_chain(cli, markers, spec["walker"], table, definitions)
+        code, end = 0, "return"
+    else:
+        code = cli.main(args.command)
+        end = f"exit {code}"
+    rows.append((end, *_rss_mb()))
 
     print(f"{'stage':<28} {'rss_mb':>8} {'peak_mb':>8}", file=sys.stderr)
     for name, rss, peak in rows:
