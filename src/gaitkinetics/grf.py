@@ -183,7 +183,8 @@ class ButterflyDiagram:
         if not float(np.abs(self.bases).max(initial=0.0)) + scale * peak <= _MAX_TIP_M:
             raise InputError(
                 f"butterfly_scale_m_per_n {scale} m/N scales the {peak:g} N peak force "
-                f"past {_MAX_TIP_M:g} m, more than a butterfly diagram can span"
+                f"(which grows with subject_mass_kg) past {_MAX_TIP_M:g} m, more than a "
+                "butterfly diagram can span"
             )
         self.tips = self.bases + scale * self.forces
 

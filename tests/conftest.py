@@ -14,6 +14,7 @@ line per acceptance test; the terminal-summary hook prints them at the
 end of the run so the verdict survives in captured output.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,19 @@ from gaitkinetics.synth import (
     _walker_markers,
     generate_walker,
 )
+
+# Hypothesis imports its patch writer, and with it libcst, only to report a
+# failure; with some mypy_extensions versions that import warns, which the
+# suite's warnings-as-errors setting would turn into a crash of the whole
+# session in place of the report.  Imported here, once for every test
+# module, the warning is left out and a failing case is reported as it
+# should be.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 CUTOFF_HZ = 5.0
 FILTER_ORDER = 4

@@ -3,14 +3,17 @@ run through ``cli.main``.
 
 A short demo trial's marker and force files are mutated the ways real files
 go wrong: rows dropped, repeated or cut short, the file cut after its first
-few rows, blank lines, blank or partly blank triplets, non-finite or non-numeric fields, tabs added or removed,
-CRLF line ends, bytes that are not UTF-8, and edited header lines.  The
-unmutated trial is also run with option values drawn across their whole
-range, and walkers are drawn with other rates, lengths, speeds and masses,
-walking either way along x, with marker noise.  Every case must end in
-exit 0, 2 or 3 with no exception and no warning; a failed run writes
-nothing, and an exit 2 names what is wrong.  An option or walker run that
-exits 0 gives the same bytes when it is run again.
+few rows, blank lines, blank or partly blank triplets, non-finite or
+non-numeric fields, numbers in syntaxes that JSON reads otherwise or not at
+all, tabs added or removed, CRLF line ends, bytes that are not UTF-8, and
+edited header lines.  The unmutated trial is also run with option values
+drawn across their whole range, and walkers are drawn with other rates,
+lengths, speeds and masses, walking either way along x, with marker noise.
+Every case must end in exit 0, 2 or 3 with no exception and no warning; a
+failed run writes nothing, and an exit 2 names what is wrong.  An option or
+walker run that exits 0 gives the same bytes when it is run again.  Apart
+from ``cli.main``, the parsers are given files with numbers written in
+other syntaxes for the same values, and must read the same bits.
 """
 
 import contextlib
@@ -26,20 +29,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gaitkinetics import cli
-from gaitkinetics.ingest import write_force_file, write_marker_file
+from gaitkinetics.ingest import (
+    parse_force_file,
+    parse_marker_file,
+    write_force_file,
+    write_marker_file,
+)
 from gaitkinetics.synth import WalkerParams, generate_walker, synth_force_plates
-
-# Hypothesis imports its patch writer, and with it libcst, only to report a
-# failure; with some mypy_extensions versions that import warns, which the
-# suite's warnings-as-errors setting would turn into a crash of the whole
-# session in place of the report.  Imported here, once, the warning is left
-# out and a failing case is reported as it should be.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:
-        pass
 
 SUBJECT_ARGS = ["--subject-mass-kg", "80", "--subject-height-m", "1.78", "--subject-sex", "m"]
 
@@ -56,8 +52,13 @@ FUZZ = settings(
 # taken modulo the size of what it indexes when the mutation is applied
 INDEX = st.integers(0, 1 << 20)
 FIELD_TEXT = st.sampled_from(
-    ["nan", "inf", "-inf", "1e999", "NaN", "", "  ", "abc", "0", "1e-320"]
+    ["nan", "inf", "-inf", "1e999", "NaN", "", "  ", "abc", "0", "1e-320",
+     # what JSON reads as other values or rows, or refuses
+     "-0", "+1", "1.", ".5", "01", " 1.5", "1,2", "1],[2", "true", "null", '"1.5"', "1e400"]
 )
+# ways to write a number's value otherwise: a plus sign, a leading zero, a
+# point with no zero before it, an exponent, a space before it
+RESPELLINGS = st.sampled_from(["plus", "zero", "point", "exponent", "space"])
 NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\x80\xfe", b"\xed\xa0\x80"])
 
 DATA_MUTATIONS = st.one_of(
@@ -67,6 +68,7 @@ DATA_MUTATIONS = st.one_of(
     st.tuples(st.just("truncate"), INDEX, INDEX),
     st.tuples(st.just("blank_line"), INDEX),
     st.tuples(st.just("field"), INDEX, INDEX, FIELD_TEXT),
+    st.tuples(st.just("respell"), INDEX, INDEX, RESPELLINGS),
     st.tuples(st.just("add_tab"), INDEX, INDEX),
     st.tuples(st.just("remove_tab"), INDEX, INDEX),
     st.tuples(st.just("crlf")),
@@ -92,7 +94,9 @@ PLATE_HEADER = st.one_of(
 )
 
 
-_ROW_MUTATIONS = ("drop", "repeat", "truncate", "field", "triplet", "add_tab", "remove_tab")
+_ROW_MUTATIONS = (
+    "drop", "repeat", "truncate", "field", "respell", "triplet", "add_tab", "remove_tab"
+)
 
 
 class _DemoFiles(dict):
@@ -134,10 +138,13 @@ def _mutate(lines: list[bytes], n_header: int, mutation) -> list[bytes]:
         lines[row] = lines[row][: args[1] % (len(lines[row]) + 1)]
     elif kind == "blank_line":
         lines.insert(n_header + args[0] % (n_data + 1), b"")
-    elif kind in ("field", "triplet", "remove_tab"):
+    elif kind in ("field", "respell", "triplet", "remove_tab"):
         fields = lines[row].split(b"\t")
         if kind == "field":
             fields[args[1] % len(fields)] = args[2].encode()
+        elif kind == "respell":
+            k = args[1] % len(fields)
+            fields[k] = _respell(fields[k], args[2])
         elif kind == "triplet":
             first = 1 + 3 * (args[1] % ((len(fields) - 1) // 3))
             for k in range(3):
@@ -172,6 +179,22 @@ def _mutate(lines: list[bytes], n_header: int, mutation) -> list[bytes]:
             names.insert(k, b"EXTRA")
         lines[2] = b"\t".join([b"MARKERS", *names])
     return lines
+
+
+def _respell(field: bytes, how: str) -> bytes:
+    """``field`` written another way, ``how``, when that keeps its value."""
+    sign, number = (field[:1], field[1:]) if field.startswith(b"-") else (b"", field)
+    new = {
+        "plus": b"+" + number if not sign else field,
+        "zero": sign + b"0" + number,
+        "point": sign + number[1:] if number.startswith(b"0.") else field,
+        "exponent": field + b"E0" if b"e" not in number else field,
+        "space": b" " + field,
+    }[how]
+    try:
+        return new if repr(float(new)) == repr(float(field)) else field
+    except ValueError:  # a field that is not a number
+        return field
 
 
 def _main(argv: list[str], out: Path) -> tuple[int, str]:
@@ -241,6 +264,32 @@ def test_mutated_force_files_exit_cleanly(demo_files, mutations):
     for mutation in mutations:
         lines = _mutate(lines, 2, mutation)
     _run_grf(demo_files["markers"], lines, "forces")
+
+
+def _parsed_bytes(kind: str, lines: list[bytes]) -> bytes:
+    """The bytes of the arrays that the parser of ``kind`` reads from ``lines``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trial.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        if kind == "markers":
+            return np.stack(list(parse_marker_file(path).markers.values())).tobytes()
+        series = parse_force_file(path)
+        return series.forces.tobytes() + series.cop.tobytes()
+
+
+@FUZZ
+@given(
+    kind=st.sampled_from(["markers", "forces"]),
+    respellings=st.lists(
+        st.tuples(st.just("respell"), INDEX, INDEX, RESPELLINGS), min_size=1, max_size=20
+    ),
+)
+def test_numbers_written_otherwise_parse_to_the_same_bits(demo_files, kind, respellings):
+    lines = demo_files[kind]
+    n_header = 3 if kind == "markers" else 2
+    for respelling in respellings:
+        lines = _mutate(lines, n_header, respelling)
+    assert _parsed_bytes(kind, lines) == _parsed_bytes(kind, demo_files[kind])
 
 
 # ---------------------------------------------------------------- options
@@ -314,6 +363,8 @@ def _check_grf_outputs(out: Path) -> None:
 # the limb split's forces pass half the float maximum; this small a scale
 # leaves the plate comparison to refuse them
 @example(command="grf", options={"subject_mass_kg": 8.2e306, "butterfly_scale_m_per_n": 1e-300})
+# a mass alone that makes the default scale overflow the diagram's tips
+@example(command="grf", options={"subject_mass_kg": 1e304})
 def test_option_values_exit_cleanly(demo_paths, command, options):
     argv = [command, "--marker-file", str(demo_paths["markers"]),
             "--force-file", str(demo_paths["forces"]), *SUBJECT_ARGS]

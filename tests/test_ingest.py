@@ -1,11 +1,18 @@
 """Marker/force file parsing, writing, and gap filling."""
 
+import math
 import os
+import re
+import struct
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitkinetics import ingest
 from gaitkinetics.errors import InputError
@@ -102,6 +109,9 @@ def test_marker_partially_blank_triplet_is_rejected(tmp_path):
         (lambda t: t.replace("UNITS\tm", "UNITS\tfurlong"), "unknown unit"),
         (lambda t: t.replace("MARKERS\tM1", "NAMES\tM1"), "MARKERS"),
         (lambda t: t.replace("MARKERS\tM1", "MARKERS\tM1\tM1"), "duplicate"),
+        # a spreadsheet export may end the line with a tab, or hold an empty name
+        (lambda t: t.replace("MARKERS\tM1", "MARKERS\tM1\t"), "line 3: marker name 2 is empty$"),
+        (lambda t: t.replace("\tM1\n", "\t\tM1\r\n"), "line 3: marker name 1 is empty$"),
         (lambda t: t.replace("2.0\t3.0", "2.0\t3.0\t4.0"), "columns"),
         (lambda t: t.replace("1.0\t2.0", "one\t2.0"), "non-numeric"),
     ],
@@ -342,6 +352,9 @@ def test_marker_all_zero_triplet_in_millimetres_is_missing(tmp_path):
          "data row 2, marker 'M2': partially blank"),
         (["0.0\t1\t2\t3\t4\t5\t6", "\t1\t2\t3\t4\t5\t6"],
          "data row 2, time: non-numeric value"),
+        # a field too many and then one too few: as many values as whole rows
+        (["0.0\t1\t2\t3\t4\t5\t6", "0.005\t1\t2\t3\t4\t5\t6\t7", "0.01\t1\t2\t3\t4\t5"],
+         "data row 2 has 8 columns, expected 7"),
     ],
 )
 def test_marker_row_errors_name_the_data_row(tmp_path, rows, message):
@@ -894,3 +907,150 @@ def test_a_character_cut_short_by_the_end_of_the_file_is_not_utf8(
         path.write_bytes(cut)
         with pytest.raises(InputError, match="not UTF-8 text"):
             parse_marker_file(path)
+
+
+# ------------------------------------------------------ the two number readers
+
+NUMBERS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+# repr of a random finite float64 bit pattern
+REPR_OF_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]
+).filter(math.isfinite).map(repr)
+
+
+@st.composite
+def _decimal_text(draw) -> str:
+    """A JSON number of 1-25 digits, with a sign and an exponent or not."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(1, len(digits)))
+    whole, fraction = digits[:point].lstrip("0") or "0", digits[point:]
+    text = draw(st.sampled_from(["", "-"])) + whole + ("." + fraction if fraction else "")
+    exponent = draw(st.none() | st.integers(-340, 280))
+    if exponent is not None:
+        sign = "-" if exponent < 0 else draw(st.sampled_from(["", "+"]))
+        text += draw(st.sampled_from("eE")) + sign + str(abs(exponent)).zfill(draw(st.integers(1, 4)))
+    return text
+
+
+INTEGER_TEXT = st.integers(-(2**70), 2**70).map(str) | st.sampled_from(
+    ["0", "-0", str(2**53 + 1), str(2**63), str(2**64 - 1), str(2**64), str(2**64 + 1)]
+)
+NUMBER_TEXT = st.one_of(REPR_OF_BITS, _decimal_text(), INTEGER_TEXT)
+
+# per file kind: the marker names or the plate count, the values per marker
+# or plate, and the rate
+_KINDS = {"markers": (("M1", "M2"), 3, 200.0), "plates": (2, 5, 1000.0)}
+
+
+def _row_values(kind) -> int:
+    groups, width, _ = _KINDS[kind]
+    return (len(groups) if kind == "markers" else groups) * width
+
+
+def _number_rows(kind, fields: list[str]) -> list[list[str]]:
+    """The fields of data rows of ``kind`` whose values after the time are
+    ``fields``, in order, padded with ``1.5`` to whole rows."""
+    n = _row_values(kind)
+    fields = fields + ["1.5"] * (-len(fields) % n)
+    rate = _KINDS[kind][2]
+    return [[repr(r / rate), *fields[r * n : (r + 1) * n]] for r in range(len(fields) // n)]
+
+
+def _write_numbers(path, kind, rows: list[list[str]]) -> list[str]:
+    """Write a trial of ``kind`` with these data rows; returns their lines."""
+    groups, _, rate = _KINDS[kind]
+    lines = ["\t".join(row) for row in rows]
+    if kind == "markers":
+        path.write_text(_marker_text(lines, names=groups, rate=repr(rate)), encoding="utf-8")
+    else:
+        path.write_text(_force_text(lines, n_plates=groups, rate=repr(rate)), encoding="utf-8")
+    return lines
+
+
+def _parsed_groups(path, kind) -> np.ndarray:
+    """The values after the time, (rows, groups, width), as the parser holds them."""
+    if kind == "markers":
+        traj = parse_marker_file(path)
+        return np.stack([traj.markers[name] for name in traj.marker_names], axis=1)
+    series = parse_force_file(path)
+    return np.concatenate([series.forces, series.cop], axis=2).transpose(1, 0, 2)
+
+
+@NUMBERS
+@given(kind=st.sampled_from(sorted(_KINDS)), fields=st.lists(NUMBER_TEXT, min_size=1, max_size=40))
+def test_a_parse_has_the_bits_of_loadtxt(kind, fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trial.tsv"
+        lines = _write_numbers(path, kind, _number_rows(kind, fields))
+        expected = np.loadtxt(lines, delimiter="\t", comments=None, ndmin=2)[:, 1:]
+        expected = expected.reshape(len(lines), -1, _KINDS[kind][1])
+        if kind == "markers":  # an all-zero triplet marks an occlusion
+            expected[(expected == 0.0).all(axis=2)] = np.nan
+        got = _parsed_groups(path, kind)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_clean_rows_are_read_without_loadtxt(tmp_path, monkeypatch):
+    calls = []
+    loadtxt = ingest._loadtxt
+    monkeypatch.setattr(ingest, "_loadtxt", lambda rows: calls.append(rows) or loadtxt(rows))
+    path = tmp_path / "trial.tsv"
+    for kind, fields in (("markers", ["-0.0", "1e-5", "12345678901234567890123"]),
+                         ("plates", ["0", "-1", "2E+3", "0.1"])):
+        _write_numbers(path, kind, _number_rows(kind, fields * 50))
+        _parsed_groups(path, kind)
+        assert calls == []
+    # a field that JSON does not read sends its whole block to loadtxt
+    lines = _write_numbers(path, "plates", _number_rows("plates", ["1.5"] * 99 + ["+1"]))
+    assert _parsed_groups(path, "plates")[-1, -1, -1] == 1.0
+    assert calls == [lines]
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first-value", "last-value"])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize(
+    "field, short, expected",
+    [
+        # a field with a comma or brackets adds no value and no row to JSON
+        ("1,2", True, "data row 2 has {n} columns, expected {width}"),
+        ("1,2", False, "data row 2, {column}: non-numeric value"),
+        ("1],[2", True, "data row 2 has {n} columns, expected {width}"),
+        ("1],[2", False, "data row 2, {column}: non-numeric value"),
+        # JSON words that np.array would read as numbers
+        ("true", False, "data row 2, {column}: non-numeric value"),
+        ("null", False, "data row 2, {column}: non-numeric value"),
+        ('"1.5"', False, "data row 2, {column}: non-numeric value"),
+        # numbers that JSON reads otherwise, or refuses, and loadtxt reads
+        ("-0", False, -0.0),
+        ("+1", False, 1.0),
+        ("1.", False, 1.0),
+        (".5", False, 0.5),
+        ("01", False, 1.0),
+        (" 1.5", False, 1.5),
+        ("nan", False, "data row 2, {column}: non-finite value"),
+        ("inf", False, "data row 2, {column}: non-finite value"),
+        ("1e400", False, "data row 2, {column}: non-finite value"),
+    ],
+)
+def test_each_field_that_json_reads_otherwise_falls_back_to_loadtxt(
+    tmp_path, kind, last, field, short, expected
+):
+    n = _row_values(kind)
+    rows = _number_rows(kind, ["2.5"] * (3 * n))
+    at = n if last else 1  # the field's column in the second row
+    rows[1][at] = field
+    if short:  # the row holds one field too few, as if the field were two
+        del rows[1][at - 1 if last else at + 1]
+    path = tmp_path / "trial.tsv"
+    _write_numbers(path, kind, rows)
+    if isinstance(expected, str):
+        names = _KINDS[kind][0] if kind == "markers" else None
+        column = ingest._column_name(at, _KINDS[kind][1], names)
+        message = expected.format(n=len(rows[1]), width=1 + n, column=column)
+        with pytest.raises(InputError, match=f": {re.escape(message)}$"):
+            _parsed_groups(path, kind)
+    else:
+        value = _parsed_groups(path, kind).reshape(3, n)[1, at - 1]
+        assert value.tobytes() == np.float64(expected).tobytes()
+

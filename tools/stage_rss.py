@@ -21,30 +21,28 @@ builds that plan's walker in memory and runs ``run_api_chain`` of
 the chain calls the same wrapped bindings, and the table has a row for the
 walker and one for the chain's return in place of the exit.
 
-The figures are read from this process only: the resident pages in
-``/proc/self/statm`` (Linux) and ``ru_maxrss`` from ``getrusage``.  The
-benchmark's trace gives the time of each layer; this gives its memory.
+The figures are read from this process only: ``VmRSS`` and ``VmHWM`` from
+one read of ``/proc/self/status`` (Linux).  The benchmark's trace gives the
+time of each layer; this gives its memory.
 """
 
 import argparse
 import inspect
 import json
-import os
-import resource
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-PAGE_BYTES = os.sysconf("SC_PAGE_SIZE")
 
 
 def _rss_mb() -> tuple[float, float]:
     """(resident, peak resident) of this process in MB of 2**20 bytes, the
-    unit of the benchmark's ``peak_rss_mb``."""
-    with open("/proc/self/statm", encoding="ascii") as fh:
-        resident_pages = int(fh.read().split()[1])
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return resident_pages * PAGE_BYTES / 2**20, peak_kib / 2**10
+    unit of the benchmark's ``peak_rss_mb``, from one read of the kernel's
+    status, so that the peak is never below the resident size."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        status = fh.read()
+    kib = dict(line.split()[:2] for line in status.splitlines() if line.startswith("Vm"))
+    return int(kib["VmRSS:"]) / 2**10, int(kib["VmHWM:"]) / 2**10
 
 
 def _wrap(name, fn, rows):
@@ -93,7 +91,11 @@ def main(argv=None) -> int:
     rows.append((end, *_rss_mb()))
 
     print(f"{'stage':<28} {'rss_mb':>8} {'peak_mb':>8}", file=sys.stderr)
-    for name, rss, peak in rows:
+    peak = 0.0
+    for name, rss, high_water in rows:
+        # the kernel's high-water mark can fall a little once pages are
+        # freed, so each row's peak is the highest mark read up to it
+        peak = max(peak, high_water)
         print(f"{name:<28} {rss:>8.1f} {peak:>8.1f}", file=sys.stderr)
     return code
 
