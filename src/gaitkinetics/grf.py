@@ -220,7 +220,7 @@ def total_grf(
             force[2] += np.multiply(subject.mass_kg, gravity_mps2)
     except FloatingPointError:
         raise InputError(
-            f"subject mass {subject.mass_kg} kg and gravity {gravity_mps2} m/s^2 "
+            f"subject_mass_kg {subject.mass_kg} kg and gravity_mps2 {gravity_mps2} m/s^2 "
             "overflow the ground reaction force"
         ) from None
     return GrfSeries(sample_rate_hz=com.sample_rate_hz, force=force)

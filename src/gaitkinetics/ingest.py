@@ -19,25 +19,37 @@ In both, the first time stamp is free and each later one must follow the
 previous by 1/RATE within a quarter of a sample period, so a dropped or
 repeated row is rejected; blank lines may only end the file.  Files must
 be UTF-8 text.  A parser counts the file's lines first and allocates its
-result's arrays from the count, then parses the data about
-``_BYTES_PER_BLOCK`` bytes at a time, copying each block's values into
-place.  So a parse holds its result plus one block of text, its lines and
-its values, never a second copy of the data.
+result's arrays from the count, then reads the data as bytes about
+``_BYTES_PER_BLOCK`` at a time, copying each block's values into place.
+So a parse holds its result plus one block of text and its values, never
+a second copy of the data.
 
-Two readers turn a block's text into numbers, and both round correctly, so
-they give the same bits.  A block whose every field is a JSON number and
-whose rows are all as wide is read by ``orjson``'s compiled JSON reader,
-a slice of about an eighth of its rows at a time, as one JSON array; any
-other block, and any block that ``orjson`` refuses, is read by
-``np.loadtxt``, which reads every other number syntax (``+1``, ``.5``,
-``nan``, spaces around a number) and words every error.  The text alone
-picks the reader.  On the 17-digit ``repr`` floats the writers emit, one
-core of a 2-core x86-64 box took about 200-250 ns a value with
-``np.loadtxt`` and 110-130 ns with ``orjson``, the preparation of the text
-included.
+One JSON reader turns text into numbers: ``orjson``'s compiled one,
+which rounds correctly.  A block whose rows are each exactly the header's
+count of JSON numbers between tabs is read straight from its bytes, never
+decoded or split into lines: a slice of about an eighth at a time, with
+the tabs and newlines made the commas of one flat JSON array.  Any other
+block (a blank triplet, a carriage return, a blank line, a fault) is
+decoded and split into rows, which are checked one by one; blank triplets
+are zeroed and the rows are read by the same JSON reader, or by
+``np.loadtxt`` when JSON reads them otherwise (``+1``, ``.5``, ``nan``,
+spaces around a number, the integer ``-0``).  ``np.loadtxt`` rounds
+correctly too and words every error.  On the 17-digit ``repr`` floats the
+writers emit, one core of a 2-core x86-64 box took about 170 ns a value
+on the 121-field marker rows and 110 ns on the 11-field plate rows, against
+about 210 and 140 ns when the block was first decoded and split.
 
-Both writers emit shortest round-trip float text (``repr``), so a
-write/parse cycle reproduces the numeric payload bit for bit.
+Every writer emits shortest round-trip float text spelt as ``repr``
+spells it, so a write/parse cycle reproduces the numeric payload bit for
+bit.  ``orjson``'s Ryu formatter writes the same digits as ``repr``; on
+the same box ``_text`` took about 120-150 ns a value of forces and times
+with it against 350-670 ns with ``repr``.  ``_text`` respells the few
+tokens that ``orjson`` spells otherwise: an exponent
+gets a sign and at least two digits (``1e16`` -> ``1e+16``, ``1.5e-7`` ->
+``1.5e-07``), a value in [1e-5, 1e-4), which ``orjson`` writes
+positionally, gets an exponent (``0.000025`` -> ``2.5e-05``), and a value
+that is not finite, which ``orjson`` writes ``null``, becomes an empty
+field (NaN), ``inf`` or ``-inf``.
 """
 
 import codecs
@@ -82,7 +94,7 @@ _VALUES_PER_BLOCK = 1 << 12
 # the parsers read data lines this many bytes at a time, then to the end of the line
 _BYTES_PER_BLOCK = 1 << 20
 
-# _read_numbers reads a block as JSON in this many slices of its rows
+# _read_numbers reads a block as JSON in about this many slices of whole rows
 _SLICES_PER_BLOCK = 8
 # the bytes of the numbers that _read_numbers reads as JSON, and how it
 # makes the tabs and newlines between them a JSON array's commas
@@ -90,6 +102,10 @@ _NUMBER_BYTES = b"0123456789.eE+-"
 _SEPARATORS_TO_COMMAS = bytes.maketrans(b"\t\n", b",,")
 # in that array, a -0 that JSON reads as the integer 0
 _INTEGER_MINUS_ZERO = re.compile(rb"-0[,\]]")
+# in orjson's text of floats, the exponents and the values in [1e-5, 1e-4),
+# which _text respells as repr does
+_EXPONENT = re.compile(rb"e(-?)(\d+)")
+_BELOW_1E_4 = re.compile(rb"0\.0000(\d)(\d*)")
 
 
 @dataclass
@@ -227,23 +243,30 @@ def _read_text(path, what: str) -> str:
         raise InputError(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_block(fh, decode, size: int) -> str:
+def _read_block(fh, size: int, decode) -> bytearray:
     """The next ``size`` bytes of ``fh`` and the rest of the line they end
-    in, decoded; "" at the end of the file."""
-    block = decode(fh.read(size))
-    block += decode(fh.readline())  # resized in place, not copied
+    in; empty at the end of the file.  A block that is not ASCII is fed to
+    ``decode``, which raises at the first byte that is not UTF-8."""
+    block = bytearray(size)
+    del block[fh.readinto(block) :]
+    block += fh.readline()  # resized in place, not copied
+    if not block.isascii():
+        decode(block)
     return block
 
 
 def _text_blocks(path, n_header: int):
-    """Yield the first ``n_header`` lines of ``path`` as one list (fewer if
-    the file ends first), then its remaining text in blocks of whole lines
-    of at least ``_BYTES_PER_BLOCK`` bytes (less at the end).
+    """Yield the first ``n_header`` lines of ``path`` as one list of
+    strings (fewer if the file ends first), then its remaining bytes in
+    blocks of whole lines of at least ``_BYTES_PER_BLOCK`` bytes (less at
+    the end).
 
-    The file is read as bytes and decoded as UTF-8 a block at a time.  Each
-    block ends in ``\\n``, except perhaps the file's last.  Lines are split
-    at ``\\n`` only; header lines lose any trailing ``\\r``, data lines keep
-    it.  Once yielded, a block is held only by the caller.
+    Each block ends in ``\\n``, except perhaps the file's last.  Header
+    lines are split at ``\\n`` only and lose any trailing ``\\r``.  Every
+    byte is checked to be UTF-8 as it is read; a character cut short by the
+    end of the file is reported after the last block, so that the faults of
+    the lines before it come first.  Once yielded, a block is held only by
+    the caller.
     """
     decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
@@ -253,9 +276,9 @@ def _text_blocks(path, n_header: int):
                 header.append(fh.readline())
             yield [decode(line).rstrip("\n").rstrip("\r") for line in header]
             if header[-1].endswith(b"\n"):
-                # a read allocates its whole size, so none is larger than the file
+                # a block allocates its whole size, so none is larger than the file
                 size = min(_BYTES_PER_BLOCK, os.fstat(fh.fileno()).st_size + 1)
-                yield from iter(functools.partial(_read_block, fh, decode, size), "")
+                yield from iter(functools.partial(_read_block, fh, size, decode), b"")
             decode(b"", True)  # a character cut short by the end of the file
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -291,36 +314,47 @@ def _loadtxt(rows: list[str]) -> np.ndarray:
     return np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
 
 
-def _read_numbers(rows: list[str]) -> np.ndarray:
-    """``_loadtxt(rows)``, bit for bit, read as JSON numbers where it can be.
+def _read_numbers(data, n_fields: int) -> np.ndarray | None:
+    """The rows of ``data``, bytes of text, as a (rows, n_fields) array when
+    each row is ``n_fields`` JSON numbers apart by tabs and ends in ``\\n``;
+    None otherwise.
 
-    The rows are read a slice of about an eighth of them at a time, into one
-    array.  A slice is read by ``orjson`` only when what is left of its text
-    without digits and ``.eE+-`` is the tabs and newlines of rows as wide
-    as the first, and no field is the integer ``-0``, which JSON reads
-    without its sign.  Anything else that JSON refuses (an empty field,
-    ``+1``, ``1.``, ``.5``, ``01``, ``nan``, a value past the float range)
-    makes ``orjson`` raise.  In each of these cases the whole block is read
-    by ``_loadtxt``, which reads every other number syntax and words every
-    error.  Both readers round correctly, so they agree on every value.
+    The first row's width is checked before anything is sized from
+    ``n_fields``, which a header may claim to be huge.  Then what is left of
+    ``data`` without digits and ``.eE+-`` must be exactly the tabs and
+    newlines of such rows, which refuses any other character and any
+    ragged, blank or unended row.  The rows are read a slice of about an
+    eighth of the bytes at a time, with the tabs and newlines made the
+    commas of one flat JSON array, by ``orjson``, which rounds correctly.
+    A slice with an integer ``-0``, which JSON reads without its sign, or
+    one that ``orjson`` refuses (an empty field, ``+1``, ``1.``, ``.5``,
+    ``01``, ``nan``, a value past the float range) gives None too.
     """
-    width = rows[0].count("\t") + 1
-    row_separators = b"\t" * (width - 1) + b"\n"
-    values = np.empty((len(rows), width))
-    step = -(-len(rows) // _SLICES_PER_BLOCK)
-    for a in range(0, len(rows), step):
-        data = "\n".join(rows[a : a + step]).encode()
-        k = min(step, len(rows) - a)
-        if data.translate(None, _NUMBER_BYTES) != (row_separators * k)[:-1]:
-            return _loadtxt(rows)  # another character, or a ragged row
-        text = b"[%b]" % data.translate(_SEPARATORS_TO_COMMAS)
+    end = data.find(b"\n")
+    if not data.endswith(b"\n") or data.count(b"\t", 0, end) != n_fields - 1:
+        return None
+    row = b"\t" * (n_fields - 1) + b"\n"
+    separators = data.translate(None, _NUMBER_BYTES)
+    n_rows = len(separators) // len(row)
+    if separators != row * n_rows:
+        return None
+    del separators
+    values = np.empty((n_rows, n_fields))
+    flat = values.reshape(-1)
+    size = -(-len(data) // _SLICES_PER_BLOCK)
+    a = i = 0  # the first byte and the first value of the slice
+    while a < len(data):
+        b = data.find(b"\n", a + size - 1) + 1 or len(data)  # after a row's \n
+        text = b"[%b]" % data[a : b - 1].translate(_SEPARATORS_TO_COMMAS)
         if _INTEGER_MINUS_ZERO.search(text):
-            return _loadtxt(rows)
+            return None
         try:
             numbers = orjson.loads(text)
         except orjson.JSONDecodeError:
-            return _loadtxt(rows)
-        values[a : a + k] = np.fromiter(numbers, float, k * width).reshape(k, width)
+            return None
+        del text
+        flat[i : i + len(numbers)] = np.fromiter(numbers, float, len(numbers))
+        a, i = b, i + len(numbers)
     return values
 
 
@@ -345,28 +379,18 @@ def _column_name(c: int, width: int, names: list[str] | None) -> str:
 
 
 def _parse_rows(
-    path, rows: list[str], start: int, n_groups: int, width: int,
-    names: list[str] | None = None, look_first: bool = False,
+    path, rows: list[str], start: int, n_groups: int, width: int, names: list[str] | None = None
 ) -> tuple[np.ndarray, bool]:
-    """Parse data rows, the first of which is data row ``start + 1``, into an
-    (n_rows, 1 + n_groups * width) float array, a time and then ``width``
-    values per marker or plate.  With ``names`` (marker files), blank
-    triplets read as ``0``.  Returns the array and whether a blank triplet
-    was found.
+    """Parse data rows that ``_read_numbers`` did not read as a block, the
+    first of which is data row ``start + 1``, into an (n_rows, 1 + n_groups *
+    width) float array, a time and then ``width`` values per marker or
+    plate.  With ``names`` (marker files), blank triplets read as ``0``.
+    Returns the array and whether a blank triplet was found.
 
-    The rows are looked at one by one only when the block as a whole does
-    not parse, or first with ``look_first``: then a row with the wrong number
-    of fields is reported first, a partially blank triplet next, and a field
-    that is not a number last.
+    A row with the wrong number of fields is reported first, a partially
+    blank triplet next, and a field that is not a number last.
     """
     n_fields = 1 + n_groups * width
-    if not look_first:
-        try:
-            values = _read_numbers(rows)
-            if values.shape[1] == n_fields:
-                return values, False
-        except ValueError:
-            pass
     for r, row in enumerate(rows):
         n_cols = row.count("\t") + 1
         if n_cols != n_fields:
@@ -374,8 +398,11 @@ def _parse_rows(
                 f"{path}: data row {start + r + 1} has {n_cols} columns, expected {n_fields}"
             )
     zeroed = names is not None and _zero_blank_triplets(path, rows, start, names)
+    values = _read_numbers("\n".join([*rows, ""]).encode(), n_fields)
+    if values is not None:
+        return values, zeroed
     try:
-        return _read_numbers(rows), zeroed
+        return _loadtxt(rows), zeroed
     except ValueError:
         pass
     r = next(r for r, row in enumerate(rows) if not _is_number(row))
@@ -416,8 +443,10 @@ def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) ->
 
 def _data_blocks(path, blocks, first: int, n_groups: int, width: int, rate: float,
                  capacity: int, names: list[str] | None = None):
-    """Parse the data text ``blocks`` of ``_text_blocks``, which begin at
-    line ``first + 1`` of the file, a block at a time.
+    """Parse the data ``blocks`` of ``_text_blocks``, which begin at line
+    ``first + 1`` of the file, a block at a time: ``_read_numbers`` reads a
+    block from its bytes, and a block it does not read is decoded and split
+    into rows for ``_parse_rows``.
 
     Yields ``(start, groups)`` per block: its k rows are data rows
     ``start + 1`` to ``start + k``, and ``groups`` is a (n_groups, k, width)
@@ -437,37 +466,46 @@ def _data_blocks(path, blocks, first: int, n_groups: int, width: int, rate: floa
     breaks; this is reported after the last block, so that any other fault
     is reported first.
     """
+    n_fields = 1 + n_groups * width
     start = 0  # data rows before the block
     blank = None  # line number of the first of the blank lines that end the text so far
     bad_step = None  # (data row, time, time before) of the first bad step
     previous = np.empty(0)  # the last time of the block before
     after_blanks = False  # whether the block before held a blank triplet
-    for text in blocks:
-        rows = text.split("\n")
-        if "\r" in text:
-            rows = [row.rstrip("\r") for row in rows]
-        n_lines = len(rows) - text.endswith("\n")  # a final \n ends a line, starts none
-        del text  # the rows hold the same characters
-        while rows and rows[-1] == "":
-            rows.pop()
-        if rows and blank is None and "" in rows:
-            blank = first + start + rows.index("") + 1
-        if rows and blank is not None:
+    for data in blocks:
+        # a block after one with blank triplets likely holds some too, so it
+        # is looked at row by row first
+        values = None if after_blanks else _read_numbers(data, n_fields)
+        if values is None:
+            # a character cut short by the end of the file is left out here;
+            # _text_blocks reports it after the last block
+            text = codecs.utf_8_decode(data)[0]
+            rows = text.split("\n")
+            if "\r" in text:
+                rows = [row.rstrip("\r") for row in rows]
+            n_lines = len(rows) - text.endswith("\n")  # a final \n ends a line, starts none
+            del text  # the rows hold the same characters
+            while rows and rows[-1] == "":
+                rows.pop()
+            if rows and blank is None and "" in rows:
+                blank = first + start + rows.index("") + 1
+            n_rows = len(rows)
+        else:
+            n_rows = n_lines = len(values)
+        del data  # not held through the next read
+        if n_rows and blank is not None:
             raise InputError(f"{path}: line {blank} is blank; blank lines may only end the file")
-        if blank is None and len(rows) < n_lines:
-            blank = first + start + len(rows) + 1
-        if rows:
-            if start + len(rows) > capacity:
+        if blank is None and n_rows < n_lines:
+            blank = first + start + n_rows + 1
+        if n_rows:
+            if start + n_rows > capacity:
                 raise InputError(
                     f"{path}: more than the {capacity} data rows counted before "
                     "parsing; the file changed while it was read"
                 )
-            # a block after one with blank triplets likely holds some too, and
-            # would fail to parse before they are zeroed
-            values, after_blanks = _parse_rows(
-                path, rows, start, n_groups, width, names, after_blanks
-            )
-            del rows
+            if values is None:
+                values, after_blanks = _parse_rows(path, rows, start, n_groups, width, names)
+                del rows
             finite = np.isfinite(values[:, 1:])
             if not finite.all():
                 r, c = divmod(int(np.argmin(finite)), finite.shape[1])
@@ -530,15 +568,40 @@ def parse_marker_file(path) -> MarkerTrajectorySet:
     return MarkerTrajectorySet(sample_rate_hz=rate, markers=dict(zip(names, pos)))
 
 
+def _repr_exponent(match) -> bytes:
+    """``repr``'s spelling of an exponent: ``e16`` -> ``e+16``, ``e-7`` -> ``e-07``."""
+    return b"e%b%02d" % (match[1] or b"+", int(match[2]))
+
+
+def _repr_below_1e_4(match) -> bytes:
+    """``repr``'s spelling of a value in [1e-5, 1e-4) that ``orjson`` writes
+    positionally: ``0.000025`` -> ``2.5e-05``; not inside ``10.00001``."""
+    if match.string[match.start() - 1] not in b"[,-":
+        return match[0]
+    return match[1] + (b"." + match[2] if match[2] else b"") + b"e-05"
+
+
 def _text(values):
-    """Shortest round-trip text of a numeric array, NaN as an empty field;
-    any other column is already text."""
+    """Shortest round-trip text of a non-empty numeric array, spelt as
+    ``repr`` spells it, with NaN as an empty field; any other column is
+    already text.
+
+    ``orjson`` writes the same shortest digits as ``repr``, many times
+    faster, and spells them otherwise only in an exponent (``1e16``,
+    ``1.5e-7``), a value in [1e-5, 1e-4) (``0.000025``) and a value that
+    is not finite (``null``); those are respelt."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
         return values
-    text = list(map(repr, values.tolist()))
-    if values.dtype.kind == "f" and np.isnan(values).any():
-        return np.where(np.isnan(values), "", np.array(text, dtype=object))
-    return text
+    numbers = values.tolist()
+    text = orjson.dumps(numbers)
+    if b"e" in text:
+        text = _EXPONENT.sub(_repr_exponent, text)
+    if b"0.0000" in text:
+        text = _BELOW_1E_4.sub(_repr_below_1e_4, text)
+    fields = text[1:-1].decode().split(",")
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        fields[i] = "" if np.isnan(numbers[i]) else repr(numbers[i])
+    return fields
 
 
 def _write_csv(path, header: list[str], columns, sep: str = ",") -> None:

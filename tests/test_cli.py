@@ -378,7 +378,8 @@ def test_subject_mass_that_overflows_the_com_mean_exits_2(cli_files, tmp_path, c
          "{forces} against {markers}: "
          "the compared series differ too widely: their squared difference overflows"),
         (["--subject-mass-kg", "1e307"],
-         "subject mass 1e+307 kg and gravity 9.81 m/s^2 overflow the ground reaction force"),
+         "subject_mass_kg 1e+307 kg and gravity_mps2 9.81 m/s^2 "
+         "overflow the ground reaction force"),
     ],
     ids=["mass-1e300", "gravity-1e300", "mass-1e307"],
 )

@@ -365,6 +365,8 @@ def _check_grf_outputs(out: Path) -> None:
 @example(command="grf", options={"subject_mass_kg": 8.2e306, "butterfly_scale_m_per_n": 1e-300})
 # a mass alone that makes the default scale overflow the diagram's tips
 @example(command="grf", options={"subject_mass_kg": 1e304})
+# a force that overflows only with both, and the message must name both
+@example(command="grf", options={"subject_mass_kg": 1e10, "gravity_mps2": 1e300})
 def test_option_values_exit_cleanly(demo_paths, command, options):
     argv = [command, "--marker-file", str(demo_paths["markers"]),
             "--force-file", str(demo_paths["forces"]), *SUBJECT_ARGS]

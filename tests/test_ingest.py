@@ -1054,3 +1054,68 @@ def test_each_field_that_json_reads_otherwise_falls_back_to_loadtxt(
         value = _parsed_groups(path, kind).reshape(3, n)[1, at - 1]
         assert value.tobytes() == np.float64(expected).tobytes()
 
+
+
+def test_clean_files_are_read_from_their_bytes_without_the_row_path(tmp_path, monkeypatch):
+    calls = []
+    parse_rows = ingest._parse_rows
+    monkeypatch.setattr(ingest, "_parse_rows", lambda *args: calls.append(args[2]) or parse_rows(*args))
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", 5000)
+    params = WalkerParams(duration_s=2.0)
+    markers, plates = tmp_path / "markers.tsv", tmp_path / "plates.tsv"
+    traj = generate_walker(params).markers
+    write_marker_file(markers, traj)
+    write_force_file(plates, synth_force_plates(params))
+    parse_marker_file(markers)
+    parse_force_file(plates)
+    assert calls == []
+    # a blank triplet sends its block and the next one down the row path
+    traj.markers["LHEE"][150] = np.nan
+    write_marker_file(markers, MarkerTrajectorySet(traj.sample_rate_hz, traj.markers))
+    assert parse_marker_file(markers).missing["LHEE"][150]
+    assert len(calls) == 2 and calls[0] <= 150 < calls[1]
+    # and so does a carriage return, every block
+    plates.write_bytes(plates.read_bytes().replace(b"\n", b"\r\n"))
+    calls.clear()
+    parse_force_file(plates)
+    assert calls[0] == 0 and len(calls) > 2
+
+
+# ------------------------------------------------------ the number writer
+
+SPELLING = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@SPELLING
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=100),
+)
+def test_written_text_is_repr_of_random_bit_patterns(seed, floats):
+    # uniform bit patterns, whose exponents span the whole range, and the
+    # floats that hypothesis favours (subnormals, integers, near boundaries)
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=1000, dtype=np.uint64)
+    values = np.concatenate([floats, bits.view(np.float64)])
+    values = values[np.isfinite(values)]
+    assert ingest._text(values) == list(map(repr, values.tolist()))
+
+
+def test_written_text_spells_floats_as_repr_does():
+    # orjson writes the digits of repr; these pin how it spells them
+    bits = np.ldexp(1.0, np.arange(-1074, 1024)).view(np.int64)
+    near = np.concatenate([bits + d for d in range(-3, 4)])  # powers of two +-3 ulps
+    near = near[(near > 0) & (near < np.float64(np.inf).view(np.int64))].view(np.float64)
+    edges = [1e16, 9999999999999998.0, 1e-4, 1e-5, 9.9999e-05, 2.5e-05, 10.00001,
+             5e-324, np.finfo(float).max, -0.0]
+    values = np.concatenate([near, -near, edges, np.negative(edges)])
+    assert ingest._text(values) == list(map(repr, values.tolist()))
+    assert ingest._text(np.array(edges)) == [
+        "1e+16", "9999999999999998.0", "0.0001", "1e-05", "9.9999e-05", "2.5e-05", "10.00001",
+        "5e-324", "1.7976931348623157e+308", "-0.0",
+    ]
+    assert ingest._text(np.array([np.nan, np.inf, 1.5e-7, -np.inf, -np.nan])) == [
+        "", "inf", "1.5e-07", "-inf", "",
+    ]
+    for ints in (np.array([0, -7, 2**53 + 1, -(2**63)]), np.array([0, 2**64 - 1], dtype=np.uint64)):
+        assert ingest._text(ints) == list(map(repr, ints.tolist()))
+    assert ingest._text(["left", "right"]) == ["left", "right"]
