@@ -2,8 +2,11 @@
 
 The CLI maps these onto process exit codes, so new error types should
 subclass one of the three user-facing categories below rather than adding
-a fourth.
+a fourth.  ``_check_sample_rate`` is the one check of a series' sample
+rate, which every series type makes.
 """
+
+import math
 
 __all__ = [
     "GaitKineticsError",
@@ -32,3 +35,9 @@ class NoGaitDataError(GaitKineticsError):
 
 class InternalInvariantError(GaitKineticsError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def _check_sample_rate(rate) -> None:
+    """Refuse a series' sample rate unless it is positive and finite."""
+    if not 0 < rate < math.inf:
+        raise InputError(f"sample rate must be positive and finite, got {rate}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NoGaitDataError
+from .errors import InputError, NoGaitDataError, _check_sample_rate
 from .ingest import _runs, _write_csv
 from .signal import UniformSeries, find_peaks
 
@@ -119,8 +119,7 @@ class GaitTimeline:
             raise InputError("a timeline takes (left_events, right_events) in order")
         if self.n_frames < 1:
             raise InputError("timeline needs at least one frame")
-        if not self.sample_rate_hz > 0:
-            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        _check_sample_rate(self.sample_rate_hz)
         for ev in (self.left, self.right):
             for frame in ev.heel_strikes + ev.toe_offs:
                 if not 0 <= frame < self.n_frames:

@@ -22,7 +22,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .anthro import SegmentId, SubjectProfile
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, _check_sample_rate
 from .events import DOUBLE_STANCE, PHASE_LABELS, SS_LEFT, SS_RIGHT, GaitTimeline
 from .ingest import _VALUES_PER_BLOCK, _runs, _write_csv
 from .kinematics import ComTrajectory
@@ -61,8 +61,7 @@ class GrfSeries:
     force: np.ndarray  # (3, n_frames)
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        _check_sample_rate(self.sample_rate_hz)
         self.force = np.asarray(self.force, dtype=float)
         if self.force.ndim != 2 or self.force.shape[0] != 3:
             raise InputError("force must be (3, n_frames)")

@@ -18,11 +18,12 @@ Force-plate files
 In both, the first time stamp is free and each later one must follow the
 previous by 1/RATE within a quarter of a sample period, so a dropped or
 repeated row is rejected; blank lines may only end the file.  Files must
-be UTF-8 text.  A parser counts the file's lines first and allocates its
-result's arrays from the count, then reads the data as bytes about
-``_BYTES_PER_BLOCK`` at a time, copying each block's values into place.
-So a parse holds its result plus one block of text and its values, never
-a second copy of the data.
+be UTF-8 text.  A parser counts the file's lines first and ``_read_data``
+allocates the one result array from the count, then reads the data as
+bytes about ``_BYTES_PER_BLOCK`` at a time, copying each block's values
+into place; a force file's forces and centres of pressure are two views of
+that array.  So a parse holds its result plus one block of text and its
+values, never a second copy of the data.
 
 One JSON reader turns text into numbers: ``orjson``'s compiled one,
 which rounds correctly.  A block whose rows are each exactly the header's
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .errors import InputError
+from .errors import InputError, _check_sample_rate
 
 __all__ = [
     "DEFAULT_NOISE_FLOOR_N",
@@ -123,8 +124,7 @@ class MarkerTrajectorySet:
     missing: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        _check_sample_rate(self.sample_rate_hz)
         if not self.markers:
             raise InputError("marker set is empty")
         self.missing = {}
@@ -179,8 +179,7 @@ class ForcePlateSeries:
     below_noise: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        _check_sample_rate(self.sample_rate_hz)
         self.forces = np.asarray(self.forces, dtype=float)
         self.cop = np.asarray(self.cop, dtype=float)
         if self.forces.ndim != 3 or self.forces.shape[2] != 3:
@@ -441,30 +440,30 @@ def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) ->
     return zeroed
 
 
-def _data_blocks(path, blocks, first: int, n_groups: int, width: int, rate: float,
-                 capacity: int, names: list[str] | None = None):
+def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
+               capacity: int, names: list[str] | None = None) -> np.ndarray:
     """Parse the data ``blocks`` of ``_text_blocks``, which begin at line
-    ``first + 1`` of the file, a block at a time: ``_read_numbers`` reads a
-    block from its bytes, and a block it does not read is decoded and split
-    into rows for ``_parse_rows``.
+    ``first + 1`` of the file, into a (n_groups, n_rows, width) array: the
+    values after the time, one group of ``width`` per marker or plate.
+    ``_read_numbers`` reads a block from its bytes, and a block it does not
+    read is decoded and split into rows for ``_parse_rows``.
 
-    Yields ``(start, groups)`` per block: its k rows are data rows
-    ``start + 1`` to ``start + k``, and ``groups`` is a (n_groups, k, width)
-    view of the values after the time, one group of ``width`` per marker or
-    plate.  ``names`` (marker files only) names each marker; with it, blank
-    triplets read as ``0``.  The first block is yielded at ``start`` 0, so
-    only after its rows matched the header's column count: the caller sizes
-    nothing from the header before then.  A value that is not finite is
-    rejected with its row and marker or plate.
+    The array is sized for ``capacity`` rows only once the first block's
+    rows matched the header's column count, so nothing is sized from the
+    header before then; each block is copied into place, and a view of the
+    rows read is returned.  A file with more than ``capacity`` data rows
+    changed since its lines were counted, and is rejected.  ``names``
+    (marker files only) names each marker; with it, a blank or all-zero
+    triplet marks an occlusion and is read as a NaN triplet.  A value that
+    is not finite is rejected with its row and marker or plate.
 
     Blank lines may only end the file: one between data rows would shift
     every later frame, so it is rejected, also when the row after it comes
-    in a later block.  A file with more than ``capacity`` data rows changed
-    since its lines were counted, and is rejected.  The first time stamp is
-    free, and each later one must follow the one before by 1/rate within
-    ``_TIME_STEP_TOLERANCE`` sample periods, which a dropped or repeated row
-    breaks; this is reported after the last block, so that any other fault
-    is reported first.
+    in a later block.  The first time stamp is free, and each later one
+    must follow the one before by 1/rate within ``_TIME_STEP_TOLERANCE``
+    sample periods, which a dropped or repeated row breaks; this is
+    reported after the last block, so that any other fault is reported
+    first.
     """
     n_fields = 1 + n_groups * width
     start = 0  # data rows before the block
@@ -472,6 +471,7 @@ def _data_blocks(path, blocks, first: int, n_groups: int, width: int, rate: floa
     bad_step = None  # (data row, time, time before) of the first bad step
     previous = np.empty(0)  # the last time of the block before
     after_blanks = False  # whether the block before held a blank triplet
+    out, n = None, 0  # the result, once sized, and the data rows in it
     for data in blocks:
         # a block after one with blank triplets likely holds some too, so it
         # is looked at row by row first
@@ -517,8 +517,17 @@ def _data_blocks(path, blocks, first: int, n_groups: int, width: int, rate: floa
                 r = int(bad[0]) + 1
                 bad_step = (start + r - previous.size, times[r], times[r - 1])
             previous = times[-1:]
-            yield start, values[:, 1:].reshape(len(values), -1, width).transpose(1, 0, 2)
+            if out is None:  # the first rows matched the header
+                out = np.empty((n_groups, capacity, width))
+            n = start + n_rows
+            block = out[:, start:n]
+            block[...] = values[:, 1:].reshape(n_rows, n_groups, width).transpose(1, 0, 2)
             del values  # not held through the next read
+            if names is not None:
+                # an all-zero triplet (a blank one was zeroed) marks an occlusion;
+                # compared element by element: numpy reduces a length-3 axis slowly
+                zero = (block[..., 0] == 0.0) & (block[..., 1] == 0.0) & (block[..., 2] == 0.0)
+                block[zero] = np.nan
         start += n_lines
     if start == 0 or blank == first + 1:  # no line, or blank lines only
         raise InputError(f"{path}: zero data frames")
@@ -529,6 +538,7 @@ def _data_blocks(path, blocks, first: int, n_groups: int, width: int, rate: floa
             f"{float(before)!r} s, but rows must step by 1/RATE = {1.0 / rate!r} s "
             "(dropped or repeated row?)"
         )
+    return out[:, :n]  # a view, when trailing blank lines were counted
 
 
 def parse_marker_file(path) -> MarkerTrajectorySet:
@@ -553,16 +563,7 @@ def parse_marker_file(path) -> MarkerTrajectorySet:
     if len(set(names)) != len(names):
         raise InputError(f"{path}: duplicate marker names in header")
 
-    n = 0
-    for start, groups in _data_blocks(path, blocks, 3, len(names), 3, rate, capacity, names):
-        if start == 0:  # the first rows matched the header
-            pos = np.empty((len(names), capacity, 3))
-        n = start + groups.shape[1]
-        pos[:, start:n] = groups
-        # an all-zero triplet (a blank one was zeroed) marks an occlusion
-        zero = (groups[..., 0] == 0.0) & (groups[..., 1] == 0.0) & (groups[..., 2] == 0.0)
-        pos[:, start:n][zero] = np.nan
-    pos = pos[:, :n]  # a view, when trailing blank lines were counted
+    pos = _read_data(path, blocks, 3, len(names), 3, rate, capacity, names)
     if unit == "mm":
         pos /= 1000.0  # correctly rounded, value by value
     return MarkerTrajectorySet(sample_rate_hz=rate, markers=dict(zip(names, pos)))
@@ -648,16 +649,10 @@ def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> Forc
         raise InputError(f"{path}: PLATES value {raw_plates!r} is not an integer") from exc
     if n_plates < 1:
         raise InputError(f"{path}: PLATES must be >= 1, got {n_plates}")
-    n = 0
-    for start, groups in _data_blocks(path, blocks, 2, n_plates, 5, rate, capacity):
-        if start == 0:  # the first rows matched the header
-            forces = np.empty((n_plates, capacity, 3))
-            cop = np.empty((n_plates, capacity, 2))
-        n = start + groups.shape[1]
-        forces[:, start:n] = groups[:, :, :3]
-        cop[:, start:n] = groups[:, :, 3:]
-    return ForcePlateSeries(
-        sample_rate_hz=rate, forces=forces[:, :n], cop=cop[:, :n], noise_floor_n=noise_floor_n
+    values = _read_data(path, blocks, 2, n_plates, 5, rate, capacity)
+    return ForcePlateSeries(  # forces and centres of pressure: two views of one array
+        sample_rate_hz=rate, forces=values[..., :3], cop=values[..., 3:],
+        noise_floor_n=noise_floor_n,
     )
 
 

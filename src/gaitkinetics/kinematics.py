@@ -28,7 +28,7 @@ from .anthro import (
     SubjectProfile,
     segment_mass,
 )
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, _check_sample_rate
 from .ingest import MarkerTrajectorySet, _marker_positions, _read_text, _write_csv
 from .signal import UniformSeries, lowpass, smoothed_acceleration
 
@@ -167,8 +167,7 @@ class ComTrajectory:
     whole_body: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        _check_sample_rate(self.sample_rate_hz)
         self.segment_coms = np.asarray(self.segment_coms, dtype=float)
         self.masses_kg = np.asarray(self.masses_kg, dtype=float)
         n_seg = len(self.segment_ids)
@@ -438,7 +437,7 @@ def com_trajectory(
             )
     except FloatingPointError:
         raise InputError(
-            f"subject mass {subject.mass_kg} kg overflows the mass-weighted CoM mean"
+            f"subject_mass_kg {subject.mass_kg} kg overflows the mass-weighted CoM mean"
         ) from None
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import InputError, SeriesTooShortError
+from .errors import InputError, SeriesTooShortError, _check_sample_rate
 
 __all__ = [
     "UniformSeries",
@@ -71,8 +71,7 @@ class UniformSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise InputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        _check_sample_rate(self.sample_rate_hz)
         v = np.asarray(self.values, dtype=float)
         if v.ndim == 1:
             v = v[np.newaxis, :]

@@ -99,8 +99,6 @@ class WalkerParams:
             raise InputError(
                 f"feet disagree on stance duration: {right_stance} vs {left_stance}"
             )
-        if not right_stance < self.cycle_s:
-            raise InputError("stance duration must be shorter than the cycle")
 
     @property
     def stance_s(self) -> float:

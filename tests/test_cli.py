@@ -15,7 +15,7 @@ import pytest
 import gaitkinetics
 from gaitkinetics import cli
 from gaitkinetics.anthro import SubjectProfile, bundled_table_path, load_table
-from gaitkinetics.errors import InputError
+from gaitkinetics.errors import InputError, InternalInvariantError
 from gaitkinetics.ingest import parse_marker_file, write_force_file, write_marker_file
 from gaitkinetics.kinematics import (
     bundled_definitions_path,
@@ -363,8 +363,24 @@ def test_subject_mass_that_overflows_the_com_mean_exits_2(cli_files, tmp_path, c
     )
     assert code == 2
     assert captured.err == (
-        "error: subject mass 1e+308 kg overflows the mass-weighted CoM mean\n"
+        "error: subject_mass_kg 1e+308 kg overflows the mass-weighted CoM mean\n"
     )
+
+
+@pytest.mark.parametrize("error", [InternalInvariantError, AssertionError])
+def test_a_failed_internal_check_exits_4(cli_files, tmp_path, capsys, monkeypatch, error):
+    def broken(*args):
+        raise error("segment masses disagree")
+
+    monkeypatch.setattr(cli, "com_trajectory", broken)
+    code, captured = _run(
+        ["com", "--marker-file", str(cli_files["markers"]),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 4
+    assert captured.err == "internal error: segment masses disagree\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error")

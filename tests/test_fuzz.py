@@ -367,6 +367,8 @@ def _check_grf_outputs(out: Path) -> None:
 @example(command="grf", options={"subject_mass_kg": 1e304})
 # a force that overflows only with both, and the message must name both
 @example(command="grf", options={"subject_mass_kg": 1e10, "gravity_mps2": 1e300})
+# a mass past HUGE_RANGE that overflows the mass-weighted CoM mean
+@example(command="grf", options={"subject_mass_kg": 1e308})
 def test_option_values_exit_cleanly(demo_paths, command, options):
     argv = [command, "--marker-file", str(demo_paths["markers"]),
             "--force-file", str(demo_paths["forces"]), *SUBJECT_ARGS]

@@ -11,6 +11,11 @@ trees, each in a fresh interpreter:
 - ``grf --force-file``, ``validate``, ``com --include-segment-coms yes``,
   ``events`` and ``butterfly`` on the 120 s trial;
 - ``grf`` on each of the eight occluded 10 s trials;
+- ``grf --force-file`` on the 120 s trial and ``grf`` on occluded trial
+  ``t0``, with every input file rewritten with ``\\r\\n`` line ends: a
+  carriage return keeps a block off the parser's bytes path, so every block
+  of these files is decoded, split into rows, has its blank triplets zeroed
+  and is read row by row;
 - ``--help`` of the program and of each subcommand, which shows a change
   to the CLI's imports or argparse set-up;
 - the README's Python API chain (``run_api_chain`` and
@@ -99,6 +104,20 @@ def _without_force_file(argv):
     return argv[:i] + argv[i + 2 :]
 
 
+def _with_crlf(argv, dest):
+    """``argv`` with each input file it names rewritten into ``dest`` with
+    ``\\r\\n`` line ends."""
+    dest.mkdir(parents=True)
+    argv = list(argv)
+    for flag in ("--marker-file", "--force-file"):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            source, argv[i] = Path(argv[i]), str(dest / Path(argv[i]).name)
+            with open(source, "rb") as lines, open(argv[i], "wb") as out:
+                out.writelines(line.replace(b"\n", b"\r\n") for line in lines)
+    return argv
+
+
 def _commands(inputs, seed):
     """{run name: argv} of every run compared."""
     (plates,) = [trial["argv"] for trial in _generate("cli-plates-120s", seed, inputs / "plates")]
@@ -112,6 +131,8 @@ def _commands(inputs, seed):
     }
     for i, trial in enumerate(_generate("cli-occluded-10s", seed, inputs / "occluded")):
         runs[f"occluded-t{i}"] = trial["argv"]
+    runs["grf-force-file-crlf"] = _with_crlf(plates, inputs / "plates-crlf")
+    runs["occluded-t0-crlf"] = _with_crlf(runs["occluded-t0"], inputs / "occluded-crlf")
     runs = {name: [*argv, "--output-dir", "out"] for name, argv in runs.items()}
     runs["help"] = ["--help"]
     for command in SUBCOMMANDS:
