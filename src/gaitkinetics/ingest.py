@@ -29,16 +29,20 @@ One JSON reader turns text into numbers: ``orjson``'s compiled one,
 which rounds correctly.  A block whose rows are each exactly the header's
 count of JSON numbers between tabs is read straight from its bytes, never
 decoded or split into lines: a slice of about an eighth at a time, with
-the tabs and newlines made the commas of one flat JSON array.  Any other
-block (a blank triplet, a carriage return, a blank line, a fault) is
-decoded and split into rows, which are checked one by one; blank triplets
-are zeroed and the rows are read by the same JSON reader, or by
-``np.loadtxt`` when JSON reads them otherwise (``+1``, ``.5``, ``nan``,
-spaces around a number, the integer ``-0``).  ``np.loadtxt`` rounds
-correctly too and words every error.  On the 17-digit ``repr`` floats the
-writers emit, one core of a 2-core x86-64 box took about 170 ns a value
-on the 121-field marker rows and 110 ns on the 11-field plate rows, against
-about 210 and 140 ns when the block was first decoded and split.
+the tabs and newlines made the commas of one flat JSON array.  A marker
+block that JSON refuses for its empty fields, each of them in a blank
+triplet, has ``0`` written into them in place and is read again the same
+way.  Any other block (a blank time, a partially blank or spaces-only
+triplet, a carriage return, a blank line, a fault) is decoded and split
+into rows, which are checked one by one; blank triplets are zeroed and the
+rows are read by the same JSON reader, or by ``np.loadtxt`` when JSON
+reads them otherwise (``+1``, ``.5``, ``nan``, spaces around a number, the
+integer ``-0``).  ``np.loadtxt`` rounds correctly too and words every
+error.  On the 17-digit ``repr`` floats the writers emit, one core of a
+2-core x86-64 box took about 170 ns a value on the 121-field marker rows
+and 110 ns on the 11-field plate rows, against about 210 and 140 ns when
+the block was first decoded and split; the fill of a block's blank
+triplets took about 2 ms a MiB.
 
 Every writer emits shortest round-trip float text spelt as ``repr``
 spells it, so a write/parse cycle reproduces the numeric payload bit for
@@ -313,7 +317,7 @@ def _loadtxt(rows: list[str]) -> np.ndarray:
     return np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
 
 
-def _read_numbers(data, n_fields: int) -> np.ndarray | None:
+def _read_numbers(data, n_fields: int, triplets: bool = False) -> np.ndarray | None:
     """The rows of ``data``, bytes of text, as a (rows, n_fields) array when
     each row is ``n_fields`` JSON numbers apart by tabs and ends in ``\\n``;
     None otherwise.
@@ -322,12 +326,14 @@ def _read_numbers(data, n_fields: int) -> np.ndarray | None:
     ``n_fields``, which a header may claim to be huge.  Then what is left of
     ``data`` without digits and ``.eE+-`` must be exactly the tabs and
     newlines of such rows, which refuses any other character and any
-    ragged, blank or unended row.  The rows are read a slice of about an
-    eighth of the bytes at a time, with the tabs and newlines made the
-    commas of one flat JSON array, by ``orjson``, which rounds correctly.
-    A slice with an integer ``-0``, which JSON reads without its sign, or
-    one that ``orjson`` refuses (an empty field, ``+1``, ``1.``, ``.5``,
-    ``01``, ``nan``, a value past the float range) gives None too.
+    ragged, blank or unended row.  The rows are read by ``_read_json``; one
+    with an integer ``-0``, or that ``orjson`` refuses (an empty field,
+    ``+1``, ``1.``, ``.5``, ``01``, ``nan``, a value past the float range),
+    gives None too.  With ``triplets`` (a marker block in a ``bytearray``),
+    rows that ``orjson`` refused are read once more after
+    ``_fill_blank_triplets`` wrote ``0`` into their empty fields, if it did;
+    refused again, they reach the row path filled, where the zero triplets
+    read as the blank ones would.
     """
     end = data.find(b"\n")
     if not data.endswith(b"\n") or data.count(b"\t", 0, end) != n_fields - 1:
@@ -338,6 +344,27 @@ def _read_numbers(data, n_fields: int) -> np.ndarray | None:
     if separators != row * n_rows:
         return None
     del separators
+    try:
+        return _read_json(data, n_rows, n_fields)
+    except orjson.JSONDecodeError:
+        pass  # the fill is made outside this clause, whose traceback holds the values read
+    if not (triplets and _fill_blank_triplets(data, n_fields)):
+        return None
+    try:
+        return _read_json(data, n_rows, n_fields)
+    except orjson.JSONDecodeError:
+        return None
+
+
+def _read_json(data, n_rows: int, n_fields: int) -> np.ndarray | None:
+    """The ``n_rows`` rows of ``n_fields`` numbers of ``data``, which passed
+    ``_read_numbers``'s checks, as an array, or None when they hold an
+    integer ``-0``, which JSON reads without its sign.
+
+    They are read a slice of about an eighth of the bytes at a time, with
+    the tabs and newlines made the commas of one flat JSON array, by
+    ``orjson``, which rounds correctly; its ``JSONDecodeError`` is raised.
+    """
     values = np.empty((n_rows, n_fields))
     flat = values.reshape(-1)
     size = -(-len(data) // _SLICES_PER_BLOCK)
@@ -347,14 +374,48 @@ def _read_numbers(data, n_fields: int) -> np.ndarray | None:
         text = b"[%b]" % data[a : b - 1].translate(_SEPARATORS_TO_COMMAS)
         if _INTEGER_MINUS_ZERO.search(text):
             return None
-        try:
-            numbers = orjson.loads(text)
-        except orjson.JSONDecodeError:
-            return None
+        numbers = orjson.loads(text)
         del text
         flat[i : i + len(numbers)] = np.fromiter(numbers, float, len(numbers))
         a, i = b, i + len(numbers)
     return values
+
+
+def _fill_blank_triplets(data: bytearray, n_fields: int) -> bool:
+    """Write ``0``, the other occlusion mark, into each empty field of
+    ``data``, rows that passed ``_read_numbers``'s separator check; True if
+    it did.  It declines, leaving ``data`` as it is, when there is no empty
+    field, or one is a time or part of a partially blank triplet: the row
+    path reports those.
+
+    The empty fields are found in one pass over the separators' positions.
+    ``data`` grows once, by a byte a field, and its segments are moved back
+    from the end, so no second copy of the block is made.
+    """
+    codes = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(codes < 11)  # each field's tab or newline
+    del codes  # a buffer taken from data keeps it from growing
+    # a field starts after the separator before it, so an empty one ends there
+    empty = np.flatnonzero(np.diff(ends, prepend=-1) == 1)
+    first = empty[::3]
+    # the empty fields go in threes, each the x, y and z of one marker; a time
+    # (column 0) or a partial triplet breaks the threes
+    if not (
+        empty.size and empty.size % 3 == 0 and (first % n_fields % 3 == 1).all()
+        and (empty[1::3] == first + 1).all() and (empty[2::3] == first + 2).all()
+    ):
+        return False
+    at = ends[first].tolist()  # each blank triplet's first separator
+    del ends, empty, first
+    end = len(data)
+    data += bytes(3 * len(at))
+    with memoryview(data) as view:  # its slice assignment moves bytes without a copy
+        for k in range(len(at) - 1, -1, -1):  # 3 * k zeros go before this triplet
+            p = at[k] + 2  # its last separator, a tab or a newline
+            view[p + 3 * k + 3 : end + 3 * k + 3] = view[p:end]
+            view[p + 3 * k - 2 : p + 3 * k + 3] = b"0\t0\t0"
+            end = p - 2
+    return True
 
 
 def _is_number(text: str) -> bool:
@@ -379,12 +440,11 @@ def _column_name(c: int, width: int, names: list[str] | None) -> str:
 
 def _parse_rows(
     path, rows: list[str], start: int, n_groups: int, width: int, names: list[str] | None = None
-) -> tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """Parse data rows that ``_read_numbers`` did not read as a block, the
     first of which is data row ``start + 1``, into an (n_rows, 1 + n_groups *
     width) float array, a time and then ``width`` values per marker or
     plate.  With ``names`` (marker files), blank triplets read as ``0``.
-    Returns the array and whether a blank triplet was found.
 
     A row with the wrong number of fields is reported first, a partially
     blank triplet next, and a field that is not a number last.
@@ -396,12 +456,13 @@ def _parse_rows(
             raise InputError(
                 f"{path}: data row {start + r + 1} has {n_cols} columns, expected {n_fields}"
             )
-    zeroed = names is not None and _zero_blank_triplets(path, rows, start, names)
+    if names is not None:
+        _zero_blank_triplets(path, rows, start, names)
     values = _read_numbers("\n".join([*rows, ""]).encode(), n_fields)
     if values is not None:
-        return values, zeroed
+        return values
     try:
-        return _loadtxt(rows), zeroed
+        return _loadtxt(rows)
     except ValueError:
         pass
     r = next(r for r, row in enumerate(rows) if not _is_number(row))
@@ -411,16 +472,15 @@ def _parse_rows(
     )
 
 
-def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) -> bool:
+def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) -> None:
     """Rewrite blank coordinate triplets in place as ``0``, the other occlusion
-    mark; True if any was.
+    mark.
 
     ``rows`` begin at data row ``start + 1`` and hold one field per
     coordinate.  A field is blank when it is empty or holds only spaces;
     only rows that can hold one are split, one at a time.  A triplet with
     one or two blank fields is rejected.
     """
-    zeroed = False
     for r, row in enumerate(rows):
         if not ("\t\t" in row or row[-1] == "\t" or " " in row):
             continue
@@ -436,8 +496,6 @@ def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) ->
             )
         if any(first):
             rows[r] = "\t".join(["0" if b else f for f, b in zip(fields, blank)])
-            zeroed = True
-    return zeroed
 
 
 def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
@@ -445,8 +503,9 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
     """Parse the data ``blocks`` of ``_text_blocks``, which begin at line
     ``first + 1`` of the file, into a (n_groups, n_rows, width) array: the
     values after the time, one group of ``width`` per marker or plate.
-    ``_read_numbers`` reads a block from its bytes, and a block it does not
-    read is decoded and split into rows for ``_parse_rows``.
+    ``_read_numbers`` reads a block from its bytes, a marker block with
+    blank triplets too, and a block it does not read is decoded and split
+    into rows for ``_parse_rows``; each block takes its own path.
 
     The array is sized for ``capacity`` rows only once the first block's
     rows matched the header's column count, so nothing is sized from the
@@ -470,12 +529,9 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
     blank = None  # line number of the first of the blank lines that end the text so far
     bad_step = None  # (data row, time, time before) of the first bad step
     previous = np.empty(0)  # the last time of the block before
-    after_blanks = False  # whether the block before held a blank triplet
     out, n = None, 0  # the result, once sized, and the data rows in it
     for data in blocks:
-        # a block after one with blank triplets likely holds some too, so it
-        # is looked at row by row first
-        values = None if after_blanks else _read_numbers(data, n_fields)
+        values = _read_numbers(data, n_fields, names is not None)
         if values is None:
             # a character cut short by the end of the file is left out here;
             # _text_blocks reports it after the last block
@@ -504,7 +560,7 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
                     "parsing; the file changed while it was read"
                 )
             if values is None:
-                values, after_blanks = _parse_rows(path, rows, start, n_groups, width, names)
+                values = _parse_rows(path, rows, start, n_groups, width, names)
                 del rows
             finite = np.isfinite(values[:, 1:])
             if not finite.all():

@@ -528,6 +528,61 @@ def test_many_block_parse_is_bit_identical_to_one_block(tmp_path, monkeypatch, b
     assert back.cop.tobytes() == series.cop.tobytes()
 
 
+def _record(monkeypatch, name, what):
+    """Wrap ``ingest.<name>`` so that each call appends ``what(args, result)``
+    to the returned list; the result is None when the call raised."""
+    calls, function = [], getattr(ingest, name)
+
+    def recorded(*args):
+        result = None
+        try:
+            result = function(*args)
+            return result
+        finally:
+            calls.append(what(args, result))
+
+    monkeypatch.setattr(ingest, name, recorded)
+    return calls
+
+
+def _occluded_rows(units, seed):
+    """The data rows of a 2 s walker in ``units`` with blank triplets in the
+    first and the last marker, in wholly blank rows and in random gaps."""
+    traj = _gapped_walker(2.0, seed)
+    names = traj.marker_names
+    for name, frames in ((names[0], [0, 1, 7]), (names[-1], [5, 6, 399]), (names[10], [200])):
+        traj.markers[name][frames] = np.nan
+    for pos in traj.markers.values():
+        pos[[50, 51, 52, 130]] = np.nan  # wholly blank rows, three in a run
+    scale = 1000.0 if units == "mm" else 1.0
+    columns = [traj.times()] + [c * scale for n in names for c in traj.markers[n].T]
+    values = zip(*[c.tolist() for c in columns])
+    rows = ["\t".join("" if v != v else repr(v) for v in row) for row in values]
+    return names, rows, {n: np.isnan(traj.markers[n][:, 0]) for n in names}
+
+
+@pytest.mark.parametrize("units", ["m", "mm"])
+@pytest.mark.parametrize("bytes_per_block", [1 << 20, 3000, 777])
+def test_blank_triplets_read_from_bytes_match_the_row_path(
+    tmp_path, monkeypatch, units, bytes_per_block
+):
+    names, rows, missing = _occluded_rows(units, seed=31)
+    text = _marker_text(rows, names=names, units=units)
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes(text.encode("utf-8"))
+    # a carriage return keeps every block off the bytes path
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
+    filled = _record(monkeypatch, "_fill_blank_triplets", lambda _, result: result)
+    by_bytes = parse_marker_file(lf)
+    assert filled and all(filled)
+    by_rows = parse_marker_file(crlf)
+    for name in names:
+        assert np.array_equal(by_bytes.missing[name], missing[name])
+        assert np.array_equal(by_rows.missing[name], missing[name])
+        assert by_bytes.markers[name].tobytes() == by_rows.markers[name].tobytes()
+
+
 def _two_marker_rows(n):
     return [f"{k / 200.0!r}\t1.5\t2.5\t3.5\t4.5\t5.5\t6.5" for k in range(n)]
 
@@ -671,15 +726,23 @@ def test_marker_set_rejects_non_finite_present_positions_only():
 
 @pytest.fixture(scope="module")
 def files_60s(tmp_path_factory):
-    """A 60 s synth walker's marker file, and two plates of noise at 2 kHz."""
+    """A 60 s synth walker's marker file, the same with blank triplets in
+    every block, and two plates of noise at 2 kHz."""
     root = tmp_path_factory.mktemp("trial_60s")
-    markers, plates = root / "markers.tsv", root / "plates.tsv"
-    write_marker_file(markers, generate_walker(WalkerParams(duration_s=60.0)).markers)
+    markers, occluded, plates = root / "markers.tsv", root / "occluded.tsv", root / "plates.tsv"
+    traj = generate_walker(WalkerParams(duration_s=60.0)).markers
+    write_marker_file(markers, traj)
+    rng = np.random.default_rng(61)
+    names = traj.marker_names
+    for start in range(1, traj.n_frames - 12, 40):  # about 12 gaps a block
+        traj.markers[names[int(rng.integers(len(names)))]][start : start + 10] = np.nan
+    write_marker_file(occluded, MarkerTrajectorySet(traj.sample_rate_hz, traj.markers))
+    del traj
     rng = np.random.default_rng(60)
     n = 120_000
     series = ForcePlateSeries(2000.0, rng.normal(size=(2, n, 3)), rng.normal(size=(2, n, 2)))
     write_force_file(plates, series)
-    return {"markers": markers, "plates": plates}
+    return {"markers": markers, "occluded": occluded, "plates": plates}
 
 
 def _marker_bytes(traj):
@@ -692,7 +755,11 @@ def _plate_bytes(series):
 
 @pytest.mark.parametrize(
     "kind, parse, retained_bytes",
-    [("markers", parse_marker_file, _marker_bytes), ("plates", parse_force_file, _plate_bytes)],
+    [
+        ("markers", parse_marker_file, _marker_bytes),
+        ("occluded", parse_marker_file, _marker_bytes),
+        ("plates", parse_force_file, _plate_bytes),
+    ],
 )
 def test_parse_holds_one_block_of_text_beyond_its_result(files_60s, kind, parse, retained_bytes):
     tracemalloc.start()
@@ -793,25 +860,46 @@ def test_rows_that_hide_a_miscount_from_the_block_are_named(tmp_path, fault, mes
 
 
 @pytest.mark.parametrize(
-    "fault, message",
+    "fault, expected",
     [
         ("0.75\t1.5\t2.5\t3.5\t\t", "data row 151 has 6 columns, expected 7"),
         ("0.75\t1.5\t2.5\t3.5\t\t\t\t\t", "data row 151 has 9 columns, expected 7"),
         ("0.75\t1.5\t2.5\t3.5\t4.5\t\t6.5", "data row 151, marker 'M2': partially blank"),
         ("0.75\t1.5\t2.5\tx\t\t\t", "data row 151, marker 'M1': non-numeric value"),
+        ("\t1.5\t2.5\t3.5\t\t\t", "data row 151, time: non-numeric value"),
+        # values: the triplets of M1 and M2 in that row
+        ("0.75\t1.5\t2.5\t3.5\t \t  \t ", [1.5, 2.5, 3.5, np.nan, np.nan, np.nan]),
+        ("0.75\t-0\t2.5\t3.5\t\t\t", [-0.0, 2.5, 3.5, np.nan, np.nan, np.nan]),
     ],
 )
-def test_faults_after_blocks_with_blank_triplets_are_named(tmp_path, monkeypatch, fault, message):
-    # every other row holds a blank triplet, so each block after the first
-    # is looked at row by row before it is parsed
+def test_faults_after_blocks_with_blank_triplets_are_named(
+    tmp_path, monkeypatch, fault, expected
+):
+    # every other row holds a blank triplet, so every block holds some
     rows = _two_marker_rows(200)
     rows[::2] = [row.replace("\t4.5\t5.5\t6.5", "\t\t\t") for row in rows[::2]]
     rows[150] = fault
     path = _write(tmp_path, _marker_text(rows, names=("M1", "M2")))
     for bytes_per_block in (1 << 20, 100, 400):
         monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
-        with pytest.raises(InputError, match=message):
-            parse_marker_file(path)
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=expected):
+                parse_marker_file(path)
+        else:
+            back = parse_marker_file(path)
+            got = np.concatenate([back.markers["M1"][150], back.markers["M2"][150]])
+            assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_a_blank_field_in_a_force_file_is_named(tmp_path, monkeypatch):
+    # no blank field is an occlusion in a force file
+    rows = _timed_rows([k / 1000.0 for k in range(200)], 5)
+    rows[150] = rows[150].replace("\t1.0", "\t", 1)
+    path = _write(tmp_path, _force_text(rows), "force.tsv")
+    for bytes_per_block in (1 << 20, 100, 400):
+        monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
+        with pytest.raises(InputError, match="data row 151, plate 1: non-numeric value$"):
+            parse_force_file(path)
 
 
 def test_a_hidden_miscount_in_a_force_file_is_named(tmp_path):
@@ -822,25 +910,51 @@ def test_a_hidden_miscount_in_a_force_file_is_named(tmp_path):
         parse_force_file(_write(tmp_path, _force_text(rows), "force.tsv"))
 
 
-def test_only_blocks_near_a_blank_triplet_are_split_row_by_row(tmp_path, monkeypatch):
+def _routes(monkeypatch):
+    """The first data row of each block split row by row, and what each
+    fill of a block's blank triplets returned."""
+    split = _record(monkeypatch, "_parse_rows", lambda args, _: args[2])
+    filled = _record(monkeypatch, "_fill_blank_triplets", lambda _, result: result)
+    return split, filled
+
+
+def test_blocks_with_blank_triplets_are_filled_not_split_row_by_row(tmp_path, monkeypatch):
     rows = _two_marker_rows(300)
-    rows[250] = rows[250].replace("\t4.5\t5.5\t6.5", "\t\t\t")
+    for r in (0, 100, 250, 299):
+        rows[r] = rows[r].replace("\t4.5\t5.5\t6.5", "\t\t\t")
     path = _write(tmp_path, _marker_text(rows, names=("M1", "M2")))
     monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", 1000)
-    calls = []
-    zero_blank_triplets = ingest._zero_blank_triplets
-
-    def counted(path, rows, start, names):
-        calls.append(start)
-        return zero_blank_triplets(path, rows, start, names)
-
-    monkeypatch.setattr(ingest, "_zero_blank_triplets", counted)
+    split, filled = _routes(monkeypatch)
     back = parse_marker_file(path)
-    # of ten blocks of about 30 rows, one holds the blank triplet: it and the
-    # block after it are split, no other
-    assert len(calls) == 2 and calls[0] <= 250 < calls[1] < 300
-    assert np.flatnonzero(back.missing["M2"]).tolist() == [250]
+    # of ten blocks of about 30 rows, four hold a blank triplet: each is
+    # filled, and none is split
+    assert split == [] and filled == [True] * 4
+    assert np.flatnonzero(back.missing["M2"]).tolist() == [0, 100, 250, 299]
     assert not back.missing["M1"].any()
+
+    # a carriage return keeps every block off the bytes path, so none is filled
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert parse_marker_file(crlf).missing["M2"].tolist() == back.missing["M2"].tolist()
+    assert split[0] == 0 and len(split) > 4 and filled == [True] * 4
+
+    # so does a blank of spaces, in its block only; the others are filled
+    rows[250] = rows[250].replace("\t\t\t", "\t \t \t ")
+    split.clear()
+    filled.clear()
+    spaces = parse_marker_file(_write(tmp_path, _marker_text(rows, names=("M1", "M2"))))
+    assert len(split) == 1 and split[0] <= 250 < split[0] + 40 and filled == [True] * 3
+    assert spaces.missing["M2"].tolist() == back.missing["M2"].tolist()
+
+    # a fill that declines, here at a partially blank triplet, leaves its
+    # block as it was to the row path, which names the fault
+    rows[250] = rows[250].replace("\t \t \t ", "\t\t\t6.5")
+    split.clear()
+    filled.clear()
+    with pytest.raises(InputError, match="data row 251, marker 'M2': partially blank"):
+        parse_marker_file(_write(tmp_path, _marker_text(rows, names=("M1", "M2"))))
+    assert len(split) == 1 and split[0] <= 250 < split[0] + 40
+    assert filled == [True, True, False]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -1057,9 +1171,7 @@ def test_each_field_that_json_reads_otherwise_falls_back_to_loadtxt(
 
 
 def test_clean_files_are_read_from_their_bytes_without_the_row_path(tmp_path, monkeypatch):
-    calls = []
-    parse_rows = ingest._parse_rows
-    monkeypatch.setattr(ingest, "_parse_rows", lambda *args: calls.append(args[2]) or parse_rows(*args))
+    split, filled = _routes(monkeypatch)
     monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", 5000)
     params = WalkerParams(duration_s=2.0)
     markers, plates = tmp_path / "markers.tsv", tmp_path / "plates.tsv"
@@ -1068,17 +1180,17 @@ def test_clean_files_are_read_from_their_bytes_without_the_row_path(tmp_path, mo
     write_force_file(plates, synth_force_plates(params))
     parse_marker_file(markers)
     parse_force_file(plates)
-    assert calls == []
-    # a blank triplet sends its block and the next one down the row path
+    # a clean block is neither filled nor split
+    assert split == [] and filled == []
+    # a blank triplet has its block filled, and no block split
     traj.markers["LHEE"][150] = np.nan
     write_marker_file(markers, MarkerTrajectorySet(traj.sample_rate_hz, traj.markers))
     assert parse_marker_file(markers).missing["LHEE"][150]
-    assert len(calls) == 2 and calls[0] <= 150 < calls[1]
-    # and so does a carriage return, every block
+    assert split == [] and filled == [True]
+    # a carriage return sends every block down the row path
     plates.write_bytes(plates.read_bytes().replace(b"\n", b"\r\n"))
-    calls.clear()
     parse_force_file(plates)
-    assert calls[0] == 0 and len(calls) > 2
+    assert split[0] == 0 and len(split) > 2 and filled == [True]
 
 
 # ------------------------------------------------------ the number writer

@@ -26,9 +26,11 @@ Every CLI run but ``--help`` writes to ``out`` under its own working
 directory, so the paths it prints read alike in both trees.  The sha256 of every output file, of
 stdout and of stderr, and the exit code are compared, and for the API
 chain the sha256 of each saved array, of ``BilateralGrf.analyzed``, of both
-negative-vertical masks and of the excluded intervals with their reasons;
-each difference is listed and the script exits 1 if there is any, 0
-otherwise.
+negative-vertical masks and of the excluded intervals with their reasons.
+Within each tree, the output files of each ``\\r\\n`` run are also compared
+with those of the same run on the ``\\n`` files, which the parser reads from
+their bytes.  Each difference is listed and the script exits 1 if there is
+any, 0 otherwise.
 """
 
 import argparse
@@ -188,11 +190,12 @@ def main(argv=None):
         runs = _commands(tmp / "inputs", args.seed)
         trees = (tmp / "ref", REPO)
         differences = 0
+        digests = {}  # run name -> its digests in each tree
         for name, run_argv in runs.items():
-            ref_digests, new_digests = (
+            ref_digests, new_digests = digests[name] = [
                 _run(tree, name, run_argv, tmp / f"runs-{i}")
                 for i, tree in enumerate(trees)
-            )
+            ]
             for item in sorted(set(ref_digests) | set(new_digests)):
                 old, new = ref_digests.get(item), new_digests.get(item)
                 if old != new:
@@ -202,6 +205,18 @@ def main(argv=None):
                 f"{name}: {len(ref_digests)} items compared, "
                 f"exit code {new_digests['exit code']}"
             )
+        for crlf in [name for name in runs if name.endswith("-crlf")]:
+            lf = crlf.removesuffix("-crlf")
+            for tree, lf_digests, crlf_digests in zip(
+                (args.ref, "checkout"), digests[lf], digests[crlf]
+            ):
+                items = {**lf_digests, **crlf_digests}
+                for item in sorted(item for item in items if item.startswith("file ")):
+                    old, new = lf_digests.get(item), crlf_digests.get(item)
+                    if old != new:
+                        differences += 1
+                        print(f"DIFFERS {tree}: {lf} -> {crlf}: {item}: {old} -> {new}")
+            print(f"{lf} and {crlf}: output files compared in both trees")
     print(f"{differences} difference(s) between {args.ref} and the checkout")
     return 1 if differences else 0
 
