@@ -28,21 +28,25 @@ values, never a second copy of the data.
 One JSON reader turns text into numbers: ``orjson``'s compiled one,
 which rounds correctly.  A block whose rows are each exactly the header's
 count of JSON numbers between tabs is read straight from its bytes, never
-decoded or split into lines: a slice of about an eighth at a time, with
-the tabs and newlines made the commas of one flat JSON array.  A marker
-block that JSON refuses for its empty fields, each of them in a blank
-triplet, has ``0`` written into them in place and is read again the same
-way.  Any other block (a blank time, a partially blank or spaces-only
-triplet, a carriage return, a blank line, a fault) is decoded and split
-into rows, which are checked one by one; blank triplets are zeroed and the
-rows are read by the same JSON reader, or by ``np.loadtxt`` when JSON
-reads them otherwise (``+1``, ``.5``, ``nan``, spaces around a number, the
-integer ``-0``).  ``np.loadtxt`` rounds correctly too and words every
-error.  On the 17-digit ``repr`` floats the writers emit, one core of a
-2-core x86-64 box took about 170 ns a value on the 121-field marker rows
-and 110 ns on the 11-field plate rows, against about 210 and 140 ns when
-the block was first decoded and split; the fill of a block's blank
-triplets took about 2 ms a MiB.
+decoded or split into lines.  One numpy scan of its bytes up to ``\r``
+routes it: they must be the tabs and newlines of such rows, and the same
+positions give its empty fields.  A marker block whose empty fields are
+whole blank triplets has ``0`` written into them in place first, so every
+block is read once: a slice of about an eighth at a time, with the tabs
+and newlines made the commas of one flat JSON array and any other byte
+that is not part of a number one that JSON refuses.  Any other block (a
+blank time, a partially blank or spaces-only triplet, a carriage return, a
+blank line, a fault) is decoded and split into rows, which are checked one
+by one; blank triplets are zeroed and the rows are read by the same JSON
+reader, or by ``np.loadtxt`` when JSON reads them otherwise (``+1``,
+``.5``, ``nan``, spaces around a number, the integer ``-0``, which is
+searched for only in a block with fewer ``.`` than values that the fill
+did not write).
+``np.loadtxt`` rounds correctly too and words every error.  On the
+17-digit ``repr`` floats the writers emit, one core of a 2-core x86-64 box
+took about 150 ns a value on the 121-field marker rows, 125 ns on the
+11-field plate rows and 145 ns on the mm marker rows of occluded trials,
+the fill of their blank triplets included.
 
 Every writer emits shortest round-trip float text spelt as ``repr``
 spells it, so a write/parse cycle reproduces the numeric payload bit for
@@ -99,14 +103,17 @@ _VALUES_PER_BLOCK = 1 << 12
 # the parsers read data lines this many bytes at a time, then to the end of the line
 _BYTES_PER_BLOCK = 1 << 20
 
-# _read_numbers reads a block as JSON in about this many slices of whole rows
+# _slices cuts a block into about this many slices of whole rows, which
+# _read_numbers scans and _read_json reads one at a time
 _SLICES_PER_BLOCK = 8
-# the bytes of the numbers that _read_numbers reads as JSON, and how it
-# makes the tabs and newlines between them a JSON array's commas
-_NUMBER_BYTES = b"0123456789.eE+-"
-_SEPARATORS_TO_COMMAS = bytes.maketrans(b"\t\n", b",,")
-# in that array, a -0 that JSON reads as the integer 0
-_INTEGER_MINUS_ZERO = re.compile(rb"-0[,\]]")
+# how _read_json makes a block one JSON array: the tabs and newlines become
+# its commas, the bytes of numbers stay, and every other byte becomes a "?",
+# which JSON refuses
+_TO_JSON = bytes(
+    c if c in b"0123456789.eE+-" else ord(",") if c in b"\t\n" else ord("?") for c in range(256)
+)
+# in a block, a -0 that JSON reads as the integer 0
+_INTEGER_MINUS_ZERO = re.compile(rb"-0[\t\n]")
 # in orjson's text of floats, the exponents and the values in [1e-5, 1e-4),
 # which _text respells as repr does
 _EXPONENT = re.compile(rb"e(-?)(\d+)")
@@ -217,8 +224,9 @@ class ForcePlateSeries:
 def _count_lines(path) -> int:
     """Number of lines of ``path`` less the blank one after a final ``\\n``:
     its newlines, plus one if it does not end in one.  Read a block at a
-    time into one buffer, no larger than the file.  The file is read again
-    to be parsed, so it must be a regular file, not a pipe."""
+    time into one buffer, no larger than the file, in which numpy marks and
+    counts the newlines in place.  The file is read again to be parsed, so
+    it must be a regular file, not a pipe."""
     n, last = 0, ord("\n")
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -226,9 +234,11 @@ def _count_lines(path) -> int:
             if not stat.S_ISREG(info.st_mode):
                 raise InputError(f"cannot read {path}: not a regular file")
             buffer = bytearray(min(_BYTES_PER_BLOCK, info.st_size + 1))
+            codes = np.frombuffer(buffer, np.uint8)
             while size := fh.readinto(buffer):
-                n += buffer.count(b"\n", 0, size)
                 last = buffer[size - 1]
+                newline = codes[:size].view(bool)  # the bytes, overwritten in place
+                n += int(np.count_nonzero(np.equal(codes[:size], ord("\n"), out=newline)))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return n + (last != ord("\n"))
@@ -323,90 +333,102 @@ def _read_numbers(data, n_fields: int, triplets: bool = False) -> np.ndarray | N
     None otherwise.
 
     The first row's width is checked before anything is sized from
-    ``n_fields``, which a header may claim to be huge.  Then what is left of
-    ``data`` without digits and ``.eE+-`` must be exactly the tabs and
-    newlines of such rows, which refuses any other character and any
-    ragged, blank or unended row.  The rows are read by ``_read_json``; one
-    with an integer ``-0``, or that ``orjson`` refuses (an empty field,
-    ``+1``, ``1.``, ``.5``, ``01``, ``nan``, a value past the float range),
-    gives None too.  With ``triplets`` (a marker block in a ``bytearray``),
-    rows that ``orjson`` refused are read once more after
-    ``_fill_blank_triplets`` wrote ``0`` into their empty fields, if it did;
-    refused again, they reach the row path filled, where the zero triplets
-    read as the blank ones would.
+    ``n_fields``, which a header may claim to be huge.  Then one numpy scan
+    of each slice of ``_slices`` finds its bytes up to ``\\r``.  They must
+    be exactly the tabs and newlines of such rows, which refuses a carriage
+    return or any other control byte and any ragged, blank or unended row.
+    The same positions give the empty fields, each a field that starts where
+    it ends.  With ``triplets`` (a marker block in a ``bytearray``), empty
+    fields that are whole blank triplets are filled by
+    ``_fill_blank_triplets``; any other empty field gives None.  So the block
+    is read once, by ``_read_json``, and gives None when ``orjson`` refuses
+    it: any other byte that is not part of a number (a space, ``true``,
+    ``"1"``, ``[1]``), ``+1``, ``1.``, ``.5``, ``01``, ``nan``, a value past
+    the float range.  A filled block that is refused reaches the row path
+    filled, where the zero triplets read as the blank ones would.
+
+    JSON reads the integer ``-0`` without its sign, so a block with one
+    gives None too.  It is searched for only when some value may be an
+    integer: a value that JSON reads has at most one ``.``, so a block with
+    as many ``.`` bytes as values, less the zeros of the fill, has none.
     """
     end = data.find(b"\n")
     if not data.endswith(b"\n") or data.count(b"\t", 0, end) != n_fields - 1:
         return None
     row = b"\t" * (n_fields - 1) + b"\n"
-    separators = data.translate(None, _NUMBER_BYTES)
-    n_rows = len(separators) // len(row)
-    if separators != row * n_rows:
+    codes = np.frombuffer(data, np.uint8)
+    n_rows, n_dots, blanks = 0, 0, []  # and the first separator of each blank triplet
+    for a, b in _slices(data):  # a slice at a time, so the scan's temporaries stay small
+        part = codes[a:b]
+        ends = np.flatnonzero(part <= 13)  # each field's tab or newline, and any other control byte
+        n = len(ends) // n_fields
+        if part[ends].tobytes() != row * n:
+            return None
+        # an empty field's separator follows another or starts the slice, where
+        # index -1 reads the slice's last byte, a \n
+        ends -= 1
+        empty = np.flatnonzero(part[ends] <= 13)
+        if empty.size:
+            # the empty fields go in threes, each the x, y and z of one marker; a
+            # time (column 0) or a partial triplet breaks the threes
+            first = empty[::3]
+            if not (
+                triplets and empty.size % 3 == 0 and (first % n_fields % 3 == 1).all()
+                and (empty[1::3] == first + 1).all() and (empty[2::3] == first + 2).all()
+            ):
+                return None
+            blanks += (ends[first] + (a + 1)).tolist()
+        n_rows += n
+        n_dots += int(np.count_nonzero(part == ord(".")))
+    del codes, part  # a buffer taken from data keeps it from growing
+    if blanks:
+        _fill_blank_triplets(data, blanks)
+    if n_dots < n_rows * n_fields - 3 * len(blanks) and _INTEGER_MINUS_ZERO.search(data):
         return None
-    del separators
     try:
         return _read_json(data, n_rows, n_fields)
     except orjson.JSONDecodeError:
-        pass  # the fill is made outside this clause, whose traceback holds the values read
-    if not (triplets and _fill_blank_triplets(data, n_fields)):
-        return None
-    try:
-        return _read_json(data, n_rows, n_fields)
-    except orjson.JSONDecodeError:
         return None
 
 
-def _read_json(data, n_rows: int, n_fields: int) -> np.ndarray | None:
-    """The ``n_rows`` rows of ``n_fields`` numbers of ``data``, which passed
-    ``_read_numbers``'s checks, as an array, or None when they hold an
-    integer ``-0``, which JSON reads without its sign.
+def _slices(data):
+    """The (start, end) of each slice of whole rows of ``data``, which ends
+    in ``\\n``: about an eighth of its bytes each."""
+    size = -(-len(data) // _SLICES_PER_BLOCK)
+    a = 0
+    while a < len(data):
+        b = data.find(b"\n", a + size - 1) + 1 or len(data)  # after a row's \n
+        yield a, b
+        a = b
 
-    They are read a slice of about an eighth of the bytes at a time, with
-    the tabs and newlines made the commas of one flat JSON array, by
-    ``orjson``, which rounds correctly; its ``JSONDecodeError`` is raised.
+
+def _read_json(data, n_rows: int, n_fields: int) -> np.ndarray:
+    """The ``n_rows`` rows of ``n_fields`` fields of ``data``, whose
+    separators passed ``_read_numbers``'s scan, as an array.
+
+    A slice of ``_slices`` at a time is read by ``orjson``, which rounds
+    correctly: one ``translate`` makes the tabs and newlines the commas of
+    one flat JSON array and every other byte that is not part of a number
+    one that JSON refuses, so a field that is not one JSON number raises
+    ``orjson.JSONDecodeError``.
     """
     values = np.empty((n_rows, n_fields))
     flat = values.reshape(-1)
-    size = -(-len(data) // _SLICES_PER_BLOCK)
-    a = i = 0  # the first byte and the first value of the slice
-    while a < len(data):
-        b = data.find(b"\n", a + size - 1) + 1 or len(data)  # after a row's \n
-        text = b"[%b]" % data[a : b - 1].translate(_SEPARATORS_TO_COMMAS)
-        if _INTEGER_MINUS_ZERO.search(text):
-            return None
-        numbers = orjson.loads(text)
-        del text
+    i = 0  # the first value of the slice
+    for a, b in _slices(data):
+        numbers = orjson.loads(b"[%b]" % data[a : b - 1].translate(_TO_JSON))
         flat[i : i + len(numbers)] = np.fromiter(numbers, float, len(numbers))
-        a, i = b, i + len(numbers)
+        i += len(numbers)
     return values
 
 
-def _fill_blank_triplets(data: bytearray, n_fields: int) -> bool:
-    """Write ``0``, the other occlusion mark, into each empty field of
-    ``data``, rows that passed ``_read_numbers``'s separator check; True if
-    it did.  It declines, leaving ``data`` as it is, when there is no empty
-    field, or one is a time or part of a partially blank triplet: the row
-    path reports those.
+def _fill_blank_triplets(data: bytearray, at: list[int]) -> None:
+    """Write ``0``, the other occlusion mark, into each field of the blank
+    triplets of ``data`` whose first separators are at ``at``, in order.
 
-    The empty fields are found in one pass over the separators' positions.
     ``data`` grows once, by a byte a field, and its segments are moved back
     from the end, so no second copy of the block is made.
     """
-    codes = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(codes < 11)  # each field's tab or newline
-    del codes  # a buffer taken from data keeps it from growing
-    # a field starts after the separator before it, so an empty one ends there
-    empty = np.flatnonzero(np.diff(ends, prepend=-1) == 1)
-    first = empty[::3]
-    # the empty fields go in threes, each the x, y and z of one marker; a time
-    # (column 0) or a partial triplet breaks the threes
-    if not (
-        empty.size and empty.size % 3 == 0 and (first % n_fields % 3 == 1).all()
-        and (empty[1::3] == first + 1).all() and (empty[2::3] == first + 2).all()
-    ):
-        return False
-    at = ends[first].tolist()  # each blank triplet's first separator
-    del ends, empty, first
     end = len(data)
     data += bytes(3 * len(at))
     with memoryview(data) as view:  # its slice assignment moves bytes without a copy
@@ -415,7 +437,6 @@ def _fill_blank_triplets(data: bytearray, n_fields: int) -> bool:
             view[p + 3 * k + 3 : end + 3 * k + 3] = view[p:end]
             view[p + 3 * k - 2 : p + 3 * k + 3] = b"0\t0\t0"
             end = p - 2
-    return True
 
 
 def _is_number(text: str) -> bool:

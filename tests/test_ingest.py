@@ -7,9 +7,11 @@ import struct
 import tempfile
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -573,7 +575,7 @@ def test_blank_triplets_read_from_bytes_match_the_row_path(
     # a carriage return keeps every block off the bytes path
     crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
     monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
-    filled = _record(monkeypatch, "_fill_blank_triplets", lambda _, result: result)
+    filled = _record(monkeypatch, "_fill_blank_triplets", lambda args, _: len(args[1]))
     by_bytes = parse_marker_file(lf)
     assert filled and all(filled)
     by_rows = parse_marker_file(crlf)
@@ -867,9 +869,14 @@ def test_rows_that_hide_a_miscount_from_the_block_are_named(tmp_path, fault, mes
         ("0.75\t1.5\t2.5\t3.5\t4.5\t\t6.5", "data row 151, marker 'M2': partially blank"),
         ("0.75\t1.5\t2.5\tx\t\t\t", "data row 151, marker 'M1': non-numeric value"),
         ("\t1.5\t2.5\t3.5\t\t\t", "data row 151, time: non-numeric value"),
+        # three empty fields in a row that are not one marker's triplet
+        ("\t\t\t3.5\t4.5\t5.5\t6.5", "data row 151, marker 'M1': partially blank"),
+        ("0.75\t1.5\t2.5\t\t\t\t6.5", "data row 151, marker 'M1': partially blank"),
         # values: the triplets of M1 and M2 in that row
         ("0.75\t1.5\t2.5\t3.5\t \t  \t ", [1.5, 2.5, 3.5, np.nan, np.nan, np.nan]),
         ("0.75\t-0\t2.5\t3.5\t\t\t", [-0.0, 2.5, 3.5, np.nan, np.nan, np.nan]),
+        # as many dots as values less the fill's zeros: JSON refuses the block
+        ("0.75\t-0\t2.5.5\t3.5\t\t\t", "data row 151, marker 'M1': non-numeric value"),
     ],
 )
 def test_faults_after_blocks_with_blank_triplets_are_named(
@@ -911,10 +918,10 @@ def test_a_hidden_miscount_in_a_force_file_is_named(tmp_path):
 
 
 def _routes(monkeypatch):
-    """The first data row of each block split row by row, and what each
-    fill of a block's blank triplets returned."""
+    """The first data row of each block split row by row, and the number of
+    blank triplets of each block filled."""
     split = _record(monkeypatch, "_parse_rows", lambda args, _: args[2])
-    filled = _record(monkeypatch, "_fill_blank_triplets", lambda _, result: result)
+    filled = _record(monkeypatch, "_fill_blank_triplets", lambda args, _: len(args[1]))
     return split, filled
 
 
@@ -928,7 +935,7 @@ def test_blocks_with_blank_triplets_are_filled_not_split_row_by_row(tmp_path, mo
     back = parse_marker_file(path)
     # of ten blocks of about 30 rows, four hold a blank triplet: each is
     # filled, and none is split
-    assert split == [] and filled == [True] * 4
+    assert split == [] and filled == [1] * 4
     assert np.flatnonzero(back.missing["M2"]).tolist() == [0, 100, 250, 299]
     assert not back.missing["M1"].any()
 
@@ -936,25 +943,110 @@ def test_blocks_with_blank_triplets_are_filled_not_split_row_by_row(tmp_path, mo
     crlf = tmp_path / "crlf.tsv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert parse_marker_file(crlf).missing["M2"].tolist() == back.missing["M2"].tolist()
-    assert split[0] == 0 and len(split) > 4 and filled == [True] * 4
+    assert split[0] == 0 and len(split) > 4 and filled == [1] * 4
 
     # so does a blank of spaces, in its block only; the others are filled
     rows[250] = rows[250].replace("\t\t\t", "\t \t \t ")
     split.clear()
     filled.clear()
     spaces = parse_marker_file(_write(tmp_path, _marker_text(rows, names=("M1", "M2"))))
-    assert len(split) == 1 and split[0] <= 250 < split[0] + 40 and filled == [True] * 3
+    assert len(split) == 1 and split[0] <= 250 < split[0] + 40 and filled == [1] * 3
     assert spaces.missing["M2"].tolist() == back.missing["M2"].tolist()
 
-    # a fill that declines, here at a partially blank triplet, leaves its
-    # block as it was to the row path, which names the fault
+    # empty fields that are not whole triplets, here a partially blank one,
+    # leave their block unfilled to the row path, which names the fault
     rows[250] = rows[250].replace("\t \t \t ", "\t\t\t6.5")
     split.clear()
     filled.clear()
     with pytest.raises(InputError, match="data row 251, marker 'M2': partially blank"):
         parse_marker_file(_write(tmp_path, _marker_text(rows, names=("M1", "M2"))))
     assert len(split) == 1 and split[0] <= 250 < split[0] + 40
-    assert filled == [True, True, False]
+    assert filled == [1, 1]
+
+
+def _json_reads(monkeypatch):
+    """For each ``orjson.loads`` of the parser: True if it read its text,
+    False if it refused it."""
+    reads, loads = [], orjson.loads
+
+    def recorded(text):
+        try:
+            result = loads(text)
+        except orjson.JSONDecodeError:
+            reads.append(False)
+            raise
+        reads.append(True)
+        return result
+
+    json = types.SimpleNamespace(loads=recorded, JSONDecodeError=orjson.JSONDecodeError)
+    monkeypatch.setattr(ingest, "orjson", json)
+    return reads
+
+
+@pytest.mark.parametrize("bytes_per_block", [1 << 20, 1000])
+def test_json_never_refuses_a_slice_of_a_clean_or_blank_triplet_block(
+    tmp_path, monkeypatch, bytes_per_block
+):
+    rows = _two_marker_rows(300)
+    clean = _write(tmp_path, _marker_text(rows, names=("M1", "M2")), "clean.tsv")
+    for r in (0, 100, 250, 299):
+        rows[r] = rows[r].replace("\t4.5\t5.5\t6.5", "\t\t\t")
+    blanks = _write(tmp_path, _marker_text(rows, names=("M1", "M2")), "blanks.tsv")
+    plates = _write(tmp_path, _force_text(_timed_rows([k / 1000.0 for k in range(300)], 5)))
+    monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
+    split = _record(monkeypatch, "_parse_rows", lambda args, _: args[2])
+    reads = _json_reads(monkeypatch)
+    parse_marker_file(clean)
+    parse_force_file(plates)
+    assert reads and all(reads)
+    # the blank triplets are filled before JSON reads their slice, once
+    reads.clear()
+    assert np.flatnonzero(parse_marker_file(blanks).missing["M2"]).tolist() == [0, 100, 250, 299]
+    assert reads and all(reads) and split == []
+
+
+@pytest.mark.parametrize("others", ["dots", "dotless", "blanks"])
+def test_an_integer_minus_zero_keeps_its_sign_as_the_row_path_reads_it(
+    tmp_path, monkeypatch, others
+):
+    # every value of these rows has a dot, but the -0; JSON reads -0 as 0
+    rows = _two_marker_rows(200)
+    if others == "dotless":  # floats without a dot, which the dot count cannot rule out
+        rows[::7] = [row.replace("\t2.5\t", "\t1e-05\t") for row in rows[::7]]
+    if others == "blanks":  # filled with dotless zeros
+        rows[::2] = [row.replace("\t4.5\t5.5\t6.5", "\t\t\t") for row in rows[::2]]
+    rows[151] = rows[151].replace("\t1.5\t", "\t-0\t")
+    text = _marker_text(rows, names=("M1", "M2"))
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes(text.encode("utf-8"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))  # the row path
+    for bytes_per_block in (1 << 20, 100, 400):
+        monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
+        by_bytes, by_rows = parse_marker_file(lf), parse_marker_file(crlf)
+        assert by_bytes.markers["M1"][151].tobytes() == np.array([-0.0, 2.5, 3.5]).tobytes()
+        for name in ("M1", "M2"):
+            assert by_bytes.markers[name].tobytes() == by_rows.markers[name].tobytes()
+            assert np.array_equal(by_bytes.missing[name], by_rows.missing[name])
+
+
+def test_a_block_of_empty_and_spaces_only_triplets_reads_as_the_row_path(tmp_path, monkeypatch):
+    rows = _two_marker_rows(200)
+    rows[::2] = [row.replace("\t4.5\t5.5\t6.5", "\t\t\t") for row in rows[::2]]
+    rows[1::10] = [row.replace("\t1.5\t2.5\t3.5", "\t \t  \t ") for row in rows[1::10]]
+    text = _marker_text(rows, names=("M1", "M2"))
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes(text.encode("utf-8"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    split = _record(monkeypatch, "_parse_rows", lambda args, _: args[2])
+    for bytes_per_block in (1 << 20, 100, 400):
+        monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
+        by_bytes, by_rows = parse_marker_file(lf), parse_marker_file(crlf)
+        assert np.flatnonzero(by_bytes.missing["M1"]).tolist() == list(range(1, 200, 10))
+        assert np.flatnonzero(by_bytes.missing["M2"]).tolist() == list(range(0, 200, 2))
+        for name in ("M1", "M2"):
+            assert by_bytes.markers[name].tobytes() == by_rows.markers[name].tobytes()
+            assert np.array_equal(by_bytes.missing[name], by_rows.missing[name])
+    assert split  # a spaces-only field keeps its block off the bytes path
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -1135,6 +1227,19 @@ def test_clean_rows_are_read_without_loadtxt(tmp_path, monkeypatch):
         ("true", False, "data row 2, {column}: non-numeric value"),
         ("null", False, "data row 2, {column}: non-numeric value"),
         ('"1.5"', False, "data row 2, {column}: non-numeric value"),
+        ('"1"', False, "data row 2, {column}: non-numeric value"),
+        ("[1]", False, "data row 2, {column}: non-numeric value"),
+        # control bytes and spaces, which JSON never sees in a field
+        ("\r1.5", False, "data row 2, {column}: non-numeric value"),
+        ("\x00", False, "data row 2, {column}: non-numeric value"),
+        ("1.5\x00", False, "data row 2, {column}: non-numeric value"),
+        ("\x0b", False, "data row 2, {column}: non-numeric value"),
+        ("1 .5", False, "data row 2, {column}: non-numeric value"),
+        ("\x0b1.5", False, 1.5),
+        ("1.5\x0b", False, 1.5),
+        ("\x0c1.5", False, 1.5),
+        ("1.5\x1f", False, 1.5),
+        ("1.5 ", False, 1.5),
         # numbers that JSON reads otherwise, or refuses, and loadtxt reads
         ("-0", False, -0.0),
         ("+1", False, 1.0),
@@ -1148,7 +1253,7 @@ def test_clean_rows_are_read_without_loadtxt(tmp_path, monkeypatch):
     ],
 )
 def test_each_field_that_json_reads_otherwise_falls_back_to_loadtxt(
-    tmp_path, kind, last, field, short, expected
+    tmp_path, monkeypatch, kind, last, field, short, expected
 ):
     n = _row_values(kind)
     rows = _number_rows(kind, ["2.5"] * (3 * n))
@@ -1165,8 +1270,10 @@ def test_each_field_that_json_reads_otherwise_falls_back_to_loadtxt(
         with pytest.raises(InputError, match=f": {re.escape(message)}$"):
             _parsed_groups(path, kind)
     else:
+        loaded = _record(monkeypatch, "_loadtxt", lambda args, _: len(args[0]))
         value = _parsed_groups(path, kind).reshape(3, n)[1, at - 1]
         assert value.tobytes() == np.float64(expected).tobytes()
+        assert loaded == [3]  # the block's three rows, read by loadtxt, not by JSON
 
 
 
@@ -1186,11 +1293,11 @@ def test_clean_files_are_read_from_their_bytes_without_the_row_path(tmp_path, mo
     traj.markers["LHEE"][150] = np.nan
     write_marker_file(markers, MarkerTrajectorySet(traj.sample_rate_hz, traj.markers))
     assert parse_marker_file(markers).missing["LHEE"][150]
-    assert split == [] and filled == [True]
+    assert split == [] and filled == [1]
     # a carriage return sends every block down the row path
     plates.write_bytes(plates.read_bytes().replace(b"\n", b"\r\n"))
     parse_force_file(plates)
-    assert split[0] == 0 and len(split) > 2 and filled == [True]
+    assert split[0] == 0 and len(split) > 2 and filled == [1]
 
 
 # ------------------------------------------------------ the number writer

@@ -16,6 +16,12 @@ trees, each in a fresh interpreter:
   carriage return keeps a block off the parser's bytes path, so every block
   of these files is decoded, split into rows, has its blank triplets zeroed
   and is read row by row;
+- ``grf`` on occluded trial ``t0`` twice more, each through another of the
+  parser's fallbacks: with its blank triplets written as spaces-only fields,
+  which keep every block with one off the bytes path; and with each whole
+  value respelt as an integer and each zero as the integer ``-0``, which
+  JSON reads without its sign, so every block is searched for one and the
+  first block, whose first time is ``0.0``, is read row by row;
 - ``--help`` of the program and of each subcommand, which shows a change
   to the CLI's imports or argparse set-up;
 - the README's Python API chain (``run_api_chain`` and
@@ -106,9 +112,9 @@ def _without_force_file(argv):
     return argv[:i] + argv[i + 2 :]
 
 
-def _with_crlf(argv, dest):
-    """``argv`` with each input file it names rewritten into ``dest`` with
-    ``\\r\\n`` line ends."""
+def _rewritten(argv, dest, rewrite):
+    """``argv`` with each input file it names rewritten into ``dest`` as
+    ``rewrite`` of its lines."""
     dest.mkdir(parents=True)
     argv = list(argv)
     for flag in ("--marker-file", "--force-file"):
@@ -116,8 +122,35 @@ def _with_crlf(argv, dest):
             i = argv.index(flag) + 1
             source, argv[i] = Path(argv[i]), str(dest / Path(argv[i]).name)
             with open(source, "rb") as lines, open(argv[i], "wb") as out:
-                out.writelines(line.replace(b"\n", b"\r\n") for line in lines)
+                out.writelines(rewrite(lines))
     return argv
+
+
+def _crlf(lines):
+    """Each line with ``\\r\\n`` line ends."""
+    return (line.replace(b"\n", b"\r\n") for line in lines)
+
+
+def _data_fields(field):
+    """A rewrite of a marker file's lines: each data field ``f`` as ``field(f)``."""
+
+    def rewrite(lines):
+        for k, line in enumerate(lines):  # three header lines, then the data
+            yield line if k < 3 else b"\t".join(map(field, line.rstrip(b"\n").split(b"\t"))) + b"\n"
+
+    return rewrite
+
+
+def _spaces_only(field):
+    return field or b" "
+
+
+def _integer(field):
+    """A whole value respelt as an integer, and a zero as the integer -0."""
+    if not field.endswith(b".0"):
+        return field
+    whole = field[:-2]
+    return b"-0" if whole in (b"0", b"-0") else whole
 
 
 def _commands(inputs, seed):
@@ -133,8 +166,12 @@ def _commands(inputs, seed):
     }
     for i, trial in enumerate(_generate("cli-occluded-10s", seed, inputs / "occluded")):
         runs[f"occluded-t{i}"] = trial["argv"]
-    runs["grf-force-file-crlf"] = _with_crlf(plates, inputs / "plates-crlf")
-    runs["occluded-t0-crlf"] = _with_crlf(runs["occluded-t0"], inputs / "occluded-crlf")
+    t0 = runs["occluded-t0"]
+    runs["grf-force-file-crlf"] = _rewritten(plates, inputs / "plates-crlf", _crlf)
+    runs["occluded-t0-crlf"] = _rewritten(t0, inputs / "occluded-crlf", _crlf)
+    spaces, integers = _data_fields(_spaces_only), _data_fields(_integer)
+    runs["occluded-t0-spaces"] = _rewritten(t0, inputs / "occluded-spaces", spaces)
+    runs["occluded-t0-integers"] = _rewritten(t0, inputs / "occluded-integers", integers)
     runs = {name: [*argv, "--output-dir", "out"] for name, argv in runs.items()}
     runs["help"] = ["--help"]
     for command in SUBCOMMANDS:
