@@ -25,27 +25,20 @@ into place; a force file's forces and centres of pressure are two views of
 that array.  So a parse holds its result plus one block of text and its
 values, never a second copy of the data.
 
-One JSON reader turns text into numbers: ``orjson``'s compiled one,
-which rounds correctly.  A block whose rows are each exactly the header's
-count of JSON numbers between tabs is read straight from its bytes, never
-decoded or split into lines.  One numpy scan of its bytes up to ``\r``
-routes it: they must be the tabs and newlines of such rows, and the same
-positions give its empty fields.  A marker block whose empty fields are
-whole blank triplets has ``0`` written into them in place first, so every
-block is read once: a slice of about an eighth at a time, with the tabs
-and newlines made the commas of one flat JSON array and any other byte
-that is not part of a number one that JSON refuses.  Any other block (a
-blank time, a partially blank or spaces-only triplet, a carriage return, a
-blank line, a fault) is decoded and split into rows, which are checked one
-by one; blank triplets are zeroed and the rows are read by the same JSON
-reader, or by ``np.loadtxt`` when JSON reads them otherwise (``+1``,
-``.5``, ``nan``, spaces around a number, the integer ``-0``, which is
-searched for only in a block with fewer ``.`` than values that the fill
-did not write).
-``np.loadtxt`` rounds correctly too and words every error.  On the
+Each block first loses the carriage returns that end its lines and the
+blank lines that end it, so both of its paths see rows that end in ``\n``
+alone.  A block whose rows are each exactly the
+header's count of JSON numbers between tabs is read from its bytes by
+``orjson``'s compiled reader, which rounds correctly: a sixteenth at a
+time, never decoded or split into lines, with a marker block's blank
+triplets read as ``0``.  The block itself is never written.  Any other
+block (a blank time, a partially blank or spaces-only triplet, ``+1``,
+``.5``, ``nan``, spaces around a number, the integer ``-0``, a fault) is
+decoded and split into rows, which are checked one by one and read by
+``np.loadtxt``, which rounds correctly too and words every error.  On the
 17-digit ``repr`` floats the writers emit, one core of a 2-core x86-64 box
-took about 150 ns a value on the 121-field marker rows, 125 ns on the
-11-field plate rows and 145 ns on the mm marker rows of occluded trials,
+took about 150 ns a value on the 121-field marker rows, 130 ns on the
+11-field plate rows and 165 ns on the mm marker rows of occluded trials,
 the fill of their blank triplets included.
 
 Every writer emits shortest round-trip float text spelt as ``repr``
@@ -104,9 +97,10 @@ _VALUES_PER_BLOCK = 1 << 12
 _BYTES_PER_BLOCK = 1 << 20
 
 # _slices cuts a block into about this many slices of whole rows, which
-# _read_numbers scans and _read_json reads one at a time
-_SLICES_PER_BLOCK = 8
-# how _read_json makes a block one JSON array: the tabs and newlines become
+# _read_numbers reads one at a time; with 8, a parse's peak held about a
+# quarter of a block more, as a slice's temporaries are twice the size
+_SLICES_PER_BLOCK = 16
+# how _read_numbers makes a slice one JSON array: the tabs and newlines become
 # its commas, the bytes of numbers stay, and every other byte becomes a "?",
 # which JSON refuses
 _TO_JSON = bytes(
@@ -114,6 +108,8 @@ _TO_JSON = bytes(
 )
 # in a block, a -0 that JSON reads as the integer 0
 _INTEGER_MINUS_ZERO = re.compile(rb"-0[\t\n]")
+# the carriage returns that end a line
+_LINE_END_CR = re.compile(rb"\r+(?=\n|\Z)")
 # in orjson's text of floats, the exponents and the values in [1e-5, 1e-4),
 # which _text respells as repr does
 _EXPONENT = re.compile(rb"e(-?)(\d+)")
@@ -330,70 +326,66 @@ def _loadtxt(rows: list[str]) -> np.ndarray:
 def _read_numbers(data, n_fields: int, triplets: bool = False) -> np.ndarray | None:
     """The rows of ``data``, bytes of text, as a (rows, n_fields) array when
     each row is ``n_fields`` JSON numbers apart by tabs and ends in ``\\n``;
-    None otherwise.
+    None otherwise.  ``data`` is only read.
 
     The first row's width is checked before anything is sized from
-    ``n_fields``, which a header may claim to be huge.  Then one numpy scan
-    of each slice of ``_slices`` finds its bytes up to ``\\r``.  They must
-    be exactly the tabs and newlines of such rows, which refuses a carriage
-    return or any other control byte and any ragged, blank or unended row.
-    The same positions give the empty fields, each a field that starts where
-    it ends.  With ``triplets`` (a marker block in a ``bytearray``), empty
-    fields that are whole blank triplets are filled by
-    ``_fill_blank_triplets``; any other empty field gives None.  So the block
-    is read once, by ``_read_json``, and gives None when ``orjson`` refuses
-    it: any other byte that is not part of a number (a space, ``true``,
-    ``"1"``, ``[1]``), ``+1``, ``1.``, ``.5``, ``01``, ``nan``, a value past
-    the float range.  A filled block that is refused reaches the row path
-    filled, where the zero triplets read as the blank ones would.
-
-    JSON reads the integer ``-0`` without its sign, so a block with one
-    gives None too.  It is searched for only when some value may be an
-    integer: a value that JSON reads has at most one ``.``, so a block with
-    as many ``.`` bytes as values, less the zeros of the fill, has none.
+    ``n_fields``, which a header may claim to be huge.  Then each slice of
+    ``_slices`` is read in one step.  One numpy scan finds its bytes up to
+    ``\\r``, which must be exactly the tabs and newlines of such rows: a
+    carriage return or any other control byte and any ragged, blank or
+    unended row gives None.  The same positions give the empty fields, each
+    a field that starts where it ends.  With ``triplets`` (a marker block),
+    empty fields that are whole blank triplets are filled by
+    ``_fill_blank_triplets``; any other empty field gives None.  JSON reads
+    the integer ``-0`` without its sign, so a slice with one gives None too;
+    it is searched for only when some value may be an integer: a value that
+    JSON reads has at most one ``.``, so a slice with as many ``.`` bytes as
+    values, less the zeros of the fill, has none.  Then one ``translate``
+    makes the tabs and newlines the commas of one flat JSON array and every
+    other byte that is not part of a number one that JSON refuses, and
+    ``orjson``, which rounds correctly, reads it or refuses it, which gives
+    None: a space, ``true``, ``"1"``, ``[1]``, ``+1``, ``1.``, ``.5``,
+    ``01``, ``nan``, a value past the float range.
     """
     end = data.find(b"\n")
     if not data.endswith(b"\n") or data.count(b"\t", 0, end) != n_fields - 1:
         return None
     row = b"\t" * (n_fields - 1) + b"\n"
     codes = np.frombuffer(data, np.uint8)
-    n_rows, n_dots, blanks = 0, 0, []  # and the first separator of each blank triplet
-    for a, b in _slices(data):  # a slice at a time, so the scan's temporaries stay small
+    values = []  # an array a slice
+    for a, b in _slices(data):  # a slice at a time, so the temporaries stay small
         part = codes[a:b]
         ends = np.flatnonzero(part <= 13)  # each field's tab or newline, and any other control byte
-        n = len(ends) // n_fields
-        if part[ends].tobytes() != row * n:
+        n = len(ends)
+        if part[ends].tobytes() != row * (n // n_fields):
             return None
         # an empty field's separator follows another or starts the slice, where
         # index -1 reads the slice's last byte, a \n
         ends -= 1
         empty = np.flatnonzero(part[ends] <= 13)
+        first = empty[::3]  # the empty fields go in threes, each the x, y and z of one marker
+        if empty.size and not (
+            triplets and empty.size % 3 == 0 and (first % n_fields % 3 == 1).all()
+            and (empty[1::3] == first + 1).all() and (empty[2::3] == first + 2).all()
+        ):  # a time (column 0) or a partial triplet breaks the threes
+            return None
+        n_dots = int(np.count_nonzero(part == ord(".")))
+        if n_dots < n - 3 * len(first) and _INTEGER_MINUS_ZERO.search(data, a, b):
+            return None
+        text = data[a : b - 1].translate(_TO_JSON)
         if empty.size:
-            # the empty fields go in threes, each the x, y and z of one marker; a
-            # time (column 0) or a partial triplet breaks the threes
-            first = empty[::3]
-            if not (
-                triplets and empty.size % 3 == 0 and (first % n_fields % 3 == 1).all()
-                and (empty[1::3] == first + 1).all() and (empty[2::3] == first + 2).all()
-            ):
-                return None
-            blanks += (ends[first] + (a + 1)).tolist()
-        n_rows += n
-        n_dots += int(np.count_nonzero(part == ord(".")))
-    del codes, part  # a buffer taken from data keeps it from growing
-    if blanks:
-        _fill_blank_triplets(data, blanks)
-    if n_dots < n_rows * n_fields - 3 * len(blanks) and _INTEGER_MINUS_ZERO.search(data):
-        return None
-    try:
-        return _read_json(data, n_rows, n_fields)
-    except orjson.JSONDecodeError:
-        return None
+            text = _fill_blank_triplets(text, (ends[first] + 1).tolist())
+        try:
+            numbers = orjson.loads(b"[%b]" % text)
+        except orjson.JSONDecodeError:
+            return None
+        values.append(np.fromiter(numbers, float, n))
+    return np.concatenate(values).reshape(-1, n_fields)
 
 
 def _slices(data):
     """The (start, end) of each slice of whole rows of ``data``, which ends
-    in ``\\n``: about an eighth of its bytes each."""
+    in ``\\n``: about a sixteenth of its bytes each."""
     size = -(-len(data) // _SLICES_PER_BLOCK)
     a = 0
     while a < len(data):
@@ -402,46 +394,17 @@ def _slices(data):
         a = b
 
 
-def _read_json(data, n_rows: int, n_fields: int) -> np.ndarray:
-    """The ``n_rows`` rows of ``n_fields`` fields of ``data``, whose
-    separators passed ``_read_numbers``'s scan, as an array.
-
-    A slice of ``_slices`` at a time is read by ``orjson``, which rounds
-    correctly: one ``translate`` makes the tabs and newlines the commas of
-    one flat JSON array and every other byte that is not part of a number
-    one that JSON refuses, so a field that is not one JSON number raises
-    ``orjson.JSONDecodeError``.
-    """
-    values = np.empty((n_rows, n_fields))
-    flat = values.reshape(-1)
-    i = 0  # the first value of the slice
-    for a, b in _slices(data):
-        numbers = orjson.loads(b"[%b]" % data[a : b - 1].translate(_TO_JSON))
-        flat[i : i + len(numbers)] = np.fromiter(numbers, float, len(numbers))
-        i += len(numbers)
-    return values
-
-
-def _fill_blank_triplets(data: bytearray, at: list[int]) -> None:
-    """Write ``0``, the other occlusion mark, into each field of the blank
-    triplets of ``data`` whose first separators are at ``at``, in order.
-
-    ``data`` grows once, by a byte a field, and its segments are moved back
-    from the end, so no second copy of the block is made.
-    """
-    end = len(data)
-    data += bytes(3 * len(at))
-    with memoryview(data) as view:  # its slice assignment moves bytes without a copy
-        for k in range(len(at) - 1, -1, -1):  # 3 * k zeros go before this triplet
-            p = at[k] + 2  # its last separator, a tab or a newline
-            view[p + 3 * k + 3 : end + 3 * k + 3] = view[p:end]
-            view[p + 3 * k - 2 : p + 3 * k + 3] = b"0\t0\t0"
-            end = p - 2
+def _fill_blank_triplets(text, at: list[int]) -> bytes:
+    """``text``, a slice's JSON text, with ``0,0,0`` in place of the empty
+    x, y and z of each blank triplet whose x ends at the comma at ``at``,
+    in order."""
+    return b"0,0,0".join(text[i + 2 : j] for i, j in zip([-2, *at], [*at, len(text)]))
 
 
 def _is_number(text: str) -> bool:
-    """True when ``_loadtxt`` reads ``text`` as a row of one or more numbers."""
-    if not text.strip():
+    """True when ``_loadtxt`` reads ``text`` as a row of one or more numbers;
+    never for text with a ``\\r``, which ``np.loadtxt`` reads as a line end."""
+    if not text.strip() or "\r" in text:
         return False
     try:
         _loadtxt([text])
@@ -467,8 +430,10 @@ def _parse_rows(
     width) float array, a time and then ``width`` values per marker or
     plate.  With ``names`` (marker files), blank triplets read as ``0``.
 
-    A row with the wrong number of fields is reported first, a partially
-    blank triplet next, and a field that is not a number last.
+    The rows are read by ``np.loadtxt``, which reads the spellings that JSON
+    does not (``+1``, ``.5``, ``nan``, a padded number, the integer ``-0``).
+    Faults are named: a row with the wrong number of fields first, a
+    partially blank triplet next, and a field that is not a number last.
     """
     n_fields = 1 + n_groups * width
     for r, row in enumerate(rows):
@@ -479,9 +444,6 @@ def _parse_rows(
             )
     if names is not None:
         _zero_blank_triplets(path, rows, start, names)
-    values = _read_numbers("\n".join([*rows, ""]).encode(), n_fields)
-    if values is not None:
-        return values
     try:
         return _loadtxt(rows)
     except ValueError:
@@ -524,9 +486,11 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
     """Parse the data ``blocks`` of ``_text_blocks``, which begin at line
     ``first + 1`` of the file, into a (n_groups, n_rows, width) array: the
     values after the time, one group of ``width`` per marker or plate.
-    ``_read_numbers`` reads a block from its bytes, a marker block with
-    blank triplets too, and a block it does not read is decoded and split
-    into rows for ``_parse_rows``; each block takes its own path.
+    Each block first loses every run of ``\\r`` that ends a line and the
+    blank lines that end it.  ``_read_numbers`` then reads it from its
+    bytes, a marker block with blank triplets too, and a block it does not
+    read is decoded and split into rows for ``_parse_rows``; each block
+    takes its own path.
 
     The array is sized for ``capacity`` rows only once the first block's
     rows matched the header's column count, so nothing is sized from the
@@ -546,33 +510,36 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
     first.
     """
     n_fields = 1 + n_groups * width
-    start = 0  # data rows before the block
+    start = 0  # data rows before the block, and in the result
     blank = None  # line number of the first of the blank lines that end the text so far
     bad_step = None  # (data row, time, time before) of the first bad step
     previous = np.empty(0)  # the last time of the block before
-    out, n = None, 0  # the result, once sized, and the data rows in it
+    out = None  # the result, once sized
     for data in blocks:
+        if b"\r" in data:  # one byte, which is found fast
+            data = data.replace(b"\r\n", b"\n")  # many times faster than the regex
+            if b"\r" in data:  # a run of them, the file's last line, or one inside a row
+                data = _LINE_END_CR.sub(b"", data)
+        ends_blank = data.endswith(b"\n\n") or data == b"\n"
+        if ends_blank:  # cut off the blank lines, but not the last row's \n
+            rows_end = len(data.rstrip(b"\n"))
+            data = data[: rows_end + (rows_end > 0)]
         values = _read_numbers(data, n_fields, names is not None)
         if values is None:
             # a character cut short by the end of the file is left out here;
             # _text_blocks reports it after the last block
-            text = codecs.utf_8_decode(data)[0]
-            rows = text.split("\n")
-            if "\r" in text:
-                rows = [row.rstrip("\r") for row in rows]
-            n_lines = len(rows) - text.endswith("\n")  # a final \n ends a line, starts none
-            del text  # the rows hold the same characters
-            while rows and rows[-1] == "":
+            rows = codecs.utf_8_decode(data)[0].split("\n")
+            if rows[-1] == "":  # a final \n ends a row, starts none
                 rows.pop()
-            if rows and blank is None and "" in rows:
+            if blank is None and "" in rows:
                 blank = first + start + rows.index("") + 1
             n_rows = len(rows)
         else:
-            n_rows = n_lines = len(values)
+            n_rows = len(values)
         del data  # not held through the next read
         if n_rows and blank is not None:
             raise InputError(f"{path}: line {blank} is blank; blank lines may only end the file")
-        if blank is None and n_rows < n_lines:
+        if blank is None and ends_blank:
             blank = first + start + n_rows + 1
         if n_rows:
             if start + n_rows > capacity:
@@ -596,8 +563,7 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
             previous = times[-1:]
             if out is None:  # the first rows matched the header
                 out = np.empty((n_groups, capacity, width))
-            n = start + n_rows
-            block = out[:, start:n]
+            block = out[:, start : start + n_rows]
             block[...] = values[:, 1:].reshape(n_rows, n_groups, width).transpose(1, 0, 2)
             del values  # not held through the next read
             if names is not None:
@@ -605,8 +571,8 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
                 # compared element by element: numpy reduces a length-3 axis slowly
                 zero = (block[..., 0] == 0.0) & (block[..., 1] == 0.0) & (block[..., 2] == 0.0)
                 block[zero] = np.nan
-        start += n_lines
-    if start == 0 or blank == first + 1:  # no line, or blank lines only
+        start += n_rows
+    if start == 0:
         raise InputError(f"{path}: zero data frames")
     if bad_step is not None:
         r, t, before = bad_step
@@ -615,7 +581,7 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
             f"{float(before)!r} s, but rows must step by 1/RATE = {1.0 / rate!r} s "
             "(dropped or repeated row?)"
         )
-    return out[:, :n]  # a view, when trailing blank lines were counted
+    return out[:, :start]  # a view, when trailing blank lines were counted
 
 
 def parse_marker_file(path) -> MarkerTrajectorySet:

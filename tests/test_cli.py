@@ -173,6 +173,23 @@ def test_dropped_data_row_exits_2_naming_the_row(cli_files, tmp_path, capsys, ki
     assert f"{broken}: data row 41: time" in captured.err
 
 
+def test_a_carriage_return_inside_a_row_exits_2_naming_the_field(cli_files, tmp_path, capsys):
+    lines = cli_files["two_frame"].read_text(encoding="utf-8").split("\n")
+    fields = lines[3].split("\t")
+    fields[1] += "\r"  # the x of the first marker on data row 1
+    lines[3] = "\t".join(fields)
+    broken = tmp_path / "markers.tsv"
+    broken.write_bytes("\n".join(lines).encode("utf-8"))
+    code, captured = _run(
+        ["com", "--marker-file", str(broken), "--output-dir", str(tmp_path / "out")]
+        + SUBJECT_ARGS,
+        capsys,
+    )
+    name = lines[2].split("\t")[1]
+    assert code == 2
+    assert captured.err == f"error: {broken}: data row 1, marker {name!r}: non-numeric value\n"
+
+
 @pytest.mark.parametrize("kind", ["markers", "forces", "config", "anthro", "segments"])
 def test_non_utf8_input_exits_2_naming_the_file(cli_files, tmp_path, capsys, kind):
     config = tmp_path / "run.cfg"

@@ -357,6 +357,9 @@ def test_marker_all_zero_triplet_in_millimetres_is_missing(tmp_path):
         # a field too many and then one too few: as many values as whole rows
         (["0.0\t1\t2\t3\t4\t5\t6", "0.005\t1\t2\t3\t4\t5\t6\t7", "0.01\t1\t2\t3\t4\t5"],
          "data row 2 has 8 columns, expected 7"),
+        # a \r inside a row, where np.loadtxt would end the line
+        (["0.0\t1.5\r\t2.5\t3.5\t4\t5\t6", "0.005\t1\t2\t3\t4\t5\t6"],
+         "data row 1, marker 'M1': non-numeric value"),
     ],
 )
 def test_marker_row_errors_name_the_data_row(tmp_path, rows, message):
@@ -416,11 +419,14 @@ def test_blank_interior_lines_are_rejected_and_trailing_ones_allowed(tmp_path):
         parse_force_file(_write(tmp_path, gapped, "force.tsv"))
 
 
-def test_crlf_line_endings_parse_like_lf(tmp_path):
+@pytest.mark.parametrize("newline", ["\r\n", "\r\r\n"])
+@pytest.mark.parametrize("last", ["\n", ""], ids=["newline", "no-newline"])
+def test_crlf_line_endings_parse_like_lf(tmp_path, newline, last):
     text = _marker_text(_timed_rows([0.0, 0.005, 0.01], 3) + ["0.015\t\t\t"])
     lf = parse_marker_file(_write(tmp_path, text))
     path = tmp_path / "crlf.tsv"
-    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    # without its newline, the last line ends in carriage returns alone
+    path.write_bytes((text.replace("\n", newline).removesuffix("\n") + last).encode("utf-8"))
     crlf = parse_marker_file(path)
     assert np.array_equal(crlf.missing["M1"], lf.missing["M1"])
     assert crlf.markers["M1"].tobytes() == lf.markers["M1"].tobytes()
@@ -563,6 +569,13 @@ def _occluded_rows(units, seed):
     return names, rows, {n: np.isnan(traj.markers[n][:, 0]) for n in names}
 
 
+def _parse_by_rows(monkeypatch, parse, path):
+    """``parse(path)`` with every block read row by row."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_read_numbers", lambda *args: None)
+        return parse(path)
+
+
 @pytest.mark.parametrize("units", ["m", "mm"])
 @pytest.mark.parametrize("bytes_per_block", [1 << 20, 3000, 777])
 def test_blank_triplets_read_from_bytes_match_the_row_path(
@@ -572,17 +585,29 @@ def test_blank_triplets_read_from_bytes_match_the_row_path(
     text = _marker_text(rows, names=names, units=units)
     lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
     lf.write_bytes(text.encode("utf-8"))
-    # a carriage return keeps every block off the bytes path
     crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
     monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
     filled = _record(monkeypatch, "_fill_blank_triplets", lambda args, _: len(args[1]))
+    read, unchanged = ingest._read_numbers, []
+
+    def read_numbers(data, *args):  # the block is only read, never written
+        before = bytes(data)
+        try:
+            return read(data, *args)
+        finally:
+            unchanged.append(bytes(data) == before)
+
+    monkeypatch.setattr(ingest, "_read_numbers", read_numbers)
     by_bytes = parse_marker_file(lf)
     assert filled and all(filled)
-    by_rows = parse_marker_file(crlf)
+    assert unchanged and all(unchanged)
+    by_rows = _parse_by_rows(monkeypatch, parse_marker_file, lf)
+    by_crlf = parse_marker_file(crlf)
     for name in names:
         assert np.array_equal(by_bytes.missing[name], missing[name])
         assert np.array_equal(by_rows.missing[name], missing[name])
         assert by_bytes.markers[name].tobytes() == by_rows.markers[name].tobytes()
+        assert by_crlf.markers[name].tobytes() == by_rows.markers[name].tobytes()
 
 
 def _two_marker_rows(n):
@@ -939,11 +964,19 @@ def test_blocks_with_blank_triplets_are_filled_not_split_row_by_row(tmp_path, mo
     assert np.flatnonzero(back.missing["M2"]).tolist() == [0, 100, 250, 299]
     assert not back.missing["M1"].any()
 
-    # a carriage return keeps every block off the bytes path, so none is filled
+    # the carriage returns that end the lines are cut from the bytes, so the
+    # blocks of a \r\n file are filled too, and none is split
     crlf = tmp_path / "crlf.tsv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert parse_marker_file(crlf).missing["M2"].tolist() == back.missing["M2"].tolist()
-    assert split[0] == 0 and len(split) > 4 and filled == [1] * 4
+    assert split == [] and filled == [1] * 8
+    # nor is a block that ends in blank lines: here the file's one block
+    crlf.write_bytes(crlf.read_bytes() + b"\r\n" * 3)
+    filled.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_BYTES_PER_BLOCK", 1 << 20)
+        assert parse_marker_file(crlf).missing["M2"].tolist() == back.missing["M2"].tolist()
+    assert split == [] and filled == [1] * 4
 
     # so does a blank of spaces, in its block only; the others are filled
     rows[250] = rows[250].replace("\t\t\t", "\t \t \t ")
@@ -1016,13 +1049,11 @@ def test_an_integer_minus_zero_keeps_its_sign_as_the_row_path_reads_it(
     if others == "blanks":  # filled with dotless zeros
         rows[::2] = [row.replace("\t4.5\t5.5\t6.5", "\t\t\t") for row in rows[::2]]
     rows[151] = rows[151].replace("\t1.5\t", "\t-0\t")
-    text = _marker_text(rows, names=("M1", "M2"))
-    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
-    lf.write_bytes(text.encode("utf-8"))
-    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))  # the row path
+    path = _write(tmp_path, _marker_text(rows, names=("M1", "M2")))
     for bytes_per_block in (1 << 20, 100, 400):
         monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
-        by_bytes, by_rows = parse_marker_file(lf), parse_marker_file(crlf)
+        by_bytes = parse_marker_file(path)
+        by_rows = _parse_by_rows(monkeypatch, parse_marker_file, path)
         assert by_bytes.markers["M1"][151].tobytes() == np.array([-0.0, 2.5, 3.5]).tobytes()
         for name in ("M1", "M2"):
             assert by_bytes.markers[name].tobytes() == by_rows.markers[name].tobytes()
@@ -1033,20 +1064,19 @@ def test_a_block_of_empty_and_spaces_only_triplets_reads_as_the_row_path(tmp_pat
     rows = _two_marker_rows(200)
     rows[::2] = [row.replace("\t4.5\t5.5\t6.5", "\t\t\t") for row in rows[::2]]
     rows[1::10] = [row.replace("\t1.5\t2.5\t3.5", "\t \t  \t ") for row in rows[1::10]]
-    text = _marker_text(rows, names=("M1", "M2"))
-    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
-    lf.write_bytes(text.encode("utf-8"))
-    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    path = _write(tmp_path, _marker_text(rows, names=("M1", "M2")))
     split = _record(monkeypatch, "_parse_rows", lambda args, _: args[2])
     for bytes_per_block in (1 << 20, 100, 400):
         monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
-        by_bytes, by_rows = parse_marker_file(lf), parse_marker_file(crlf)
+        by_rows = _parse_by_rows(monkeypatch, parse_marker_file, path)
+        split.clear()
+        by_bytes = parse_marker_file(path)
+        assert split  # a spaces-only field keeps its block off the bytes path
         assert np.flatnonzero(by_bytes.missing["M1"]).tolist() == list(range(1, 200, 10))
         assert np.flatnonzero(by_bytes.missing["M2"]).tolist() == list(range(0, 200, 2))
         for name in ("M1", "M2"):
             assert by_bytes.markers[name].tobytes() == by_rows.markers[name].tobytes()
             assert np.array_equal(by_bytes.missing[name], by_rows.missing[name])
-    assert split  # a spaces-only field keeps its block off the bytes path
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -1294,10 +1324,13 @@ def test_clean_files_are_read_from_their_bytes_without_the_row_path(tmp_path, mo
     write_marker_file(markers, MarkerTrajectorySet(traj.sample_rate_hz, traj.markers))
     assert parse_marker_file(markers).missing["LHEE"][150]
     assert split == [] and filled == [1]
-    # a carriage return sends every block down the row path
-    plates.write_bytes(plates.read_bytes().replace(b"\n", b"\r\n"))
+    # a \r\n file is read from its bytes too, and so is a block that ends in
+    # blank lines
+    plates.write_bytes(plates.read_bytes().replace(b"\n", b"\r\n") + b"\r\n\n")
+    markers.write_bytes(markers.read_bytes() + b"\n\n")
     parse_force_file(plates)
-    assert split[0] == 0 and len(split) > 2 and filled == [1]
+    assert parse_marker_file(markers).missing["LHEE"][150]
+    assert split == [] and filled == [1, 1]
 
 
 # ------------------------------------------------------ the number writer

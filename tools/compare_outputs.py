@@ -12,15 +12,13 @@ trees, each in a fresh interpreter:
   ``events`` and ``butterfly`` on the 120 s trial;
 - ``grf`` on each of the eight occluded 10 s trials;
 - ``grf --force-file`` on the 120 s trial and ``grf`` on occluded trial
-  ``t0``, with every input file rewritten with ``\\r\\n`` line ends: a
-  carriage return keeps a block off the parser's bytes path, so every block
-  of these files is decoded, split into rows, has its blank triplets zeroed
-  and is read row by row;
-- ``grf`` on occluded trial ``t0`` twice more, each through another of the
-  parser's fallbacks: with its blank triplets written as spaces-only fields,
+  ``t0``, with every input file rewritten with ``\\r\\n`` line ends, which
+  the parser cuts from each block's bytes before it reads the block;
+- ``grf`` on occluded trial ``t0`` twice more, the full-size checks of the
+  parser's row path: with its blank triplets written as spaces-only fields,
   which keep every block with one off the bytes path; and with each whole
   value respelt as an integer and each zero as the integer ``-0``, which
-  JSON reads without its sign, so every block is searched for one and the
+  JSON reads without its sign, so every slice is searched for one and the
   first block, whose first time is ``0.0``, is read row by row;
 - ``--help`` of the program and of each subcommand, which shows a change
   to the CLI's imports or argparse set-up;
@@ -34,9 +32,8 @@ stdout and of stderr, and the exit code are compared, and for the API
 chain the sha256 of each saved array, of ``BilateralGrf.analyzed``, of both
 negative-vertical masks and of the excluded intervals with their reasons.
 Within each tree, the output files of each ``\\r\\n`` run are also compared
-with those of the same run on the ``\\n`` files, which the parser reads from
-their bytes.  Each difference is listed and the script exits 1 if there is
-any, 0 otherwise.
+with those of the same run on the ``\\n`` files.  Each difference is listed
+and the script exits 1 if there is any, 0 otherwise.
 """
 
 import argparse
