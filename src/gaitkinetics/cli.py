@@ -476,7 +476,12 @@ def _flag_name(field_name: str) -> str:
     return "--" + field_name.replace("_", "-")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The program's parser.  Every subcommand is registered, so the help,
+    the choices and their errors are the same whatever ``command`` is, but
+    only subcommand ``command`` gets its options, or every subcommand when
+    ``command`` names none (``-h``, a bad command): each option costs its
+    own help formatter."""
     parser = argparse.ArgumentParser(
         prog="gaitkinetics",
         description="Centre-of-mass, gait-event and ground-reaction-force "
@@ -490,8 +495,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate": "compare marker-derived force against a force-plate file",
         "butterfly": "write butterfly diagram CSV and SVG",
     }
-    for command, blurb in descriptions.items():
-        sub = subparsers.add_parser(command, help=blurb, description=blurb)
+    for name, blurb in descriptions.items():
+        sub = subparsers.add_parser(name, help=blurb, description=blurb)
+        if command in descriptions and name != command:
+            continue
         sub.add_argument("--config", help="path to a key = value config file")
         for field in fields(PipelineConfig):
             sub.add_argument(
@@ -506,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         flag_values = {
             field.name: getattr(args, field.name) for field in fields(PipelineConfig)
         }

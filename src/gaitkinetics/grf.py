@@ -415,14 +415,12 @@ def write_butterfly_svg(path, diagram: ButterflyDiagram) -> None:
         f'<line x1="{px(x_min):.3f}" y1="{py(0.0):.3f}" x2="{px(x_max):.3f}" y2="{py(0.0):.3f}" '
         'stroke="#444444" stroke-width="1"/>',
     ]
-    # one template over whole coordinate columns; numpy evaluates px and py
-    # with the same float operations, in the same order, as on single values
-    entry = (
-        f'<line x1="{{:.3f}}" y1="{py(0.0):.3f}" x2="{{:.3f}}" y2="{{:.3f}}" '
-        'stroke="{}" stroke-width="0.6"/>\n'
-    )
-    base_x, tip_x, tip_y = px(diagram.bases[:, 0]), px(tips[:, 0]), py(tips[:, 2])
-    colors = [_SVG_COLORS[foot] for foot in diagram.feet]
+    # numpy evaluates px and py with the same float operations, in the same
+    # order, as on single values
+    line = (b'<line x1="', px(diagram.bases[:, 0]), b'" y1="%.3f" x2="' % py(0.0),
+            px(tips[:, 0]), b'" y2="', py(tips[:, 2]), b'" stroke="',
+            np.array([_SVG_COLORS[foot] for foot in diagram.feet], dtype="S7"),
+            b'" stroke-width="0.6"/>\n')
     tail = [
         '<text x="20" y="16" font-family="sans-serif" font-size="12" fill="#222222">'
         "per-limb ground reaction force, sagittal view "
@@ -430,12 +428,62 @@ def write_butterfly_svg(path, diagram: ButterflyDiagram) -> None:
         f"right {_SVG_COLORS['right']})</text>",
         "</svg>",
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(head) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(head) + "\n").encode())
         # formatted a block of entries at a time, which bounds the text held
         step = _VALUES_PER_BLOCK // 4
         for a in range(0, diagram.n_entries, step):
-            b = slice(a, a + step)
-            columns = (base_x[b].tolist(), tip_x[b].tolist(), tip_y[b].tolist(), colors[b])
-            fh.write("".join(map(entry.format, *columns)))
-        fh.write("\n".join(tail) + "\n")
+            fh.write(_join_columns([
+                part if isinstance(part, bytes) else part[a : a + step] for part in line
+            ]))
+        fh.write(("\n".join(tail) + "\n").encode())
+
+
+def _fixed_3(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".3f")`` of each value of a 1-D float array, as the rows of
+    a uint8 array of its bytes, padded with zero bytes.
+
+    The digits come from ``rint(v * 1000)``, which rounds as ``format`` does
+    unless the product lies within its rounding error of a half (an exact
+    tie such as 0.0625 among them); those values are formatted by
+    ``format`` itself.  So are those that are not finite and those whose
+    product is 2**44 or more, for which that margin is half a unit or more,
+    so that every integer taken is exact."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1000.0
+        exact = np.abs(scaled - np.floor(scaled) - 0.5) > 2.0**-45 * np.abs(scaled)
+    k = np.abs(np.rint(np.where(exact, scaled, 0.0))).astype(np.int64)  # in thousandths
+    n_whole = len(str(k.max(initial=0) // 1000))  # digits before the point
+    text = np.zeros((len(values), n_whole + 5), np.uint8)  # sign, digits, point, 3 digits
+    text[:, 0] = np.signbit(values) * ord("-")
+    text[:, n_whole + 1] = ord(".")
+    # the digits from the last, each with a division by a constant, which numpy does fast
+    for col in [n_whole + 4, n_whole + 3, n_whole + 2, *range(n_whole, 0, -1)]:
+        q = k // 10
+        digit = k - q * 10 + ord("0")
+        text[:, col] = digit if col >= n_whole else np.where(k > 0, digit, 0)  # no leading 0
+        k = q
+    slow = np.flatnonzero(~exact).tolist()
+    spelt = [format(v, ".3f").encode() for v in values[slow].tolist()]
+    width = max(map(len, spelt), default=0)
+    if width > text.shape[1]:
+        text = np.pad(text, ((0, 0), (0, width - text.shape[1])))
+    for i, b in zip(slow, spelt):
+        text[i] = 0
+        text[i, : len(b)] = np.frombuffer(b, np.uint8)
+    return text
+
+
+def _join_columns(parts) -> bytes:
+    """One line of text per entry: ``parts`` in order, each a constant
+    (bytes), an array of fixed-width byte strings or a float array, which
+    is formatted as ``%.3f``."""
+    n = next(len(part) for part in parts if not isinstance(part, bytes))
+    columns = [
+        np.broadcast_to(np.frombuffer(part, np.uint8), (n, len(part))) if isinstance(part, bytes)
+        else _fixed_3(part) if part.dtype.kind == "f"
+        else part.view(np.uint8).reshape(n, -1)
+        for part in parts
+    ]
+    text = np.concatenate(columns, axis=1).ravel()
+    return text[text != 0].tobytes()

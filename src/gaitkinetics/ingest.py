@@ -43,15 +43,20 @@ the fill of their blank triplets included.
 
 Every writer emits shortest round-trip float text spelt as ``repr``
 spells it, so a write/parse cycle reproduces the numeric payload bit for
-bit.  ``orjson``'s Ryu formatter writes the same digits as ``repr``; on
-the same box ``_text`` took about 120-150 ns a value of forces and times
-with it against 350-670 ns with ``repr``.  ``_text`` respells the few
+bit.  ``_write_csv`` formats a block of rows at a time: each run of
+adjacent float columns becomes one (rows, c) array, which one ``orjson``
+call writes with its Ryu formatter, the same digits as ``repr``; the text
+is split into rows at ``],[`` and joined with the block's string and
+integer columns.  ``_float_rows`` respells, in the block's text, the few
 tokens that ``orjson`` spells otherwise: an exponent
 gets a sign and at least two digits (``1e16`` -> ``1e+16``, ``1.5e-7`` ->
 ``1.5e-07``), a value in [1e-5, 1e-4), which ``orjson`` writes
 positionally, gets an exponent (``0.000025`` -> ``2.5e-05``), and a value
 that is not finite, which ``orjson`` writes ``null``, becomes an empty
-field (NaN), ``inf`` or ``-inf``.
+field (NaN), ``inf`` or ``-inf``.  On the same box, with the output
+discarded, ``grf.csv`` took about 100-130 ns a value of a 10 s trial's
+forces and times, against 160-170 ns a column at a time and 350-670 ns
+with ``repr``; ``orjson`` alone takes about 55-95 ns of it.
 """
 
 import codecs
@@ -108,10 +113,8 @@ _TO_JSON = bytes(
 )
 # in a block, a -0 that JSON reads as the integer 0
 _INTEGER_MINUS_ZERO = re.compile(rb"-0[\t\n]")
-# the carriage returns that end a line
-_LINE_END_CR = re.compile(rb"\r+(?=\n|\Z)")
 # in orjson's text of floats, the exponents and the values in [1e-5, 1e-4),
-# which _text respells as repr does
+# which _float_rows respells as repr does
 _EXPONENT = re.compile(rb"e(-?)(\d+)")
 _BELOW_1E_4 = re.compile(rb"0\.0000(\d)(\d*)")
 
@@ -144,15 +147,18 @@ class MarkerTrajectorySet:
                 n = pos.shape[0]
             elif pos.shape[0] != n:
                 raise InputError(f"marker {name!r}: frame count differs from others")
-            bad = np.isnan(pos)  # element by element: numpy reduces (n, 3) rows slowly
-            mask = bad[:, 0].copy()
-            bad ^= mask[:, np.newaxis]  # a coordinate whose NaN-ness differs from x's
-            bad |= np.isinf(pos)
-            if bad.any():
-                raise InputError(
-                    f"marker {name!r}: non-finite position at frame {int(np.argmax(bad)) // 3}; "
-                    "an occluded frame is an all-NaN triplet"
-                )
+            if np.isfinite(pos).all():  # tracked on every frame: one pass
+                mask = np.zeros(pos.shape[0], dtype=bool)
+            else:
+                bad = np.isnan(pos)  # element by element: numpy reduces (n, 3) rows slowly
+                mask = bad[:, 0].copy()
+                bad ^= mask[:, np.newaxis]  # a coordinate whose NaN-ness differs from x's
+                bad |= np.isinf(pos)
+                if bad.any():
+                    raise InputError(
+                        f"marker {name!r}: non-finite position at frame "
+                        f"{int(np.argmax(bad)) // 3}; an occluded frame is an all-NaN triplet"
+                    )
             self.markers[name] = pos
             self.missing[name] = mask
         if n == 0:
@@ -195,7 +201,7 @@ class ForcePlateSeries:
             raise InputError("cop must be (n_plates, n_frames, 2)")
         if self.forces.shape[1] == 0:
             raise InputError("force trial has zero frames")
-        if not (np.all(np.isfinite(self.forces)) and np.all(np.isfinite(self.cop))):
+        if not _finite_plates(self.forces, self.cop):
             raise InputError("force data contains non-finite values")
         if self.noise_floor_n < 0:
             raise InputError("noise_floor_n must be non-negative")
@@ -215,6 +221,24 @@ class ForcePlateSeries:
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) / self.sample_rate_hz
+
+
+def _finite_plates(forces: np.ndarray, cop: np.ndarray) -> bool:
+    """True when every value of ``forces`` (n_plates, n_frames, 3) and ``cop``
+    (n_plates, n_frames, 2), float arrays, is finite.  When the two are the
+    first three and the last two columns of one (n_plates, n_frames, 5)
+    array, as a parsed force file's are, that array is checked in one pass
+    over runs of whole rows; else each is checked in a strided pass, about
+    four times slower."""
+    base = forces.base
+    if isinstance(base, np.ndarray) and base.ndim == 3:
+        whole = base[: forces.shape[0], : forces.shape[1]]
+        if (
+            whole[..., :3].__array_interface__ == forces.__array_interface__
+            and whole[..., 3:].__array_interface__ == cop.__array_interface__
+        ):
+            return bool(np.isfinite(whole).all())
+    return bool(np.isfinite(forces).all() and np.isfinite(cop).all())
 
 
 def _count_lines(path) -> int:
@@ -517,9 +541,9 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
     out = None  # the result, once sized
     for data in blocks:
         if b"\r" in data:  # one byte, which is found fast
-            data = data.replace(b"\r\n", b"\n")  # many times faster than the regex
-            if b"\r" in data:  # a run of them, the file's last line, or one inside a row
-                data = _LINE_END_CR.sub(b"", data)
+            # as bytes, whose rstrip copies only a line it shortens: at about
+            # 1-2.5 ms a MiB, faster than even replace(b"\r\n", b"\n")
+            data = b"\n".join([line.rstrip(b"\r") for line in bytes(data).split(b"\n")])
         ends_blank = data.endswith(b"\n\n") or data == b"\n"
         if ends_blank:  # cut off the blank lines, but not the last row's \n
             rows_end = len(data.rstrip(b"\n"))
@@ -625,43 +649,78 @@ def _repr_below_1e_4(match) -> bytes:
     return match[1] + (b"." + match[2] if match[2] else b"") + b"e-05"
 
 
-def _text(values):
-    """Shortest round-trip text of a non-empty numeric array, spelt as
-    ``repr`` spells it, with NaN as an empty field; any other column is
-    already text.
+def _spell_non_finite(text: bytes, block: np.ndarray) -> bytes:
+    """``orjson``'s ``text`` of ``block`` with each ``null``, the spelling of
+    every value that is not finite, spelt as the value at its place: NaN as
+    nothing, and ``inf`` or ``-inf``."""
+    odd = block[~np.isfinite(block)]  # in the order orjson writes them
+    spelt = np.where(np.isnan(odd), b"", np.where(odd > 0, b"inf", b"-inf")).tolist()
+    pieces = text.split(b"null")
+    return b"".join([b for pair in zip(pieces, spelt) for b in pair] + pieces[-1:])
 
-    ``orjson`` writes the same shortest digits as ``repr``, many times
-    faster, and spells them otherwise only in an exponent (``1e16``,
-    ``1.5e-7``), a value in [1e-5, 1e-4) (``0.000025``) and a value that
-    is not finite (``null``); those are respelt."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-        return values
-    numbers = values.tolist()
-    text = orjson.dumps(numbers)
+
+def _float_rows(block: np.ndarray, sep: str) -> list[str]:
+    """The rows of a C-contiguous (rows, c) float array as text, their
+    values ``sep`` apart: the shortest round-trip text of each value, spelt
+    as ``repr`` spells it, with NaN as an empty field.
+
+    One ``orjson`` call writes the whole block, with the same shortest
+    digits as ``repr``, many times faster; it spells them otherwise only in
+    an exponent (``1e16``, ``1.5e-7``), a value in [1e-5, 1e-4)
+    (``0.000025``) and a value that is not finite (``null``), which are
+    respelt in the block's text, each kind in one pass and only when the
+    block holds one.  The exponent's one byte ``e`` is found in the text
+    fast; the other two kinds numpy finds in the block several times faster
+    than a search of the text for ``0.0000`` or ``null``."""
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
     if b"e" in text:
         text = _EXPONENT.sub(_repr_exponent, text)
-    if b"0.0000" in text:
+    size = np.abs(block)
+    if ((size >= 1e-5) & (size < 1e-4)).any():
         text = _BELOW_1E_4.sub(_repr_below_1e_4, text)
-    fields = text[1:-1].decode().split(",")
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        fields[i] = "" if np.isnan(numbers[i]) else repr(numbers[i])
-    return fields
+    if not np.isfinite(size).all():
+        text = _spell_non_finite(text, block)
+    if sep != ",":
+        text = text.replace(b",", sep.encode())
+    return text[2:-2].decode().split(f"]{sep}[")  # [[row],[row]] -> rows
 
 
 def _write_csv(path, header: list[str], columns, sep: str = ",") -> None:
     """Write the ``header`` lines, then one ``sep``-joined row per sample of ``columns``.
 
-    A numeric array column is written as ``repr`` text, so parsing the file
-    restores it bit for bit; a column of strings is written as is.  Rows are
-    formatted a block at a time, which bounds the text held in memory.
+    A float array column is written as ``repr`` text, so parsing the file
+    restores it bit for bit; an integer array column as its digits; any
+    other column, of strings, as it is.  Rows are formatted a block at a
+    time, which bounds the text held in memory: each run of adjacent float
+    columns as one array by ``_float_rows``, and the block's rows are then
+    joined with the other columns.
     """
+    runs = []  # (float?, columns): each run of adjacent float columns, every other column alone
+    for column in columns:
+        is_float = isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        if is_float and runs and runs[-1][0]:
+            runs[-1][1].append(column)
+        else:
+            runs.append((is_float, [column]))
     n = len(columns[0])
     step = max(1, _VALUES_PER_BLOCK // len(columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in header))
         for a in range(0, n, step):
-            text = [_text(column[a : a + step]) for column in columns]
-            fh.write("\n".join(map(sep.join, zip(*text))) + "\n")
+            fields = [
+                _float_rows(np.stack([c[a : a + step] for c in run], axis=1, dtype=float), sep)
+                if is_float else _strings(run[0][a : a + step])
+                for is_float, run in runs
+            ]
+            fh.write("\n".join(map(sep.join, zip(*fields))) + "\n")
+
+
+def _strings(values) -> list[str]:
+    """A column that is not float as text: an integer array's values as
+    their digits, strings as they are."""
+    if not isinstance(values, np.ndarray):
+        return values
+    return list(map(str, values.tolist())) if values.dtype.kind in "iu" else values.tolist()
 
 
 def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
@@ -709,9 +768,12 @@ def write_force_file(path, series: ForcePlateSeries) -> None:
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index and one past the last index of each run of True in a 1-D mask."""
-    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    """First index and one past the last index of each run of True in a 1-D
+    mask; beyond the mask itself, it allocates only for its True samples."""
+    at = np.flatnonzero(mask)
+    first = np.diff(at, prepend=-2) != 1  # at[i] begins a run
+    last = np.append(first[1:], True)[: at.size]  # at[i] ends one
+    return at[first], at[last] + 1
 
 
 def fill_gaps(
@@ -729,19 +791,29 @@ def fill_gaps(
         raise InputError("max_gap_frames must be non-negative")
 
     n = traj.n_frames
-    new_pos = {}
-    for name, pos in traj.markers.items():
-        mask = traj.missing[name]
-        starts, ends = _runs(mask)
-        run = np.repeat(np.arange(starts.size), ends - starts)  # of each missing frame
-        fill = ((starts > 0) & (ends < n) & (ends - starts <= max_gap_frames))[run]
-        if fill.any():
-            j, run = np.flatnonzero(mask)[fill], run[fill]
-            lo, hi = starts[run] - 1, ends[run]
-            t = ((j - lo) / (hi - lo))[:, None]
-            pos = pos.copy()
-            pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
-        new_pos[name] = pos
+    names = traj.marker_names
+    # every marker's mask, each followed by a False, so that no run spans two
+    missing = np.zeros((len(names), n + 1), dtype=bool)
+    for row, name in zip(missing, names):
+        row[:n] = traj.missing[name]
+    starts, ends = _runs(missing.ravel())
+    run = np.repeat(np.arange(starts.size), ends - starts)  # of each missing sample
+    inner = (starts % (n + 1) > 0) & (ends % (n + 1) < n)  # bracketed on both sides
+    fill = (inner & (ends - starts <= max_gap_frames))[run]
+    j, run = np.flatnonzero(missing)[fill], run[fill]
+    del missing
+    lo, hi = starts[run] - 1, ends[run]
+    t = ((j - lo) / (hi - lo))[:, None]
+    # from places in the flat masks to frames of each marker
+    marker, j = np.divmod(j, n + 1)
+    lo, hi = lo - marker * (n + 1), hi - marker * (n + 1)
+    new_pos = dict(traj.markers)
+    bounds = np.searchsorted(marker, np.arange(len(names) + 1)).tolist()
+    for m, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a < b:  # the marker has samples to fill
+            pos = new_pos[names[m]].copy()
+            pos[j[a:b]] = pos[lo[a:b]] + (pos[hi[a:b]] - pos[lo[a:b]]) * t[a:b]
+            new_pos[names[m]] = pos
     return MarkerTrajectorySet(sample_rate_hz=traj.sample_rate_hz, markers=new_pos)
 
 

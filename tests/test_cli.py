@@ -342,6 +342,30 @@ def test_each_config_field_parses_alike_as_flag_and_config_key(tmp_path, field):
             assert type(parsed) is kind and parsed == value
 
 
+# help, and the usage errors that argparse words: a missing or bad command,
+# a bad flag value and an unknown flag
+PARSER_CASES = [
+    ["-h"], *[[command, "-h"] for command in cli._COMMANDS], [], ["fly"],
+    ["grf", "--cutoff-hz", "fast"], ["com", "--filter-order", "2.5"], ["events", "--no-such"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_text_reads_as_with_every_option_on_every_subcommand(argv, monkeypatch, capsys):
+    # main builds only the invoked subcommand's options; what argparse
+    # prints must not show it
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as built_for_one:
+        cli.main(argv)
+    text = capsys.readouterr()
+    with pytest.raises(SystemExit) as built_for_all:
+        cli._build_parser().parse_args(argv)
+    assert (built_for_one.value.code, text) == (built_for_all.value.code, capsys.readouterr())
+    if argv[1:] == ["-h"]:
+        flags = [f"--{field.name.replace('_', '-')} " for field in fields(cli.PipelineConfig)]
+        assert [flag for flag in ["--config ", *flags] if flag not in text.out] == []
+
+
 FLOAT_FIELDS = [
     field for field in fields(cli.PipelineConfig)
     if float in (get_args(field.type) or (field.type,))

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gaitkinetics import grf
 from gaitkinetics.anthro import SegmentId
 from gaitkinetics.errors import InputError, InternalInvariantError
 from gaitkinetics.events import DOUBLE_STANCE, NO_STANCE, FootEvents, build_timeline
@@ -753,6 +754,28 @@ def test_butterfly_svg_matches_the_entry_by_entry_reference(
     write_butterfly_svg(tmp_path / "fast.svg", empty)
     reference_butterfly_svg(tmp_path / "reference.svg", empty, scale)
     assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+
+def test_svg_coordinates_are_spelt_as_format_spells_them():
+    rng = np.random.default_rng(5)
+    ties = np.arange(-4000, 4000) / 2000.0  # every exact half of a thousandth, 0.0625 among them
+    values = np.concatenate([
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        [0.0625, -0.0625, -0.0001, -0.0004999, 0.0005, -0.0, 0.0, 5e-324, -5e-324, 1e-300],
+        [999.9995, 999.9994999, 1e3, 123456789.0005, 2.0**40, 1.1e12, 1e15, -3e17, 1e300],
+        [np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan],
+        rng.uniform(-1000, 1000, 5000), rng.normal(size=2000) * 10.0 ** rng.integers(-6, 13, 2000),
+    ])
+    text = grf._fixed_3(values)
+    assert [row.tobytes().replace(b"\0", b"").decode() for row in text] == [
+        format(v, ".3f") for v in values.tolist()
+    ]
+    # the zero bytes that pad the text drop out as the lines are joined
+    assert grf._join_columns([b"<", values[:3], b"|", np.array([b"ab", b"c", b"d"], "S2"),
+                              b">\n"]) == b"".join(
+        b"<%s|%s>\n" % (format(v, ".3f").encode(), c) for v, c in
+        zip(values[:3].tolist(), [b"ab", b"c", b"d"])
+    )
 
 
 def test_butterfly_svg_draws_both_feet(tmp_path, walker_bilateral, walker_com):

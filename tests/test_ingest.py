@@ -258,6 +258,25 @@ def test_force_below_noise_flags_implausible_vertical():
         ForcePlateSeries(1000.0, forces, np.zeros((1, 4, 2)), below_noise=np.zeros((1, 4), bool))
 
 
+@pytest.mark.parametrize("frames", [6, 9])
+@pytest.mark.parametrize("at", [(0, 0, 0), (1, 5, 2), (1, 2, 3), (0, 5, 4), (0, 7, 1)])
+def test_plate_views_of_one_array_are_checked_for_finite_values(frames, at):
+    # forces and centres of pressure as a parsed file holds them: two views of
+    # one (n_plates, rows, 5) array, of which the first `frames` rows are data
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones((2, 9, 5))
+        values[at] = bad
+        views = values[:, :frames, :3], values[:, :frames, 3:]
+        if at[1] < frames:
+            with pytest.raises(InputError, match="force data contains non-finite values"):
+                ForcePlateSeries(1000.0, *views)
+        else:  # a value outside the views is no value of the series
+            assert ForcePlateSeries(1000.0, *views).n_frames == frames
+        # views of any other layout are checked one by one
+        with pytest.raises(InputError, match="force data contains non-finite values"):
+            ForcePlateSeries(1000.0, values[:, :, 1:4], values[:, :, [0, 4]])
+
+
 @pytest.mark.parametrize(
     "rate, message",
     [("inf", "must be finite, got inf"), ("-inf", "must be positive, got -inf"),
@@ -419,13 +438,17 @@ def test_blank_interior_lines_are_rejected_and_trailing_ones_allowed(tmp_path):
         parse_force_file(_write(tmp_path, gapped, "force.tsv"))
 
 
-@pytest.mark.parametrize("newline", ["\r\n", "\r\r\n"])
-@pytest.mark.parametrize("last", ["\n", ""], ids=["newline", "no-newline"])
+@pytest.mark.parametrize(
+    "newline", ["\r\n", "\r\r\n", "\r\r\r\n", "\r" * 1000 + "\n"],
+    ids=["crlf", "cr2lf", "cr3lf", "cr1000lf"],
+)
+@pytest.mark.parametrize("last", ["\n", "", "\n\r"], ids=["newline", "no-newline", "lone-cr"])
 def test_crlf_line_endings_parse_like_lf(tmp_path, newline, last):
     text = _marker_text(_timed_rows([0.0, 0.005, 0.01], 3) + ["0.015\t\t\t"])
     lf = parse_marker_file(_write(tmp_path, text))
     path = tmp_path / "crlf.tsv"
-    # without its newline, the last line ends in carriage returns alone
+    # without its newline, the last line ends in carriage returns alone; a
+    # lone one after it is a last line of nothing but a carriage return
     path.write_bytes((text.replace("\n", newline).removesuffix("\n") + last).encode("utf-8"))
     crlf = parse_marker_file(path)
     assert np.array_equal(crlf.missing["M1"], lf.missing["M1"])
@@ -497,6 +520,52 @@ def test_fill_gaps_is_bitwise_the_frame_by_frame_formula(max_gap_frames):
         pos, mask = reference_fill_gaps(markers[name], missing[name], max_gap_frames)
         assert np.array_equal(filled.missing[name], mask)
         assert filled.markers[name].tobytes() == pos.tobytes()
+
+
+def per_marker_fill_gaps(traj, max_gap_frames):
+    """``fill_gaps`` one marker at a time, as it once was: the runs of each
+    marker's mask on their own, then the same elementwise formula."""
+    n, new_pos = traj.n_frames, {}
+    for name, pos in traj.markers.items():
+        mask = traj.missing[name]
+        edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+        starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        run = np.repeat(np.arange(starts.size), ends - starts)
+        fill = ((starts > 0) & (ends < n) & (ends - starts <= max_gap_frames))[run]
+        if fill.any():
+            j, run = np.flatnonzero(mask)[fill], run[fill]
+            lo, hi = starts[run] - 1, ends[run]
+            t = ((j - lo) / (hi - lo))[:, None]
+            pos = pos.copy()
+            pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
+        new_pos[name] = pos
+    return new_pos
+
+
+@pytest.mark.parametrize("max_gap_frames", [0, 2, 3, 10])
+def test_fill_gaps_of_all_markers_at_once_matches_the_per_marker_loop(max_gap_frames):
+    rng = np.random.default_rng(3)
+    n = 40
+    masks = {name: np.zeros(n, dtype=bool) for name in "ABCDE"}
+    masks["A"][n - 3 :] = True  # touches the last frame, and the next marker's run
+    masks["B"][:3] = True  # touches the first frame, right after the last marker's
+    masks["B"][n - 1] = True
+    masks["C"][[1, 2, 3, n - 2]] = True  # runs of exactly 3 beside the first and last frames
+    masks["C"][10:13] = True
+    masks["D"][5:7] = masks["D"][20:31] = True  # of 2 and of 11 frames
+    masks["E"][rng.random(n) < 0.3] = True
+    markers = {}
+    for name, mask in masks.items():
+        pos = np.cumsum(rng.normal(size=(n, 3)), axis=0) * 0.37 + 1e3
+        pos[mask] = np.nan
+        markers[name] = pos
+    traj = MarkerTrajectorySet(200.0, markers)
+    filled = fill_gaps(traj, max_gap_frames=max_gap_frames)
+    expected = per_marker_fill_gaps(traj, max_gap_frames)
+    for name in markers:
+        assert filled.markers[name].tobytes() == expected[name].tobytes()
+        same = np.array_equal(expected[name], markers[name], equal_nan=True)
+        assert (filled.markers[name] is markers[name]) == same
 
 
 # ------------------------------------------------- block-by-block reading
@@ -736,11 +805,13 @@ def test_marker_set_rejects_non_finite_present_positions_only():
     pos[2] = np.nan
     traj = MarkerTrajectorySet(100.0, {"M": pos.copy()})
     assert traj.missing["M"].tolist() == [False, False, True, False, False]
-    for frame, value in ((3, (0.0, np.nan, 0.0)), (4, (0.0, np.inf, 0.0)), (1, (-np.inf,) * 3)):
-        bad = pos.copy()
-        bad[frame] = value
-        with pytest.raises(InputError, match=f"^marker 'M': non-finite position at frame {frame}"):
-            MarkerTrajectorySet(100.0, {"M": bad})
+    cases = ((3, (0.0, np.nan, 0.0)), (4, (0.0, 0.0, np.inf)), (1, (-np.inf,) * 3))
+    for frame, value in cases:
+        for good in (pos, np.zeros((5, 3))):  # with an occlusion, and tracked on every frame
+            bad = good.copy()
+            bad[frame] = value
+            with pytest.raises(InputError, match=f"^marker 'M': non-finite position at frame {frame}"):
+                MarkerTrajectorySet(100.0, {"M": bad})
     # the mask is derived from the positions; none can be passed in
     with pytest.raises(TypeError, match="positional"):
         MarkerTrajectorySet(100.0, {"M": pos}, {"M": traj.missing["M"]})
@@ -1338,6 +1409,11 @@ def test_clean_files_are_read_from_their_bytes_without_the_row_path(tmp_path, mo
 SPELLING = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
+def _column_text(values) -> list[str]:
+    """The written text of each value of a 1-D float array."""
+    return ingest._float_rows(np.reshape(values, (-1, 1)), ",")
+
+
 @SPELLING
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1349,7 +1425,10 @@ def test_written_text_is_repr_of_random_bit_patterns(seed, floats):
     bits = np.random.default_rng(seed).integers(0, 2**64, size=1000, dtype=np.uint64)
     values = np.concatenate([floats, bits.view(np.float64)])
     values = values[np.isfinite(values)]
-    assert ingest._text(values) == list(map(repr, values.tolist()))
+    assert _column_text(values) == list(map(repr, values.tolist()))
+    # and the same text, row by row, from a block of several columns
+    block = values[: values.size // 4 * 4].reshape(-1, 4)
+    assert ingest._float_rows(block, "\t") == ["\t".join(map(repr, row)) for row in block.tolist()]
 
 
 def test_written_text_spells_floats_as_repr_does():
@@ -1360,14 +1439,66 @@ def test_written_text_spells_floats_as_repr_does():
     edges = [1e16, 9999999999999998.0, 1e-4, 1e-5, 9.9999e-05, 2.5e-05, 10.00001,
              5e-324, np.finfo(float).max, -0.0]
     values = np.concatenate([near, -near, edges, np.negative(edges)])
-    assert ingest._text(values) == list(map(repr, values.tolist()))
-    assert ingest._text(np.array(edges)) == [
+    assert _column_text(values) == list(map(repr, values.tolist()))
+    assert _column_text(edges) == [
         "1e+16", "9999999999999998.0", "0.0001", "1e-05", "9.9999e-05", "2.5e-05", "10.00001",
         "5e-324", "1.7976931348623157e+308", "-0.0",
     ]
-    assert ingest._text(np.array([np.nan, np.inf, 1.5e-7, -np.inf, -np.nan])) == [
+    # each alone, so that no other value of its block has its text respelt
+    alone = [*edges, *np.negative(edges), np.nextafter(1e-5, 0), np.nextafter(1e-4, 0)]
+    for value in np.array(alone).tolist():
+        assert _column_text([value]) == [repr(value)]
+    assert _column_text([np.nan, np.inf, 1.5e-7, -np.inf, -np.nan]) == [
         "", "inf", "1.5e-07", "-inf", "",
     ]
-    for ints in (np.array([0, -7, 2**53 + 1, -(2**63)]), np.array([0, 2**64 - 1], dtype=np.uint64)):
-        assert ingest._text(ints) == list(map(repr, ints.tolist()))
-    assert ingest._text(["left", "right"]) == ["left", "right"]
+    block = np.array([[np.nan, 2.5e-05, -np.inf], [1e16, np.nan, np.nan], [np.inf, -0.0, 1.0]])
+    assert ingest._float_rows(block, ",") == [",2.5e-05,-inf", "1e+16,,", "inf,-0.0,1.0"]
+
+
+# values that orjson spells otherwise than repr, or next to such a value
+_TRICKY = np.array([
+    np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16, 1e22,
+    1e-5, 1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-5, 0), 9.9999e-05, 2.5e-05, -2.5e-05,
+    1.000001e-05, 10.00001, -10.00001, 100.00001, 1.5e-7, 1e300, np.finfo(float).max,
+])
+
+
+def _reference_csv(header, columns, sep) -> str:
+    """What ``_write_csv`` writes, value by value: ``repr`` of each float,
+    nothing for NaN, the digits of each integer and strings as they are."""
+    def spell(value):
+        return ("" if math.isnan(value) else repr(value)) if isinstance(value, float) else str(value)
+
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns])
+    return "".join(line + "\n" for line in [*header, *(sep.join(map(spell, r)) for r in rows)])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_the_block_writer_writes_each_value_as_repr_does(seed):
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(list("fffFisou"), size=int(rng.integers(1, 9))).tolist()
+    step = max(1, ingest._VALUES_PER_BLOCK // len(kinds))
+    n = int(rng.choice([0, 1, step - 1, step, step + 1, 2 * step + 3]))
+    columns = []
+    for kind in kinds:
+        if kind in "fF":  # tricky values, uniform bit patterns and plain ones
+            pick = rng.integers(0, 3, n)
+            bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+            plain = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+            values = np.where(pick == 0, rng.choice(_TRICKY, n), np.where(pick == 1, bits, plain))
+            with np.errstate(over="ignore", invalid="ignore"):  # float32 overflows to inf
+                columns.append(values if kind == "f" else values.astype(np.float32))
+        elif kind in "iu":
+            dtype = np.int64 if kind == "i" else np.uint64
+            info = np.iinfo(dtype)
+            columns.append(rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True))
+        else:  # a list of strings, or an array of them
+            words = rng.choice(["left", "right", "double_stance", "a b", "é"], n).tolist()
+            columns.append(words if kind == "s" else np.array(words, dtype=object))
+    sep = str(rng.choice([",", "\t"]))
+    header = [sep.join(f"c{k}" for k in range(len(kinds)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        ingest._write_csv(path, header, columns, sep=sep)
+        assert path.read_bytes() == _reference_csv(header, columns, sep).encode("utf-8")
