@@ -258,18 +258,13 @@ def _naming_short_series(path):
 def _load_markers(config: PipelineConfig):
     """Parse the marker file and fill short gaps.
 
-    Returns the filled trajectory and, for each marker that gap filling
-    touched, the per-frame flag of its filled samples.
+    Returns the filled trajectory and the (n_markers, n_frames) flags of its
+    filled samples.
     """
     _require(config, "marker_file")
     raw = parse_marker_file(config.marker_file)
     filled = fill_gaps(raw, config.max_gap_frames)
-    fills = {}
-    for name in raw.markers:
-        mask = raw.missing[name] & ~filled.missing[name]
-        if mask.any():
-            fills[name] = mask
-    return filled, fills
+    return filled, raw.occluded & ~filled.occluded
 
 
 def _com(config: PipelineConfig, traj):
@@ -369,13 +364,11 @@ def _compute_bilateral(config: PipelineConfig):
     traj, fills = _load_markers(config)
     subject, definitions, com = _com(config, traj)
     timeline = _timeline(config, traj)
-    del traj  # the marker set is not held through the filter
-    com, total = _filtered_total(config, com, subject)
     read = {name for d in definitions.values() for rule in d.point_rules()
-            for name, _ in rule.weights}
-    flagged = np.zeros(total.n_frames, dtype=bool)
-    for name in read.union(_event_markers(config)) & fills.keys():
-        flagged |= fills[name]
+            for name, _ in rule.weights}.union(_event_markers(config))
+    flagged = fills[[m for m, name in enumerate(traj.names) if name in read]].any(axis=0)
+    del traj, fills  # the marker set is not held through the filter
+    com, total = _filtered_total(config, com, subject)
     bilateral = decompose_gait(
         total, timeline, subject.mass_kg, config.gravity_mps2, flagged_frames=flagged
     )

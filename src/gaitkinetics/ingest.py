@@ -21,9 +21,10 @@ repeated row is rejected; blank lines may only end the file.  Files must
 be UTF-8 text.  A parser counts the file's lines first and ``_read_data``
 allocates the one result array from the count, then reads the data as
 bytes about ``_BYTES_PER_BLOCK`` at a time, copying each block's values
-into place; a force file's forces and centres of pressure are two views of
-that array.  So a parse holds its result plus one block of text and its
-values, never a second copy of the data.
+into place.  That array is the record's: a marker set's positions, or a
+plate set's values, whose forces and centres of pressure are views of it.
+So a parse holds its result plus one block of text and its values, never a
+second copy of the data.
 
 Each block first loses the carriage returns that end its lines and the
 blank lines that end it, so both of its paths see rows that end in ``\n``
@@ -123,54 +124,63 @@ _BELOW_1E_4 = re.compile(rb"0\.0000(\d)(\d*)")
 class MarkerTrajectorySet:
     """Uniformly sampled marker positions in metres.
 
-    markers: mapping marker name -> (n_frames, 3) float array.  A frame's
-        triplet is all finite, or all NaN where the marker was occluded.
-    missing: mapping marker name -> (n_frames,) bool, True on the NaN
-        triplets; derived from the positions, never passed in.
+    names: the marker names, in file order.
+    positions: (n_markers, n_frames, 3) float array, one row per name.  A
+        frame's triplet is all finite, or all NaN where the marker was
+        occluded.
+    occluded: (n_markers, n_frames) bool, True on the NaN triplets; derived
+        from the positions in one pass, never passed in.
+    markers, missing: name -> that marker's rows of ``positions`` and
+        ``occluded``, views in file order.
     """
 
     sample_rate_hz: float
-    markers: dict[str, np.ndarray]
+    names: list[str]
+    positions: np.ndarray
+    occluded: np.ndarray = field(init=False)
+    markers: dict[str, np.ndarray] = field(init=False)
     missing: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         _check_sample_rate(self.sample_rate_hz)
-        if not self.markers:
+        names = self.names = list(self.names)
+        pos = self.positions = np.asarray(self.positions, dtype=float)
+        if pos.ndim != 3 or pos.shape[2] != 3:
+            raise InputError("positions must be (n_markers, n_frames, 3)")
+        if not names:
             raise InputError("marker set is empty")
-        self.missing = {}
-        n = None
-        for name, pos in self.markers.items():
-            pos = np.asarray(pos, dtype=float)
-            if pos.ndim != 2 or pos.shape[1] != 3:
-                raise InputError(f"marker {name!r}: positions must be (n_frames, 3)")
-            if n is None:
-                n = pos.shape[0]
-            elif pos.shape[0] != n:
-                raise InputError(f"marker {name!r}: frame count differs from others")
-            if np.isfinite(pos).all():  # tracked on every frame: one pass
-                mask = np.zeros(pos.shape[0], dtype=bool)
-            else:
-                bad = np.isnan(pos)  # element by element: numpy reduces (n, 3) rows slowly
-                mask = bad[:, 0].copy()
-                bad ^= mask[:, np.newaxis]  # a coordinate whose NaN-ness differs from x's
-                bad |= np.isinf(pos)
-                if bad.any():
-                    raise InputError(
-                        f"marker {name!r}: non-finite position at frame "
-                        f"{int(np.argmax(bad)) // 3}; an occluded frame is an all-NaN triplet"
-                    )
-            self.markers[name] = pos
-            self.missing[name] = mask
-        if n == 0:
+        if len(names) != len(pos):
+            raise InputError(f"{len(names)} marker name(s) but positions of {len(pos)} marker(s)")
+        if "" in names:
+            raise InputError(f"marker name {names.index('') + 1} is empty")
+        if len(set(names)) != len(names):
+            twice = next(name for name in names if names.count(name) > 1)
+            raise InputError(f"duplicate marker name {twice!r}")
+        if pos.shape[1] == 0:
             raise InputError("marker trial has zero frames")
+        # a NaN or inf carries into the sum, so a finite one screens the whole
+        # array in one pass with no temporary; an overflow takes the full check
+        with np.errstate(over="ignore", invalid="ignore"):
+            tracked = np.isfinite(pos.sum())
+        if tracked:
+            occluded = np.zeros(pos.shape[:2], dtype=bool)
+        else:
+            occluded = np.isnan(pos[..., 0])
+            ok = np.isfinite(pos)
+            ok[occluded] = np.isnan(pos[occluded])  # an occluded triplet is all NaN
+            if not ok.all():  # the first faulty marker in file order, at its first faulty frame
+                m, frame = divmod(int(np.argmin(ok)) // 3, pos.shape[1])
+                raise InputError(
+                    f"marker {names[m]!r}: non-finite position at frame {frame}; "
+                    "an occluded frame is an all-NaN triplet"
+                )
+        self.occluded = occluded
+        self.markers = dict(zip(names, pos))
+        self.missing = dict(zip(names, occluded))
 
     @property
     def n_frames(self) -> int:
-        return next(iter(self.markers.values())).shape[0]
-
-    @property
-    def marker_names(self) -> list[str]:
-        return list(self.markers)
+        return self.positions.shape[1]
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) / self.sample_rate_hz
@@ -180,40 +190,49 @@ class MarkerTrajectorySet:
 class ForcePlateSeries:
     """Uniformly sampled per-plate forces (N) and centres of pressure (m).
 
-    forces: (n_plates, n_frames, 3); cop: (n_plates, n_frames, 2).
-    below_noise flags frames whose vertical force is below ``-noise_floor_n``
-    newtons; they are kept, not rejected.
+    values: (n_plates, n_frames, 5), each frame's Fx, Fy, Fz and COPx,
+    COPy; ``forces`` and ``cop`` are views of its first three and last two
+    columns.  below_noise flags frames whose vertical force is below
+    ``-noise_floor_n`` newtons; they are kept, not rejected.
     """
 
     sample_rate_hz: float
-    forces: np.ndarray
-    cop: np.ndarray
+    values: np.ndarray
     noise_floor_n: float = DEFAULT_NOISE_FLOOR_N
     below_noise: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _check_sample_rate(self.sample_rate_hz)
-        self.forces = np.asarray(self.forces, dtype=float)
-        self.cop = np.asarray(self.cop, dtype=float)
-        if self.forces.ndim != 3 or self.forces.shape[2] != 3:
-            raise InputError("forces must be (n_plates, n_frames, 3)")
-        if self.cop.shape != self.forces.shape[:2] + (2,):
-            raise InputError("cop must be (n_plates, n_frames, 2)")
-        if self.forces.shape[1] == 0:
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 3 or self.values.shape[2] != 5:
+            raise InputError("values must be (n_plates, n_frames, 5)")
+        if self.values.shape[1] == 0:
             raise InputError("force trial has zero frames")
-        if not _finite_plates(self.forces, self.cop):
+        if not np.isfinite(self.values).all():
             raise InputError("force data contains non-finite values")
         if self.noise_floor_n < 0:
             raise InputError("noise_floor_n must be non-negative")
+        if not np.isfinite(self.noise_floor_n):
+            raise InputError(f"noise_floor_n must be finite, got {self.noise_floor_n}")
         self.below_noise = self.forces[:, :, 2] < -self.noise_floor_n
 
     @property
+    def forces(self) -> np.ndarray:
+        """(n_plates, n_frames, 3)"""
+        return self.values[..., :3]
+
+    @property
+    def cop(self) -> np.ndarray:
+        """(n_plates, n_frames, 2)"""
+        return self.values[..., 3:]
+
+    @property
     def n_plates(self) -> int:
-        return self.forces.shape[0]
+        return self.values.shape[0]
 
     @property
     def n_frames(self) -> int:
-        return self.forces.shape[1]
+        return self.values.shape[1]
 
     def total_force(self) -> np.ndarray:
         """Sum over plates, shape (n_frames, 3)."""
@@ -221,24 +240,6 @@ class ForcePlateSeries:
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) / self.sample_rate_hz
-
-
-def _finite_plates(forces: np.ndarray, cop: np.ndarray) -> bool:
-    """True when every value of ``forces`` (n_plates, n_frames, 3) and ``cop``
-    (n_plates, n_frames, 2), float arrays, is finite.  When the two are the
-    first three and the last two columns of one (n_plates, n_frames, 5)
-    array, as a parsed force file's are, that array is checked in one pass
-    over runs of whole rows; else each is checked in a strided pass, about
-    four times slower."""
-    base = forces.base
-    if isinstance(base, np.ndarray) and base.ndim == 3:
-        whole = base[: forces.shape[0], : forces.shape[1]]
-        if (
-            whole[..., :3].__array_interface__ == forces.__array_interface__
-            and whole[..., 3:].__array_interface__ == cop.__array_interface__
-        ):
-            return bool(np.isfinite(whole).all())
-    return bool(np.isfinite(forces).all() and np.isfinite(cop).all())
 
 
 def _count_lines(path) -> int:
@@ -633,7 +634,7 @@ def parse_marker_file(path) -> MarkerTrajectorySet:
     pos = _read_data(path, blocks, 3, len(names), 3, rate, capacity, names)
     if unit == "mm":
         pos /= 1000.0  # correctly rounded, value by value
-    return MarkerTrajectorySet(sample_rate_hz=rate, markers=dict(zip(names, pos)))
+    return MarkerTrajectorySet(sample_rate_hz=rate, names=names, positions=pos)
 
 
 def _repr_exponent(match) -> bytes:
@@ -729,11 +730,8 @@ def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
     Occluded (NaN) frames become blank triplets, so parse(write(x))
     restores the positions exactly.
     """
-    names = traj.marker_names
-    columns = [traj.times()]
-    for name in names:
-        columns += list(traj.markers[name].T)
-    header = [f"RATE\t{traj.sample_rate_hz!r}", "UNITS\tm", "MARKERS\t" + "\t".join(names)]
+    columns = [traj.times(), *(column for pos in traj.positions for column in pos.T)]
+    header = [f"RATE\t{traj.sample_rate_hz!r}", "UNITS\tm", "MARKERS\t" + "\t".join(traj.names)]
     _write_csv(path, header, columns, sep="\t")
 
 
@@ -752,17 +750,12 @@ def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> Forc
     if n_plates < 1:
         raise InputError(f"{path}: PLATES must be >= 1, got {n_plates}")
     values = _read_data(path, blocks, 2, n_plates, 5, rate, capacity)
-    return ForcePlateSeries(  # forces and centres of pressure: two views of one array
-        sample_rate_hz=rate, forces=values[..., :3], cop=values[..., 3:],
-        noise_floor_n=noise_floor_n,
-    )
+    return ForcePlateSeries(sample_rate_hz=rate, values=values, noise_floor_n=noise_floor_n)
 
 
 def write_force_file(path, series: ForcePlateSeries) -> None:
     """Write a ForcePlateSeries as a TSV file (bit-exact round trip)."""
-    columns = [series.times()]
-    for p in range(series.n_plates):
-        columns += [*series.forces[p].T, *series.cop[p].T]
+    columns = [series.times(), *(column for plate in series.values for column in plate.T)]
     header = [f"RATE\t{series.sample_rate_hz!r}", f"PLATES\t{series.n_plates}"]
     _write_csv(path, header, columns, sep="\t")
 
@@ -784,37 +777,28 @@ def fill_gaps(
     Runs longer than the threshold, and runs touching the first or last
     frame (no bracketing sample on one side), are left missing.  Present
     frames are passed through untouched, so the output's missing frames are
-    a subset of the input's.  A marker with samples to fill gets a new
-    position array; every other marker shares its array with ``traj``.
+    a subset of the input's.  With samples to fill, the positions are copied
+    once, as a whole; with none, ``traj`` itself is returned.
     """
     if max_gap_frames < 0:
         raise InputError("max_gap_frames must be non-negative")
 
     n = traj.n_frames
-    names = traj.marker_names
-    # every marker's mask, each followed by a False, so that no run spans two
-    missing = np.zeros((len(names), n + 1), dtype=bool)
-    for row, name in zip(missing, names):
-        row[:n] = traj.missing[name]
-    starts, ends = _runs(missing.ravel())
+    missing = traj.occluded.ravel()  # every marker's mask, end to end
+    starts, ends = _runs(missing)
     run = np.repeat(np.arange(starts.size), ends - starts)  # of each missing sample
-    inner = (starts % (n + 1) > 0) & (ends % (n + 1) < n)  # bracketed on both sides
+    # bracketed on both sides: within one marker's mask, off its first and last frames
+    inner = (starts // n == (ends - 1) // n) & (starts % n > 0) & (ends % n > 0)
     fill = (inner & (ends - starts <= max_gap_frames))[run]
     j, run = np.flatnonzero(missing)[fill], run[fill]
-    del missing
+    if not j.size:
+        return traj
     lo, hi = starts[run] - 1, ends[run]
     t = ((j - lo) / (hi - lo))[:, None]
-    # from places in the flat masks to frames of each marker
-    marker, j = np.divmod(j, n + 1)
-    lo, hi = lo - marker * (n + 1), hi - marker * (n + 1)
-    new_pos = dict(traj.markers)
-    bounds = np.searchsorted(marker, np.arange(len(names) + 1)).tolist()
-    for m, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if a < b:  # the marker has samples to fill
-            pos = new_pos[names[m]].copy()
-            pos[j[a:b]] = pos[lo[a:b]] + (pos[hi[a:b]] - pos[lo[a:b]]) * t[a:b]
-            new_pos[names[m]] = pos
-    return MarkerTrajectorySet(sample_rate_hz=traj.sample_rate_hz, markers=new_pos)
+    positions = traj.positions.copy()
+    pos = positions.reshape(-1, 3)  # a view: each marker's frames, end to end
+    pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
+    return MarkerTrajectorySet(traj.sample_rate_hz, traj.names, positions)
 
 
 def _marker_positions(traj: MarkerTrajectorySet, name: str, who) -> np.ndarray:

@@ -143,8 +143,13 @@ def _foot_track(
     return heel_x, toe_x, lift
 
 
-def _walker_markers(t: np.ndarray, params: WalkerParams) -> dict[str, np.ndarray]:
-    """Evaluate every marker of the trial at the given times (seconds)."""
+# the walker's markers: 18 on the trunk, pelvis and head, 4 on each arm and 7 on each leg
+_N_MARKERS = 40
+
+
+def _walker_markers(t: np.ndarray, params: WalkerParams) -> tuple[list[str], np.ndarray]:
+    """Evaluate every marker of the trial at the given times (seconds): the
+    names and their (n_markers, n_times, 3) positions, filled in place."""
     T = params.cycle_s
     omega = 2.0 * np.pi / T
     v = params.speed_mps
@@ -157,12 +162,13 @@ def _walker_markers(t: np.ndarray, params: WalkerParams) -> dict[str, np.ndarray
     zb = params.bob_amplitude_m * np.cos(2.0 * omega * (t - bob_ref))
     arm = np.cos(omega * (t - params.right_hs_offset_s))
 
-    out: dict[str, np.ndarray] = {}
+    names: list[str] = []
+    positions = np.empty((_N_MARKERS, t.size, 3))
 
     def put(name: str, x, y, z) -> None:
-        out[name] = np.column_stack(
-            [np.broadcast_to(x, t.shape), np.broadcast_to(y, t.shape), np.broadcast_to(z, t.shape)]
-        ).astype(float)
+        row = positions[len(names)]
+        row[:, 0], row[:, 1], row[:, 2] = x, y, z
+        names.append(name)
 
     # trunk, pelvis and head ride the forward motion, sway and bob together
     trunk = {
@@ -221,7 +227,7 @@ def _walker_markers(t: np.ndarray, params: WalkerParams) -> dict[str, np.ndarray
         put(f"{side}KNE_LAT", knee_x, knee_y + sign * 0.05, knee_z)
         put(f"{side}KNE_MED", knee_x, knee_y - sign * 0.05, knee_z)
 
-    return out
+    return names, positions
 
 
 def _scripted_events(params: WalkerParams, n_frames: int) -> tuple[FootEvents, FootEvents]:
@@ -256,10 +262,9 @@ def generate_walker(params: WalkerParams | None = None) -> SynthTrial:
     params = params or WalkerParams()
     n = params.n_frames
     t = np.arange(n) / params.sample_rate_hz
-    positions = _walker_markers(t, params)
     left, right = _scripted_events(params, n)
     return SynthTrial(
-        markers=MarkerTrajectorySet(params.sample_rate_hz, positions),
+        markers=MarkerTrajectorySet(params.sample_rate_hz, *_walker_markers(t, params)),
         subject=SubjectProfile(
             mass_kg=params.mass_kg, height_m=params.height_m, sex="m"
         ),
@@ -313,12 +318,12 @@ def synth_force_plates(
         )
     n = int(round(params.duration_s * force_rate_hz))
     t = np.arange(n) / force_rate_hz
-    positions = _walker_markers(t, params)
     table = load_table(bundled_table_path())
     definitions = load_segment_definitions(bundled_definitions_path())
     subject = SubjectProfile(mass_kg=params.mass_kg, height_m=params.height_m, sex="m")
     com = com_trajectory(
-        MarkerTrajectorySet(force_rate_hz, positions), definitions, table, subject
+        MarkerTrajectorySet(force_rate_hz, *_walker_markers(t, params)),
+        definitions, table, subject,
     )
     z = com.whole_body
     acc = np.zeros_like(z)
@@ -329,22 +334,17 @@ def synth_force_plates(
     force[2] += params.mass_kg * gravity_mps2
 
     w_right = _stance_weight(t, params)
-    forces = np.stack([force.T * w_right[:, None], force.T * (1.0 - w_right)[:, None]])
-    heel_r, toe_r, _ = _foot_track(
-        t, params.right_hs_offset_s, params.right_to_offset_s, params
-    )
-    heel_l, toe_l, _ = _foot_track(
-        t, params.left_hs_offset_s, params.left_to_offset_s, params
-    )
-    cop = np.stack(
-        [
-            np.column_stack([0.5 * (heel_r + toe_r), np.full(n, -0.10)]),
-            np.column_stack([0.5 * (heel_l + toe_l), np.full(n, 0.10)]),
-        ]
-    )
-    return ForcePlateSeries(
-        sample_rate_hz=force_rate_hz, forces=forces, cop=cop, noise_floor_n=5.0
-    )
+    values = np.empty((2, n, 5))  # per plate: Fx, Fy, Fz, COPx, COPy
+    values[0, :, :3] = force.T * w_right[:, None]
+    values[1, :, :3] = force.T * (1.0 - w_right)[:, None]
+    for plate, (hs_offset_s, to_offset_s, y) in enumerate((
+        (params.right_hs_offset_s, params.right_to_offset_s, -0.10),
+        (params.left_hs_offset_s, params.left_to_offset_s, 0.10),
+    )):
+        heel, toe, _ = _foot_track(t, hs_offset_s, to_offset_s, params)
+        values[plate, :, 3] = 0.5 * (heel + toe)
+        values[plate, :, 4] = y
+    return ForcePlateSeries(sample_rate_hz=force_rate_hz, values=values, noise_floor_n=5.0)
 
 
 def write_demo_files(out_dir) -> tuple[Path, Path]:

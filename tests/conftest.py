@@ -3,7 +3,10 @@
 ``decompose_ds_oracle`` is the reference the closed-form double-stance
 split is checked against, and ``differentiate`` the finite-difference
 reference for ``smoothed_acceleration`` and for tests that attach an
-exact acceleration to an unfiltered CoM trajectory.  ``generate_static``
+exact acceleration to an unfiltered CoM trajectory.  ``per_marker_check``
+and ``per_marker_fill_gaps`` are the marker set's check and ``fill_gaps``
+one marker at a time, as they once were, the references for the code that
+does each over the whole (n_markers, n_frames, 3) array.  ``generate_static``
 and ``generate_two_leg_forces`` build the test-only trials beside
 ``synth``'s walker: a frozen subject and analytic per-leg forces.
 
@@ -108,11 +111,12 @@ def generate_static(
     params = params or WalkerParams()
     if n_frames < 2:
         raise InputError(f"need at least 2 frames, got {n_frames}")
-    single = _walker_markers(np.array([at_time_s]), params)
-    positions = {name: np.repeat(pos, n_frames, axis=0) for name, pos in single.items()}
+    names, single = _walker_markers(np.array([at_time_s]), params)
     empty = np.zeros(0, dtype=int)
     return SynthTrial(
-        markers=MarkerTrajectorySet(params.sample_rate_hz, positions),
+        markers=MarkerTrajectorySet(
+            params.sample_rate_hz, names, np.repeat(single, n_frames, axis=1)
+        ),
         subject=SubjectProfile(
             mass_kg=params.mass_kg, height_m=params.height_m, sex="m"
         ),
@@ -237,22 +241,66 @@ def two_leg():
     return generate_two_leg_forces()
 
 
+def marker_set(rate, markers: dict) -> MarkerTrajectorySet:
+    """A marker set of ``markers``, name -> (n_frames, 3) positions."""
+    return MarkerTrajectorySet(rate, list(markers), np.stack(list(markers.values())))
+
+
 def shift_markers(traj, delta):
     """Copy of a marker set with a constant 3-vector added to every sample."""
     delta = np.asarray(delta, dtype=float)
-    markers = {name: pos + delta for name, pos in traj.markers.items()}
-    return type(traj)(sample_rate_hz=traj.sample_rate_hz, markers=markers)
+    return MarkerTrajectorySet(traj.sample_rate_hz, traj.names, traj.positions + delta)
 
 
 def displace_markers_z(traj, dz):
     """Copy of a marker set with a per-frame vertical track added to all markers."""
-    dz = np.asarray(dz, dtype=float)
-    markers = {}
+    moved = traj.positions.copy()
+    moved[:, :, 2] += np.asarray(dz, dtype=float)
+    return MarkerTrajectorySet(traj.sample_rate_hz, traj.names, moved)
+
+
+def per_marker_check(names, positions) -> dict:
+    """The occlusion masks of ``positions`` (n_markers, n_frames, 3), name ->
+    (n_frames,) bool, derived and checked one marker at a time; an
+    InputError names the first faulty marker in file order and its first
+    faulty frame."""
+    missing = {}
+    for name, pos in zip(names, positions):
+        if np.isfinite(pos).all():
+            mask = np.zeros(pos.shape[0], dtype=bool)
+        else:
+            bad = np.isnan(pos)
+            mask = bad[:, 0].copy()
+            bad ^= mask[:, np.newaxis]  # a coordinate whose NaN-ness differs from x's
+            bad |= np.isinf(pos)
+            if bad.any():
+                raise InputError(
+                    f"marker {name!r}: non-finite position at frame "
+                    f"{int(np.argmax(bad)) // 3}; an occluded frame is an all-NaN triplet"
+                )
+        missing[name] = mask
+    return missing
+
+
+def per_marker_fill_gaps(traj, max_gap_frames) -> dict:
+    """``fill_gaps`` one marker at a time: the runs of each marker's mask on
+    their own, then the same elementwise formula; name -> (n_frames, 3)
+    positions, the input's own array for a marker with nothing to fill."""
+    n, new_pos = traj.n_frames, {}
     for name, pos in traj.markers.items():
-        moved = pos.copy()
-        moved[:, 2] += dz
-        markers[name] = moved
-    return type(traj)(sample_rate_hz=traj.sample_rate_hz, markers=markers)
+        mask = traj.missing[name]
+        edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+        starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        run = np.repeat(np.arange(starts.size), ends - starts)
+        fill = ((starts > 0) & (ends < n) & (ends - starts <= max_gap_frames))[run]
+        if fill.any():
+            j, run = np.flatnonzero(mask)[fill], run[fill]
+            lo, hi = starts[run] - 1, ends[run]
+            t = ((j - lo) / (hi - lo))[:, None]
+            pos = pos.copy()
+            pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
+        new_pos[name] = pos
+    return new_pos
 
 
 def axis_entry(report, name: str):

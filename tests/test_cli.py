@@ -33,8 +33,7 @@ SUBJECT_ARGS = [
 
 
 def _slice_markers(traj, n):
-    markers = {name: pos[:n].copy() for name, pos in traj.markers.items()}
-    return type(traj)(sample_rate_hz=traj.sample_rate_hz, markers=markers)
+    return type(traj)(traj.sample_rate_hz, traj.names, traj.positions[:, :n].copy())
 
 
 @pytest.fixture(scope="module")
@@ -460,8 +459,7 @@ def test_huge_marker_coordinates_exit_2_naming_the_segment(
     cli_files, tmp_path, capsys, command, scale
 ):
     traj = parse_marker_file(cli_files["markers"])
-    for name in traj.markers:
-        traj.markers[name] *= scale
+    traj.positions *= scale
     markers = tmp_path / "scaled.tsv"
     write_marker_file(markers, traj)
     out = tmp_path / "out"
@@ -631,10 +629,9 @@ def test_only_a_fill_in_a_marker_the_run_reads_flags_a_double_stance(
     end = next(f for f in range(start, len(labels)) if labels[f + 1] != b"double_stance")
     assert f",{start},".encode() not in clean["grf_diagnostics.csv"]
     traj = parse_marker_file(cli_files["markers"])
-    positions = {name: pos.copy() for name, pos in traj.markers.items()}
-    positions[marker][start] = np.nan  # a one-frame gap, which gap filling fills
+    traj.markers[marker][start] = np.nan  # a one-frame gap, which gap filling fills
     gapped = tmp_path / "gapped.tsv"
-    write_marker_file(gapped, type(traj)(traj.sample_rate_hz, positions))
+    write_marker_file(gapped, traj)
     argv[2] = str(tmp_path / "out")
     assert _run([*argv, "--marker-file", str(gapped)]) == 0
     diagnostics = (tmp_path / "out" / "grf_diagnostics.csv").read_bytes()

@@ -272,9 +272,8 @@ def _parsed_bytes(kind: str, lines: list[bytes]) -> bytes:
         path = Path(tmp) / "trial.tsv"
         path.write_bytes(b"\n".join(lines) + b"\n")
         if kind == "markers":
-            return np.stack(list(parse_marker_file(path).markers.values())).tobytes()
-        series = parse_force_file(path)
-        return series.forces.tobytes() + series.cop.tobytes()
+            return parse_marker_file(path).positions.tobytes()
+        return parse_force_file(path).values.tobytes()
 
 
 @FUZZ
@@ -421,13 +420,11 @@ def test_walker_variants_exit_cleanly(params, backwards, noise_m, seed):
     trial = generate_walker(params).markers
     rng = np.random.default_rng(seed)
     turn = np.array([-1.0, -1.0, 1.0]) if backwards else np.ones(3)
-    markers = {
-        name: (pos + rng.normal(0.0, noise_m, pos.shape)) * turn
-        for name, pos in trial.markers.items()
-    }
+    # one draw of the whole array: each marker's draws, one marker after another
+    positions = (trial.positions + rng.normal(0.0, noise_m, trial.positions.shape)) * turn
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "markers.tsv", Path(tmp) / "out"
-        write_marker_file(path, type(trial)(trial.sample_rate_hz, markers))
+        write_marker_file(path, type(trial)(trial.sample_rate_hz, trial.names, positions))
         argv = ["grf", "--marker-file", str(path), "--subject-mass-kg", repr(params.mass_kg),
                 "--subject-height-m", repr(params.height_m), "--subject-sex", "m"]
         code, err = _main(argv, out)

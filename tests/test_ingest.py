@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import marker_set, per_marker_check, per_marker_fill_gaps
 from gaitkinetics import ingest
 from gaitkinetics.errors import InputError
 from gaitkinetics.ingest import (
@@ -54,7 +55,7 @@ def test_marker_round_trip_is_bit_exact(tmp_path):
     }
     markers["A"][:4, 0] = awkward
     markers["B"][[5, 6, 7, 20]] = np.nan
-    traj = MarkerTrajectorySet(sample_rate_hz=123.5, markers=markers)
+    traj = marker_set(123.5, markers)
     assert np.flatnonzero(traj.missing["B"]).tolist() == [5, 6, 7, 20]
 
     path = tmp_path / "round.tsv"
@@ -62,7 +63,7 @@ def test_marker_round_trip_is_bit_exact(tmp_path):
     back = parse_marker_file(path)
 
     assert back.sample_rate_hz == traj.sample_rate_hz
-    assert back.marker_names == traj.marker_names
+    assert back.names == traj.names
     for name in traj.markers:
         present = ~traj.missing[name]
         assert np.array_equal(back.missing[name], traj.missing[name])
@@ -136,7 +137,7 @@ def _gapped(z_values, missing_frames, rate=100.0):
     n = len(z_values)
     pos = np.column_stack([np.full(n, 1.0), np.full(n, 2.0), np.asarray(z_values, float)])
     pos[list(missing_frames)] = np.nan
-    return MarkerTrajectorySet(sample_rate_hz=rate, markers={"M": pos})
+    return MarkerTrajectorySet(rate, ["M"], pos[np.newaxis])
 
 
 def test_fill_gaps_interpolates_single_missing_frame():
@@ -186,7 +187,7 @@ def test_fill_gaps_matches_linear_interpolation_reference():
     mask[drop] = True
     pos = walk.copy()
     pos[mask] = np.nan
-    traj = MarkerTrajectorySet(100.0, {"M": pos})
+    traj = MarkerTrajectorySet(100.0, ["M"], pos[np.newaxis])
     filled = fill_gaps(traj, max_gap_frames=10)
 
     frames = np.arange(n, dtype=float)
@@ -219,11 +220,9 @@ def test_force_file_with_zero_frames_is_rejected(tmp_path):
 
 def test_force_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
-    series = ForcePlateSeries(
-        sample_rate_hz=2000.0,
-        forces=rng.normal(size=(2, 30, 3)) * 400.0,
-        cop=rng.normal(size=(2, 30, 2)),
-    )
+    values = rng.normal(size=(2, 30, 5))
+    values[..., :3] *= 400.0
+    series = ForcePlateSeries(sample_rate_hz=2000.0, values=values)
     path = tmp_path / "plates.tsv"
     write_force_file(path, series)
     back = parse_force_file(path)
@@ -237,44 +236,60 @@ def test_force_round_trip_is_bit_exact(tmp_path):
 
 
 def test_force_total_sums_over_plates():
-    forces = np.zeros((2, 4, 3))
-    forces[0, :, 2] = 100.0
-    forces[1, :, 2] = 50.0
-    forces[0, :, 0] = 7.0
-    series = ForcePlateSeries(1000.0, forces, np.zeros((2, 4, 2)))
+    values = np.zeros((2, 4, 5))
+    values[0, :, 2] = 100.0
+    values[1, :, 2] = 50.0
+    values[0, :, 0] = 7.0
+    values[:, :, 3:] = 0.5  # centres of pressure, which are not summed
+    series = ForcePlateSeries(1000.0, values)
     total = series.total_force()
     assert total.shape == (4, 3)
     assert np.array_equal(total[0], [7.0, 0.0, 150.0])
 
 
 def test_force_below_noise_flags_implausible_vertical():
-    forces = np.zeros((1, 4, 3))
-    forces[0, :, 2] = [0.0, -4.0, -6.0, 10.0]
-    series = ForcePlateSeries(1000.0, forces, np.zeros((1, 4, 2)), noise_floor_n=5.0)
+    values = np.zeros((1, 4, 5))
+    values[0, :, 2] = [0.0, -4.0, -6.0, 10.0]
+    series = ForcePlateSeries(1000.0, values, noise_floor_n=5.0)
     assert np.array_equal(series.below_noise[0], [False, False, True, False])
     with pytest.raises(InputError, match="noise_floor_n must be non-negative"):
-        ForcePlateSeries(1000.0, forces, np.zeros((1, 4, 2)), noise_floor_n=-1.0)
+        ForcePlateSeries(1000.0, values, noise_floor_n=-1.0)
     with pytest.raises(TypeError, match="below_noise"):
-        ForcePlateSeries(1000.0, forces, np.zeros((1, 4, 2)), below_noise=np.zeros((1, 4), bool))
+        ForcePlateSeries(1000.0, values, below_noise=np.zeros((1, 4), bool))
+
+
+@pytest.mark.parametrize("floor", [float("nan"), float("inf")])
+def test_force_noise_floor_must_be_finite(floor):
+    # either would pass a comparison with 0 and then flag no frame at all
+    values = np.full((1, 4, 5), -1e9)
+    with pytest.raises(InputError, match=f"^noise_floor_n must be finite, got {floor}$"):
+        ForcePlateSeries(1000.0, values, noise_floor_n=floor)
+    with pytest.raises(InputError, match="^noise_floor_n must be non-negative$"):
+        ForcePlateSeries(1000.0, values, noise_floor_n=-float("inf"))
+
+
+def test_plate_forces_and_cop_are_views_of_the_one_array():
+    values = np.arange(2 * 3 * 5, dtype=float).reshape(2, 3, 5)
+    series = ForcePlateSeries(1000.0, values)
+    assert series.values is values
+    assert np.shares_memory(series.forces, values) and np.shares_memory(series.cop, values)
+    assert np.array_equal(series.forces, values[..., :3])
+    assert np.array_equal(series.cop, values[..., 3:])
 
 
 @pytest.mark.parametrize("frames", [6, 9])
 @pytest.mark.parametrize("at", [(0, 0, 0), (1, 5, 2), (1, 2, 3), (0, 5, 4), (0, 7, 1)])
 def test_plate_views_of_one_array_are_checked_for_finite_values(frames, at):
-    # forces and centres of pressure as a parsed file holds them: two views of
-    # one (n_plates, rows, 5) array, of which the first `frames` rows are data
+    # as a parsed file holds them: the first `frames` rows of one
+    # (n_plates, rows, 5) array are data
     for bad in (np.nan, np.inf, -np.inf):
         values = np.ones((2, 9, 5))
         values[at] = bad
-        views = values[:, :frames, :3], values[:, :frames, 3:]
         if at[1] < frames:
             with pytest.raises(InputError, match="force data contains non-finite values"):
-                ForcePlateSeries(1000.0, *views)
-        else:  # a value outside the views is no value of the series
-            assert ForcePlateSeries(1000.0, *views).n_frames == frames
-        # views of any other layout are checked one by one
-        with pytest.raises(InputError, match="force data contains non-finite values"):
-            ForcePlateSeries(1000.0, values[:, :, 1:4], values[:, :, [0, 4]])
+                ForcePlateSeries(1000.0, values[:, :frames])
+        else:  # a value outside the view is no value of the series
+            assert ForcePlateSeries(1000.0, values[:, :frames]).n_frames == frames
 
 
 @pytest.mark.parametrize(
@@ -459,7 +474,7 @@ def test_synth_walker_with_gaps_round_trips_bit_for_bit(tmp_path):
     traj = generate_walker().markers
     assert traj.n_frames == 2000
     rng = np.random.default_rng(19)
-    names = traj.marker_names
+    names = traj.names
     for _ in range(80):
         name = names[int(rng.integers(len(names)))]
         start = int(rng.integers(0, traj.n_frames - 12))
@@ -470,7 +485,7 @@ def test_synth_walker_with_gaps_round_trips_bit_for_bit(tmp_path):
     path = tmp_path / "walker.tsv"
     write_marker_file(path, traj)
     back = parse_marker_file(path)
-    assert back.marker_names == names
+    assert back.names == names
     for name in names:
         assert np.array_equal(back.missing[name], traj.missing[name])
         assert back.markers[name].tobytes() == traj.markers[name].tobytes()
@@ -514,32 +529,12 @@ def test_fill_gaps_is_bitwise_the_frame_by_frame_formula(max_gap_frames):
         pos = np.cumsum(rng.normal(size=(n, 3)), axis=0) * 0.37 + 1e3
         pos[mask] = np.nan
         markers[name], missing[name] = pos, mask
-    traj = MarkerTrajectorySet(200.0, markers)
+    traj = marker_set(200.0, markers)
     filled = fill_gaps(traj, max_gap_frames=max_gap_frames)
     for name in markers:
         pos, mask = reference_fill_gaps(markers[name], missing[name], max_gap_frames)
         assert np.array_equal(filled.missing[name], mask)
         assert filled.markers[name].tobytes() == pos.tobytes()
-
-
-def per_marker_fill_gaps(traj, max_gap_frames):
-    """``fill_gaps`` one marker at a time, as it once was: the runs of each
-    marker's mask on their own, then the same elementwise formula."""
-    n, new_pos = traj.n_frames, {}
-    for name, pos in traj.markers.items():
-        mask = traj.missing[name]
-        edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
-        starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-        run = np.repeat(np.arange(starts.size), ends - starts)
-        fill = ((starts > 0) & (ends < n) & (ends - starts <= max_gap_frames))[run]
-        if fill.any():
-            j, run = np.flatnonzero(mask)[fill], run[fill]
-            lo, hi = starts[run] - 1, ends[run]
-            t = ((j - lo) / (hi - lo))[:, None]
-            pos = pos.copy()
-            pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
-        new_pos[name] = pos
-    return new_pos
 
 
 @pytest.mark.parametrize("max_gap_frames", [0, 2, 3, 10])
@@ -559,13 +554,63 @@ def test_fill_gaps_of_all_markers_at_once_matches_the_per_marker_loop(max_gap_fr
         pos = np.cumsum(rng.normal(size=(n, 3)), axis=0) * 0.37 + 1e3
         pos[mask] = np.nan
         markers[name] = pos
-    traj = MarkerTrajectorySet(200.0, markers)
+    traj = marker_set(200.0, markers)
     filled = fill_gaps(traj, max_gap_frames=max_gap_frames)
     expected = per_marker_fill_gaps(traj, max_gap_frames)
+    assert filled.names == list(expected)
     for name in markers:
         assert filled.markers[name].tobytes() == expected[name].tobytes()
-        same = np.array_equal(expected[name], markers[name], equal_nan=True)
-        assert (filled.markers[name] is markers[name]) == same
+        assert np.array_equal(filled.missing[name], np.isnan(expected[name][:, 0]))
+
+
+def _seeded_positions(rng, n_markers, n_frames):
+    return np.cumsum(rng.normal(size=(n_markers, n_frames, 3)), axis=1) * 0.37 + 1e3
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_marker_set_check_names_what_the_per_marker_loop_names(seed):
+    rng = np.random.default_rng(seed)
+    n_markers, n = int(rng.integers(1, 7)), int(rng.integers(1, 30))
+    names = [f"M{m}" for m in range(n_markers)]
+    positions = _seeded_positions(rng, n_markers, n)
+    for _ in range(int(rng.integers(0, 12))):  # NaN triplets, occlusions
+        positions[rng.integers(n_markers), rng.integers(n)] = np.nan
+    for _ in range(int(rng.integers(0, 3))):  # faults: a partly NaN triplet or an infinity
+        m, frame, axis = rng.integers(n_markers), rng.integers(n), rng.integers(3)
+        positions[m, frame, axis] = rng.choice([np.nan, np.inf, -np.inf])
+    try:
+        expected = per_marker_check(names, positions)
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            MarkerTrajectorySet(200.0, names, positions)
+        assert str(caught.value) == str(exc)
+        return
+    traj = MarkerTrajectorySet(200.0, names, positions)
+    assert list(traj.missing) == names
+    for name in names:
+        assert np.array_equal(traj.missing[name], expected[name])
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("max_gap_frames", [0, 1, 3, 10])
+def test_fill_gaps_matches_the_per_marker_fill_on_seeded_masks(seed, max_gap_frames):
+    rng = np.random.default_rng(seed)
+    n_markers, n = int(rng.integers(1, 7)), int(rng.integers(2, 40))
+    mask = rng.random((n_markers, n)) < rng.random()
+    for m in range(n_markers):  # runs of exactly max_gap_frames, at the ends and inside
+        start = int(rng.choice([0, n - max_gap_frames, rng.integers(n)]))
+        mask[m, max(start, 0) : start + max_gap_frames] = True
+    if n_markers > 1:  # one marker's run ends its mask where the next one's run begins
+        m = int(rng.integers(n_markers - 1))
+        mask[m, -int(rng.integers(1, n)) :] = mask[m + 1, : int(rng.integers(1, n))] = True
+    positions = _seeded_positions(rng, n_markers, n)
+    positions[mask] = np.nan
+    traj = MarkerTrajectorySet(200.0, [f"M{m}" for m in range(n_markers)], positions)
+    filled = fill_gaps(traj, max_gap_frames)
+    expected = per_marker_fill_gaps(traj, max_gap_frames)
+    assert filled.positions.tobytes() == np.stack(list(expected.values())).tobytes()
+    assert np.array_equal(filled.occluded, np.isnan(filled.positions[..., 0]))
+    assert (filled is traj) == all(expected[name] is traj.markers[name] for name in traj.names)
 
 
 # ------------------------------------------------- block-by-block reading
@@ -574,7 +619,7 @@ def test_fill_gaps_of_all_markers_at_once_matches_the_per_marker_loop(max_gap_fr
 def _gapped_walker(duration_s, seed):
     traj = generate_walker(WalkerParams(duration_s=duration_s)).markers
     rng = np.random.default_rng(seed)
-    names = traj.marker_names
+    names = traj.names
     for _ in range(40):
         name = names[int(rng.integers(len(names)))]
         start = int(rng.integers(0, traj.n_frames - 12))
@@ -591,13 +636,13 @@ def test_many_block_parse_is_bit_identical_to_one_block(tmp_path, monkeypatch, b
     whole = parse_marker_file(path)
     monkeypatch.setattr(ingest, "_BYTES_PER_BLOCK", bytes_per_block)
     blocks = parse_marker_file(path)
-    assert blocks.marker_names == whole.marker_names
-    for name in whole.marker_names:
+    assert blocks.names == whole.names
+    for name in whole.names:
         assert np.array_equal(blocks.missing[name], whole.missing[name])
         assert blocks.markers[name].tobytes() == whole.markers[name].tobytes()
 
     rng = np.random.default_rng(29)
-    series = ForcePlateSeries(1000.0, rng.normal(size=(2, 300, 3)), rng.normal(size=(2, 300, 2)))
+    series = ForcePlateSeries(1000.0, rng.normal(size=(2, 300, 5)))
     plates = tmp_path / "plates.tsv"
     write_force_file(plates, series)
     back = parse_force_file(plates)
@@ -626,7 +671,7 @@ def _occluded_rows(units, seed):
     """The data rows of a 2 s walker in ``units`` with blank triplets in the
     first and the last marker, in wholly blank rows and in random gaps."""
     traj = _gapped_walker(2.0, seed)
-    names = traj.marker_names
+    names = traj.names
     for name, frames in ((names[0], [0, 1, 7]), (names[-1], [5, 6, 399]), (names[10], [200])):
         traj.markers[name][frames] = np.nan
     for pos in traj.markers.values():
@@ -766,35 +811,48 @@ def test_marker_parse_peak_memory_stays_near_the_parsed_arrays(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(back.markers[n].nbytes + back.missing[n].nbytes for n in back.marker_names)
+    arrays = back.positions.nbytes + back.occluded.nbytes
     assert peak < 3 * arrays, f"peak {peak / arrays:.2f} x the parsed arrays"
 
 
-def test_fill_gaps_shares_the_arrays_of_markers_it_leaves_untouched():
+def test_fill_gaps_copies_the_positions_once_or_not_at_all():
     traj = generate_walker(WalkerParams(duration_s=30.0)).markers
-    assert not any(mask.any() for mask in traj.missing.values())
+    assert not traj.occluded.any()
+    arrays = traj.positions.nbytes + traj.occluded.nbytes
     tracemalloc.start()
     try:
         filled = fill_gaps(traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(traj.markers[n].nbytes + traj.missing[n].nbytes for n in traj.marker_names)
     assert peak < 0.1 * arrays, f"peak {peak / arrays:.2f} x the marker arrays"
-    assert all(filled.markers[n] is traj.markers[n] for n in traj.marker_names)
+    assert filled is traj  # nothing to fill
+
+    traj.positions[5, 100:104] = np.nan  # one short gap in one marker
+    gapped = MarkerTrajectorySet(traj.sample_rate_hz, traj.names, traj.positions)
+    tracemalloc.start()
+    try:
+        filled = fill_gaps(gapped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one copy of the whole array and its mask, no copy a marker
+    assert peak < 1.05 * arrays, f"peak {peak / arrays:.2f} x the marker arrays"
+    assert not filled.occluded.any()
+    assert not np.shares_memory(filled.positions, gapped.positions)
+    assert np.isnan(gapped.positions[5, 100:104]).all()  # the input is left as it was
 
 
 def test_building_a_marker_set_copies_no_positions():
     traj = generate_walker(WalkerParams(duration_s=30.0)).markers
-    markers = dict(traj.markers)
     tracemalloc.start()
     try:
-        MarkerTrajectorySet(traj.sample_rate_hz, markers)
+        MarkerTrajectorySet(traj.sample_rate_hz, traj.names, traj.positions)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # beyond the derived masks, one bool per frame per marker
-    peak -= len(markers) * traj.n_frames
+    # beyond the derived mask, one bool per frame per marker
+    peak -= traj.occluded.nbytes
     one_marker = traj.markers["LHEE"].nbytes
     assert peak < 0.5 * one_marker, f"peak {peak / one_marker:.2f} x one marker's positions"
 
@@ -803,7 +861,7 @@ def test_marker_set_rejects_non_finite_present_positions_only():
     # a triplet is all finite, or all NaN where the marker was occluded
     pos = np.zeros((5, 3))
     pos[2] = np.nan
-    traj = MarkerTrajectorySet(100.0, {"M": pos.copy()})
+    traj = MarkerTrajectorySet(100.0, ["M"], pos[np.newaxis].copy())
     assert traj.missing["M"].tolist() == [False, False, True, False, False]
     cases = ((3, (0.0, np.nan, 0.0)), (4, (0.0, 0.0, np.inf)), (1, (-np.inf,) * 3))
     for frame, value in cases:
@@ -811,12 +869,13 @@ def test_marker_set_rejects_non_finite_present_positions_only():
             bad = good.copy()
             bad[frame] = value
             with pytest.raises(InputError, match=f"^marker 'M': non-finite position at frame {frame}"):
-                MarkerTrajectorySet(100.0, {"M": bad})
+                MarkerTrajectorySet(100.0, ["M"], bad[np.newaxis])
     # the mask is derived from the positions; none can be passed in
     with pytest.raises(TypeError, match="positional"):
-        MarkerTrajectorySet(100.0, {"M": pos}, {"M": traj.missing["M"]})
-    with pytest.raises(TypeError, match="'missing'"):
-        MarkerTrajectorySet(100.0, {"M": pos}, missing={"M": traj.missing["M"]})
+        MarkerTrajectorySet(100.0, ["M"], pos[np.newaxis], traj.occluded)
+    for derived in ("occluded", "markers", "missing"):
+        with pytest.raises(TypeError, match=f"'{derived}'"):
+            MarkerTrajectorySet(100.0, ["M"], pos[np.newaxis], **{derived: traj.occluded})
 
 
 # ----------------------------------------- one copy of each parsed array
@@ -831,24 +890,24 @@ def files_60s(tmp_path_factory):
     traj = generate_walker(WalkerParams(duration_s=60.0)).markers
     write_marker_file(markers, traj)
     rng = np.random.default_rng(61)
-    names = traj.marker_names
+    names = traj.names
     for start in range(1, traj.n_frames - 12, 40):  # about 12 gaps a block
         traj.markers[names[int(rng.integers(len(names)))]][start : start + 10] = np.nan
-    write_marker_file(occluded, MarkerTrajectorySet(traj.sample_rate_hz, traj.markers))
+    write_marker_file(occluded, traj)
     del traj
     rng = np.random.default_rng(60)
     n = 120_000
-    series = ForcePlateSeries(2000.0, rng.normal(size=(2, n, 3)), rng.normal(size=(2, n, 2)))
+    series = ForcePlateSeries(2000.0, rng.normal(size=(2, n, 5)))
     write_force_file(plates, series)
     return {"markers": markers, "occluded": occluded, "plates": plates}
 
 
 def _marker_bytes(traj):
-    return sum(traj.markers[n].nbytes + traj.missing[n].nbytes for n in traj.marker_names)
+    return traj.positions.nbytes + traj.occluded.nbytes
 
 
 def _plate_bytes(series):
-    return series.forces.nbytes + series.cop.nbytes + series.below_noise.nbytes
+    return series.values.nbytes + series.below_noise.nbytes
 
 
 @pytest.mark.parametrize(
@@ -880,7 +939,7 @@ def test_trailing_blank_lines_leave_views_of_the_same_values(tmp_path):
     write_marker_file(path, traj)
     plain = parse_marker_file(path)
     rng = np.random.default_rng(8)
-    series = ForcePlateSeries(1000.0, rng.normal(size=(2, 50, 3)), rng.normal(size=(2, 50, 2)))
+    series = ForcePlateSeries(1000.0, rng.normal(size=(2, 50, 5)))
     plates = tmp_path / "plates.tsv"
     write_force_file(plates, series)
     for ending in ("\n", "\n\n\n", "\r\n\r\n"):
@@ -888,7 +947,7 @@ def test_trailing_blank_lines_leave_views_of_the_same_values(tmp_path):
             file.write_bytes(file.read_bytes().rstrip(b"\r\n") + b"\n" + ending.encode())
         back = parse_marker_file(path)
         assert back.n_frames == plain.n_frames
-        for name in plain.marker_names:
+        for name in plain.names:
             assert back.markers[name].tobytes() == plain.markers[name].tobytes()
             assert np.array_equal(back.missing[name], plain.missing[name])
         got = parse_force_file(plates)
@@ -1209,7 +1268,7 @@ def test_a_character_cut_short_by_the_end_of_the_file_is_not_utf8(
     text = _marker_text(_two_marker_rows(3), names=("M1", "Mé"))
     path = tmp_path / "trial.tsv"
     path.write_bytes(text.encode("utf-8"))
-    assert parse_marker_file(path).marker_names == ["M1", "Mé"]
+    assert parse_marker_file(path).names == ["M1", "Mé"]
     for cut in (text.encode("utf-8")[:-1] + b"\xc3", b"RATE\t200.0\nUNITS\tm\nMARKERS\tM\xc3"):
         path.write_bytes(cut)
         with pytest.raises(InputError, match="not UTF-8 text"):
@@ -1279,9 +1338,8 @@ def _parsed_groups(path, kind) -> np.ndarray:
     """The values after the time, (rows, groups, width), as the parser holds them."""
     if kind == "markers":
         traj = parse_marker_file(path)
-        return np.stack([traj.markers[name] for name in traj.marker_names], axis=1)
-    series = parse_force_file(path)
-    return np.concatenate([series.forces, series.cop], axis=2).transpose(1, 0, 2)
+        return traj.positions.transpose(1, 0, 2)
+    return parse_force_file(path).values.transpose(1, 0, 2)
 
 
 @NUMBERS
@@ -1392,7 +1450,7 @@ def test_clean_files_are_read_from_their_bytes_without_the_row_path(tmp_path, mo
     assert split == [] and filled == []
     # a blank triplet has its block filled, and no block split
     traj.markers["LHEE"][150] = np.nan
-    write_marker_file(markers, MarkerTrajectorySet(traj.sample_rate_hz, traj.markers))
+    write_marker_file(markers, traj)
     assert parse_marker_file(markers).missing["LHEE"][150]
     assert split == [] and filled == [1]
     # a \r\n file is read from its bytes too, and so is a block that ends in

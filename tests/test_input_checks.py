@@ -25,9 +25,8 @@ def _timeline(n_frames, rate=200.0):
 # one constructor per series type, each taking the sample rate and valid data
 SERIES = {
     "UniformSeries": lambda rate: UniformSeries(rate, np.arange(5.0)),
-    "MarkerTrajectorySet": lambda rate: MarkerTrajectorySet(rate, {"A": np.zeros((5, 3))}),
-    "ForcePlateSeries":
-        lambda rate: ForcePlateSeries(rate, np.zeros((1, 5, 3)), np.zeros((1, 5, 2))),
+    "MarkerTrajectorySet": lambda rate: MarkerTrajectorySet(rate, ["A"], np.zeros((1, 5, 3))),
+    "ForcePlateSeries": lambda rate: ForcePlateSeries(rate, np.zeros((1, 5, 5))),
     "GrfSeries": lambda rate: GrfSeries(rate, np.zeros((3, 5))),
     "ComTrajectory":
         lambda rate: ComTrajectory(rate, np.zeros((3, N_SEGMENTS, 5)), np.ones(N_SEGMENTS)),
@@ -44,33 +43,43 @@ def test_every_series_refuses_a_sample_rate_that_is_not_positive_and_finite(kind
 
 
 @pytest.mark.parametrize(
-    "markers, message",
+    "names, positions, message",
     [
-        ({}, "marker set is empty"),
-        ({"A": np.zeros((5, 2))}, "marker 'A': positions must be (n_frames, 3)"),
-        ({"A": np.zeros((5, 3)), "B": np.zeros((4, 3))},
-         "marker 'B': frame count differs from others"),
-        ({"A": np.zeros((0, 3))}, "marker trial has zero frames"),
+        ([], np.zeros((0, 5, 3)), "marker set is empty"),
+        (["A"], np.zeros((5, 3)), "positions must be (n_markers, n_frames, 3)"),
+        (["A"], np.zeros((1, 5, 2)), "positions must be (n_markers, n_frames, 3)"),
+        (["A", "B"], np.zeros((1, 5, 3)), "2 marker name(s) but positions of 1 marker(s)"),
+        (["A"], np.zeros((2, 5, 3)), "1 marker name(s) but positions of 2 marker(s)"),
+        (["A", "B", "A"], np.zeros((3, 5, 3)), "duplicate marker name 'A'"),
+        (["A", ""], np.zeros((2, 5, 3)), "marker name 2 is empty"),
+        (["A"], np.zeros((1, 0, 3)), "marker trial has zero frames"),
     ],
 )
-def test_marker_set_checks(markers, message):
-    with pytest.raises(InputError, match=re.escape(message)):
-        MarkerTrajectorySet(200.0, markers)
+def test_marker_set_checks(names, positions, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        MarkerTrajectorySet(200.0, names, positions)
+
+
+def _plates(at, value=np.nan):
+    values = np.zeros((2, 5, 5))
+    values[at] = value
+    return values
 
 
 @pytest.mark.parametrize(
-    "forces, cop, message",
+    "values, message",
     [
-        (np.zeros((1, 5, 2)), np.zeros((1, 5, 2)), "forces must be (n_plates, n_frames, 3)"),
-        (np.zeros((1, 5, 3)), np.zeros((1, 5, 3)), "cop must be (n_plates, n_frames, 2)"),
-        (np.zeros((1, 0, 3)), np.zeros((1, 0, 2)), "force trial has zero frames"),
-        (np.full((1, 5, 3), np.nan), np.zeros((1, 5, 2)), "force data contains non-finite values"),
-        (np.zeros((1, 5, 3)), np.full((1, 5, 2), np.inf), "force data contains non-finite values"),
+        (np.zeros((1, 5, 3)), "values must be (n_plates, n_frames, 5)"),
+        (np.zeros((5, 5)), "values must be (n_plates, n_frames, 5)"),
+        (np.zeros((1, 0, 5)), "force trial has zero frames"),
+        (_plates((0, 2, 1)), "force data contains non-finite values"),
+        (_plates((1, 4, 4), np.inf), "force data contains non-finite values"),
+        (_plates((1, 0, 3), -np.inf), "force data contains non-finite values"),
     ],
 )
-def test_force_plate_series_checks(forces, cop, message):
+def test_force_plate_series_checks(values, message):
     with pytest.raises(InputError, match=re.escape(message)):
-        ForcePlateSeries(2000.0, forces, cop)
+        ForcePlateSeries(2000.0, values)
 
 
 def test_phase_checks():
@@ -153,7 +162,7 @@ def test_table_refuses_an_unknown_kind_or_sex(table):
 
 
 def test_fill_gaps_refuses_a_negative_limit():
-    traj = MarkerTrajectorySet(200.0, {"A": np.zeros((5, 3))})
+    traj = MarkerTrajectorySet(200.0, ["A"], np.zeros((1, 5, 3)))
     with pytest.raises(InputError, match="max_gap_frames must be non-negative"):
         fill_gaps(traj, max_gap_frames=-1)
 

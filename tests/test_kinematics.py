@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import CUTOFF_HZ, FILTER_ORDER, differentiate, shift_markers
+from conftest import CUTOFF_HZ, FILTER_ORDER, differentiate, marker_set, shift_markers
 from gaitkinetics import kinematics
 from gaitkinetics.anthro import (
     SEGMENT_IDS,
@@ -61,7 +61,7 @@ def _static_markers(points, n_frames=2, rate=200.0):
         name: np.tile(np.asarray(p, dtype=float), (n_frames, 1))
         for name, p in points.items()
     }
-    return MarkerTrajectorySet(sample_rate_hz=rate, markers=markers)
+    return marker_set(rate, markers)
 
 
 def _table_with(offsets):
@@ -258,8 +258,8 @@ def test_hand_com_rejects_coincident_wrist_and_elbow():
 
 
 def _slice_markers(traj, start, stop):
-    markers = {name: pos[start:stop].copy() for name, pos in traj.markers.items()}
-    return MarkerTrajectorySet(sample_rate_hz=traj.sample_rate_hz, markers=markers)
+    positions = traj.positions[:, start:stop].copy()
+    return MarkerTrajectorySet(traj.sample_rate_hz, traj.names, positions)
 
 
 def test_whole_body_com_matches_a_brute_force_weighted_mean(
@@ -311,7 +311,7 @@ def test_com_is_equivariant_under_rotation(walker, table, definitions):
     rotated_markers = {
         name: pos @ rot.T for name, pos in short.markers.items()
     }
-    rotated = MarkerTrajectorySet(sample_rate_hz=short.sample_rate_hz, markers=rotated_markers)
+    rotated = marker_set(short.sample_rate_hz, rotated_markers)
     com = com_trajectory(short, definitions, table, walker.subject)
     com_rot = com_trajectory(rotated, definitions, table, walker.subject)
     expect = rot @ com.whole_body
@@ -320,7 +320,10 @@ def test_com_is_equivariant_under_rotation(walker, table, definitions):
 
 def test_com_requires_every_marker_present(walker, table, definitions):
     short = _slice_markers(walker.markers, 0, 4)
-    del short.markers["LASI"], short.missing["LASI"]
+    keep = [m for m, name in enumerate(short.names) if name != "LASI"]
+    short = MarkerTrajectorySet(
+        short.sample_rate_hz, [short.names[m] for m in keep], short.positions[keep]
+    )
     with pytest.raises(InputError, match="not present"):
         com_trajectory(short, definitions, table, walker.subject)
 
@@ -527,10 +530,10 @@ def test_com_of_a_parsed_gap_filled_mm_file_is_bitwise_the_reference(
 ):
     traj = _slice_markers(walker.markers, 0, 600)
     rng = np.random.default_rng(5)
-    for name in traj.marker_names:
+    for name in traj.names:
         traj.markers[name] *= 1000.0
     for _ in range(30):
-        name = traj.marker_names[int(rng.integers(len(traj.marker_names)))]
+        name = traj.names[int(rng.integers(len(traj.names)))]
         start = int(rng.integers(5, traj.n_frames - 15))
         traj.markers[name][start : start + int(rng.integers(1, 8))] = np.nan
     path = tmp_path / "walker_mm.tsv"
@@ -540,8 +543,8 @@ def test_com_of_a_parsed_gap_filled_mm_file_is_bitwise_the_reference(
 
     filled = fill_gaps(parse_marker_file(path))
     assert not any(mask.any() for mask in filled.missing.values())
-    # untouched markers are views into the parser's (n_markers, n, 3) array
-    assert any(pos.base is not None and pos.base.ndim == 3 for pos in filled.markers.values())
+    # every marker is a view into the one (n_markers, n, 3) array
+    assert all(np.shares_memory(pos, filled.positions) for pos in filled.markers.values())
     _assert_com_matches_the_reference(filled, definitions, table, walker.subject)
 
 

@@ -24,13 +24,19 @@ trees, each in a fresh interpreter:
   to the CLI's imports or argparse set-up;
 - the README's Python API chain (``run_api_chain`` and
   ``save_api_outputs`` of this checkout's ``benchmarks/worker.py``) on the
-  ``api-inmemory-120s`` walker, built in memory.
+  ``api-inmemory-120s`` walker, built in memory;
+- the parsers and ``fill_gaps`` on the 120 s trial and on occluded trial
+  ``t0``, whose records are read through the by-name forms that every
+  version has: each marker's positions and mask (``markers`` and
+  ``missing``) of the parsed and of the gap-filled set, in file order, and
+  the parsed plates' ``forces``, ``cop`` and ``below_noise``.
 
 Every CLI run but ``--help`` writes to ``out`` under its own working
 directory, so the paths it prints read alike in both trees.  The sha256 of every output file, of
 stdout and of stderr, and the exit code are compared, and for the API
 chain the sha256 of each saved array, of ``BilateralGrf.analyzed``, of both
-negative-vertical masks and of the excluded intervals with their reasons.
+negative-vertical masks and of the excluded intervals with their reasons,
+and for the records the sha256 of each one's names and arrays.
 Within each tree, the output files of each ``\\r\\n`` run are also compared
 with those of the same run on the ``\\n`` files.  Each difference is listed
 and the script exits 1 if there is any, 0 otherwise.
@@ -78,6 +84,30 @@ digests = {
 }
 intervals = [(int(s), int(e), reason) for s, e, reason in d.excluded_intervals]
 digests["excluded_intervals"] = hashlib.sha256(repr(intervals).encode()).hexdigest()
+print(json.dumps(digests))
+"""
+# argv: the 120 s marker file, occluded marker file t0 and the 120 s force
+# file; prints as JSON the sha256 of the marker sets, parsed and gap-filled,
+# and of the parsed plates, each read by name
+RUN_RECORDS = """
+import hashlib, json, sys
+from gaitkinetics.ingest import fill_gaps, parse_force_file, parse_marker_file
+
+def digest(items):
+    h = hashlib.sha256()
+    for name, a in items:
+        h.update(f"{name}{a.dtype}{a.shape}".encode() + a.tobytes())
+    return h.hexdigest()
+
+digests = {}
+for trial, path in (("120s", sys.argv[1]), ("occluded-t0", sys.argv[2])):
+    parsed = parse_marker_file(path)
+    for stage, traj in (("parsed", parsed), ("filled", fill_gaps(parsed))):
+        for record in ("markers", "missing"):
+            digests[f"{trial} {stage} {record}"] = digest(getattr(traj, record).items())
+plates = parse_force_file(sys.argv[3])
+for record in ("forces", "cop", "below_noise"):
+    digests[f"plates {record}"] = digest([(record, getattr(plates, record))])
 print(json.dumps(digests))
 """
 SUBCOMMANDS = ("com", "events", "grf", "validate", "butterfly")
@@ -175,6 +205,10 @@ def _commands(inputs, seed):
         runs[f"help-{command}"] = [command, "--help"]
     _generate("api-inmemory-120s", seed, inputs / "api")
     runs["api-chain"] = ["-c", RUN_API_CHAIN, str(inputs / "api" / "plan.json")]
+    files = [argv[argv.index(flag) + 1] for argv, flag in (
+        (plates, "--marker-file"), (t0, "--marker-file"), (plates, "--force-file"),
+    )]
+    runs["records"] = ["-c", RUN_RECORDS, *files]
     return runs
 
 
