@@ -30,7 +30,6 @@ from .events import (
     Phase,
     build_timeline,
     detect_events_zeni,
-    detect_stance_threshold,
 )
 from .grf import (
     BilateralGrf,
@@ -97,7 +96,6 @@ __all__ = [
     "decompose_ds",
     "decompose_gait",
     "detect_events_zeni",
-    "detect_stance_threshold",
     "smoothed_acceleration",
     "fill_gaps",
     "filter_com_trajectory",

@@ -5,7 +5,7 @@ Subcommands
 com        whole-body (optionally per-segment) centre-of-mass CSV
            (raw positions; low-pass smoothing applies only where
            derivatives are taken, i.e. in grf/validate)
-events     heel-strike / toe-off detection and the stance timeline CSV
+events     heel-strike / toe-off detection, written as the events CSV
 grf        total + per-limb ground reaction forces, butterfly exports,
            and a force-plate comparison when a force file is supplied
 validate   force-plate comparison report only
@@ -36,11 +36,9 @@ from .anthro import SubjectProfile, bundled_table_path, load_table
 from .errors import InputError, InternalInvariantError, NoGaitDataError, SeriesTooShortError
 from .events import (
     DEFAULT_MIN_PERIOD_S,
-    DEFAULT_STANCE_THRESHOLD_M,
     FootEvents,
     build_timeline,
     detect_events_zeni,
-    detect_stance_threshold,
     write_events_csv,
 )
 from .grf import (
@@ -59,7 +57,6 @@ from .ingest import (
     DEFAULT_NOISE_FLOOR_N,
     _marker_positions,
     _read_text,
-    _write_csv,
     fill_gaps,
     parse_force_file,
     parse_marker_file,
@@ -114,7 +111,6 @@ class PipelineConfig:
     subject_sex: str | None = None
     cutoff_hz: float = 5.0
     filter_order: int = 4
-    stance_threshold_m: float = DEFAULT_STANCE_THRESHOLD_M
     min_event_period_s: float = DEFAULT_MIN_PERIOD_S
     gravity_mps2: float = DEFAULT_GRAVITY_MPS2
     max_gap_frames: int = DEFAULT_MAX_GAP_FRAMES
@@ -130,7 +126,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("cutoff_hz", "min_event_period_s", "gravity_mps2",
-                     "stance_threshold_m", "butterfly_scale_m_per_n"):
+                     "butterfly_scale_m_per_n"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if self.filter_order <= 0 or self.filter_order % 2:
@@ -309,7 +305,7 @@ def _timeline(config: PipelineConfig, traj):
             ):
                 hs, to = detect_events_zeni(heel, toe, sacrum, config.min_event_period_s)
                 events[foot] = FootEvents(foot=foot, heel_strikes=hs, toe_offs=to)
-        except NoGaitDataError as exc:
+        except (NoGaitDataError, InputError) as exc:  # InputError: events that do not alternate
             raise NoGaitDataError(f"no complete gait cycle found: {exc}") from exc
         return build_timeline(events["left"], events["right"], traj.n_frames, rate)
 
@@ -332,30 +328,7 @@ def run_com(config: PipelineConfig) -> list[Path]:
 def run_events(config: PipelineConfig) -> list[Path]:
     traj, _ = _load_markers(config)
     timeline = _timeline(config, traj)
-    stance = _stance_interval_columns(config, traj)
-    header = ["foot,start_frame,end_frame,start_time_s,end_time_s"]
-    writers = [
-        ("events.csv", lambda p: write_events_csv(p, timeline)),
-        ("stance_intervals.csv", lambda p: _write_csv(p, header, stance)),
-    ]
-    return _write_outputs(config, writers)
-
-
-def _stance_interval_columns(config: PipelineConfig, traj) -> list:
-    """Cross-check view: stance intervals from the heel-height threshold, as
-    the columns of ``stance_intervals.csv``."""
-    feet, intervals = [], []
-    for foot, name in (
-        ("left", config.left_heel_marker),
-        ("right", config.right_heel_marker),
-    ):
-        heel = _marker_positions(traj, name, config.marker_file)[:, 2]
-        series = UniformSeries(traj.sample_rate_hz, heel)
-        for interval in detect_stance_threshold(series, config.stance_threshold_m):
-            feet.append(foot)
-            intervals.append(interval)
-    frames = np.array(intervals, dtype=int).reshape(-1, 2).T
-    return [feet, *frames, *(frames / traj.sample_rate_hz)]
+    return _write_outputs(config, [("events.csv", lambda p: write_events_csv(p, timeline))])
 
 
 def _compute_bilateral(config: PipelineConfig):

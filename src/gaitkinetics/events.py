@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NoGaitDataError, _check_sample_rate
-from .ingest import _runs, _write_csv
+from .ingest import _write_csv
 from .signal import UniformSeries, find_peaks
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Phase",
     "GaitTimeline",
     "detect_events_zeni",
-    "detect_stance_threshold",
     "build_timeline",
     "write_events_csv",
 ]
@@ -46,7 +45,6 @@ NO_STANCE = "no_stance"
 PHASE_LABELS = (NO_STANCE, SS_LEFT, SS_RIGHT, DOUBLE_STANCE)
 
 DEFAULT_MIN_PERIOD_S = 0.4
-DEFAULT_STANCE_THRESHOLD_M = 0.06
 
 
 @dataclass(frozen=True)
@@ -194,18 +192,6 @@ def detect_events_zeni(
     if toe_offs.size == 0:
         raise NoGaitDataError("no toe-off extremum found (series too short?)")
     return heel_strikes.astype(int), toe_offs.astype(int)
-
-
-def detect_stance_threshold(
-    foot_z: UniformSeries, threshold_m: float = DEFAULT_STANCE_THRESHOLD_M
-) -> list[tuple[int, int]]:
-    """Maximal frame intervals (inclusive) where foot height < threshold."""
-    if foot_z.n_channels != 1:
-        raise InputError("foot_z must be single-channel")
-    if not threshold_m > 0:
-        raise InputError(f"stance threshold must be positive, got {threshold_m}")
-    starts, ends = _runs(foot_z.values[0] < threshold_m)
-    return list(zip(starts.tolist(), (ends - 1).tolist()))
 
 
 def _stance_mask(events: FootEvents, n_frames: int) -> np.ndarray:

@@ -266,11 +266,12 @@ def _count_lines(path) -> int:
 
 
 def _read_text(path, what: str) -> str:
-    """The whole of a small UTF-8 text file; ``what`` names the kind of file
-    in the error of a file that cannot be read or decoded."""
+    """The whole of a small UTF-8 text file, less a byte-order mark that
+    starts it; ``what`` names the kind of file in the error of a file that
+    cannot be read or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -296,7 +297,8 @@ def _text_blocks(path, n_header: int):
     the end).
 
     Each block ends in ``\\n``, except perhaps the file's last.  Header
-    lines are split at ``\\n`` only and lose any trailing ``\\r``.  Every
+    lines are split at ``\\n`` only and lose any trailing ``\\r``, and the
+    first loses a byte-order mark that starts the file.  Every
     byte is checked to be UTF-8 as it is read; a character cut short by the
     end of the file is reported after the last block, so that the faults of
     the lines before it come first.  Once yielded, a block is held only by
@@ -305,7 +307,7 @@ def _text_blocks(path, n_header: int):
     decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
         with open(path, "rb") as fh:
-            header = [fh.readline()]
+            header = [fh.readline().removeprefix(codecs.BOM_UTF8)]
             while len(header) < n_header and header[-1].endswith(b"\n"):
                 header.append(fh.readline())
             yield [decode(line).rstrip("\n").rstrip("\r") for line in header]

@@ -49,8 +49,9 @@ HAND_LENGTH_PER_FOREARM = 0.74  # hand length as a fraction of elbow-wrist dista
 
 _COLLINEAR_SIN = np.sin(1e-3)  # reference within 1e-3 rad of the primary axis
 # segments are evaluated over consecutive ranges of at most this many frames,
-# so that each (3, k) temporary stays at about 192 KiB whatever the trial's length
-_FRAMES_PER_CHUNK = 8192
+# so that each (3, k) temporary stays at about 96 KiB whatever the trial's
+# length: under glibc's 128 KiB mmap threshold, so it is served from the heap
+_FRAMES_PER_CHUNK = 4096
 
 
 @dataclass(frozen=True)

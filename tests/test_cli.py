@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline runs (invoked in-process)."""
 
+import codecs
 import json
 import os
 import subprocess
@@ -214,6 +215,74 @@ def test_non_utf8_input_exits_2_naming_the_file(cli_files, tmp_path, capsys, kin
     assert "Traceback" not in captured.err
 
 
+def _bom_inputs(cli_files, tmp_path) -> dict[str, tuple[str, Path]]:
+    """Each kind of input file of a run, as its flag and its path."""
+    config = tmp_path / "run.cfg"
+    config.write_text("cutoff_hz = 5.0\nfilter_order = 4\n", encoding="utf-8")
+    return {
+        "markers": ("--marker-file", cli_files["markers"]),
+        "forces": ("--force-file", cli_files["forces"]),
+        "config": ("--config", config),
+        "anthro": ("--anthro-table", Path(bundled_table_path())),
+        "segments": ("--segment-definitions", Path(bundled_definitions_path())),
+    }
+
+
+def _grf_with(inputs: dict[str, tuple[str, Path]], out: Path, capsys):
+    argv = ["grf", "--output-dir", str(out)] + SUBJECT_ARGS
+    for flag, path in inputs.values():
+        argv += [flag, str(path)]
+    return _run(argv, capsys)
+
+
+@pytest.mark.parametrize("kind", ["markers", "forces", "config", "anthro", "segments"])
+def test_a_byte_order_mark_that_starts_an_input_file_is_skipped(cli_files, tmp_path, capsys, kind):
+    inputs = _bom_inputs(cli_files, tmp_path)
+    assert _grf_with(inputs, tmp_path / "plain", capsys)[0] == 0
+    flag, path = inputs[kind]
+    marked = tmp_path / f"bom_{path.name}"
+    marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    inputs[kind] = (flag, marked)
+    code, captured = _grf_with(inputs, tmp_path / "bom", capsys)
+    assert code == 0, captured.err
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "bom").iterdir())
+    for name in names:
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["config", "anthro", "segments"])
+def test_a_file_of_a_cut_short_byte_order_mark_is_not_utf8(cli_files, tmp_path, capsys, kind):
+    # a decoder that drops a leading mark may drop a cut-short one too
+    inputs = _bom_inputs(cli_files, tmp_path)
+    flag, _ = inputs[kind]
+    cut = tmp_path / "cut_short_mark.txt"
+    cut.write_bytes(codecs.BOM_UTF8[:2])
+    inputs[kind] = (flag, cut)
+    code, captured = _grf_with(inputs, tmp_path / "out", capsys)
+    assert code == 2
+    assert f"{cut}: not UTF-8 text" in captured.err
+
+
+# the index of the line that a mark starts: the first line, after the one
+# mark that a file may start with; the second; the last, before the final "\n"
+@pytest.mark.parametrize("line", [0, 1, -2], ids=["a second at the start", "line 2", "last line"])
+@pytest.mark.parametrize("kind", ["markers", "forces", "config"])
+def test_a_byte_order_mark_anywhere_else_exits_2(cli_files, tmp_path, capsys, kind, line):
+    inputs = _bom_inputs(cli_files, tmp_path)
+    flag, path = inputs[kind]
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = codecs.BOM_UTF8 + lines[line]
+    marked = tmp_path / f"bom_{path.name}"
+    marked.write_bytes(codecs.BOM_UTF8 * (line == 0) + b"\n".join(lines))
+    inputs[kind] = (flag, marked)
+    code, captured = _grf_with(inputs, tmp_path / "out", capsys)
+    assert code == 2
+    assert str(marked) in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_filter_order_exits_2(cli_files, tmp_path, capsys):
     code, captured = _run(
         ["com", "--marker-file", str(cli_files["two_frame"]),
@@ -222,6 +291,39 @@ def test_invalid_filter_order_exits_2(cli_files, tmp_path, capsys):
     )
     assert code == 2
     assert "filter_order" in captured.err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_the_removed_stance_threshold_exits_2(cli_files, tmp_path, capsys, source):
+    argv = ["events", "--marker-file", str(cli_files["markers"]),
+            "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--stance-threshold-m", "0.06"])
+        code, err = exc.value.code, capsys.readouterr().err
+        assert "unrecognized arguments: --stance-threshold-m 0.06" in err
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("stance_threshold_m = 0.06\n", encoding="utf-8")
+        code, captured = _run(argv + ["--config", str(config)], capsys)
+        err = captured.err
+        assert err == f"error: {config}:1: unknown config key 'stance_threshold_m'\n"
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_detected_events_that_do_not_alternate_exit_3(cli_files, tmp_path, capsys):
+    # an order-200 filter so distorts the 4 s trial's event markers that one
+    # foot's detected toe-offs follow each other without a heel strike between
+    code, captured = _run(
+        ["grf", "--marker-file", str(cli_files["markers"]), "--filter-order", "200",
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 3
+    assert captured.err.startswith("error: no complete gait cycle found: left: consecutive")
+    assert "without the other event type between them" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_trial_without_a_gait_cycle_exits_3(tmp_path, capsys):
@@ -571,22 +673,77 @@ def test_malformed_config_file_exits_2(cli_files, tmp_path, capsys):
 # --------------------------------------------------------------- pipelines
 
 
-def test_events_writes_detections_and_stance_intervals(cli_files, tmp_path):
-    out = tmp_path / "out"
-    code = _run(
-        ["events", "--marker-file", str(cli_files["markers"]),
-         "--output-dir", str(out)] + SUBJECT_ARGS
+def test_events_writes_only_the_events_of_the_grf_timeline(cli_files, tmp_path):
+    runs = {}
+    for command in ("events", "grf"):
+        runs[command] = tmp_path / command
+        code = _run(
+            [command, "--marker-file", str(cli_files["markers"]),
+             "--output-dir", str(runs[command])] + SUBJECT_ARGS
+        )
+        assert code == 0
+    assert [path.name for path in runs["events"].iterdir()] == ["events.csv"]
+    events = (runs["events"] / "events.csv").read_bytes()
+    lines = events.decode().splitlines()
+    assert lines[0] == "foot,event_type,frame,time_s"
+    assert len(lines) > 8  # several cycles in 4 s
+    assert events == (runs["grf"] / "events.csv").read_bytes()
+
+
+CONTACT_N = 20.0  # a plate is in contact while its vertical force is above this
+
+
+def _seeded_walker(seed: int) -> WalkerParams:
+    """A 10 s walker drawn as ``benchmarks/worker.py``'s ``walker_params``
+    draws one: a cycle of an even number of frames, and the scripted events, in
+    the default walker's pattern, each on a whole frame."""
+    rng = np.random.default_rng(seed)
+    rate = 200.0
+    cycle = 2 * int(rng.integers(100, 121))
+    ds = int(round(cycle * 26 / 220)) + int(rng.integers(-2, 3))
+    rhs = 60
+    frames = {
+        "right_hs_offset_s": rhs,
+        "left_to_offset_s": rhs + ds,
+        "left_hs_offset_s": rhs + cycle // 2,
+        "right_to_offset_s": rhs + cycle // 2 + ds,
+    }
+    return WalkerParams(
+        sample_rate_hz=rate,
+        duration_s=10.0,
+        cycle_s=cycle / rate,
+        speed_mps=float(rng.uniform(1.0, 1.5)),
+        mass_kg=float(rng.uniform(55.0, 100.0)),
+        height_m=float(rng.uniform(1.55, 1.95)),
+        **{k: v / rate for k, v in frames.items()},
     )
-    assert code == 0
-    events_lines = (out / "events.csv").read_text(encoding="utf-8").splitlines()
-    assert events_lines[0] == "foot,event_type,frame,time_s"
-    assert len(events_lines) > 8  # several cycles in 4 s
-    stance_lines = (
-        (out / "stance_intervals.csv").read_text(encoding="utf-8").splitlines()
-    )
-    assert stance_lines[0] == "foot,start_frame,end_frame,start_time_s,end_time_s"
-    feet = {line.split(",")[0] for line in stance_lines[1:]}
-    assert feet == {"left", "right"}
+
+
+def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The first and last frame of each run of True in ``mask``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False])))).tolist()
+    return list(zip(edges[::2], [end - 1 for end in edges[1::2]]))
+
+
+@pytest.mark.parametrize("seed", range(1000, 1010))
+def test_each_stance_starts_and_ends_within_a_frame_of_plate_contact(seed):
+    # plate 1 carries the right foot and plate 2 the left; a stance or a
+    # contact at least 0.5 s from either end of the trial must overlap
+    # exactly one run of the other, whose ends are within a frame of its own
+    params = _seeded_walker(seed)
+    plates = synth_force_plates(params)
+    timeline = cli._timeline(cli.PipelineConfig(), generate_walker(params).markers)
+    step = round(plates.sample_rate_hz / params.sample_rate_hz)
+    n, margin = params.n_frames, round(0.5 * params.sample_rate_hz)
+    for plate, foot in ((0, "right"), (1, "left")):
+        contact = _runs_of(plates.forces[plate, ::step, 2] > CONTACT_N)
+        stance = _runs_of(timeline.stance_mask(foot))
+        for runs, others in ((contact, stance), (stance, contact)):
+            inner = [(a, b) for a, b in runs if a >= margin and b < n - margin]
+            assert len(inner) >= 7  # every cycle of the 10 s trial but its ends
+            for first, last in inner:
+                (match,) = [(a, b) for a, b in others if a <= last and b >= first]
+                assert abs(match[0] - first) <= 1 and abs(match[1] - last) <= 1, (foot, match)
 
 
 def test_grf_writes_the_full_report_set(cli_files, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Gait-event detection, stance thresholds, and timeline assembly."""
+"""Gait-event detection and timeline assembly."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from gaitkinetics.events import (
     Phase,
     build_timeline,
     detect_events_zeni,
-    detect_stance_threshold,
     write_events_csv,
 )
 from gaitkinetics.signal import UniformSeries
@@ -122,37 +121,6 @@ def test_detection_refuses_a_min_period_that_is_not_finite(min_period_s):
     # inf would overflow and nan fail the conversion to a peak distance
     with pytest.raises(InputError, match="min_period_s must be non-negative and finite"):
         detect_events_zeni(*_sinusoid_trio(), min_period_s=min_period_s)
-
-
-# -------------------------------------------------------- stance threshold
-
-
-def test_stance_threshold_constant_tracks():
-    low = _series(np.full(50, 0.02))
-    assert detect_stance_threshold(low, 0.06) == [(0, 49)]
-    high = _series(np.full(50, 0.10))
-    assert detect_stance_threshold(high, 0.06) == []
-
-
-def test_stance_threshold_finds_crossings_within_one_frame():
-    t = np.arange(400) / RATE  # 2 s
-    z = 0.06 + 0.05 * np.sin(2.0 * np.pi * t)
-    intervals = detect_stance_threshold(_series(z), 0.06)
-    assert len(intervals) == 2
-    (s1, e1), (s2, e2) = intervals
-    assert abs(s1 - 101) <= 1 and abs(e1 - 200) <= 1
-    assert abs(s2 - 301) <= 1 and abs(e2 - 399) <= 1
-    # maximal and disjoint: a gap of above-threshold frames separates them
-    assert s2 > e1 + 1
-
-
-def test_stance_threshold_validation():
-    series = _series(np.full(10, 0.02))
-    with pytest.raises(InputError, match="positive"):
-        detect_stance_threshold(series, 0.0)
-    two_channel = UniformSeries(RATE, np.zeros((2, 10)))
-    with pytest.raises(InputError, match="single-channel"):
-        detect_stance_threshold(two_channel, 0.06)
 
 
 # ------------------------------------------------------------- foot events

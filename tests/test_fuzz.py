@@ -304,7 +304,6 @@ OPTIONS = {
     "filter_order": st.integers(1, 20).map(lambda k: 2 * k),
     "gravity_mps2": HUGE_RANGE,
     "min_event_period_s": HUGE_RANGE,
-    "stance_threshold_m": HUGE_RANGE,
     "butterfly_scale_m_per_n": HUGE_RANGE,
     "noise_floor_n": HUGE_RANGE,
     "subject_mass_kg": HUGE_RANGE,
