@@ -9,7 +9,6 @@ events     heel-strike / toe-off detection, written as the events CSV
 grf        total + per-limb ground reaction forces, butterfly exports,
            and a force-plate comparison when a force file is supplied
 validate   force-plate comparison report only
-butterfly  butterfly CSV + SVG only
 
 Every option can come from (highest precedence first) a command-line
 flag, the ``GAITKINETICS_OUTPUT_DIR`` environment variable (output
@@ -79,7 +78,6 @@ __all__ = [
     "run_events",
     "run_grf",
     "run_validate",
-    "run_butterfly",
     "main",
 ]
 
@@ -332,8 +330,8 @@ def run_events(config: PipelineConfig) -> list[Path]:
 
 
 def _compute_bilateral(config: PipelineConfig):
-    """Full chain shared by grf and butterfly: markers -> per-limb forces.
-    Only a fill in a marker that the CoM model or the events read flags a frame."""
+    """grf's chain: markers -> per-limb forces.  Only a fill in a marker
+    that the CoM model or the events read flags a frame."""
     traj, fills = _load_markers(config)
     subject, definitions, com = _com(config, traj)
     timeline = _timeline(config, traj)
@@ -389,13 +387,6 @@ def _validation_writers(report: ComparisonReport) -> list:
     ]
 
 
-def _butterfly_writers(diagram) -> list:
-    return [
-        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram)),
-        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram)),
-    ]
-
-
 def run_grf(config: PipelineConfig) -> list[Path]:
     com, timeline, bilateral = _compute_bilateral(config)
     diagram = butterfly(bilateral, com, config.butterfly_scale_m_per_n)
@@ -404,7 +395,8 @@ def run_grf(config: PipelineConfig) -> list[Path]:
         ("grf.csv", lambda p: write_bilateral_csv(p, bilateral)),
         ("grf_diagnostics.csv", lambda p: write_diagnostics_csv(p, bilateral)),
         ("events.csv", lambda p: write_events_csv(p, timeline)),
-        *_butterfly_writers(diagram),
+        ("butterfly.csv", lambda p: write_butterfly_csv(p, diagram)),
+        ("butterfly.svg", lambda p: write_butterfly_svg(p, diagram)),
     ]
     if config.force_file is not None:
         report = _compare_against_plates(config, bilateral.total)
@@ -423,71 +415,50 @@ def run_validate(config: PipelineConfig) -> list[Path]:
     return _write_outputs(config, _validation_writers(report))
 
 
-def run_butterfly(config: PipelineConfig) -> list[Path]:
-    com, _, bilateral = _compute_bilateral(config)
-    diagram = butterfly(bilateral, com, config.butterfly_scale_m_per_n)
-    return _write_outputs(config, _butterfly_writers(diagram))
-
-
+# subcommand -> (run, help line)
 _COMMANDS = {
-    "com": run_com,
-    "events": run_events,
-    "grf": run_grf,
-    "validate": run_validate,
-    "butterfly": run_butterfly,
+    "com": (run_com, "write the whole-body centre-of-mass trajectory CSV"),
+    "events": (run_events, "detect heel strikes / toe-offs and write the events CSV"),
+    "grf": (run_grf, "full pipeline: forces, events, butterfly, optional validation"),
+    "validate": (run_validate, "compare marker-derived force against a force-plate file"),
 }
 
 
-def _flag_name(field_name: str) -> str:
-    return "--" + field_name.replace("_", "-")
-
-
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The program's parser.  Every subcommand is registered, so the help,
-    the choices and their errors are the same whatever ``command`` is, but
-    only subcommand ``command`` gets its options, or every subcommand when
-    ``command`` names none (``-h``, a bad command): each option costs its
-    own help formatter."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The program's parser: each subcommand takes --config and one flag per
+    PipelineConfig field, all built once and shared through ``parents``."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", help="path to a key = value config file")
+    for field in fields(PipelineConfig):
+        options.add_argument(
+            "--" + field.name.replace("_", "-"),
+            type=_converter(field),
+            default=None,
+            metavar=field.name.upper(),
+            help=f"override config key {field.name}",
+        )
     parser = argparse.ArgumentParser(
         prog="gaitkinetics",
         description="Centre-of-mass, gait-event and ground-reaction-force "
         "estimation from motion-capture marker files.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "com": "write the whole-body centre-of-mass trajectory CSV",
-        "events": "detect heel strikes / toe-offs and write the events CSV",
-        "grf": "full pipeline: forces, events, butterfly, optional validation",
-        "validate": "compare marker-derived force against a force-plate file",
-        "butterfly": "write butterfly diagram CSV and SVG",
-    }
-    for name, blurb in descriptions.items():
-        sub = subparsers.add_parser(name, help=blurb, description=blurb)
-        if command in descriptions and name != command:
-            continue
-        sub.add_argument("--config", help="path to a key = value config file")
-        for field in fields(PipelineConfig):
-            sub.add_argument(
-                _flag_name(field.name),
-                type=_converter(field),
-                default=None,
-                metavar=field.name.upper(),
-                help=f"override config key {field.name}",
-            )
+    for name, (_, blurb) in _COMMANDS.items():
+        subparsers.add_parser(name, help=blurb, description=blurb, parents=[options])
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _build_parser().parse_args(argv)
         flag_values = {
             field.name: getattr(args, field.name) for field in fields(PipelineConfig)
         }
         file_values = parse_config_file(args.config) if args.config else {}
         config, provenance = build_config(flag_values, file_values)
         _print_header(args.command, config, provenance)
-        written = _COMMANDS[args.command](config)
+        run, _ = _COMMANDS[args.command]
+        written = run(config)
         for path in written:
             print(f"wrote {path}")
         return 0

@@ -183,7 +183,10 @@ def detect_events_zeni(
     )
     rel_heel = heel - sacrum
     rel_toe = toe - sacrum
-    distance = max(1, int(round(min_period_s * rate)))
+    # a distance of the series length already keeps only the strongest
+    # extremum of each kind, and the cap keeps an infinite product (a period
+    # past about 1e305 s at 200 Hz) from reaching int()
+    distance = max(1, int(round(min(min_period_s * rate, heel_ap.n_samples))))
 
     heel_strikes = find_peaks(rel_heel, distance=distance)
     toe_offs = find_peaks(-rel_toe, distance=distance)

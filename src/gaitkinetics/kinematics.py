@@ -15,6 +15,7 @@ The whole-body CoM is the segment-mass-weighted mean over all 16 segments,
 accumulated in a fixed segment order so results are bitwise reproducible.
 """
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import ClassVar
@@ -66,8 +67,11 @@ class PointRule:
         names = [n for n, _ in self.weights]
         if len(set(names)) != len(names):
             raise InputError(f"point rule repeats a marker: {names}")
+        for name, w in self.weights:
+            if not math.isfinite(w):
+                raise InputError(f"point rule weight of {name} is {w}, expected a finite number")
         total = sum(w for _, w in self.weights)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"point rule weights sum to {total}, expected 1")
 
     @classmethod
@@ -238,13 +242,13 @@ def parse_segment_definitions(text: str, source: str = "<definitions>"):
         for needed in ("origin", "distal", "ref", "ref_kind"):
             if needed not in kw:
                 raise InputError(f"{source}:{lineno}: missing {needed}=")
-        forward = None
-        if "forward" in kw:
-            head, sep, tail = kw["forward"].partition(":")
-            if not sep:
-                raise InputError(f"{source}:{lineno}: forward must be FROM:TO")
-            forward = (PointRule.parse(head), PointRule.parse(tail))
         try:
+            forward = None
+            if "forward" in kw:
+                head, sep, tail = kw["forward"].partition(":")
+                if not sep:
+                    raise InputError("forward must be FROM:TO")
+                forward = (PointRule.parse(head), PointRule.parse(tail))
             defs[segment] = SegmentDefinition(
                 segment=segment,
                 origin=PointRule.parse(kw["origin"]),
@@ -429,6 +433,13 @@ def com_trajectory(
                         coms[:, hand, frames] = hand_com(distal, origin)
     except FloatingPointError:
         raise InputError(f"{sid}: marker coordinates too large for the segment geometry") from None
+    # a mass that rounds into the subnormals shifts the mass-weighted mean
+    for sid, mass in zip(SEGMENT_IDS, masses):
+        if mass < np.finfo(float).tiny:
+            raise InputError(
+                f"subject_mass_kg {subject.mass_kg} kg gives {sid} a mass of {mass} kg, "
+                f"below the smallest normal float {np.finfo(float).tiny:.3g}"
+            )
     try:
         with np.errstate(over="raise"):
             return ComTrajectory(

@@ -453,18 +453,26 @@ PARSER_CASES = [
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
 def test_parser_text_reads_as_with_every_option_on_every_subcommand(argv, monkeypatch, capsys):
-    # main builds only the invoked subcommand's options; what argparse
-    # prints must not show it
     monkeypatch.setenv("COLUMNS", "100")
-    with pytest.raises(SystemExit) as built_for_one:
+    with pytest.raises(SystemExit) as from_main:
         cli.main(argv)
     text = capsys.readouterr()
-    with pytest.raises(SystemExit) as built_for_all:
+    with pytest.raises(SystemExit) as from_parser:
         cli._build_parser().parse_args(argv)
-    assert (built_for_one.value.code, text) == (built_for_all.value.code, capsys.readouterr())
+    assert (from_main.value.code, text) == (from_parser.value.code, capsys.readouterr())
     if argv[1:] == ["-h"]:
         flags = [f"--{field.name.replace('_', '-')} " for field in fields(cli.PipelineConfig)]
         assert [flag for flag in ["--config ", *flags] if flag not in text.out] == []
+
+
+def test_butterfly_is_no_subcommand(cli_files, tmp_path, capsys):
+    # grf writes the butterfly diagram with the forces
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["butterfly", "--marker-file", str(cli_files["markers"]),
+                  "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS)
+    assert exit_info.value.code == 2
+    assert "argument command: invalid choice: 'butterfly'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 FLOAT_FIELDS = [
@@ -507,6 +515,33 @@ def test_subject_mass_that_overflows_the_com_mean_exits_2(cli_files, tmp_path, c
     assert captured.err == (
         "error: subject_mass_kg 1e+308 kg overflows the mass-weighted CoM mean\n"
     )
+
+
+@pytest.mark.parametrize("mass", ["5e-324", "1e-310"])
+def test_a_subject_mass_too_small_for_the_segment_masses_exits_2(
+    cli_files, tmp_path, capsys, mass
+):
+    code, captured = _run(
+        ["com", "--marker-file", str(cli_files["two_frame"]),
+         "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS + ["--subject-mass-kg", mass],
+        capsys,
+    )
+    assert code == 2
+    assert captured.err.startswith(f"error: subject_mass_kg {float(mass)} kg gives head_neck ")
+    assert captured.err.endswith(" kg, below the smallest normal float 2.23e-308\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("period", ["1e306", "1e308", "1.7976931348623157e308"])
+def test_an_event_period_past_the_trial_gives_the_events_of_one_as_long(
+    cli_files, tmp_path, period
+):
+    # a period of the trial's length already keeps one extremum of each kind
+    argv = ["events", "--marker-file", str(cli_files["markers"])] + SUBJECT_ARGS
+    for value, out in (("1e300", "reference"), (period, "out")):
+        assert _run([*argv, "--min-event-period-s", value, "--output-dir", str(tmp_path / out)]) == 0
+    reference = (tmp_path / "reference" / "events.csv").read_bytes()
+    assert (tmp_path / "out" / "events.csv").read_bytes() == reference
 
 
 @pytest.mark.parametrize("error", [InternalInvariantError, AssertionError])
@@ -768,6 +803,11 @@ def test_grf_writes_the_full_report_set(cli_files, tmp_path, capsys):
         assert f"wrote {out / name}" in captured.out
     header = (out / "grf.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("time_s,Fx_total")
+    csv_lines = (out / "butterfly.csv").read_text(encoding="utf-8").splitlines()
+    assert csv_lines[0] == "base_x,base_y,tip_x,tip_y,tip_z,foot"
+    assert len(csv_lines) > 100
+    svg = (out / "butterfly.svg").read_text(encoding="utf-8")
+    assert svg.startswith("<svg ")
 
 
 @pytest.mark.parametrize("marker", ["T8", "LASI"])
@@ -927,20 +967,6 @@ def test_validate_requires_enough_settled_samples(tmp_path, capsys):
     assert "filter-settling" in captured.err
 
 
-def test_butterfly_writes_csv_and_svg(cli_files, tmp_path):
-    out = tmp_path / "out"
-    code = _run(
-        ["butterfly", "--marker-file", str(cli_files["markers"]),
-         "--output-dir", str(out)] + SUBJECT_ARGS
-    )
-    assert code == 0
-    csv_lines = (out / "butterfly.csv").read_text(encoding="utf-8").splitlines()
-    assert csv_lines[0] == "base_x,base_y,tip_x,tip_y,tip_z,foot"
-    assert len(csv_lines) > 100
-    svg = (out / "butterfly.svg").read_text(encoding="utf-8")
-    assert svg.startswith("<svg ")
-
-
 def test_synth_module_writes_the_demo_trial(tmp_path, capsys):
     assert synth.main([str(tmp_path / "demo")]) == 0
     captured = capsys.readouterr()
@@ -952,7 +978,7 @@ def test_synth_module_writes_the_demo_trial(tmp_path, capsys):
 # ------------------------------------------------- what a run holds, and when
 
 
-@pytest.mark.parametrize("command", ["grf", "validate", "butterfly"])
+@pytest.mark.parametrize("command", ["grf", "validate"])
 def test_markers_are_dropped_before_the_filter_and_plates_before_decimation(
     cli_files, tmp_path, monkeypatch, command
 ):
@@ -990,7 +1016,7 @@ def test_markers_are_dropped_before_the_filter_and_plates_before_decimation(
     )
     assert code == 0
     assert held.pop("markers checked")
-    assert held.pop("plates checked", False) == (command != "butterfly")
+    assert held.pop("plates checked")
     assert not held
 
 
@@ -1000,7 +1026,7 @@ def test_every_subcommand_reports_an_event_marker_error_before_a_filter_error(
     trial = generate_walker(WalkerParams(duration_s=4.0))
     short = tmp_path / "ten_frames.tsv"
     write_marker_file(short, _slice_markers(trial.markers, 10))
-    for command in ("grf", "butterfly", "events"):
+    for command in ("grf", "events"):
         argv = [command, "--marker-file", str(short), "--left-heel-marker", "NOPE",
                 "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS
         code, captured = _run(argv, capsys)
@@ -1020,7 +1046,7 @@ MIRROR_PAD = "series of {} samples is too short to mirror-pad with 12 samples; n
 @pytest.mark.parametrize(
     "kind, rows, commands, message",
     [
-        ("markers", 7, ("grf", "events", "validate", "butterfly"), MIRROR_PAD.format(7)),
+        ("markers", 7, ("grf", "events", "validate"), MIRROR_PAD.format(7)),
         ("markers", 1, ("grf", "events"), "series needs at least 2 samples, got 1"),
         ("forces", 6, ("validate",), MIRROR_PAD.format(6)),
         ("forces", 1, ("grf", "validate"), "series needs at least 2 samples, got 1"),
@@ -1156,8 +1182,13 @@ HEAD_NECK = (
         ("origin=C7 ", "origin=C7 origin=C7 ", "duplicate key 'origin'"),
         ("superior=distal", "superior=middle", "superior must be 'origin' or 'distal'"),
         (None, None, "anteroposterior style needs a lateral/medial ref"),
+        ("origin=C7 ", "origin=C7*nan+CLAV*nan ", "weight of C7 is nan, expected a finite"),
+        ("origin=C7 ", "origin=C7*nan ", "weight of C7 is nan, expected a finite"),
+        ("origin=C7 ", "origin=C7*inf+CLAV*-inf+STRN*1 ", "weight of C7 is inf, expected a finite"),
+        ("forward=LHEE:LTOE", "forward=LHEE:LTOE*2", "point rule weights sum to 2.0, expected 1"),
     ],
-    ids=["two-tokens", "repeated-key", "bad-superior", "anterior-foot"],
+    ids=["two-tokens", "repeated-key", "bad-superior", "anterior-foot", "nan-weights",
+         "one-nan-weight", "infinite-weights", "forward-weight-sum"],
 )
 def test_a_bad_segment_definition_exits_2_naming_its_line(
     cli_files, tmp_path, capsys, old, new, message
@@ -1214,12 +1245,11 @@ def test_a_cutoff_too_low_to_filter_exits_2_and_one_just_above_runs(
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", ["1e300", "1e308", "1.7976931348623157e308"])
-@pytest.mark.parametrize("command", ["grf", "butterfly"])
 def test_a_butterfly_scale_too_large_to_draw_exits_2_writing_nothing(
-    cli_files, tmp_path, capsys, command, scale
+    cli_files, tmp_path, capsys, scale
 ):
     code, captured = _run(
-        [command, "--marker-file", str(cli_files["markers"]),
+        ["grf", "--marker-file", str(cli_files["markers"]),
          "--force-file", str(cli_files["forces"]), "--butterfly-scale-m-per-n", scale,
          "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
         capsys,

@@ -318,6 +318,20 @@ def test_com_is_equivariant_under_rotation(walker, table, definitions):
     assert np.max(np.abs(com_rot.whole_body - expect)) <= 1e-9
 
 
+@pytest.mark.parametrize("mass_kg", [5e-324, 1e-310, 3e-306])
+def test_com_refuses_a_segment_mass_below_the_normal_floats(walker, table, definitions, mass_kg):
+    subject = SubjectProfile(mass_kg=mass_kg, height_m=1.80, sex="m")
+    with pytest.raises(InputError, match=f"^subject_mass_kg {mass_kg} kg gives "):
+        com_trajectory(_slice_markers(walker.markers, 0, 4), definitions, table, subject)
+
+
+def test_com_of_a_tiny_but_normal_mass_is_the_com_of_any_mass(walker, table, definitions):
+    short = _slice_markers(walker.markers, 0, 4)
+    com = com_trajectory(short, definitions, table, SUBJECT)
+    tiny = com_trajectory(short, definitions, table, SubjectProfile(1e-300, 1.80, "m"))
+    assert np.max(np.abs(tiny.whole_body - com.whole_body)) <= 1e-12
+
+
 def test_com_requires_every_marker_present(walker, table, definitions):
     short = _slice_markers(walker.markers, 0, 4)
     keep = [m for m, name in enumerate(short.names) if name != "LASI"]
@@ -622,6 +636,9 @@ def test_point_rule_parsing():
         ("A+A", "repeats"),
         ("A*x+B*0.5", "bad weight"),
         ("A++B", "bad point rule"),
+        ("A*nan+B*nan", "weight of A is nan, expected a finite number"),
+        ("A*nan", "weight of A is nan"),
+        ("A*inf+B*-inf+C*1", "weight of A is inf"),
     ],
 )
 def test_point_rule_errors(text, message):

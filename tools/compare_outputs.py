@@ -8,8 +8,8 @@ generates seeded inputs once with ``benchmarks/worker.py generate`` (the
 ``cli-plates-120s`` and ``cli-occluded-10s`` workloads), and runs in both
 trees, each in a fresh interpreter:
 
-- ``grf --force-file``, ``validate``, ``com --include-segment-coms yes``,
-  ``events`` and ``butterfly`` on the 120 s trial;
+- ``grf --force-file``, ``validate``, ``com --include-segment-coms yes``
+  and ``events`` on the 120 s trial;
 - ``grf`` on each of the eight occluded 10 s trials;
 - ``grf --force-file`` on the 120 s trial and ``grf`` on occluded trial
   ``t0``, with every input file rewritten with ``\\r\\n`` line ends, which
@@ -110,7 +110,7 @@ for record in ("forces", "cop", "below_noise"):
     digests[f"plates {record}"] = digest([(record, getattr(plates, record))])
 print(json.dumps(digests))
 """
-SUBCOMMANDS = ("com", "events", "grf", "validate", "butterfly")
+SUBCOMMANDS = ("com", "events", "grf", "validate")
 
 
 def _export(ref, dest):
@@ -189,7 +189,6 @@ def _commands(inputs, seed):
         "validate": ["validate", *plates[1:]],
         "com-segments": ["com", *markers_only, "--include-segment-coms", "yes"],
         "events": ["events", *markers_only],
-        "butterfly": ["butterfly", *markers_only],
     }
     for i, trial in enumerate(_generate("cli-occluded-10s", seed, inputs / "occluded")):
         runs[f"occluded-t{i}"] = trial["argv"]
