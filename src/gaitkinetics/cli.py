@@ -68,7 +68,7 @@ from .kinematics import (
     write_com_csv,
 )
 from .metrics import ComparisonReport, compare, write_comparison_csv, write_comparison_text
-from .signal import UniformSeries, decimate, lowpass
+from .signal import MAX_FILTER_ORDER, UniformSeries, decimate, lowpass
 
 __all__ = [
     "PipelineConfig",
@@ -127,8 +127,10 @@ class PipelineConfig:
                      "butterfly_scale_m_per_n"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.filter_order <= 0 or self.filter_order % 2:
-            raise InputError(f"filter_order must be even and positive, got {self.filter_order}")
+        if self.filter_order not in range(2, MAX_FILTER_ORDER + 1, 2):
+            raise InputError(
+                f"filter_order must be even, from 2 to {MAX_FILTER_ORDER}, got {self.filter_order}"
+            )
         if self.max_gap_frames < 0:
             raise InputError(f"max_gap_frames must be >= 0, got {self.max_gap_frames}")
         if self.noise_floor_n < 0:

@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .anthro import SegmentId, SubjectProfile
+from .anthro import SubjectProfile
 from .errors import InputError, InternalInvariantError, _check_sample_rate
 from .events import DOUBLE_STANCE, PHASE_LABELS, SS_LEFT, SS_RIGHT, GaitTimeline
 from .ingest import _VALUES_PER_BLOCK, _runs, _write_csv
@@ -328,19 +328,23 @@ def butterfly(
     at ``scale_m_per_n`` metres per newton.
 
     One entry per analyzed stance frame per foot in stance; swing and
-    excluded frames produce no entries.  The anchor is the foot segment CoM
-    projected onto the ground plane (a centre-of-pressure stand-in).
+    excluded frames produce no entries.  The anchor is the low-passed foot
+    CoM projected onto the ground plane (a centre-of-pressure stand-in), the
+    ``foot_ground`` that ``filter_com_trajectory`` attaches; a trajectory
+    without it, straight from ``com_trajectory``, is refused.
     """
     if com.n_frames != bilateral.n_frames:
         raise InputError("CoM trajectory and force series frame counts differ")
+    if com.foot_ground is None:
+        raise InputError("CoM trajectory carries no foot ground points; "
+                         "low-pass it with filter_com_trajectory first")
     feet: list[str] = []
     frames, bases, forces = [], [], []
-    for foot in ("left", "right"):
-        idx = com.segment_index(SegmentId("foot", foot))
+    for foot, ground_xy in zip(("left", "right"), com.foot_ground):
         stance = np.flatnonzero(bilateral.timeline.stance_mask(foot) & bilateral.analyzed)
         feet += [foot] * stance.size
         frames.append(stance)
-        ground = com.segment_coms[:2, idx, stance].T
+        ground = ground_xy[:, stance].T
         bases.append(np.column_stack([ground, np.zeros(stance.size)]))
         forces.append(bilateral.limb(foot).force[:, stance].T)
     return ButterflyDiagram(

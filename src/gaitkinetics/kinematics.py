@@ -13,6 +13,8 @@ distance) past the wrist centre.
 
 The whole-body CoM is the segment-mass-weighted mean over all 16 segments,
 accumulated in a fixed segment order so results are bitwise reproducible.
+``filter_com_trajectory`` low-passes only the two products later stages
+read and attaches them; the segment and whole-body tracks stay raw.
 """
 
 import math
@@ -158,17 +160,18 @@ class ComTrajectory:
 
     segment_coms has shape (3, n_segments, n_frames) in the order of
     ``segment_ids``, the model's 16 segments; whole_body is computed from
-    them, as the mass-weighted mean over segments.
+    them, as the mass-weighted mean over segments.  Both are the model's
+    output and are never low-passed.
     """
 
     segment_ids: ClassVar[tuple[SegmentId, ...]] = SEGMENT_IDS
     sample_rate_hz: float
     segment_coms: np.ndarray
     masses_kg: np.ndarray
-    # whole-body acceleration attached by filter_com_trajectory, the one
-    # source total_grf reads; None for a trajectory that has not been
-    # low-passed
+    # attached by filter_com_trajectory (None before), low-passed: the whole-body
+    # acceleration, read by total_grf, and the left then right foot CoM (x, y), by butterfly
     whole_body_acceleration: np.ndarray | None = None
+    foot_ground: np.ndarray | None = None
     whole_body: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -182,13 +185,15 @@ class ComTrajectory:
             raise InternalInvariantError("masses_kg must be positive, one per segment")
         if not np.all(np.isfinite(self.segment_coms)):
             raise InternalInvariantError("segment_coms contains non-finite values")
-        acc = self.whole_body_acceleration
-        if acc is not None:
-            self.whole_body_acceleration = acc = np.asarray(acc, dtype=float)
-            if acc.shape != (3, self.n_frames):
-                raise InternalInvariantError("whole_body_acceleration must be (3, n_frames)")
-            if not np.all(np.isfinite(acc)):
-                raise InternalInvariantError("whole_body_acceleration contains non-finite values")
+        for name, rows in (("whole_body_acceleration", (3,)), ("foot_ground", (2, 2))):
+            if getattr(self, name) is None:
+                continue
+            setattr(self, name, value := np.asarray(getattr(self, name), dtype=float))
+            if value.shape != (*rows, self.n_frames):
+                shape = ", ".join(map(str, rows))
+                raise InternalInvariantError(f"{name} must be ({shape}, n_frames)")
+            if not np.all(np.isfinite(value)):
+                raise InternalInvariantError(f"{name} contains non-finite values")
         self.whole_body = _weighted_mean(self.segment_coms, self.masses_kg)
 
     @property
@@ -454,28 +459,26 @@ def com_trajectory(
 
 
 def filter_com_trajectory(com: ComTrajectory, cutoff_hz: float, order: int = 4) -> ComTrajectory:
-    """Low-pass every segment CoM track; the returned trajectory computes
-    its whole-body mean from the filtered segments.
+    """``com``'s own arrays with the two low-passed products later stages read.
 
-    The whole-body acceleration is computed alongside, by the same filter
-    and difference stencils carried in extended precision (see
-    ``smoothed_acceleration``), and attached to the returned trajectory so
-    that downstream force estimation does not amplify the storage rounding
-    of the metre-scale positions.
+    ``whole_body_acceleration`` (for ``total_grf``) is the raw whole body
+    low-passed and differentiated in extended precision (see
+    ``smoothed_acceleration``), so that force estimation does not amplify
+    the storage rounding of the metre-scale positions.  ``foot_ground`` (for
+    ``butterfly``) is the feet's CoM (x, y) rows, low-passed in one call.
     """
-    n_seg = len(com.segment_ids)
-    flat = com.segment_coms.reshape(3 * n_seg, com.n_frames)
-    filtered = lowpass(
-        UniformSeries(com.sample_rate_hz, flat), cutoff_hz, order=order
-    ).values.reshape(3, n_seg, com.n_frames)
+    feet = [com.segment_index(SegmentId("foot", side)) for side in ("left", "right")]
+    rows = com.segment_coms[:2, feet].transpose(1, 0, 2).reshape(4, com.n_frames)
+    ground = lowpass(UniformSeries(com.sample_rate_hz, rows), cutoff_hz, order=order).values
     acc = smoothed_acceleration(
         UniformSeries(com.sample_rate_hz, com.whole_body), cutoff_hz, order=order
     ).values
     return ComTrajectory(
         sample_rate_hz=com.sample_rate_hz,
-        segment_coms=filtered,
+        segment_coms=com.segment_coms,
         masses_kg=com.masses_kg,
         whole_body_acceleration=acc,
+        foot_ground=ground.reshape(2, 2, com.n_frames),
     )
 
 

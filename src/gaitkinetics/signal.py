@@ -25,11 +25,16 @@ import scipy
 from .errors import InputError, SeriesTooShortError, _check_sample_rate
 
 __all__ = [
+    "MAX_FILTER_ORDER",
     "UniformSeries",
     "lowpass",
     "smoothed_acceleration",
     "decimate",
 ]
+
+# the highest order accepted: the design matches scipy's ``butter`` bit for
+# bit at orders 2 to 8, and higher orders distort gait tracks without failing
+MAX_FILTER_ORDER = 8
 
 # Padded samples filtered per ``_zero_phase`` call in ``lowpass``: groups of
 # channels amortise the per-call cost, and the bound keeps the filter's
@@ -95,12 +100,12 @@ class UniformSeries:
 def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[np.ndarray, int]:
     """Second-order sections of the low-pass and the mirror-pad length.
 
-    Rejects an order that is not positive and even, a cutoff outside
-    (0, Nyquist) or so low that a pole rounds to 1, and a series no longer
-    than the pad.
+    Rejects an order that is not an even integer from 2 to
+    ``MAX_FILTER_ORDER``, a cutoff outside (0, Nyquist) or so low that a
+    pole rounds to 1, and a series no longer than the pad.
     """
-    if not (isinstance(order, (int, np.integer)) and order > 0 and order % 2 == 0):
-        raise InputError(f"filter order must be a positive even integer, got {order}")
+    if not (isinstance(order, (int, np.integer)) and order in range(2, MAX_FILTER_ORDER + 1, 2)):
+        raise InputError(f"filter order must be even, from 2 to {MAX_FILTER_ORDER}, got {order}")
     nyquist = series.sample_rate_hz / 2.0
     if not 0.0 < cutoff_hz < nyquist:
         raise InputError(

@@ -3,7 +3,10 @@
 ``decompose_ds_oracle`` is the reference the closed-form double-stance
 split is checked against, and ``differentiate`` the finite-difference
 reference for ``smoothed_acceleration`` and for tests that attach an
-exact acceleration to an unfiltered CoM trajectory.  ``per_marker_check``
+exact acceleration to an unfiltered CoM trajectory, and
+``foot_ground_from_every_segment`` the reference for the foot ground points
+``filter_com_trajectory`` attaches: the feet's rows of a low-pass of every
+segment channel, as they were once computed.  ``per_marker_check``
 and ``per_marker_fill_gaps`` are the marker set's check and ``fill_gaps``
 one marker at a time, as they once were, the references for the code that
 does each over the whole (n_markers, n_frames, 3) array.  ``generate_static``
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gaitkinetics.anthro import SubjectProfile, bundled_table_path, load_table
+from gaitkinetics.anthro import SegmentId, SubjectProfile, bundled_table_path, load_table
 from gaitkinetics.errors import InputError
 from gaitkinetics.events import FootEvents, GaitTimeline, build_timeline, detect_events_zeni
 from gaitkinetics.grf import GrfSeries, decompose_gait, total_grf
@@ -368,3 +371,16 @@ def differentiate(series: UniformSeries, order: int) -> UniformSeries:
     else:
         out = _second_difference(x, r)
     return UniformSeries(sample_rate_hz=r, values=out)
+
+
+def foot_ground_from_every_segment(com, cutoff_hz: float, order: int) -> np.ndarray:
+    """The left then the right foot's low-passed CoM (x, y), (2, 2, n_frames),
+    taken from one low-pass of all (3 * n_segments, n_frames) segment
+    channels of the raw trajectory ``com``."""
+    n_seg = len(com.segment_ids)
+    flat = com.segment_coms.reshape(3 * n_seg, com.n_frames)
+    filtered = lowpass(UniformSeries(com.sample_rate_hz, flat), cutoff_hz, order).values
+    filtered = filtered.reshape(3, n_seg, com.n_frames)
+    return np.stack(
+        [filtered[:2, com.segment_index(SegmentId("foot", side))] for side in ("left", "right")]
+    )

@@ -283,14 +283,18 @@ def test_a_byte_order_mark_anywhere_else_exits_2(cli_files, tmp_path, capsys, ki
     assert not (tmp_path / "out").exists()
 
 
-def test_invalid_filter_order_exits_2(cli_files, tmp_path, capsys):
+@pytest.mark.parametrize("order", ["3", "0", "10", "100"])
+def test_invalid_filter_order_exits_2(tmp_path, capsys, order):
+    # refused before the marker file, which does not exist, is read
     code, captured = _run(
-        ["com", "--marker-file", str(cli_files["two_frame"]),
-         "--output-dir", str(tmp_path), "--filter-order", "3"] + SUBJECT_ARGS,
+        ["grf", "--marker-file", str(tmp_path / "absent.tsv"),
+         "--output-dir", str(tmp_path), "--filter-order", order] + SUBJECT_ARGS,
         capsys,
     )
     assert code == 2
-    assert "filter_order" in captured.err
+    assert captured.err == (
+        f"error: filter_order must be even, from 2 to 8, got {order}\n"
+    )
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -312,17 +316,25 @@ def test_the_removed_stance_threshold_exits_2(cli_files, tmp_path, capsys, sourc
     assert not (tmp_path / "out").exists()
 
 
-def test_detected_events_that_do_not_alternate_exit_3(cli_files, tmp_path, capsys):
-    # an order-200 filter so distorts the 4 s trial's event markers that one
-    # foot's detected toe-offs follow each other without a heel strike between
+def test_detected_events_that_do_not_alternate_exit_3(tmp_path, capsys):
+    # a 5 cm forward flick of the 4 s trial's left heel marker at frame 280,
+    # where it trails farthest behind the sacrum, reads as a second heel
+    # strike before the left foot's next toe-off (frame 306)
+    trial = generate_walker(WalkerParams(duration_s=4.0))
+    heel = trial.markers.markers["LHEE"]
+    heel[:, 0] += 0.05 * np.exp(-(((np.arange(len(heel)) - 280) / 8.0) ** 2))
+    marker_path = tmp_path / "flick.tsv"
+    write_marker_file(marker_path, trial.markers)
     code, captured = _run(
-        ["grf", "--marker-file", str(cli_files["markers"]), "--filter-order", "200",
+        ["grf", "--marker-file", str(marker_path),
          "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
         capsys,
     )
     assert code == 3
-    assert captured.err.startswith("error: no complete gait cycle found: left: consecutive")
-    assert "without the other event type between them" in captured.err
+    assert captured.err == (
+        "error: no complete gait cycle found: left: consecutive 'hs' events at frames "
+        "170 and 280 without the other event type between them\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

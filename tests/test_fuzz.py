@@ -303,7 +303,8 @@ OPTIONS = {
     "cutoff_hz": st.floats(-9.0, math.log10(NYQUIST_HZ), exclude_max=True).map(
         lambda e: min(10.0**e, math.nextafter(NYQUIST_HZ, 0.0))
     ),
-    "filter_order": st.integers(1, 20).map(lambda k: 2 * k),
+    # 10 is past the highest order accepted, 8
+    "filter_order": st.integers(1, 5).map(lambda k: 2 * k),
     "gravity_mps2": HUGE_RANGE,
     "min_event_period_s": HUGE_RANGE,
     "butterfly_scale_m_per_n": HUGE_RANGE,

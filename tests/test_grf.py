@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gaitkinetics import grf
-from gaitkinetics.anthro import SegmentId
 from gaitkinetics.errors import InputError, InternalInvariantError
 from gaitkinetics.events import DOUBLE_STANCE, NO_STANCE, FootEvents, build_timeline
 from gaitkinetics.grf import (
@@ -33,6 +32,7 @@ from conftest import (
     decompose_ds_oracle,
     differentiate,
     displace_markers_z,
+    foot_ground_from_every_segment,
 )
 from test_events import _random_foot_events
 
@@ -556,19 +556,20 @@ def test_negative_vertical_force_is_flagged(tmp_path):
 
 
 def test_butterfly_anchors_every_analyzed_stance_frame(
-    walker_bilateral, walker_com
+    walker_bilateral, walker_com, walker_com_raw
 ):
     diagram = butterfly(walker_bilateral, walker_com)
     feet = np.array(diagram.feet)
     expected_total = 0
-    for foot in ("left", "right"):
+    # the anchors are the feet's rows of a low-pass of every segment, bit for bit
+    reference = foot_ground_from_every_segment(walker_com_raw, CUTOFF_HZ, FILTER_ORDER)
+    for foot, ground in zip(("left", "right"), reference):
         mask = walker_bilateral.timeline.stance_mask(foot) & walker_bilateral.analyzed
         expected_total += int(mask.sum())
         sel = feet == foot
         assert np.array_equal(np.sort(diagram.frames[sel]), np.nonzero(mask)[0])
-        idx = walker_com.segment_index(SegmentId("foot", foot))
-        foot_xy = walker_com.segment_coms[:2, idx, :][:, diagram.frames[sel]]
-        assert np.array_equal(diagram.bases[sel][:, :2].T, foot_xy)
+        foot_xy = np.ascontiguousarray(diagram.bases[sel][:, :2].T)
+        assert foot_xy.tobytes() == ground[:, diagram.frames[sel]].tobytes()
         limb = walker_bilateral.limb(foot).force[:, diagram.frames[sel]]
         assert np.array_equal(diagram.forces[sel].T, limb)
     assert diagram.n_entries == expected_total
@@ -590,7 +591,9 @@ def test_butterfly_is_empty_without_stance(static_trial, table, definitions):
         FootEvents("left", (), ()), FootEvents("right", (), ()), n, com.sample_rate_hz
     )
     bilateral = decompose_gait(total, timeline, 80.0)
-    diagram = butterfly(bilateral, com)
+    with pytest.raises(InputError, match="filter_com_trajectory"):
+        butterfly(bilateral, com)
+    diagram = butterfly(bilateral, filter_com_trajectory(com, CUTOFF_HZ, FILTER_ORDER))
     assert diagram.n_entries == 0
     assert diagram.bases.shape == (0, 3)
 

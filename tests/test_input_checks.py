@@ -114,12 +114,12 @@ def test_point_rule_needs_a_marker():
         PointRule(weights=())
 
 
-def _com(segment_coms=None, masses=None, acceleration=None):
+def _com(segment_coms=None, masses=None, acceleration=None, foot_ground=None):
     if segment_coms is None:
         segment_coms = np.zeros((3, N_SEGMENTS, 5))
     if masses is None:
         masses = np.ones(N_SEGMENTS)
-    return ComTrajectory(200.0, segment_coms, masses, acceleration)
+    return ComTrajectory(200.0, segment_coms, masses, acceleration, foot_ground)
 
 
 def _nan_track():
@@ -140,6 +140,9 @@ def _nan_track():
         ({"acceleration": np.zeros((3, 4))}, "whole_body_acceleration must be (3, n_frames)"),
         ({"acceleration": np.full((3, 5), np.inf)},
          "whole_body_acceleration contains non-finite values"),
+        ({"foot_ground": np.zeros((2, 3, 5))}, "foot_ground must be (2, 2, n_frames)"),
+        ({"foot_ground": np.zeros((2, 2, 4))}, "foot_ground must be (2, 2, n_frames)"),
+        ({"foot_ground": np.full((2, 2, 5), np.nan)}, "foot_ground contains non-finite values"),
     ],
 )
 def test_com_trajectory_invariants(arguments, message):

@@ -35,7 +35,7 @@ from gaitkinetics.kinematics import (
     parse_segment_definitions,
     write_com_csv,
 )
-from gaitkinetics.signal import UniformSeries
+from gaitkinetics.signal import UniformSeries, lowpass
 
 SUBJECT = SubjectProfile(mass_kg=80.0, height_m=1.80, sex="m")
 
@@ -414,9 +414,11 @@ def test_filtered_trajectory_keeps_the_weighted_mean_invariant(walker_com):
 
 def test_attached_acceleration_matches_differentiating_the_positions(walker_com):
     assert walker_com.whole_body_acceleration is not None
-    direct = differentiate(
-        UniformSeries(walker_com.sample_rate_hz, walker_com.whole_body), 2
-    ).values
+    # the trajectory's whole_body is the raw one: low-pass it, then differentiate
+    smooth = lowpass(
+        UniformSeries(walker_com.sample_rate_hz, walker_com.whole_body), CUTOFF_HZ, FILTER_ORDER
+    )
+    direct = differentiate(smooth, 2).values
     assert np.max(np.abs(walker_com.whole_body_acceleration - direct)) <= 1e-7
 
 
@@ -425,7 +427,36 @@ def test_filtering_preserves_a_static_trajectory_bitwise(
 ):
     com = com_trajectory(static_trial.markers, definitions, table, static_trial.subject)
     smooth = filter_com_trajectory(com, CUTOFF_HZ, FILTER_ORDER)
-    assert np.array_equal(smooth.whole_body, com.whole_body)
+    feet = [com.segment_index(SegmentId("foot", side)) for side in ("left", "right")]
+    raw = np.ascontiguousarray(com.segment_coms[:2, feet].transpose(1, 0, 2))
+    assert smooth.foot_ground.tobytes() == raw.tobytes()
+
+
+def test_filtering_low_passes_only_the_feet_and_the_whole_body(
+    monkeypatch, walker_com_raw
+):
+    """One 4-channel low-pass of the feet's (x, y) rows and one 3-channel
+    acceleration of the whole body; the model's tracks are shared."""
+    calls = {"lowpass": [], "smoothed_acceleration": []}
+
+    def spy(name):
+        run = getattr(kinematics, name)
+
+        def record(series, *args, **kwargs):
+            calls[name].append(series.values.shape)
+            return run(series, *args, **kwargs)
+
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(kinematics, name, spy(name))
+    com = walker_com_raw
+    smooth = filter_com_trajectory(com, CUTOFF_HZ, FILTER_ORDER)
+    assert calls == {"lowpass": [(4, com.n_frames)], "smoothed_acceleration": [(3, com.n_frames)]}
+    assert smooth.segment_coms is com.segment_coms
+    assert smooth.masses_kg is com.masses_kg
+    assert smooth.whole_body.tobytes() == com.whole_body.tobytes()
+    assert com.foot_ground is None and com.whole_body_acceleration is None
 
 
 # ---------------------------------- row-major reference (bit for bit)

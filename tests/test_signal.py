@@ -441,8 +441,10 @@ def test_smoothed_acceleration_rejects_bad_parameters():
     series = UniformSeries(RATE, np.linspace(0.0, 1.0, 500))
     with pytest.raises(InputError, match="cutoff"):
         smoothed_acceleration(series, 150.0)
-    with pytest.raises(InputError, match="order"):
-        smoothed_acceleration(series, 5.0, order=3)
+    for order in (3, 0, 10, 100):
+        for run in (lowpass, smoothed_acceleration):
+            with pytest.raises(InputError, match=f"from 2 to 8, got {order}$"):
+                run(series, 5.0, order=order)
     with pytest.raises(InputError, match="too short"):
         smoothed_acceleration(UniformSeries(RATE, np.linspace(0.0, 1.0, 12)), 5.0)
 

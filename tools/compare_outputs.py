@@ -35,7 +35,8 @@ Every CLI run but ``--help`` writes to ``out`` under its own working
 directory, so the paths it prints read alike in both trees.  The sha256 of every output file, of
 stdout and of stderr, and the exit code are compared, and for the API
 chain the sha256 of each saved array, of ``BilateralGrf.analyzed``, of both
-negative-vertical masks and of the excluded intervals with their reasons,
+negative-vertical masks, of the butterfly's ``bases`` and ``tips`` and of
+the excluded intervals with their reasons,
 and for the records the sha256 of each one's names and arrays.
 Within each tree, the output files of each ``\\r\\n`` run are also compared
 with those of the same run on the ``\\n`` files.  Each difference is listed
@@ -59,7 +60,8 @@ RUN_MAIN = "import sys; from gaitkinetics.cli import main; sys.exit(main(sys.arg
 # argv: the plan of an api-inmemory-120s input; writes api/outputs.npz and
 # prints as JSON the sha256 of each array in it (the file itself holds the
 # time it was written), of the analysed-frame and negative-vertical masks,
-# and of the excluded intervals with their reasons, which the file leaves out
+# of the butterfly's anchors and tips, and of the excluded intervals with
+# their reasons, which the file leaves out
 RUN_API_CHAIN = """
 import hashlib, json, sys
 from pathlib import Path
@@ -78,6 +80,8 @@ with np.load("api/outputs.npz") as saved:
 arrays["analyzed"] = bilateral.analyzed
 arrays["negative_vertical_left"] = d.negative_vertical_left
 arrays["negative_vertical_right"] = d.negative_vertical_right
+arrays["butterfly_bases"] = diagram.bases
+arrays["butterfly_tips"] = diagram.tips
 digests = {
     name: hashlib.sha256(f"{a.dtype}{a.shape}".encode() + a.tobytes()).hexdigest()
     for name, a in arrays.items()
