@@ -53,7 +53,6 @@ from .grf import (
 )
 from .ingest import (
     DEFAULT_MAX_GAP_FRAMES,
-    DEFAULT_NOISE_FLOOR_N,
     _marker_positions,
     _read_text,
     fill_gaps,
@@ -112,7 +111,6 @@ class PipelineConfig:
     min_event_period_s: float = DEFAULT_MIN_PERIOD_S
     gravity_mps2: float = DEFAULT_GRAVITY_MPS2
     max_gap_frames: int = DEFAULT_MAX_GAP_FRAMES
-    noise_floor_n: float = DEFAULT_NOISE_FLOOR_N
     butterfly_scale_m_per_n: float = DEFAULT_BUTTERFLY_SCALE_M_PER_N
     include_segment_coms: bool = False
     output_dir: str = "."
@@ -133,8 +131,6 @@ class PipelineConfig:
             )
         if self.max_gap_frames < 0:
             raise InputError(f"max_gap_frames must be >= 0, got {self.max_gap_frames}")
-        if self.noise_floor_n < 0:
-            raise InputError(f"noise_floor_n must be >= 0, got {self.noise_floor_n}")
         if self.subject_mass_kg is not None and not self.subject_mass_kg > 0:
             raise InputError(f"subject_mass_kg must be positive, got {self.subject_mass_kg}")
         if self.subject_height_m is not None and not self.subject_height_m > 0:
@@ -178,14 +174,12 @@ def parse_config_file(path) -> dict[str, str]:
 def build_config(
     flag_values: dict[str, object],
     file_values: dict[str, str] | None = None,
-    env: dict[str, str] | None = None,
 ) -> tuple[PipelineConfig, dict[str, str]]:
     """Merge flag/env/file/default values into a PipelineConfig.
 
     Returns the config plus a provenance map (field -> which layer won).
     """
     file_values = file_values or {}
-    env = os.environ if env is None else env
     merged: dict[str, object] = {}
     provenance: dict[str, str] = {}
     for field in fields(PipelineConfig):
@@ -194,8 +188,8 @@ def build_config(
         if flag is not None:
             merged[name] = flag
             provenance[name] = "flag"
-        elif name == "output_dir" and env.get(ENV_OUTPUT_DIR):
-            merged[name] = env[ENV_OUTPUT_DIR]
+        elif name == "output_dir" and os.environ.get(ENV_OUTPUT_DIR):
+            merged[name] = os.environ[ENV_OUTPUT_DIR]
             provenance[name] = "env"
         elif name in file_values:
             try:
@@ -349,10 +343,11 @@ def _compute_bilateral(config: PipelineConfig):
 
 
 def _compare_against_plates(config: PipelineConfig, marker_force) -> ComparisonReport:
-    plates = parse_force_file(config.force_file, config.noise_floor_n)
+    plates = parse_force_file(config.force_file)
+    # compare needs the decimated plate rate to equal the marker rate exactly
     ratio = plates.sample_rate_hz / marker_force.sample_rate_hz
-    factor = int(round(ratio))
-    if factor < 1 or abs(ratio - factor) > 1e-9:
+    factor = round(ratio) if math.isfinite(ratio) else 0
+    if factor < 1 or plates.sample_rate_hz / factor != marker_force.sample_rate_hz:
         raise InputError(
             f"{config.force_file}: force rate {plates.sample_rate_hz} Hz is not an integer "
             f"multiple of the marker rate {marker_force.sample_rate_hz} Hz of {config.marker_file}"

@@ -73,7 +73,7 @@ import orjson
 from .errors import InputError, _check_sample_rate
 
 __all__ = [
-    "DEFAULT_NOISE_FLOOR_N",
+    "NOISE_FLOOR_N",
     "DEFAULT_MAX_GAP_FRAMES",
     "MarkerTrajectorySet",
     "ForcePlateSeries",
@@ -84,9 +84,9 @@ __all__ = [
     "fill_gaps",
 ]
 
-# vertical plate force below -DEFAULT_NOISE_FLOOR_N newtons is flagged as
+# vertical plate force below -NOISE_FLOOR_N newtons is flagged as
 # implausible but kept
-DEFAULT_NOISE_FLOOR_N = 5.0
+NOISE_FLOOR_N = 5.0
 # the longest interior occlusion run that fill_gaps interpolates across
 DEFAULT_MAX_GAP_FRAMES = 10
 
@@ -193,12 +193,11 @@ class ForcePlateSeries:
     values: (n_plates, n_frames, 5), each frame's Fx, Fy, Fz and COPx,
     COPy; ``forces`` and ``cop`` are views of its first three and last two
     columns.  below_noise flags frames whose vertical force is below
-    ``-noise_floor_n`` newtons; they are kept, not rejected.
+    ``-NOISE_FLOOR_N`` newtons; they are kept, not rejected.
     """
 
     sample_rate_hz: float
     values: np.ndarray
-    noise_floor_n: float = DEFAULT_NOISE_FLOOR_N
     below_noise: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -210,11 +209,7 @@ class ForcePlateSeries:
             raise InputError("force trial has zero frames")
         if not np.isfinite(self.values).all():
             raise InputError("force data contains non-finite values")
-        if self.noise_floor_n < 0:
-            raise InputError("noise_floor_n must be non-negative")
-        if not np.isfinite(self.noise_floor_n):
-            raise InputError(f"noise_floor_n must be finite, got {self.noise_floor_n}")
-        self.below_noise = self.forces[:, :, 2] < -self.noise_floor_n
+        self.below_noise = self.forces[:, :, 2] < -NOISE_FLOOR_N
 
     @property
     def forces(self) -> np.ndarray:
@@ -460,7 +455,10 @@ def _parse_rows(
     The rows are read by ``np.loadtxt``, which reads the spellings that JSON
     does not (``+1``, ``.5``, ``nan``, a padded number, the integer ``-0``).
     Faults are named: a row with the wrong number of fields first, a
-    partially blank triplet next, and a field that is not a number last.
+    partially blank triplet next, a field that is not a number next, and a
+    value after the time that is not finite last.  Only this path can read
+    one: JSON refuses ``NaN``, ``Infinity`` and a number past the float
+    range.
     """
     n_fields = 1 + n_groups * width
     for r, row in enumerate(rows):
@@ -472,14 +470,19 @@ def _parse_rows(
     if names is not None:
         _zero_blank_triplets(path, rows, start, names)
     try:
-        return _loadtxt(rows)
+        values = _loadtxt(rows)
     except ValueError:
-        pass
-    r = next(r for r, row in enumerate(rows) if not _is_number(row))
-    c = next(c for c, f in enumerate(rows[r].split("\t")) if not _is_number(f))
-    raise InputError(
-        f"{path}: data row {start + r + 1}, {_column_name(c, width, names)}: non-numeric value"
-    )
+        r = next(r for r, row in enumerate(rows) if not _is_number(row))
+        c = next(c for c, f in enumerate(rows[r].split("\t")) if not _is_number(f))
+        raise InputError(
+            f"{path}: data row {start + r + 1}, {_column_name(c, width, names)}: non-numeric value"
+        ) from None
+    finite = np.isfinite(values[:, 1:])
+    if not finite.all():
+        r, c = divmod(int(np.argmin(finite)), finite.shape[1])
+        column = _column_name(c + 1, width, names)
+        raise InputError(f"{path}: data row {start + r + 1}, {column}: non-finite value")
+    return values
 
 
 def _zero_blank_triplets(path, rows: list[str], start: int, names: list[str]) -> None:
@@ -526,7 +529,8 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
     changed since its lines were counted, and is rejected.  ``names``
     (marker files only) names each marker; with it, a blank or all-zero
     triplet marks an occlusion and is read as a NaN triplet.  A value that
-    is not finite is rejected with its row and marker or plate.
+    is not finite is rejected by ``_parse_rows`` with its row and marker or
+    plate.
 
     Blank lines may only end the file: one between data rows would shift
     every later frame, so it is rejected, also when the row after it comes
@@ -577,11 +581,6 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
             if values is None:
                 values = _parse_rows(path, rows, start, n_groups, width, names)
                 del rows
-            finite = np.isfinite(values[:, 1:])
-            if not finite.all():
-                r, c = divmod(int(np.argmin(finite)), finite.shape[1])
-                column = _column_name(c + 1, width, names)
-                raise InputError(f"{path}: data row {start + r + 1}, {column}: non-finite value")
             times = np.concatenate([previous, values[:, 0]])
             bad = np.flatnonzero(~(np.abs(np.diff(times) * rate - 1.0) <= _TIME_STEP_TOLERANCE))
             if bad_step is None and bad.size:
@@ -737,9 +736,8 @@ def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
     _write_csv(path, header, columns, sep="\t")
 
 
-def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> ForcePlateSeries:
-    """Parse a force-plate TSV file (newtons / metres); see ``ForcePlateSeries``
-    for ``noise_floor_n``."""
+def parse_force_file(path) -> ForcePlateSeries:
+    """Parse a force-plate TSV file (newtons / metres)."""
     capacity = max(0, _count_lines(path) - 2)
     blocks = _text_blocks(path, 2)
     lines = next(blocks)
@@ -752,7 +750,7 @@ def parse_force_file(path, noise_floor_n: float = DEFAULT_NOISE_FLOOR_N) -> Forc
     if n_plates < 1:
         raise InputError(f"{path}: PLATES must be >= 1, got {n_plates}")
     values = _read_data(path, blocks, 2, n_plates, 5, rate, capacity)
-    return ForcePlateSeries(sample_rate_hz=rate, values=values, noise_floor_n=noise_floor_n)
+    return ForcePlateSeries(sample_rate_hz=rate, values=values)
 
 
 def write_force_file(path, series: ForcePlateSeries) -> None:

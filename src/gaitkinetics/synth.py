@@ -297,7 +297,6 @@ def _stance_weight(t: np.ndarray, params: WalkerParams) -> np.ndarray:
 def synth_force_plates(
     params: WalkerParams | None = None,
     force_rate_hz: float = 2000.0,
-    gravity_mps2: float = 9.81,
 ) -> ForcePlateSeries:
     """Synthesize a two-plate force recording matching the walker trial.
 
@@ -331,7 +330,7 @@ def synth_force_plates(
     acc[:, 0] = acc[:, 1]
     acc[:, -1] = acc[:, -2]
     force = params.mass_kg * acc
-    force[2] += params.mass_kg * gravity_mps2
+    force[2] += params.mass_kg * 9.81
 
     w_right = _stance_weight(t, params)
     values = np.empty((2, n, 5))  # per plate: Fx, Fy, Fz, COPx, COPy
@@ -344,7 +343,7 @@ def synth_force_plates(
         heel, toe, _ = _foot_track(t, hs_offset_s, to_offset_s, params)
         values[plate, :, 3] = 0.5 * (heel + toe)
         values[plate, :, 4] = y
-    return ForcePlateSeries(sample_rate_hz=force_rate_hz, values=values, noise_floor_n=5.0)
+    return ForcePlateSeries(sample_rate_hz=force_rate_hz, values=values)
 
 
 def write_demo_files(out_dir) -> tuple[Path, Path]:

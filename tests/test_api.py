@@ -3,6 +3,7 @@ function and class is reached by something besides the tests."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from collections import Counter
@@ -85,3 +86,20 @@ def test_every_method_is_called_besides_the_tests():
                 if not re.search(rf"\.{node.name}\b" + ("" if read else r"\("), text):
                     uncalled.append(f"{cls.name}.{node.name}")
     assert uncalled == []
+
+
+@pytest.mark.parametrize(
+    "module, function, parameter",
+    [
+        ("ingest", "ForcePlateSeries", "noise_floor_n"),
+        ("ingest", "parse_force_file", "noise_floor_n"),
+        ("cli", "build_config", "env"),
+        ("synth", "synth_force_plates", "gravity_mps2"),
+    ],
+)
+def test_parameters_that_no_run_set_are_gone(module, function, parameter):
+    """The plate noise floor is the constant ``ingest.NOISE_FLOOR_N``, the
+    output directory's environment variable is read from ``os.environ``, and
+    the synthetic plates weigh the walker at 9.81 m/s^2."""
+    target = getattr(importlib.import_module(f"gaitkinetics.{module}"), function)
+    assert parameter not in inspect.signature(target).parameters

@@ -297,21 +297,23 @@ def test_invalid_filter_order_exits_2(tmp_path, capsys, order):
     )
 
 
+@pytest.mark.parametrize("key, value", [("stance_threshold_m", "0.06"), ("noise_floor_n", "5")])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_the_removed_stance_threshold_exits_2(cli_files, tmp_path, capsys, source):
+def test_the_removed_stance_threshold_exits_2(cli_files, tmp_path, capsys, source, key, value):
     argv = ["events", "--marker-file", str(cli_files["markers"]),
             "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS
     if source == "flag":
+        flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--stance-threshold-m", "0.06"])
+            cli.main(argv + [flag, value])
         code, err = exc.value.code, capsys.readouterr().err
-        assert "unrecognized arguments: --stance-threshold-m 0.06" in err
+        assert f"unrecognized arguments: {flag} {value}" in err
     else:
         config = tmp_path / "run.cfg"
-        config.write_text("stance_threshold_m = 0.06\n", encoding="utf-8")
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
         code, captured = _run(argv + ["--config", str(config)], capsys)
         err = captured.err
-        assert err == f"error: {config}:1: unknown config key 'stance_threshold_m'\n"
+        assert err == f"error: {config}:1: unknown config key {key!r}\n"
     assert code == 2
     assert not (tmp_path / "out").exists()
 
@@ -441,14 +443,15 @@ FIELD_SAMPLES = {
 
 
 @pytest.mark.parametrize("field", fields(cli.PipelineConfig), ids=lambda field: field.name)
-def test_each_config_field_parses_alike_as_flag_and_config_key(tmp_path, field):
+def test_each_config_field_parses_alike_as_flag_and_config_key(tmp_path, monkeypatch, field):
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
     (kind,) = set(get_args(field.type) or (field.type,)) - {type(None)}
     for text, value in FIELD_SAMPLES[kind]:
         args = cli._build_parser().parse_args(["com", "--" + field.name.replace("_", "-"), text])
-        from_flag, _ = cli.build_config({field.name: getattr(args, field.name)}, env={})
+        from_flag, _ = cli.build_config({field.name: getattr(args, field.name)})
         path = tmp_path / "run.cfg"
         path.write_text(f"{field.name} = {text}\n", encoding="utf-8")
-        from_file, provenance = cli.build_config({}, cli.parse_config_file(path), env={})
+        from_file, provenance = cli.build_config({}, cli.parse_config_file(path))
         assert provenance[field.name] == "config"
         for config in (from_flag, from_file):
             parsed = getattr(config, field.name)
@@ -962,6 +965,36 @@ def test_validate_requires_an_integer_rate_multiple(cli_files, tmp_path, capsys)
     )
 
 
+@pytest.mark.parametrize(
+    "marker_rate, force_rate, cutoff",
+    [
+        (1e-10, 1e300, "1e-12"),  # the ratio overflows to inf
+        (200.0, 2000.0000000001, "5"),  # within 1e-9 of 10, but 200.00000000001 Hz once decimated
+        (200.0, 1999.9999999999, "5"),
+    ],
+)
+def test_a_plate_rate_that_does_not_decimate_to_the_marker_rate_exits_2(
+    tmp_path, capsys, marker_rate, force_rate, cutoff
+):
+    params = WalkerParams(duration_s=4.0)
+    markers = generate_walker(params).markers
+    plates = synth_force_plates(params)
+    marker_path, force_path = tmp_path / "markers.tsv", tmp_path / "forces.tsv"
+    write_marker_file(marker_path, type(markers)(marker_rate, markers.names, markers.positions))
+    write_force_file(force_path, type(plates)(force_rate, plates.values))
+    code, captured = _run(
+        ["validate", "--marker-file", str(marker_path), "--force-file", str(force_path),
+         "--cutoff-hz", cutoff, "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err == (
+        f"error: {force_path}: force rate {force_rate} Hz is not an integer multiple "
+        f"of the marker rate {marker_rate} Hz of {marker_path}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_requires_enough_settled_samples(tmp_path, capsys):
     params = WalkerParams(duration_s=1.5)
     trial = generate_walker(params)
@@ -1167,7 +1200,6 @@ def test_a_short_or_untabbed_header_exits_2_naming_the_file(
     "option, message",
     [
         (["--max-gap-frames", "-1"], "max_gap_frames must be >= 0, got -1"),
-        (["--noise-floor-n", "-1"], "noise_floor_n must be >= 0, got -1.0"),
         (["--subject-sex", "x"], "subject_sex must be 'm' or 'f', got 'x'"),
     ],
 )

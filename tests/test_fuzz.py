@@ -81,7 +81,10 @@ TRIPLETS = st.tuples(
     st.just("triplet"), INDEX, INDEX, st.sampled_from([7, 7, 7, 1, 2, 3, 4, 5, 6]),
     st.sampled_from(["", " ", "   ", "0"]),
 )
-RATES = st.sampled_from(["0", "-200", "abc", "inf", "nan", "1e999", "", "100", "200.0001", "2000"])
+RATES = st.sampled_from([
+    "0", "-200", "abc", "inf", "nan", "1e999", "", "100", "200.0001", "2000",
+    "1e300", "1e-300", "2000.0000000001", "1999.9999999999",
+])
 MARKER_HEADER = st.one_of(
     st.tuples(st.just("header"), st.just(0), RATES),
     st.tuples(st.just("header"), st.just(1), st.sampled_from(["mm", "cm", "", "M"])),
@@ -308,7 +311,6 @@ OPTIONS = {
     "gravity_mps2": HUGE_RANGE,
     "min_event_period_s": HUGE_RANGE,
     "butterfly_scale_m_per_n": HUGE_RANGE,
-    "noise_floor_n": HUGE_RANGE,
     "subject_mass_kg": HUGE_RANGE,
     "max_gap_frames": st.integers(0, 10**9),
 }

@@ -248,24 +248,14 @@ def test_force_total_sums_over_plates():
 
 
 def test_force_below_noise_flags_implausible_vertical():
-    values = np.zeros((1, 4, 5))
-    values[0, :, 2] = [0.0, -4.0, -6.0, 10.0]
-    series = ForcePlateSeries(1000.0, values, noise_floor_n=5.0)
-    assert np.array_equal(series.below_noise[0], [False, False, True, False])
-    with pytest.raises(InputError, match="noise_floor_n must be non-negative"):
-        ForcePlateSeries(1000.0, values, noise_floor_n=-1.0)
-    with pytest.raises(TypeError, match="below_noise"):
-        ForcePlateSeries(1000.0, values, below_noise=np.zeros((1, 4), bool))
-
-
-@pytest.mark.parametrize("floor", [float("nan"), float("inf")])
-def test_force_noise_floor_must_be_finite(floor):
-    # either would pass a comparison with 0 and then flag no frame at all
-    values = np.full((1, 4, 5), -1e9)
-    with pytest.raises(InputError, match=f"^noise_floor_n must be finite, got {floor}$"):
-        ForcePlateSeries(1000.0, values, noise_floor_n=floor)
-    with pytest.raises(InputError, match="^noise_floor_n must be non-negative$"):
-        ForcePlateSeries(1000.0, values, noise_floor_n=-float("inf"))
+    assert ingest.NOISE_FLOOR_N == 5.0
+    values = np.zeros((1, 5, 5))
+    values[0, :, 2] = [0.0, -4.0, -5.0, -6.0, 10.0]
+    series = ForcePlateSeries(1000.0, values)
+    assert np.array_equal(series.below_noise[0], [False, False, False, True, False])
+    for name in ("noise_floor_n", "below_noise"):
+        with pytest.raises(TypeError, match=name):
+            ForcePlateSeries(1000.0, values, **{name: 5.0})
 
 
 def test_plate_forces_and_cop_are_views_of_the_one_array():
@@ -1409,6 +1399,11 @@ def test_clean_rows_are_read_without_loadtxt(tmp_path, monkeypatch):
         ("nan", False, "data row 2, {column}: non-finite value"),
         ("inf", False, "data row 2, {column}: non-finite value"),
         ("1e400", False, "data row 2, {column}: non-finite value"),
+        ("-1e400", False, "data row 2, {column}: non-finite value"),
+        ("1.7976931348623159e308", False, "data row 2, {column}: non-finite value"),
+        ("Infinity", False, "data row 2, {column}: non-finite value"),
+        ("NaN", False, "data row 2, {column}: non-finite value"),
+        pytest.param("9" * 400, False, "data row 2, {column}: non-finite value", id="9x400"),
     ],
 )
 def test_each_field_that_json_reads_otherwise_falls_back_to_loadtxt(
