@@ -355,7 +355,14 @@ def _compare_against_plates(config: PipelineConfig, marker_force) -> ComparisonR
     with _naming_short_series(config.force_file):
         plate_total = UniformSeries(plates.sample_rate_hz, plates.total_force().T)
         del plates  # the plate arrays are not held through the decimation
-        plate_at_marker_rate = decimate(plate_total, factor)
+        try:
+            plate_at_marker_rate = decimate(plate_total, factor)
+        except SeriesTooShortError:
+            raise  # named by _naming_short_series
+        except InputError:  # no anti-alias low-pass at 0.4 x the marker rate
+            raise InputError(f"{config.force_file}: force rate {plate_total.sample_rate_hz} Hz "
+                             f"is too far above the marker rate {marker_force.sample_rate_hz} Hz "
+                             f"to low-pass before decimating by {factor:g}") from None
         plate_smooth = lowpass(plate_at_marker_rate, config.cutoff_hz, config.filter_order)
     n = min(plate_smooth.n_samples, marker_force.n_frames)
     # Zero-phase filtering of a finite trial rings for a few cutoff periods

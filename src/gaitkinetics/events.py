@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NoGaitDataError, _check_sample_rate
-from .ingest import _write_csv
+from .ingest import _runs, _write_csv
 from .signal import UniformSeries, find_peaks
 
 __all__ = [
@@ -223,10 +223,10 @@ def _phases(stance: np.ndarray, left: FootEvents, right: FootEvents) -> list[Pha
     touching the trial edges are flagged incomplete.
     """
     last = stance.size - 1
-    cuts = np.flatnonzero(np.diff(stance)) + 1  # first frame of each run but the first
+    starts, ends, codes = _runs(stance)
     phases: list[Phase] = []
-    for start, end in zip([0, *cuts.tolist()], [*(cuts - 1).tolist(), last]):
-        label = PHASE_LABELS[stance[start]]
+    for start, end, code in zip(starts.tolist(), (ends - 1).tolist(), codes.tolist()):
+        label = PHASE_LABELS[code]
         if label == DOUBLE_STANCE:
             leading = next((ev.foot for ev in (left, right) if start in ev.heel_strikes), None)
             trailing = next((ev.foot for ev in (left, right) if end in ev.toe_offs), None)

@@ -17,13 +17,13 @@ limb curves share the curvature of the total: the second derivative of each
 equals half that of the total force.
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .anthro import SubjectProfile
 from .errors import InputError, InternalInvariantError, _check_sample_rate
-from .events import DOUBLE_STANCE, PHASE_LABELS, SS_LEFT, SS_RIGHT, GaitTimeline
+from .events import NO_STANCE, PHASE_LABELS, SS_LEFT, SS_RIGHT, GaitTimeline
 from .ingest import _VALUES_PER_BLOCK, _runs, _write_csv
 from .kinematics import ComTrajectory
 
@@ -31,6 +31,7 @@ __all__ = [
     "DEFAULT_GRAVITY_MPS2",
     "DEFAULT_BUTTERFLY_SCALE_M_PER_N",
     "NEGATIVE_VERTICAL_FRACTION",
+    "EXCLUSION_REASONS",
     "GrfSeries",
     "GrfDiagnostics",
     "BilateralGrf",
@@ -50,6 +51,11 @@ DEFAULT_GRAVITY_MPS2 = 9.81
 DEFAULT_BUTTERFLY_SCALE_M_PER_N = 0.001
 # per-limb vertical force below -2% of body weight is flagged as implausible
 NEGATIVE_VERTICAL_FRACTION = 0.02
+# indexed by a frame's status code: none for 0, an analysed frame, else why the split left it out
+EXCLUSION_REASONS = (
+    "", "double stance without detected boundary events", "zero-length double stance",
+    "double stance boundary force derived from flagged frames", "no foot in stance",
+)
 # the farthest butterfly vector tip (m) that the SVG's arithmetic spans with room to spare
 _MAX_TIP_M = 1e300
 
@@ -91,11 +97,11 @@ class GrfDiagnostics:
 class BilateralGrf:
     """Total plus per-limb ground reaction forces over one trial.
 
-    ``excluded_intervals`` (start, end inclusive, reason) is the one record
-    of the frames the split left out, which hold zeros: ``analyzed`` is every
-    other frame, where left + right equals the total componentwise, and
-    ``diagnostics`` adds the analyzed frames with a limb's vertical force
-    below -2% of body weight.
+    ``status``, a code per frame into ``EXCLUSION_REASONS``, is the one record
+    of the frames the split left out, which hold zeros: ``analyzed`` is
+    ``status == 0``, where left + right equals the total componentwise, and
+    ``diagnostics`` lists each run of one nonzero code as an excluded interval
+    and adds the analyzed frames with a limb's vertical force below -2% of body weight.
     """
 
     total: GrfSeries
@@ -104,11 +110,11 @@ class BilateralGrf:
     timeline: GaitTimeline
     mass_kg: float
     gravity_mps2: float
-    excluded_intervals: InitVar[list[tuple[int, int, str]]]
+    status: np.ndarray  # (n_frames,) integer codes into EXCLUSION_REASONS
     analyzed: np.ndarray = field(init=False)
     diagnostics: GrfDiagnostics = field(init=False)
 
-    def __post_init__(self, excluded_intervals):
+    def __post_init__(self):
         n = self.total.n_frames
         if self.left.n_frames != n or self.right.n_frames != n:
             raise InternalInvariantError("total/left/right frame counts differ")
@@ -118,11 +124,11 @@ class BilateralGrf:
             raise InputError(f"mass must be positive and finite, got {self.mass_kg}")
         if not 0 < self.gravity_mps2 < np.inf:
             raise InputError(f"gravity must be positive and finite, got {self.gravity_mps2}")
-        self.analyzed = np.ones(n, dtype=bool)
-        for s, e, _ in excluded_intervals:
-            if not 0 <= s <= e < n:
-                raise InternalInvariantError(f"excluded interval [{s}, {e}] outside the trial")
-            self.analyzed[s : e + 1] = False
+        status = self.status = np.asarray(self.status)
+        known = status.dtype.kind in "iu" and np.isin(status, range(len(EXCLUSION_REASONS))).all()
+        if status.shape != (n,) or not known:
+            raise InternalInvariantError("status must hold one EXCLUSION_REASONS code per frame")
+        self.analyzed = status == 0
         resid = self.left.force + self.right.force - self.total.force
         scale = max(1.0, float(np.max(np.abs(self.total.force))))
         if self.analyzed.any() and not (
@@ -137,7 +143,8 @@ class BilateralGrf:
                 raise InternalInvariantError("swing limb carries force during single stance")
         floor = -NEGATIVE_VERTICAL_FRACTION * self.mass_kg * self.gravity_mps2
         self.diagnostics = GrfDiagnostics(
-            excluded_intervals,
+            [(s, e - 1, EXCLUSION_REASONS[code])
+             for s, e, code in zip(*(part.tolist() for part in _runs(status))) if code],
             self.analyzed & (self.left.force[2] < floor),
             self.analyzed & (self.right.force[2] < floor),
         )
@@ -261,8 +268,8 @@ def decompose_gait(
     exactly zero.  Complete double stances are split with ``decompose_ds``.
     Incomplete double stances (missing a detected boundary event) and
     no-stance intervals are excluded: their limb forces stay zero, and each
-    is recorded with its reason in the excluded intervals that
-    ``BilateralGrf`` derives ``analyzed`` from.
+    of their frames gets the code of its reason in ``EXCLUSION_REASONS`` in
+    the ``status`` that ``BilateralGrf`` derives the rest from.
 
     ``flagged_frames`` optionally marks frames whose force values are
     untrustworthy (for example derived from gap-filled markers); a double
@@ -276,14 +283,13 @@ def decompose_gait(
     if timeline.sample_rate_hz != total.sample_rate_hz:
         raise InputError("timeline and force series sample rates differ")
     n = total.n_frames
-    if flagged_frames is not None:
-        flagged_frames = np.asarray(flagged_frames, dtype=bool)
-        if flagged_frames.shape != (n,):
-            raise InputError("flagged_frames mask must be (n_frames,)")
+    flagged = np.zeros(n, bool) if flagged_frames is None else np.asarray(flagged_frames, bool)
+    if flagged.shape != (n,):
+        raise InputError("flagged_frames mask must be (n_frames,)")
 
     left = np.zeros((3, n))
     right = np.zeros((3, n))
-    excluded: list[tuple[int, int, str]] = []
+    status = np.zeros(n, dtype=np.uint8)  # 0, analysed, until a reason is set
 
     for phase in timeline.phases:
         s, e = phase.start, phase.end
@@ -292,21 +298,18 @@ def decompose_gait(
             left[:, frames] = total.force[:, frames]
         elif phase.label == SS_RIGHT:
             right[:, frames] = total.force[:, frames]
-        elif phase.label == DOUBLE_STANCE:
-            if phase.incomplete:
-                excluded.append((s, e, "double stance without detected boundary events"))
-            elif e == s:
-                excluded.append((s, e, "zero-length double stance"))
-            elif flagged_frames is not None and (flagged_frames[s] or flagged_frames[e]):
-                excluded.append(
-                    (s, e, "double stance boundary force derived from flagged frames")
-                )
-            else:
-                trailing = left if phase.trailing_foot == "left" else right
-                leading = left if phase.leading_foot == "left" else right
-                trailing[:, frames], leading[:, frames] = decompose_ds(total.force[:, frames])
-        else:  # NO_STANCE
-            excluded.append((s, e, "no foot in stance"))
+        elif phase.label == NO_STANCE:
+            status[frames] = 4
+        elif phase.incomplete:  # the rest are double stances
+            status[frames] = 1
+        elif e == s:
+            status[frames] = 2
+        elif flagged[s] or flagged[e]:
+            status[frames] = 3
+        else:
+            trailing = left if phase.trailing_foot == "left" else right
+            leading = left if phase.leading_foot == "left" else right
+            trailing[:, frames], leading[:, frames] = decompose_ds(total.force[:, frames])
 
     return BilateralGrf(
         total=total,
@@ -315,7 +318,7 @@ def decompose_gait(
         timeline=timeline,
         mass_kg=mass_kg,
         gravity_mps2=gravity_mps2,
-        excluded_intervals=excluded,
+        status=status,
     )
 
 
@@ -371,7 +374,7 @@ def write_diagnostics_csv(path, bilateral: BilateralGrf) -> None:
     rows = [("excluded", s, e, reason) for s, e, reason in d.excluded_intervals]
     for foot, mask in (("left", d.negative_vertical_left), ("right", d.negative_vertical_right)):
         detail = f"{foot} limb below -{NEGATIVE_VERTICAL_FRACTION:g} body weight"
-        rows += [("negative_vertical", s, e - 1, detail) for s, e in zip(*_runs(mask))]
+        rows += [("negative_vertical", s, e - 1, detail) for s, e, on in zip(*_runs(mask)) if on]
     columns = np.array(rows, dtype=str).reshape(-1, 4).T  # record, start, end, detail
     _write_csv(path, ["record,start_frame,end_frame,detail"], columns)
 

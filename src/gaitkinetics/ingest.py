@@ -760,13 +760,11 @@ def write_force_file(path, series: ForcePlateSeries) -> None:
     _write_csv(path, header, columns, sep="\t")
 
 
-def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index and one past the last index of each run of True in a 1-D
-    mask; beyond the mask itself, it allocates only for its True samples."""
-    at = np.flatnonzero(mask)
-    first = np.diff(at, prepend=-2) != 1  # at[i] begins a run
-    last = np.append(first[1:], True)[: at.size]  # at[i] ends one
-    return at[first], at[last] + 1
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start, the end (one past the last index) and the value of each run
+    of equal values in a non-empty 1-D array, in order."""
+    starts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
+    return starts, np.append(starts[1:], values.size), values[starts]
 
 
 def fill_gaps(
@@ -785,7 +783,8 @@ def fill_gaps(
 
     n = traj.n_frames
     missing = traj.occluded.ravel()  # every marker's mask, end to end
-    starts, ends = _runs(missing)
+    starts, ends, gap = _runs(missing)
+    starts, ends = starts[gap], ends[gap]
     run = np.repeat(np.arange(starts.size), ends - starts)  # of each missing sample
     # bracketed on both sides: within one marker's mask, off its first and last frames
     inner = (starts // n == (ends - 1) // n) & (starts % n > 0) & (ends % n > 0)

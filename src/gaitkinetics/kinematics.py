@@ -17,6 +17,7 @@ accumulated in a fixed segment order so results are bitwise reproducible.
 read and attaches them; the segment and whole-body tracks stay raw.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -161,17 +162,18 @@ class ComTrajectory:
     segment_coms has shape (3, n_segments, n_frames) in the order of
     ``segment_ids``, the model's 16 segments; whole_body is computed from
     them, as the mass-weighted mean over segments.  Both are the model's
-    output and are never low-passed.
+    output and are never low-passed.  The two low-passed tracks are None
+    until ``filter_com_trajectory`` sets them on its copy.
     """
 
     segment_ids: ClassVar[tuple[SegmentId, ...]] = SEGMENT_IDS
     sample_rate_hz: float
     segment_coms: np.ndarray
     masses_kg: np.ndarray
-    # attached by filter_com_trajectory (None before), low-passed: the whole-body
-    # acceleration, read by total_grf, and the left then right foot CoM (x, y), by butterfly
-    whole_body_acceleration: np.ndarray | None = None
-    foot_ground: np.ndarray | None = None
+    # set by filter_com_trajectory, low-passed: the (3, n_frames) whole-body acceleration,
+    # read by total_grf, and the (2, 2, n_frames) left then right foot CoM (x, y), by butterfly
+    whole_body_acceleration: np.ndarray | None = field(default=None, init=False)
+    foot_ground: np.ndarray | None = field(default=None, init=False)
     whole_body: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -185,15 +187,6 @@ class ComTrajectory:
             raise InternalInvariantError("masses_kg must be positive, one per segment")
         if not np.all(np.isfinite(self.segment_coms)):
             raise InternalInvariantError("segment_coms contains non-finite values")
-        for name, rows in (("whole_body_acceleration", (3,)), ("foot_ground", (2, 2))):
-            if getattr(self, name) is None:
-                continue
-            setattr(self, name, value := np.asarray(getattr(self, name), dtype=float))
-            if value.shape != (*rows, self.n_frames):
-                shape = ", ".join(map(str, rows))
-                raise InternalInvariantError(f"{name} must be ({shape}, n_frames)")
-            if not np.all(np.isfinite(value)):
-                raise InternalInvariantError(f"{name} contains non-finite values")
         self.whole_body = _weighted_mean(self.segment_coms, self.masses_kg)
 
     @property
@@ -459,7 +452,7 @@ def com_trajectory(
 
 
 def filter_com_trajectory(com: ComTrajectory, cutoff_hz: float, order: int = 4) -> ComTrajectory:
-    """``com``'s own arrays with the two low-passed products later stages read.
+    """A shallow copy of ``com`` with the two low-passed products later stages read.
 
     ``whole_body_acceleration`` (for ``total_grf``) is the raw whole body
     low-passed and differentiated in extended precision (see
@@ -473,13 +466,9 @@ def filter_com_trajectory(com: ComTrajectory, cutoff_hz: float, order: int = 4) 
     acc = smoothed_acceleration(
         UniformSeries(com.sample_rate_hz, com.whole_body), cutoff_hz, order=order
     ).values
-    return ComTrajectory(
-        sample_rate_hz=com.sample_rate_hz,
-        segment_coms=com.segment_coms,
-        masses_kg=com.masses_kg,
-        whole_body_acceleration=acc,
-        foot_ground=ground.reshape(2, 2, com.n_frames),
-    )
+    smooth = copy.copy(com)
+    smooth.whole_body_acceleration, smooth.foot_ground = acc, ground.reshape(2, 2, com.n_frames)
+    return smooth
 
 
 def write_com_csv(path, com: ComTrajectory, include_segments: bool = False) -> None:

@@ -45,6 +45,13 @@ __all__ = [
     "write_demo_files",
 ]
 
+# the walker's shape (m): trunk bob and sway, feet's AP swing about the sacrum, heel and toe lift
+_BOB_AMPLITUDE_M = 0.012
+_SWAY_AMPLITUDE_M = 0.03
+_FOOT_AP_AMPLITUDE_M = 0.28
+_HEEL_LIFT_M = 0.10
+_TOE_LIFT_M = 0.07
+
 
 @dataclass(frozen=True)
 class WalkerParams:
@@ -63,11 +70,6 @@ class WalkerParams:
     left_to_offset_s: float = 0.43
     left_hs_offset_s: float = 0.85
     right_to_offset_s: float = 0.98
-    bob_amplitude_m: float = 0.012
-    sway_amplitude_m: float = 0.03
-    foot_ap_amplitude_m: float = 0.28
-    heel_lift_m: float = 0.10
-    toe_lift_m: float = 0.07
     mass_kg: float = 80.0
     height_m: float = 1.78
 
@@ -133,7 +135,7 @@ def _foot_track(
     T = params.cycle_s
     S = params.stance_s
     omega = 2.0 * np.pi / T
-    A = params.foot_ap_amplitude_m
+    A = _FOOT_AP_AMPLITUDE_M
     base = params.speed_mps * t
     heel_x = base - 0.06 + A * np.cos(omega * (t - hs_offset_s))
     toe_x = base + 0.18 - A * np.cos(omega * (t - to_offset_s))
@@ -155,11 +157,11 @@ def _walker_markers(t: np.ndarray, params: WalkerParams) -> tuple[list[str], np.
     v = params.speed_mps
     x0 = v * t
     # lateral sway toward the single-stance foot, once per cycle
-    yc = -params.sway_amplitude_m * np.sin(omega * (t - params.right_hs_offset_s))
+    yc = -_SWAY_AMPLITUDE_M * np.sin(omega * (t - params.right_hs_offset_s))
     # vertical bob at twice the cycle frequency, phased so the downward
     # acceleration (hence the vertical force) peaks early and late in stance
     bob_ref = params.right_hs_offset_s + 0.05 * T - 0.25 * T
-    zb = params.bob_amplitude_m * np.cos(2.0 * omega * (t - bob_ref))
+    zb = _BOB_AMPLITUDE_M * np.cos(2.0 * omega * (t - bob_ref))
     arm = np.cos(omega * (t - params.right_hs_offset_s))
 
     names: list[str] = []
@@ -209,8 +211,8 @@ def _walker_markers(t: np.ndarray, params: WalkerParams) -> tuple[list[str], np.
     ):
         heel_x, toe_x, lift = _foot_track(t, hs_off, to_off, params)
         y_foot = sign * 0.10
-        heel_z = heel_z0 + params.heel_lift_m * lift
-        toe_z = toe_z0 + params.toe_lift_m * lift
+        heel_z = heel_z0 + _HEEL_LIFT_M * lift
+        toe_z = toe_z0 + _TOE_LIFT_M * lift
         put(f"{side}HEE", heel_x, y_foot, heel_z)
         put(f"{side}TOE", toe_x, y_foot, toe_z)
         put(f"{side}MT5", heel_x + 0.7 * (toe_x - heel_x), y_foot + sign * 0.04, toe_z + 0.008)

@@ -95,11 +95,16 @@ def test_every_method_is_called_besides_the_tests():
         ("ingest", "parse_force_file", "noise_floor_n"),
         ("cli", "build_config", "env"),
         ("synth", "synth_force_plates", "gravity_mps2"),
+        *(("synth", "WalkerParams", shape) for shape in (
+            "bob_amplitude_m", "sway_amplitude_m", "foot_ap_amplitude_m", "heel_lift_m",
+            "toe_lift_m",
+        )),
     ],
 )
 def test_parameters_that_no_run_set_are_gone(module, function, parameter):
     """The plate noise floor is the constant ``ingest.NOISE_FLOOR_N``, the
-    output directory's environment variable is read from ``os.environ``, and
-    the synthetic plates weigh the walker at 9.81 m/s^2."""
+    output directory's environment variable is read from ``os.environ``, the
+    synthetic plates weigh the walker at 9.81 m/s^2, and the walker's shape
+    (its bob, sway, foot swing and lifts) is fixed in ``synth``."""
     target = getattr(importlib.import_module(f"gaitkinetics.{module}"), function)
     assert parameter not in inspect.signature(target).parameters

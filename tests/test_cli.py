@@ -995,6 +995,28 @@ def test_a_plate_rate_that_does_not_decimate_to_the_marker_rate_exits_2(
     assert not (tmp_path / "out").exists()
 
 
+def test_a_plate_rate_too_far_above_the_marker_rate_to_decimate_exits_2(tmp_path, capsys):
+    # the rates divide exactly, but decimate's anti-alias low-pass at 0.4 x the
+    # marker rate cannot be built at the plate rate; the user set no such cutoff
+    params = WalkerParams(duration_s=4.0)
+    markers = generate_walker(params).markers
+    plates = synth_force_plates(params)
+    marker_path, force_path = tmp_path / "markers.tsv", tmp_path / "forces.tsv"
+    write_marker_file(marker_path, type(markers)(1.0, markers.names, markers.positions))
+    write_force_file(force_path, type(plates)(1e300, plates.values))
+    code, captured = _run(
+        ["validate", "--marker-file", str(marker_path), "--force-file", str(force_path),
+         "--cutoff-hz", "0.025", "--output-dir", str(tmp_path / "out")] + SUBJECT_ARGS,
+        capsys,
+    )
+    assert code == 2
+    assert captured.err == (
+        f"error: {force_path}: force rate 1e+300 Hz is too far above the marker rate 1.0 Hz "
+        "to low-pass before decimating by 1e+300\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_requires_enough_settled_samples(tmp_path, capsys):
     params = WalkerParams(duration_s=1.5)
     trial = generate_walker(params)

@@ -1,5 +1,6 @@
 """Total ground reaction force and minimum rate-of-change limb decomposition."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ from gaitkinetics.errors import InputError, InternalInvariantError
 from gaitkinetics.events import DOUBLE_STANCE, NO_STANCE, FootEvents, build_timeline
 from gaitkinetics.grf import (
     DEFAULT_BUTTERFLY_SCALE_M_PER_N,
+    EXCLUSION_REASONS,
     BilateralGrf,
     ButterflyDiagram,
     GrfDiagnostics,
@@ -76,8 +78,11 @@ def test_static_subject_supports_exactly_body_weight(static_trial, table, defini
 def with_differenced_acceleration(com):
     """The unfiltered trajectory with its positions' second differences
     attached as the acceleration ``total_grf`` reads."""
-    acc = differentiate(UniformSeries(com.sample_rate_hz, com.whole_body), 2).values
-    return dataclasses.replace(com, whole_body_acceleration=acc)
+    differenced = copy.copy(com)
+    differenced.whole_body_acceleration = differentiate(
+        UniformSeries(com.sample_rate_hz, com.whole_body), 2
+    ).values
+    return differenced
 
 
 def test_free_fall_produces_zero_force(static_trial, table, definitions):
@@ -376,14 +381,15 @@ def _exclusion_reason(phase, flagged):
 def test_decompose_gait_on_random_timelines():
     """Random events, smooth forces and flagged frames: the analysed frames and
     the excluded intervals partition the trial, each interval is one phase
-    with the reason it earns, left + right is the total on analysed frames,
+    with the reason it earns (two touching phases with different reasons
+    among them), left + right is the total on analysed frames,
     each split double stance's boundary limb forces are exactly 0.0, and both
     negative-vertical masks lie inside ``analyzed``."""
     rng = np.random.default_rng(20261019)
     seen = dict.fromkeys(
         ["split", "no foot in stance", "double stance without detected boundary events",
          "zero-length double stance", "double stance boundary force derived from flagged frames",
-         "negative vertical"],
+         "negative vertical", "touching reasons"],
         0,
     )
     for _ in range(1500):
@@ -403,6 +409,10 @@ def test_decompose_gait_on_random_timelines():
             covered[start : end + 1] += 1
             seen[reason] += 1
         assert np.array_equal(covered, (~bilateral.analyzed).astype(int))
+        # two excluded phases that touch stay two intervals when their reasons differ
+        seen["touching reasons"] += any(
+            a[1] + 1 == b[0] and a[2] != b[2] for a, b in zip(intervals, intervals[1:])
+        )
 
         resid = bilateral.left.force + bilateral.right.force - total.force
         scale = np.abs(total.force).max()
@@ -466,7 +476,7 @@ def test_force_on_an_excluded_frame_is_never_flagged_as_negative(foot, other):
     pulled[2, 151:] = -1000.0
     pushed[2, 151:] = good.total.force[2, 151:] + 1000.0
     given.update({foot: GrfSeries(100.0, pulled), other: GrfSeries(100.0, pushed)})
-    loaded = BilateralGrf(**given, excluded_intervals=good.diagnostics.excluded_intervals)
+    loaded = BilateralGrf(**given)
     assert not getattr(loaded.diagnostics, f"negative_vertical_{foot}")[151:].any()
 
 
@@ -484,7 +494,7 @@ def test_bilateral_invariants_catch_tampered_forces():
             timeline=good.timeline,
             mass_kg=good.mass_kg,
             gravity_mps2=good.gravity_mps2,
-            excluded_intervals=good.diagnostics.excluded_intervals,
+            status=good.status,
         )
 
     broken_sum = good.left.force.copy()
@@ -508,31 +518,42 @@ def test_bilateral_invariants_catch_tampered_forces():
             timeline=good.timeline,
             mass_kg=good.mass_kg,
             gravity_mps2=good.gravity_mps2,
-            excluded_intervals=good.diagnostics.excluded_intervals,
+            status=good.status,
         )
     with pytest.raises(InputError, match="foot"):
         good.limb("back")
 
 
-def test_bilateral_derives_analyzed_and_diagnostics_from_its_intervals():
+def test_bilateral_derives_analyzed_and_diagnostics_from_its_status():
     rng = np.random.default_rng(71)
     good = decompose_gait(GrfSeries(100.0, _smooth_force(rng, 200)), _mixed_timeline(), 70.0)
+    no_stance = EXCLUSION_REASONS.index("no foot in stance")
+    assert good.status.tolist() == [0] * 151 + [no_stance] * 49
     given = {f.name: getattr(good, f.name) for f in dataclasses.fields(good) if f.init}
-    intervals = good.diagnostics.excluded_intervals
-    rebuilt = BilateralGrf(**given, excluded_intervals=intervals)
-    assert np.array_equal(rebuilt.analyzed, good.analyzed)
-    assert rebuilt.diagnostics.excluded_intervals == intervals
+    rebuilt = BilateralGrf(**given)
+    assert np.array_equal(rebuilt.analyzed, good.status == 0)
+    assert rebuilt.diagnostics.excluded_intervals == [(151, 199, "no foot in stance")]
     for side in ("left", "right"):
         mask = f"negative_vertical_{side}"
         assert np.array_equal(getattr(rebuilt.diagnostics, mask), getattr(good.diagnostics, mask))
-    # the derived values cannot be passed in to disagree with the intervals
+    # each run of one code is an interval, also where it touches a run of another
+    status = good.status.copy()
+    status[151:161] = EXCLUSION_REASONS.index("zero-length double stance")
+    split = BilateralGrf(**{**given, "status": status})
+    assert split.diagnostics.excluded_intervals == [
+        (151, 160, "zero-length double stance"), (161, 199, "no foot in stance"),
+    ]
+    # the derived values cannot be passed in to disagree with the status
     for name in ("analyzed", "diagnostics"):
         with pytest.raises(TypeError, match=name):
-            BilateralGrf(**given, excluded_intervals=intervals, **{name: None})
+            BilateralGrf(**given, **{name: None})
     with pytest.raises(TypeError):
         GrfDiagnostics()
-    with pytest.raises(InternalInvariantError, match=r"\[151, 200\] outside the trial"):
-        BilateralGrf(**given, excluded_intervals=[(151, 200, "no foot in stance")])
+    # a status of the wrong shape, or with a code that names no reason
+    for status in (good.status[:-1], np.full(200, len(EXCLUSION_REASONS)), np.full(200, -1),
+                   good.status.astype(float)):
+        with pytest.raises(InternalInvariantError, match="status"):
+            BilateralGrf(**{**given, "status": status})
 
 
 def test_negative_vertical_force_is_flagged(tmp_path):

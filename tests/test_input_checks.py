@@ -99,7 +99,7 @@ def test_timeline_checks():
 def test_bilateral_grf_refuses_a_timeline_of_another_span():
     zeros = GrfSeries(200.0, np.zeros((3, 5)))
     with pytest.raises(InternalInvariantError, match="timeline span differs from force series"):
-        BilateralGrf(zeros, zeros, zeros, _timeline(6), 80.0, 9.81, [])
+        BilateralGrf(zeros, zeros, zeros, _timeline(6), 80.0, 9.81, np.zeros(5, np.uint8))
 
 
 def test_butterfly_diagram_invariants():
@@ -114,12 +114,12 @@ def test_point_rule_needs_a_marker():
         PointRule(weights=())
 
 
-def _com(segment_coms=None, masses=None, acceleration=None, foot_ground=None):
+def _com(segment_coms=None, masses=None):
     if segment_coms is None:
         segment_coms = np.zeros((3, N_SEGMENTS, 5))
     if masses is None:
         masses = np.ones(N_SEGMENTS)
-    return ComTrajectory(200.0, segment_coms, masses, acceleration, foot_ground)
+    return ComTrajectory(200.0, segment_coms, masses)
 
 
 def _nan_track():
@@ -137,12 +137,6 @@ def _nan_track():
         ({"masses": np.r_[0.0, np.ones(N_SEGMENTS - 1)]},
          "masses_kg must be positive, one per segment"),
         ({"segment_coms": _nan_track()}, "segment_coms contains non-finite values"),
-        ({"acceleration": np.zeros((3, 4))}, "whole_body_acceleration must be (3, n_frames)"),
-        ({"acceleration": np.full((3, 5), np.inf)},
-         "whole_body_acceleration contains non-finite values"),
-        ({"foot_ground": np.zeros((2, 3, 5))}, "foot_ground must be (2, 2, n_frames)"),
-        ({"foot_ground": np.zeros((2, 2, 4))}, "foot_ground must be (2, 2, n_frames)"),
-        ({"foot_ground": np.full((2, 2, 5), np.nan)}, "foot_ground contains non-finite values"),
     ],
 )
 def test_com_trajectory_invariants(arguments, message):
