@@ -53,9 +53,10 @@ from .grf import (
 )
 from .ingest import (
     DEFAULT_MAX_GAP_FRAMES,
+    MarkerTrajectorySet,
+    _interpolated_gaps,
     _marker_positions,
     _read_text,
-    fill_gaps,
     parse_force_file,
     parse_marker_file,
 )
@@ -246,15 +247,18 @@ def _naming_short_series(path):
 
 
 def _load_markers(config: PipelineConfig):
-    """Parse the marker file and fill short gaps.
-
-    Returns the filled trajectory and the (n_markers, n_frames) flags of its
-    filled samples.
-    """
+    """Parse the marker file and fill its short gaps as ``fill_gaps`` does, but
+    in the parsed positions, not a copy.  Returns the filled trajectory and
+    the (n_markers, n_frames) flags of its filled samples."""
     _require(config, "marker_file")
-    raw = parse_marker_file(config.marker_file)
-    filled = fill_gaps(raw, config.max_gap_frames)
-    return filled, raw.occluded & ~filled.occluded
+    traj = parse_marker_file(config.marker_file)
+    samples, values = _interpolated_gaps(traj, config.max_gap_frames)
+    fills = np.zeros(traj.occluded.shape, dtype=bool)  # its pages are touched only where filled
+    fills[samples] = True
+    if len(values):
+        traj.positions[samples] = values
+        traj = MarkerTrajectorySet(traj.sample_rate_hz, traj.names, traj.positions)
+    return traj, fills
 
 
 def _com(config: PipelineConfig, traj):

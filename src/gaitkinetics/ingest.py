@@ -30,7 +30,7 @@ Each block first loses the carriage returns that end its lines and the
 blank lines that end it, so both of its paths see rows that end in ``\n``
 alone.  A block whose rows are each exactly the
 header's count of JSON numbers between tabs is read from its bytes by
-``orjson``'s compiled reader, which rounds correctly: a sixteenth at a
+``orjson``'s compiled reader, which rounds correctly: a quarter at a
 time, never decoded or split into lines, with a marker block's blank
 triplets read as ``0``.  The block itself is never written.  Any other
 block (a blank time, a partially blank or spaces-only triplet, ``+1``,
@@ -100,12 +100,11 @@ _TIME_STEP_TOLERANCE = 0.25
 _VALUES_PER_BLOCK = 1 << 12
 
 # the parsers read data lines this many bytes at a time, then to the end of the line
-_BYTES_PER_BLOCK = 1 << 20
+_BYTES_PER_BLOCK = 1 << 18
 
-# _slices cuts a block into about this many slices of whole rows, which
-# _read_numbers reads one at a time; with 8, a parse's peak held about a
-# quarter of a block more, as a slice's temporaries are twice the size
-_SLICES_PER_BLOCK = 16
+# _slices cuts a block into about this many slices of whole rows, 64 KiB each, which
+# _read_numbers reads one at a time; each slice's temporaries are several times its size
+_SLICES_PER_BLOCK = 4
 # how _read_numbers makes a slice one JSON array: the tabs and newlines become
 # its commas, the bytes of numbers stay, and every other byte becomes a "?",
 # which JSON refuses
@@ -166,14 +165,15 @@ class MarkerTrajectorySet:
             occluded = np.zeros(pos.shape[:2], dtype=bool)
         else:
             occluded = np.isnan(pos[..., 0])
-            ok = np.isfinite(pos)
-            ok[occluded] = np.isnan(pos[occluded])  # an occluded triplet is all NaN
-            if not ok.all():  # the first faulty marker in file order, at its first faulty frame
-                m, frame = divmod(int(np.argmin(ok)) // 3, pos.shape[1])
-                raise InputError(
-                    f"marker {names[m]!r}: non-finite position at frame {frame}; "
-                    "an occluded frame is an all-NaN triplet"
-                )
+            # one marker at a time, so that no temporary is the size of the array
+            for name, marker, missing in zip(names, pos, occluded):
+                ok = np.isfinite(marker)
+                ok[missing] = np.isnan(marker[missing])  # an occluded triplet is all NaN
+                if not ok.all():  # the first faulty marker in file order, at its first faulty frame
+                    raise InputError(
+                        f"marker {name!r}: non-finite position at frame {int(np.argmin(ok)) // 3}; "
+                        "an occluded frame is an all-NaN triplet"
+                    )
         self.occluded = occluded
         self.markers = dict(zip(names, pos))
         self.missing = dict(zip(names, occluded))
@@ -207,8 +207,9 @@ class ForcePlateSeries:
             raise InputError("values must be (n_plates, n_frames, 5)")
         if self.values.shape[1] == 0:
             raise InputError("force trial has zero frames")
-        if not np.isfinite(self.values).all():
-            raise InputError("force data contains non-finite values")
+        with np.errstate(over="ignore", invalid="ignore"):  # the marker set's screen
+            if not (np.isfinite(self.values.sum()) or np.isfinite(self.values).all()):
+                raise InputError("force data contains non-finite values")
         self.below_noise = self.forces[:, :, 2] < -NOISE_FLOOR_N
 
     @property
@@ -407,7 +408,7 @@ def _read_numbers(data, n_fields: int, triplets: bool = False) -> np.ndarray | N
 
 def _slices(data):
     """The (start, end) of each slice of whole rows of ``data``, which ends
-    in ``\\n``: about a sixteenth of its bytes each."""
+    in ``\\n``: about a quarter of its bytes each."""
     size = -(-len(data) // _SLICES_PER_BLOCK)
     a = 0
     while a < len(data):
@@ -778,9 +779,20 @@ def fill_gaps(
     a subset of the input's.  With samples to fill, the positions are copied
     once, as a whole; with none, ``traj`` itself is returned.
     """
+    samples, values = _interpolated_gaps(traj, max_gap_frames)
+    if not len(values):
+        return traj
+    positions = traj.positions.copy()
+    positions[samples] = values
+    return MarkerTrajectorySet(traj.sample_rate_hz, traj.names, positions)
+
+
+def _interpolated_gaps(traj: MarkerTrajectorySet, max_gap_frames: int):
+    """The samples that ``fill_gaps`` fills, a (marker, frame) pair of index arrays
+    that also writes through a view whose ``reshape`` is a copy, and their
+    interpolated (samples, 3) positions."""
     if max_gap_frames < 0:
         raise InputError("max_gap_frames must be non-negative")
-
     n = traj.n_frames
     missing = traj.occluded.ravel()  # every marker's mask, end to end
     starts, ends, gap = _runs(missing)
@@ -790,14 +802,11 @@ def fill_gaps(
     inner = (starts // n == (ends - 1) // n) & (starts % n > 0) & (ends % n > 0)
     fill = (inner & (ends - starts <= max_gap_frames))[run]
     j, run = np.flatnonzero(missing)[fill], run[fill]
-    if not j.size:
-        return traj
     lo, hi = starts[run] - 1, ends[run]
     t = ((j - lo) / (hi - lo))[:, None]
-    positions = traj.positions.copy()
-    pos = positions.reshape(-1, 3)  # a view: each marker's frames, end to end
-    pos[j] = pos[lo] + (pos[hi] - pos[lo]) * t
-    return MarkerTrajectorySet(traj.sample_rate_hz, traj.names, positions)
+    m, frame = np.divmod(j, n)
+    lo, hi, pos = lo - m * n, hi - m * n, traj.positions
+    return (m, frame), pos[m, lo] + (pos[m, hi] - pos[m, lo]) * t
 
 
 def _marker_positions(traj: MarkerTrajectorySet, name: str, who) -> np.ndarray:

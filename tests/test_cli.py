@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -17,7 +18,7 @@ import gaitkinetics
 from gaitkinetics import cli
 from gaitkinetics.anthro import SubjectProfile, bundled_table_path, load_table
 from gaitkinetics.errors import InputError, InternalInvariantError
-from gaitkinetics.ingest import parse_marker_file, write_force_file, write_marker_file
+from gaitkinetics.ingest import fill_gaps, parse_marker_file, write_force_file, write_marker_file
 from gaitkinetics.kinematics import (
     bundled_definitions_path,
     com_trajectory,
@@ -1070,7 +1071,7 @@ def test_markers_are_dropped_before_the_filter_and_plates_before_decimation(
         return wrapped
 
     for name, wrapper in (
-        ("fill_gaps", record("markers", cli.fill_gaps, lambda traj: traj.markers["LASI"])),
+        ("parse_marker_file", record("markers", cli.parse_marker_file, lambda t: t.positions)),
         ("parse_force_file", record("plates", cli.parse_force_file, lambda s: s.forces)),
         ("filter_com_trajectory", check_dropped("markers", cli.filter_com_trajectory)),
         ("decimate", check_dropped("plates", cli.decimate)),
@@ -1085,6 +1086,54 @@ def test_markers_are_dropped_before_the_filter_and_plates_before_decimation(
     assert held.pop("markers checked")
     assert held.pop("plates checked")
     assert not held
+
+
+def test_markers_are_filled_in_the_parsed_array(tmp_path, monkeypatch):
+    traj = generate_walker(WalkerParams(duration_s=30.0)).markers
+    for m in range(0, len(traj.names), 4):  # a short gap in every fourth marker
+        traj.positions[m, 100 + m : 104 + m] = np.nan
+    path = tmp_path / "gapped.tsv"
+    write_marker_file(path, traj)
+    del traj
+    parsed = []
+
+    def parse(path):
+        traj = parse_marker_file(path)
+        parsed.append(traj.positions)  # shared with the result, so no more is held
+        return traj
+
+    monkeypatch.setattr(cli, "parse_marker_file", parse)
+    config = cli.PipelineConfig(marker_file=str(path))
+    tracemalloc.start()
+    try:
+        filled, fills = cli._load_markers(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(filled.positions, parsed[0])
+    assert not filled.occluded.any() and np.count_nonzero(fills) == 4 * 10
+    # the parse's one block and the masks beyond the arrays, never a copy of the positions
+    arrays = filled.positions.nbytes + filled.occluded.nbytes
+    assert peak < 1.2 * arrays, f"peak {peak / arrays:.2f} x the marker arrays"
+
+
+def test_gaps_are_filled_through_the_view_that_trailing_blank_lines_leave(
+    cli_files, tmp_path
+):
+    traj = parse_marker_file(cli_files["markers"])
+    traj.markers["LASI"][100:104] = np.nan  # a gap in a marker that the CoM reads
+    path = tmp_path / "gapped.tsv"
+    write_marker_file(path, traj)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n\n\n")
+    # counted as rows, the blank lines leave a view whose reshape is a copy
+    assert not parse_marker_file(path).positions.flags.c_contiguous
+    filled, fills = cli._load_markers(cli.PipelineConfig(marker_file=str(path)))
+    assert not filled.occluded.any()
+    assert np.argwhere(fills).tolist() == [[traj.names.index("LASI"), f] for f in range(100, 104)]
+    assert filled.positions.tobytes() == fill_gaps(parse_marker_file(path)).positions.tobytes()
+    argv = ["grf", "--marker-file", str(path), "--output-dir", str(tmp_path / "out")]
+    assert _run(argv + SUBJECT_ARGS) == 0
 
 
 def test_every_subcommand_reports_an_event_marker_error_before_a_filter_error(

@@ -280,6 +280,12 @@ def test_plate_views_of_one_array_are_checked_for_finite_values(frames, at):
                 ForcePlateSeries(1000.0, values[:, :frames])
         else:  # a value outside the view is no value of the series
             assert ForcePlateSeries(1000.0, values[:, :frames]).n_frames == frames
+    # finite values whose sum overflows fail the screen and pass the full check
+    values = np.full((2, 9, 5), np.finfo(float).max)
+    assert ForcePlateSeries(1000.0, values[:, :frames]).n_frames == frames
+    values[at] = np.inf
+    with pytest.raises(InputError, match="force data contains non-finite values"):
+        ForcePlateSeries(1000.0, values)
 
 
 @pytest.mark.parametrize(
@@ -860,6 +866,12 @@ def test_marker_set_rejects_non_finite_present_positions_only():
             bad[frame] = value
             with pytest.raises(InputError, match=f"^marker 'M': non-finite position at frame {frame}"):
                 MarkerTrajectorySet(100.0, ["M"], bad[np.newaxis])
+    # finite positions whose sum overflows fail the screen and pass the full check
+    huge = np.full((2, 5, 3), np.finfo(float).max)
+    assert not MarkerTrajectorySet(100.0, ["M", "N"], huge).occluded.any()
+    huge[1, 3] = (np.nan, 0.0, 0.0)
+    with pytest.raises(InputError, match="^marker 'N': non-finite position at frame 3"):
+        MarkerTrajectorySet(100.0, ["M", "N"], huge)
     # the mask is derived from the positions; none can be passed in
     with pytest.raises(TypeError, match="positional"):
         MarkerTrajectorySet(100.0, ["M"], pos[np.newaxis], traj.occluded)
@@ -1095,6 +1107,8 @@ def test_blocks_with_blank_triplets_are_filled_not_split_row_by_row(tmp_path, mo
     filled.clear()
     with monkeypatch.context() as patch:
         patch.setattr(ingest, "_BYTES_PER_BLOCK", 1 << 20)
+        # slices of about 19 rows, so that each blank triplet is in one of its own
+        patch.setattr(ingest, "_SLICES_PER_BLOCK", 16)
         assert parse_marker_file(crlf).missing["M2"].tolist() == back.missing["M2"].tolist()
     assert split == [] and filled == [1] * 4
 
