@@ -18,11 +18,12 @@ Force-plate files
 In both, the first time stamp is free and each later one must follow the
 previous by 1/RATE within a quarter of a sample period, so a dropped or
 repeated row is rejected; blank lines may only end the file.  Files must
-be UTF-8 text.  A parser counts the file's lines first and ``_read_data``
-allocates the one result array from the count, then reads the data as
-bytes about ``_BYTES_PER_BLOCK`` at a time, copying each block's values
-into place.  That array is the record's: a marker set's positions, or a
-plate set's values, whose forces and centres of pressure are views of it.
+be UTF-8 text.  A parser opens the file once and counts its data lines
+through that handle; ``_read_data`` allocates the one result array from
+the count, then reads the data as bytes about ``_BYTES_PER_BLOCK`` at a
+time, copying each block's values into place.  That array is the
+record's: a marker set's positions, or a plate set's values, whose forces
+and centres of pressure are views of it.
 So a parse holds its result plus one block of text and its values, never a
 second copy of the data.
 
@@ -238,26 +239,18 @@ class ForcePlateSeries:
         return np.arange(self.n_frames) / self.sample_rate_hz
 
 
-def _count_lines(path) -> int:
-    """Number of lines of ``path`` less the blank one after a final ``\\n``:
-    its newlines, plus one if it does not end in one.  Read a block at a
-    time into one buffer, no larger than the file, in which numpy marks and
-    counts the newlines in place.  The file is read again to be parsed, so
-    it must be a regular file, not a pipe."""
+def _count_lines(fh, size: int) -> int:
+    """Number of lines of ``fh`` from where it stands, less the blank one
+    after a final ``\\n``: its newlines, plus one if it does not end in one.
+    Read ``size`` bytes at a time into one buffer, in which numpy marks and
+    counts the newlines in place."""
     n, last = 0, ord("\n")
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            info = os.fstat(fh.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                raise InputError(f"cannot read {path}: not a regular file")
-            buffer = bytearray(min(_BYTES_PER_BLOCK, info.st_size + 1))
-            codes = np.frombuffer(buffer, np.uint8)
-            while size := fh.readinto(buffer):
-                last = buffer[size - 1]
-                newline = codes[:size].view(bool)  # the bytes, overwritten in place
-                n += int(np.count_nonzero(np.equal(codes[:size], ord("\n"), out=newline)))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    buffer = bytearray(size)
+    codes = np.frombuffer(buffer, np.uint8)
+    while size := fh.readinto(buffer):
+        last = buffer[size - 1]
+        newline = codes[:size].view(bool)  # the bytes, overwritten in place
+        n += int(np.count_nonzero(np.equal(codes[:size], ord("\n"), out=newline)))
     return n + (last != ord("\n"))
 
 
@@ -288,29 +281,35 @@ def _read_block(fh, size: int, decode) -> bytearray:
 
 def _text_blocks(path, n_header: int):
     """Yield the first ``n_header`` lines of ``path`` as one list of
-    strings (fewer if the file ends first), then its remaining bytes in
-    blocks of whole lines of at least ``_BYTES_PER_BLOCK`` bytes (less at
-    the end).
+    strings (fewer if the file ends first) with the number of lines after
+    them, then those lines' bytes in blocks of whole lines of at least
+    ``_BYTES_PER_BLOCK`` bytes (less at the end).
 
-    Each block ends in ``\\n``, except perhaps the file's last.  Header
-    lines are split at ``\\n`` only and lose any trailing ``\\r``, and the
-    first loses a byte-order mark that starts the file.  Every
-    byte is checked to be UTF-8 as it is read; a character cut short by the
-    end of the file is reported after the last block, so that the faults of
-    the lines before it come first.  Once yielded, a block is held only by
-    the caller.
+    The file is opened once: it must be a regular file, not a pipe, since
+    its lines are counted through the same handle before it is read again
+    from the end of the header.  Each block ends in ``\\n``, except perhaps
+    the file's last.  Header lines are split at ``\\n`` only and lose any
+    trailing ``\\r``, and the first loses a byte-order mark that starts the
+    file.  Every byte is checked to be UTF-8 as it is read; a character cut
+    short by the end of the file is reported after the last block, so that
+    the faults of the lines before it come first.  Once yielded, a block is
+    held only by the caller.
     """
     decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
         with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise InputError(f"cannot read {path}: not a regular file")
             header = [fh.readline().removeprefix(codecs.BOM_UTF8)]
             while len(header) < n_header and header[-1].endswith(b"\n"):
                 header.append(fh.readline())
-            yield [decode(line).rstrip("\n").rstrip("\r") for line in header]
-            if header[-1].endswith(b"\n"):
-                # a block allocates its whole size, so none is larger than the file
-                size = min(_BYTES_PER_BLOCK, os.fstat(fh.fileno()).st_size + 1)
-                yield from iter(functools.partial(_read_block, fh, size, decode), b"")
+            lines = [decode(line).rstrip("\n").rstrip("\r") for line in header]
+            # a block allocates its whole size, so none is larger than the file
+            size, data = min(_BYTES_PER_BLOCK, info.st_size + 1), fh.tell()
+            yield lines, _count_lines(fh, size)
+            fh.seek(data)
+            yield from iter(functools.partial(_read_block, fh, size, decode), b"")
             decode(b"", True)  # a character cut short by the end of the file
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -613,9 +612,8 @@ def _read_data(path, blocks, first: int, n_groups: int, width: int, rate: float,
 
 def parse_marker_file(path) -> MarkerTrajectorySet:
     """Parse a marker TSV file into a MarkerTrajectorySet (metres)."""
-    capacity = max(0, _count_lines(path) - 3)
     blocks = _text_blocks(path, 3)
-    lines = next(blocks)
+    lines, capacity = next(blocks)
     rate = _parse_rate(lines, path)
 
     unit = _header_value(lines, 1, "UNITS", path)
@@ -739,9 +737,8 @@ def write_marker_file(path, traj: MarkerTrajectorySet) -> None:
 
 def parse_force_file(path) -> ForcePlateSeries:
     """Parse a force-plate TSV file (newtons / metres)."""
-    capacity = max(0, _count_lines(path) - 2)
     blocks = _text_blocks(path, 2)
-    lines = next(blocks)
+    lines, capacity = next(blocks)
     rate = _parse_rate(lines, path)
     raw_plates = _header_value(lines, 1, "PLATES", path)
     try:

@@ -362,22 +362,18 @@ def _basis_series(traj, frames, definition: SegmentDefinition, origin, distal, l
 
 
 def _segment_com_series(traj, frames, definition, table, subject):
-    """CoM track for one marker-defined segment over the range ``frames``.
-
-    Returns (origin, distal, axes, length, com): origin, distal and com are
-    (3, k), axes the (u_x, u_y, u_z) of ``_basis_series``, length (k,).
-    """
+    """The (origin, distal, com) tracks, each (3, k), of one marker-defined
+    segment over the range ``frames``."""
     seg = definition.segment
     origin = _eval_point(traj, definition.origin, seg, frames)
     distal = _eval_point(traj, definition.distal, seg, frames)
     length = _norm(origin - distal)
     _refuse(length <= 0, frames, seg, "origin and distal coincide")
-    u_x, u_y, u_z = axes = _basis_series(traj, frames, definition, origin, distal, length)
+    u_x, u_y, u_z = _basis_series(traj, frames, definition, origin, distal, length)
     params = table.get(seg.kind, subject.sex)
     p_ml = -params.p_ml if seg.side == "left" else params.p_ml
     offset = params.p_ap * u_x + p_ml * u_y + params.p_si * u_z
-    com = origin + length * offset
-    return origin, distal, axes, length, com
+    return origin, distal, origin + length * offset
 
 
 def hand_com(wrist_center: np.ndarray, elbow_center: np.ndarray) -> np.ndarray:
@@ -421,7 +417,7 @@ def com_trajectory(
                 if sid.kind == "hand":
                     continue
                 for frames in ranges:
-                    origin, distal, _, _, com = _segment_com_series(
+                    origin, distal, com = _segment_com_series(
                         traj, frames, defs[sid], table, subject
                     )
                     coms[:, i, frames] = com

@@ -36,11 +36,6 @@ __all__ = [
 # bit at orders 2 to 8, and higher orders distort gait tracks without failing
 MAX_FILTER_ORDER = 8
 
-# Padded samples filtered per ``_zero_phase`` call in ``lowpass``: groups of
-# channels amortise the per-call cost, and the bound keeps the filter's
-# temporaries small.
-_SAMPLES_PER_CALL = 1 << 16
-
 
 def _load_scipy_kernel(name: str):
     """scipy's compiled ``scipy.signal.<name>`` module, loaded by file location.
@@ -97,8 +92,11 @@ class UniformSeries:
         return self.values.shape[1]
 
 
-def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[np.ndarray, int]:
-    """Second-order sections of the low-pass and the mirror-pad length.
+def _butterworth(
+    series: UniformSeries, cutoff_hz: float, order: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Second-order sections of the low-pass, their float64 steady state
+    (``_sosfilt_zi``) and the mirror-pad length.
 
     Rejects an order that is not an even integer from 2 to
     ``MAX_FILTER_ORDER``, a cutoff outside (0, Nyquist) or so low that a
@@ -136,12 +134,12 @@ def _butterworth(series: UniformSeries, cutoff_hz: float, order: int) -> tuple[n
     # far enough below the rate, a pole rounds onto z = 1: no steady state starts a pass
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            _sosfilt_zi(sos)
+            zi = _sosfilt_zi(sos)
     except (np.linalg.LinAlgError, FloatingPointError):
         raise InputError(
             f"cutoff_hz {cutoff_hz} is too low to filter at rate {series.sample_rate_hz} Hz"
         ) from None
-    return sos, padlen
+    return sos, zi, padlen
 
 
 def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
@@ -186,19 +184,14 @@ def lowpass(series: UniformSeries, cutoff_hz: float, order: int = 4) -> UniformS
     One forward and one backward pass, so the passband edge sits at
     amplitude 0.5 (1/sqrt(2) per pass).  Edges are mirror-padded with
     3*order samples; shorter series are rejected.
-    Each channel is mean-centred before filtering and restored after, so a
-    constant channel passes through bit-exactly.
-    Channels are filtered in groups of at most ``_SAMPLES_PER_CALL`` padded
-    samples (a longer channel alone), with the same bits as one at a time.
+    Each channel takes a pass of its own, mean-centred before it and
+    restored after, so a constant channel passes through bit-exactly.
     """
-    sos, padlen = _butterworth(series, cutoff_hz, order)
-    zi = _sosfilt_zi(sos)
+    sos, zi, padlen = _butterworth(series, cutoff_hz, order)
     out = np.empty_like(series.values)
-    rows = max(1, _SAMPLES_PER_CALL // (series.n_samples + 2 * padlen))
-    for start in range(0, series.n_channels, rows):
-        x = series.values[start : start + rows]
-        c = np.array([[float(np.mean(row))] for row in x])
-        out[start : start + rows] = _zero_phase(sos, zi, x - c, padlen) + c
+    for i, x in enumerate(series.values):
+        c = float(np.mean(x))
+        out[i] = _zero_phase(sos, zi, x[np.newaxis] - c, padlen)[0] + c
     return UniformSeries(sample_rate_hz=series.sample_rate_hz, values=out)
 
 
@@ -267,7 +260,7 @@ def smoothed_acceleration(
     fraction: metre-scale constant offsets added to the input change the
     result by well under 1e-11 m/s^2, kilometre-scale ones by ~1e-10.
     """
-    sos, padlen = _butterworth(series, cutoff_hz, order)
+    sos, _, padlen = _butterworth(series, cutoff_hz, order)
     sos = sos.astype(np.longdouble)
     x = np.asarray(series.values, dtype=np.longdouble)
     center = x.mean(axis=1, keepdims=True)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import asdict, fields
@@ -214,6 +215,35 @@ def test_non_utf8_input_exits_2_naming_the_file(cli_files, tmp_path, capsys, kin
     assert code == 2
     assert f"error: cannot read {what}{broken}: not UTF-8 text" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["markers", "forces"])
+def test_a_pipe_as_input_exits_2_naming_it_and_writes_nothing(cli_files, tmp_path, capsys, kind):
+    fifo = tmp_path / f"{kind}.fifo"
+    os.mkfifo(fifo)
+    text = "".join(cli_files[kind].read_text(encoding="utf-8").splitlines(keepends=True)[:10])
+
+    def write():  # a writer, so that opening the pipe to read it does not wait
+        try:
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    files = {"markers": cli_files["markers"], "forces": cli_files["forces"], kind: fifo}
+    out = tmp_path / "out"
+    code, captured = _run(
+        ["grf", "--marker-file", str(files["markers"]), "--force-file", str(files["forces"]),
+         "--output-dir", str(out)] + SUBJECT_ARGS,
+        capsys,
+    )
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 2
+    assert captured.err == f"error: cannot read {fifo}: not a regular file\n"
+    assert not out.exists()
 
 
 def _bom_inputs(cli_files, tmp_path) -> dict[str, tuple[str, Path]]:

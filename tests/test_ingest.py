@@ -968,12 +968,12 @@ def test_a_file_that_grows_while_it_is_read_exits_2_naming_it(tmp_path, capsys, 
     write_force_file(files["forces"], synth_force_plates(params))
     count_lines = ingest._count_lines
 
-    def count_then_append(path):
-        n = count_lines(path)
-        if path == str(files[kind]):
+    def count_then_append(fh, size):
+        n = count_lines(fh, size)
+        if fh.name == str(files[kind]):
             lines = files[kind].read_text(encoding="utf-8").splitlines()
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write("\n".join(lines[-3:]) + "\n")
+            with open(fh.name, "a", encoding="utf-8") as tail:
+                tail.write("\n".join(lines[-3:]) + "\n")
         return n
 
     monkeypatch.setattr(ingest, "_count_lines", count_then_append)
@@ -986,6 +986,34 @@ def test_a_file_that_grows_while_it_is_read_exits_2_naming_it(tmp_path, capsys, 
     assert code == 2
     assert f"error: {files[kind]}: more than the " in err
     assert "the file changed while it was read" in err
+
+
+@pytest.mark.parametrize("kind", ["markers", "forces"])
+def test_a_file_replaced_while_it_is_read_is_parsed_as_opened(tmp_path, monkeypatch, kind):
+    # the count and the rows come through one handle, so a path replaced
+    # after the count still parses the file that was opened
+    rng = np.random.default_rng(9)
+    if kind == "markers":
+        first, second = (MarkerTrajectorySet(200.0, ["M1", "M2"], rng.normal(size=(2, 40, 3)))
+                         for _ in range(2))
+        write, parse, record = write_marker_file, parse_marker_file, "positions"
+    else:
+        first, second = (ForcePlateSeries(1000.0, rng.normal(size=(2, 40, 5))) for _ in range(2))
+        write, parse, record = write_force_file, parse_force_file, "values"
+    path, other = tmp_path / "trial.tsv", tmp_path / "other.tsv"
+    write(path, first)
+    write(other, second)  # as many rows, other values
+    count_lines = ingest._count_lines
+
+    def count_then_replace(fh, size):
+        n = count_lines(fh, size)
+        os.replace(other, path)
+        return n
+
+    monkeypatch.setattr(ingest, "_count_lines", count_then_replace)
+    assert getattr(parse(path), record).tobytes() == getattr(first, record).tobytes()
+    monkeypatch.undo()
+    assert getattr(parse(path), record).tobytes() == getattr(second, record).tobytes()
 
 
 # ------------------------------------------------ block checks of the text
@@ -1242,7 +1270,7 @@ def test_a_dropped_row_at_a_block_boundary_is_named(tmp_path, monkeypatch, bytes
 
 
 def test_a_pipe_is_rejected_by_name_not_waited_on(tmp_path):
-    # the parsers read a file twice (count its lines, then parse it)
+    # the parsers read a file twice through one handle (count its lines, then parse it)
     fifo = tmp_path / "markers.fifo"
     os.mkfifo(fifo)
     text = _marker_text(_two_marker_rows(5), names=("M1", "M2"))

@@ -26,6 +26,8 @@ from gaitkinetics.kinematics import (
     ComTrajectory,
     PointRule,
     SegmentDefinition,
+    _basis_series,
+    _norm,
     _segment_com_series,
     bundled_definitions_path,
     com_trajectory,
@@ -44,9 +46,10 @@ def segment_state(traj, definition, table, subject, frame):
     """Pose of one segment at one frame, taken from the geometry that
     ``com_trajectory`` runs, over one range of the whole trial; its basis
     must be right-handed orthonormal."""
-    origin, _, axes, length, com = _segment_com_series(
-        traj, slice(0, traj.n_frames), definition, table, subject
-    )
+    frames = slice(0, traj.n_frames)
+    origin, distal, com = _segment_com_series(traj, frames, definition, table, subject)
+    length = _norm(origin - distal)
+    axes = _basis_series(traj, frames, definition, origin, distal, length)
     basis = np.stack([u[:, frame] for u in axes], axis=-1)
     assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-9)
     assert abs(np.linalg.det(basis) - 1.0) <= 1e-9

@@ -128,7 +128,7 @@ def test_lowpass_filters_channels_independently():
     assert np.max(np.abs(both[1] - 3.0 * both[0])) <= 1e-9
 
 
-# --------------------------------------------------- grouped channels
+# ------------------------------------------------- one pass per channel
 
 
 def per_channel_lowpass(values, rate, cutoff_hz, order):
@@ -142,12 +142,7 @@ def per_channel_lowpass(values, rate, cutoff_hz, order):
 
 
 @pytest.mark.parametrize("n_channels", [1, 5, 48])
-@pytest.mark.parametrize("samples_per_call", [None, 150, 300, 700])
-def test_grouped_lowpass_is_bitwise_one_call_per_channel(
-    monkeypatch, n_channels, samples_per_call
-):
-    if samples_per_call is not None:  # groups of 1, 2 and 5 channels of 124 padded samples
-        monkeypatch.setattr(gk_signal, "_SAMPLES_PER_CALL", samples_per_call)
+def test_lowpass_is_bitwise_one_call_per_channel(n_channels):
     rng = np.random.default_rng(n_channels)
     x = rng.normal(size=(n_channels, 100)) * rng.uniform(0.1, 1000.0, size=(n_channels, 1))
     x += rng.normal(size=(n_channels, 1)) * 50.0
@@ -157,12 +152,7 @@ def test_grouped_lowpass_is_bitwise_one_call_per_channel(
     assert np.array_equal(out[n_channels // 2], x[n_channels // 2])
 
 
-@pytest.mark.parametrize("samples_per_call", [None, 5_000, 20_000])
-def test_grouped_lowpass_keeps_the_bits_of_f_ordered_plate_input(
-    tmp_path, monkeypatch, samples_per_call
-):
-    if samples_per_call is not None:
-        monkeypatch.setattr(gk_signal, "_SAMPLES_PER_CALL", samples_per_call)
+def test_lowpass_keeps_the_bits_of_f_ordered_plate_input(tmp_path):
     path = tmp_path / "forces.tsv"
     write_force_file(path, synth_force_plates(WalkerParams(duration_s=2.0)))
     plates = parse_force_file(path)
@@ -183,20 +173,20 @@ def test_lowpass_is_bitwise_scipy_sosfiltfilt_for_other_designs(order, rate, cut
     assert out.tobytes() == per_channel_lowpass(x, rate, cutoff_hz, order).tobytes()
 
 
-def test_lowpass_memory_stays_within_the_output_and_a_few_groups():
+def test_lowpass_memory_stays_within_the_output_and_a_few_channel_passes():
     x = np.random.default_rng(4).normal(size=(48, 24_000))
     series = UniformSeries(RATE, x)
     lowpass(series, 5.0, 4)  # first-call set-up out of the measurement
-    group_bytes = gk_signal._SAMPLES_PER_CALL // (24_000 + 24) * (24_000 + 24) * 8
+    channel_bytes = (24_000 + 24) * 8  # one padded channel
     tracemalloc.start()
     try:
         out = lowpass(series, 5.0, 4).values
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 4.1 groups above the output today; filtering all 48 channels in
-    # one call would take several times the output
-    assert peak < out.nbytes + 6 * group_bytes
+    # about 6.0 padded channels above the output (1.13x the output);
+    # filtering all 48 channels in one call would take several times the output
+    assert peak < out.nbytes + 8 * channel_bytes
 
 
 @pytest.mark.parametrize(
@@ -250,16 +240,18 @@ def test_butterworth_sections_are_bitwise_scipy_butter(order):
             if cutoff >= rate / 2:
                 continue
             series = UniformSeries(rate, np.zeros(100))
-            sos, padlen = gk_signal._butterworth(series, cutoff, order)
+            sos, zi, padlen = gk_signal._butterworth(series, cutoff, order)
             expect = scipy.signal.butter(order, cutoff, fs=rate, output="sos")
             assert sos.shape == expect.shape and sos.tobytes() == expect.tobytes(), (
                 rate,
                 cutoff,
             )
             assert padlen == 3 * order
-            zi = gk_signal._sosfilt_zi(sos)
             expect_zi = scipy.signal.sosfilt_zi(expect)
-            assert zi.tobytes() == expect_zi.tobytes(), (rate, cutoff)
+            assert zi.shape == expect_zi.shape and zi.tobytes() == expect_zi.tobytes(), (
+                rate,
+                cutoff,
+            )
             n_cases += 1
     assert n_cases == 198
 

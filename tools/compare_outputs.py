@@ -34,10 +34,10 @@ trees, each in a fresh interpreter:
 Every CLI run but ``--help`` writes to ``out`` under its own working
 directory, so the paths it prints read alike in both trees.  The sha256 of every output file, of
 stdout and of stderr, and the exit code are compared, and for the API
-chain the sha256 of each saved array, of ``BilateralGrf.analyzed``, of both
-negative-vertical masks, of the butterfly's ``bases`` and ``tips`` and of
-the excluded intervals with their reasons,
-and for the records the sha256 of each one's names and arrays.
+chain the sha256 of each saved array, of ``BilateralGrf.analyzed`` and
+``BilateralGrf.status``, of both negative-vertical masks, of the
+butterfly's ``bases`` and ``tips`` and of the excluded intervals with their
+reasons, and for the records the sha256 of each one's names and arrays.
 Within each tree, the output files of each ``\\r\\n`` run are also compared
 with those of the same run on the ``\\n`` files.  Each difference is listed
 and the script exits 1 if there is any, 0 otherwise.
@@ -60,8 +60,8 @@ RUN_MAIN = "import sys; from gaitkinetics.cli import main; sys.exit(main(sys.arg
 # argv: the plan of an api-inmemory-120s input; writes api/outputs.npz and
 # prints as JSON the sha256 of each array in it (the file itself holds the
 # time it was written), of the analysed-frame and negative-vertical masks,
-# of the butterfly's anchors and tips, and of the excluded intervals with
-# their reasons, which the file leaves out
+# of the per-frame status, of the butterfly's anchors and tips, and of the
+# excluded intervals with their reasons, which the file leaves out
 RUN_API_CHAIN = """
 import hashlib, json, sys
 from pathlib import Path
@@ -78,6 +78,7 @@ d = bilateral.diagnostics
 with np.load("api/outputs.npz") as saved:
     arrays = dict(saved)
 arrays["analyzed"] = bilateral.analyzed
+arrays["status"] = bilateral.status
 arrays["negative_vertical_left"] = d.negative_vertical_left
 arrays["negative_vertical_right"] = d.negative_vertical_right
 arrays["butterfly_bases"] = diagram.bases
