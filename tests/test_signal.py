@@ -141,15 +141,38 @@ def per_channel_lowpass(values, rate, cutoff_hz, order):
     return out
 
 
+def _laid_out(x, layout):
+    """``x`` with the same values in another memory layout."""
+    if layout == "f":
+        return np.asfortranarray(x)
+    if layout == "strided":  # every other sample of a wider array
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return x
+
+
+@pytest.mark.parametrize("layout", ["c", "f", "strided"])
 @pytest.mark.parametrize("n_channels", [1, 5, 48])
-def test_lowpass_is_bitwise_one_call_per_channel(n_channels):
+def test_lowpass_is_bitwise_one_call_per_channel(n_channels, layout):
     rng = np.random.default_rng(n_channels)
     x = rng.normal(size=(n_channels, 100)) * rng.uniform(0.1, 1000.0, size=(n_channels, 1))
     x += rng.normal(size=(n_channels, 1)) * 50.0
     x[n_channels // 2] = 7.3  # a constant channel passes through exactly
+    ref = per_channel_lowpass(x, RATE, 6.0, 4)
+    x = _laid_out(x, layout)
     out = lowpass(UniformSeries(RATE, x), 6.0, 4).values
-    assert out.tobytes() == per_channel_lowpass(x, RATE, 6.0, 4).tobytes()
+    assert out.tobytes() == ref.tobytes()
     assert np.array_equal(out[n_channels // 2], x[n_channels // 2])
+
+
+@pytest.mark.parametrize("channel", [0, 23, 47])
+def test_each_channel_is_filtered_bitwise_as_if_alone(channel):
+    rng = np.random.default_rng(channel)
+    x = np.cumsum(rng.normal(size=(48, 500)), axis=1) * rng.uniform(0.1, 1000.0, size=(48, 1))
+    out = lowpass(UniformSeries(RATE, x), 6.0, 4).values
+    alone = lowpass(UniformSeries(RATE, x[channel]), 6.0, 4).values
+    assert out[channel].tobytes() == alone[0].tobytes()
 
 
 def test_lowpass_keeps_the_bits_of_f_ordered_plate_input(tmp_path):
