@@ -2,11 +2,11 @@
 
 The low-pass is a Butterworth of the given order run forward then backward
 (zero net phase, squared magnitude response), with mirror padding at the
-edges.  ``lowpass`` runs that pass in float64; ``smoothed_acceleration``
-runs the same pass in long double and takes second differences of its
-output, central inside the series and second-order one-sided at the two
-edge samples.  Both go through one function, ``_zero_phase``; they differ
-only in the dtype and in the steady-state routine that starts each pass.
+edges.  One function, ``_zero_phase``, runs it on one channel at a time,
+less the channel's mean, in a buffer of its own: ``lowpass`` runs it in
+float64 and adds each mean back; ``smoothed_acceleration`` runs it in long
+double and takes second differences of each centred track, central inside
+the series and second-order one-sided at the two edge samples.
 Decimation low-passes at 0.4x the target rate before taking every
 ``factor``-th sample; a factor of 1 is the identity and applies no filter.
 
@@ -153,18 +153,6 @@ def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """The biquad cascade along the last axis of (channels, N) data.
-
-    ``zi`` is (channels, sections, 2).  Runs scipy's kernel in place on a
-    C-contiguous copy in the inputs' result dtype, as ``sosfilt`` does.
-    """
-    dtype = np.result_type(sos, x, zi)
-    y = np.array(x, dtype, order="C")
-    _SOSFILT._sosfilt(sos.astype(dtype, copy=False), y, np.array(zi, dtype, order="C"))
-    return y
-
-
 def find_peaks(x: np.ndarray, distance: float | None = None) -> np.ndarray:
     """Local maxima of a 1-D series, as scipy's ``find_peaks``.
 
@@ -184,19 +172,18 @@ def lowpass(series: UniformSeries, cutoff_hz: float, order: int = 4) -> UniformS
     One forward and one backward pass, so the passband edge sits at
     amplitude 0.5 (1/sqrt(2) per pass).  Edges are mirror-padded with
     3*order samples; shorter series are rejected.
-    Each channel takes a pass of its own, mean-centred before it and
-    restored after, so a constant channel passes through bit-exactly.
+    Each channel takes a float64 pass of its own, mean-centred before it
+    and restored after, so a constant channel passes through bit-exactly.
     """
     sos, zi, padlen = _butterworth(series, cutoff_hz, order)
     out = np.empty_like(series.values)
     for i, x in enumerate(series.values):
-        c = float(np.mean(x))
-        out[i] = _zero_phase(sos, zi, x[np.newaxis] - c, padlen)[0] + c
+        np.add(*_zero_phase(sos, zi, x, padlen), out=out[i])
     return UniformSeries(sample_rate_hz=series.sample_rate_hz, values=out)
 
 
 def _second_difference(x: np.ndarray, rate: float) -> np.ndarray:
-    """Second derivative of a (channels, N) array, preserving dtype.
+    """Second derivative along the last axis of ``x``, preserving dtype.
 
     Interior samples use nested first differences (exact for neighbouring
     samples of like magnitude, unchanged under constant offsets); the two
@@ -204,25 +191,34 @@ def _second_difference(x: np.ndarray, rate: float) -> np.ndarray:
     """
     r = rate
     out = np.empty_like(x)
-    d = np.diff(x, axis=1)
-    out[:, 1:-1] = (d[:, 1:] - d[:, :-1]) * (r * r)
-    out[:, 0] = (2.0 * x[:, 0] - 5.0 * x[:, 1] + 4.0 * x[:, 2] - x[:, 3]) * (r * r)
-    out[:, -1] = (2.0 * x[:, -1] - 5.0 * x[:, -2] + 4.0 * x[:, -3] - x[:, -4]) * (r * r)
+    d = np.diff(x)
+    out[..., 1:-1] = (d[..., 1:] - d[..., :-1]) * (r * r)
+    out[..., 0] = (2.0 * x[..., 0] - 5.0 * x[..., 1] + 4.0 * x[..., 2] - x[..., 3]) * (r * r)
+    out[..., -1] = (2.0 * x[..., -1] - 5.0 * x[..., -2] + 4.0 * x[..., -3] - x[..., -4]) * (r * r)
     return out
 
 
-def _zero_phase(sos: np.ndarray, zi: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
-    """The forward-backward cascade over (channels, N) data, in the dtype of
-    ``sos``, ``zi`` and ``x``.
+def _zero_phase(sos: np.ndarray, zi: np.ndarray, x: np.ndarray, padlen: int) -> tuple:
+    """The forward-backward cascade over one channel ``x``, in the dtype of
+    ``sos`` and ``zi``: the mean-centred filtered track and the mean.
 
-    Each end is mirrored by ``padlen`` samples (no endpoint repeat) and
-    trimmed after.  ``zi`` is the (sections, 2) steady state for a unit
-    step; each pass starts from it scaled by the first sample it filters.
+    The channel is converted into a buffer the pass owns, each end mirrored
+    there by ``padlen`` samples (no endpoint repeat), and the mean of the
+    converted samples is subtracted.  Scipy's kernel filters that buffer in
+    place, then one reversed copy of it, and the track is trimmed.  ``zi``
+    is the (sections, 2) steady state for a unit step; each pass starts
+    from it scaled by the first sample it filters.
     """
-    x = np.concatenate([x[:, padlen:0:-1], x, x[:, -2 : -padlen - 2 : -1]], axis=1)
-    x = _sosfilt(sos, x, zi * x[:, :1, np.newaxis])
-    x = _sosfilt(sos, x[:, ::-1], zi * x[:, -1:, np.newaxis])
-    return x[:, ::-1][:, padlen:-padlen]
+    y = np.empty(len(x) + 2 * padlen, sos.dtype)
+    y[padlen:-padlen] = x
+    mean = y[padlen:-padlen].mean()
+    y[:padlen] = y[2 * padlen : padlen : -1]
+    y[-padlen:] = y[-padlen - 2 : -2 * padlen - 2 : -1]
+    y -= mean
+    _SOSFILT._sosfilt(sos, y[np.newaxis], (zi * y[0])[np.newaxis])
+    y = y[::-1].copy()
+    _SOSFILT._sosfilt(sos, y[np.newaxis], (zi * y[0])[np.newaxis])
+    return y[padlen:-padlen][::-1], mean
 
 
 def _cascade_steady_states(sos: np.ndarray) -> np.ndarray:
@@ -247,10 +243,10 @@ def smoothed_acceleration(
 ) -> UniformSeries:
     """Second derivative of the zero-phase low-passed series.
 
-    Applies the same Butterworth forward-backward filter as ``lowpass``,
-    then second differences (nested first differences inside, one-sided
-    second-order stencils at the two edge samples), but carries the
-    filtered samples in extended precision.
+    Each channel takes the forward-backward pass of ``lowpass`` in extended
+    precision, and its mean-centred track is second-differenced there
+    (nested first differences inside, one-sided second-order stencils at
+    the two edge samples) before it is rounded to float64.
     Double-differencing multiplies per-sample storage rounding by the
     squared sample rate, so accelerations derived from metre-scale
     positions stored in float64 pick up noise around 1e-10 m/s^2 at
@@ -262,13 +258,11 @@ def smoothed_acceleration(
     """
     sos, _, padlen = _butterworth(series, cutoff_hz, order)
     sos = sos.astype(np.longdouble)
-    x = np.asarray(series.values, dtype=np.longdouble)
-    center = x.mean(axis=1, keepdims=True)
-    filtered = _zero_phase(sos, _cascade_steady_states(sos), x - center, padlen)
-    acc = _second_difference(filtered, series.sample_rate_hz)
-    return UniformSeries(
-        sample_rate_hz=series.sample_rate_hz, values=np.asarray(acc, dtype=float)
-    )
+    zi = _cascade_steady_states(sos)
+    acc = np.empty(series.values.shape)
+    for i, x in enumerate(series.values):
+        acc[i] = _second_difference(_zero_phase(sos, zi, x, padlen)[0], series.sample_rate_hz)
+    return UniformSeries(sample_rate_hz=series.sample_rate_hz, values=acc)
 
 
 def decimate(series: UniformSeries, factor: int) -> UniformSeries:

@@ -1238,16 +1238,17 @@ def test_stage_rss_tool_prints_memory_after_each_stage(cli_files, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote " in proc.stdout
     header, *rows = proc.stderr.splitlines()
-    assert header.split() == ["stage", "rss_mb", "peak_mb"]
+    assert header.split() == ["stage", "rss_mb", "peak_mb", "smaps_rss_mb"]
     stages = [row.split()[0] for row in rows]
     assert stages[0] == "import" and rows[-1].split()[:2] == ["exit", "0"]
     for stage in ("parse_marker_file", "com_trajectory", "filter_com_trajectory",
                   "parse_force_file", "decimate", "write_comparison_text"):
         assert stage in stages
-    peaks = [float(row.split()[-1]) for row in rows]
+    peaks = [float(row.split()[-2]) for row in rows]
     assert peaks == sorted(peaks) and all(
-        float(row.split()[-2]) <= peak for row, peak in zip(rows, peaks)
+        float(row.split()[-3]) <= peak for row, peak in zip(rows, peaks)
     )
+    assert all(float(row.split()[-1]) > 0.0 for row in rows)
 
 
 def test_stage_rss_tool_measures_the_api_chain_of_a_plan(tmp_path):
@@ -1260,7 +1261,7 @@ def test_stage_rss_tool_measures_the_api_chain_of_a_plan(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stderr.splitlines()
-    assert header.split() == ["stage", "rss_mb", "peak_mb"]
+    assert header.split() == ["stage", "rss_mb", "peak_mb", "smaps_rss_mb"]
     stages = [row.split()[0] for row in rows]
     assert stages[:3] == ["import", "generate_walker", "com_trajectory"]
     assert stages[-3:] == ["decompose_gait", "butterfly", "return"]

@@ -280,18 +280,31 @@ def test_butterworth_sections_are_bitwise_scipy_butter(order):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_sosfilt_kernel_is_bitwise_scipy_sosfilt(dtype):
+def test_sosfilt_kernel_in_place_is_bitwise_scipy_sosfilt(dtype):
+    # the kernel as the zero-phase pass calls it: in place on a C-ordered
+    # (1, N) buffer, with a C-ordered (1, sections, 2) state
     rng = np.random.default_rng(5)
     sos = scipy.signal.butter(6, 7.0, fs=RATE, output="sos").astype(dtype)
-    x = (np.cumsum(rng.normal(size=(4, 500)), axis=1) * 10.0).astype(dtype)
-    zi = rng.normal(size=(3, 4, 2)).astype(dtype)  # scipy's (sections, channels, 2)
-    x_bytes, zi_bytes = x.tobytes(), zi.tobytes()
-    for data in (x, x[:, ::-1], np.asfortranarray(x)):
-        expect, _ = scipy.signal.sosfilt(sos, data, axis=-1, zi=zi)
-        got = gk_signal._sosfilt(sos, data, zi.transpose(1, 0, 2))
-        assert got.dtype == dtype
-        assert got.tobytes() == expect.tobytes()
-    assert x.tobytes() == x_bytes and zi.tobytes() == zi_bytes  # inputs left alone
+    x = (np.cumsum(rng.normal(size=500)) * 10.0).astype(dtype)
+    zi = rng.normal(size=(3, 2)).astype(dtype)
+    expect, _ = scipy.signal.sosfilt(sos, x, zi=zi)
+    got = x.copy()[np.newaxis]
+    gk_signal._SOSFILT._sosfilt(sos, got, zi.copy()[np.newaxis])
+    assert got.dtype == dtype
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["c", "reversed", "f"])
+def test_public_filters_leave_their_input_alone_in_every_layout(layout):
+    rng = np.random.default_rng(6)
+    x = np.cumsum(rng.normal(size=(4, 500)), axis=1) * 10.0
+    data = {"c": x, "reversed": x[:, ::-1], "f": np.asfortranarray(x)}[layout]
+    data_bytes = data.tobytes()
+    for run, arg in ((lowpass, 7.0), (smoothed_acceleration, 7.0), (decimate, 4)):
+        got = run(UniformSeries(RATE, data), arg).values
+        expect = run(UniformSeries(RATE, np.ascontiguousarray(data)), arg).values
+        assert got.tobytes() == expect.tobytes(), run.__name__
+        assert data.tobytes() == data_bytes, run.__name__
 
 
 def test_missing_scipy_kernel_fails_naming_the_file():
@@ -411,6 +424,33 @@ def test_smoothed_acceleration_matches_filter_then_differentiate():
     assert np.max(np.abs(fused - stepwise)) <= 1e-8
 
 
+def test_smoothed_acceleration_does_not_depend_on_the_input_layout():
+    rng = np.random.default_rng(8)
+    x = np.cumsum(rng.normal(size=(3, 6_000)), axis=1) * 1e-3 + rng.normal(size=(3, 1))
+    ref = smoothed_acceleration(UniformSeries(RATE, x), 5.0).values
+    for layout in ("f", "strided"):
+        out = smoothed_acceleration(UniformSeries(RATE, _laid_out(x, layout)), 5.0).values
+        assert out.tobytes() == ref.tobytes(), layout
+    alone = [smoothed_acceleration(UniformSeries(RATE, row), 5.0).values[0] for row in x]
+    assert np.stack(alone).tobytes() == ref.tobytes()
+
+
+def test_smoothed_acceleration_memory_stays_within_the_output_and_a_few_channels():
+    x = np.random.default_rng(4).normal(size=(3, 24_000))
+    series = UniformSeries(RATE, x)
+    smoothed_acceleration(series, 5.0, 4)  # first-call set-up out of the measurement
+    channel_bytes = (24_000 + 24) * 8  # one padded float64 channel
+    tracemalloc.start()
+    try:
+        out = smoothed_acceleration(series, 5.0, 4).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 8.0 padded channels above the output, of one channel's long-double
+    # pass and differences; all three channels in long double at once take 27
+    assert peak < out.nbytes + 12 * channel_bytes
+
+
 def reference_cascade(sos, x, states, x0):
     """The biquad cascade run one sample at a time (direct form II transposed)."""
     y = x
@@ -438,18 +478,19 @@ def test_extended_cascade_equals_the_per_sample_loop_bitwise(order):
     )
     states = gk_signal._cascade_steady_states(sos)
 
-    fast = gk_signal._sosfilt(sos, x, states * x[:, :1, np.newaxis])
-    slow = reference_cascade(sos, x, states, x[:, 0])
-    assert fast.dtype == np.longdouble
-    assert np.array_equal(fast, slow)
-
-    # the forward-backward path built on it keeps the Gustafsson initial states
+    # the forward-backward pass keeps the Gustafsson initial states, on
+    # each channel less its mean
     padlen = 3 * order
-    ext = np.pad(x, ((0, 0), (padlen, padlen)), mode="reflect")
+    center = x.mean(axis=1, keepdims=True)
+    ext = np.pad(x - center, ((0, 0), (padlen, padlen)), mode="reflect")
     fwd = reference_cascade(sos, ext, states, ext[:, 0])
     rev = reference_cascade(sos, fwd[:, ::-1], states, fwd[:, -1])
     expect = rev[:, ::-1][:, padlen:-padlen]
-    assert np.array_equal(gk_signal._zero_phase(sos, states, x, padlen), expect)
+    for channel, expect_track, expect_mean in zip(x, expect, center[:, 0]):
+        track, mean = gk_signal._zero_phase(sos, states, channel, padlen)
+        assert track.dtype == np.longdouble
+        assert mean == expect_mean
+        assert np.array_equal(track, expect_track)
 
 
 def test_smoothed_acceleration_rejects_bad_parameters():

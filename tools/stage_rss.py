@@ -21,9 +21,16 @@ builds that plan's walker in memory and runs ``run_api_chain`` of
 the chain calls the same wrapped bindings, and the table has a row for the
 walker and one for the chain's return in place of the exit.
 
-The figures are read from this process only: ``VmRSS`` and ``VmHWM`` from
-one read of ``/proc/self/status`` (Linux).  The benchmark's trace gives the
-time of each layer; this gives its memory.
+The figures are read from this process only (Linux): ``rss_mb`` and
+``peak_mb`` are ``VmRSS`` and ``VmHWM`` from one read of
+``/proc/self/status``, and ``smaps_rss_mb`` is ``Rss`` from
+``/proc/self/smaps_rollup``.  The kernel folds its per-CPU counts into
+``VmRSS`` and ``VmHWM`` lazily, so both can lag by about 0.1 MB: a peak can
+read below a resident size read earlier or later (103.35 MB resident, then
+a peak of 103.16 MB once the array was freed).  ``Rss`` is counted from the
+page tables at the moment it is read, so it is exact, and can stand above
+its row's peak by that lag.  The benchmark's trace gives the time of each
+layer; this gives its memory.
 """
 
 import argparse
@@ -35,14 +42,16 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _rss_mb() -> tuple[float, float]:
-    """(resident, peak resident) of this process in MB of 2**20 bytes, the
-    unit of the benchmark's ``peak_rss_mb``, from one read of the kernel's
-    status, so that the peak is never below the resident size."""
-    with open("/proc/self/status", encoding="ascii") as fh:
-        status = fh.read()
-    kib = dict(line.split()[:2] for line in status.splitlines() if line.startswith("Vm"))
-    return int(kib["VmRSS:"]) / 2**10, int(kib["VmHWM:"]) / 2**10
+def _rss_mb() -> tuple[float, float, float]:
+    """(resident, peak resident, exact resident) of this process in MB of
+    2**20 bytes, the unit of the benchmark's ``peak_rss_mb``: the first two
+    from one read of the kernel's status, so that the peak is never below
+    that resident size, and the third from the kernel's page-table walk."""
+    kib = {}
+    for path in ("/proc/self/status", "/proc/self/smaps_rollup"):
+        with open(path, encoding="ascii") as fh:
+            kib.update(line.split()[:2] for line in fh if line.startswith(("Vm", "Rss:")))
+    return int(kib["VmRSS:"]) / 2**10, int(kib["VmHWM:"]) / 2**10, int(kib["Rss:"]) / 2**10
 
 
 def _wrap(name, fn, rows):
@@ -90,13 +99,13 @@ def main(argv=None) -> int:
         end = f"exit {code}"
     rows.append((end, *_rss_mb()))
 
-    print(f"{'stage':<28} {'rss_mb':>8} {'peak_mb':>8}", file=sys.stderr)
+    print(f"{'stage':<28} {'rss_mb':>8} {'peak_mb':>8} {'smaps_rss_mb':>12}", file=sys.stderr)
     peak = 0.0
-    for name, rss, high_water in rows:
+    for name, rss, high_water, exact in rows:
         # the kernel's high-water mark can fall a little once pages are
         # freed, so each row's peak is the highest mark read up to it
         peak = max(peak, high_water)
-        print(f"{name:<28} {rss:>8.1f} {peak:>8.1f}", file=sys.stderr)
+        print(f"{name:<28} {rss:>8.1f} {peak:>8.1f} {exact:>12.2f}", file=sys.stderr)
     return code
 
 
